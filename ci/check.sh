@@ -218,6 +218,23 @@ if [[ $full -eq 1 ]]; then
     test -s "$tmp/metrics.json"
     test -s "$tmp/fig1_postmortem.jsonl"
     test -s "$tmp/faults.csv"
+
+    echo "==> committed analysis artifacts reproduce"
+    # The full matrices are deterministic, so the committed artifacts are
+    # a behavioural fingerprint of the engine and the analysis: a stale
+    # artifact, or a change that shifts simulated behaviour, fails here
+    # instead of being found by hand (about 10 s in release).
+    cargo run --release --offline --quiet -p turnroute-analysis --bin turnprove -- \
+        --out "$tmp/turnprove.json" > /dev/null
+    cargo run --release --offline --quiet -p turnroute-analysis --bin turnsynth -- \
+        --out "$tmp/turnsynth.json" > /dev/null
+    cargo run --release --offline --quiet -p turnroute-analysis --bin turnlint -- \
+        --out "$tmp/turnlint.json" > /dev/null
+    cargo run --release --offline --quiet -p turnroute-analysis --bin turncheck -- \
+        --out "$tmp/mc.json" --ttr-out "$tmp/mc_counterexample.ttr" > /dev/null
+    for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr; do
+        cmp "$tmp/$artifact" "results/$artifact"
+    done
 fi
 
 echo "OK"

@@ -694,8 +694,7 @@ fn sanitizer_runs(quick: bool) -> Vec<SanitizerRun> {
             .build(),
     ));
 
-    // The virtual-channel engine, same shadow model (VC buffers are
-    // depth 1 regardless of the configured network buffer depth).
+    // The virtual-channel adapter, same shadow model.
     let routing = DoubleYAdaptive::new();
     let pattern = MeshTranspose::new();
     let cfg = SimConfig::builder()
@@ -705,7 +704,7 @@ fn sanitizer_runs(quick: bool) -> Vec<SanitizerRun> {
         .drain_cycles(scaled(1_200, quick))
         .seed(7)
         .build();
-    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), 1);
+    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), cfg.buffer_depth);
     let mut sim = VcSim::with_observer(&mesh, &routing, &pattern, cfg, obs);
     let report = sim.run();
     let obs = sim.observer();

@@ -1,13 +1,12 @@
-//! Engine adapters: the seam between the explorer and the real routers.
+//! The seam between the explorer and the real routers.
 //!
 //! `turncheck`'s whole point is that it model-checks the *production
-//! engines*, not a re-model of them: every transition the explorer takes
-//! is one [`turnroute_sim::Sim::step_with_choices`] (or the
-//! [`turnroute_vc::VcSim`] equivalent) of the same code CI benchmarks and
-//! the experiments run. [`McEngine`] is the small trait that makes the
-//! explorer generic over the two engines; it only re-exposes state views
-//! and the snapshot/scripted-step seam both engines already provide — no
-//! routing or arbitration logic lives here.
+//! engine*, not a re-model of it: every transition the explorer takes is
+//! one [`turnroute_sim::Engine::step_with_choices`] of the same code CI
+//! benchmarks and the experiments run. There is one engine, so the
+//! explorer is simply generic over its [`Lanes`] adapter and calls the
+//! engine's own snapshot/scripted-step seam and state views; the only
+//! derived view kept here is [`deadlock_cycle`].
 //!
 //! [`BuggyRouter`] is the planted defect for the CI gate's self-test: a
 //! wrapper that, at exactly one router, ignores the turn discipline and
@@ -17,193 +16,36 @@
 //! fails.
 
 use turnroute_model::{RoutingFunction, TurnSet};
-use turnroute_sim::{ChoiceScript, Sim, SimSnapshot};
+use turnroute_sim::{Engine, Lanes};
 use turnroute_topology::{DirSet, Direction, NodeId, Topology};
-use turnroute_vc::{VcSim, VcSimSnapshot};
 
-/// The engine surface the explorer needs: snapshot/restore, one scripted
-/// step, packet injection, and the canonical state views. Implemented by
-/// both production engines; see the [module docs](self).
-pub(crate) trait McEngine {
-    /// The engine's complete mutable state.
-    type Snap: Clone;
-
-    /// Capture the complete mutable state.
-    fn snapshot(&self) -> Self::Snap;
-    /// Restore a previously captured state.
-    fn restore(&mut self, snap: &Self::Snap);
-    /// Advance one cycle with arbitration resolved by `script`.
-    fn step_with_choices(&mut self, script: &mut ChoiceScript);
-    /// Queue one packet at its source.
-    fn inject(&mut self, src: NodeId, dst: NodeId, len: u32);
-    /// Whether no flit is anywhere in the network or its queues.
-    fn is_idle(&self) -> bool;
-    /// Total channel slots (network + injection + ejection).
-    fn num_slots(&self) -> usize;
-    /// Packet owning `slot`, if any.
-    fn slot_owner(&self, slot: usize) -> Option<u32>;
-    /// Output slot the worm crossing `slot` is bound to, if routed.
-    fn slot_binding(&self, slot: usize) -> Option<usize>;
-    /// Buffered flits at `slot`, front first, as `(packet, head, tail)`.
-    fn slot_flits(&self, slot: usize) -> Vec<(u32, bool, bool)>;
-    /// Packets queued at `node`'s source, front first.
-    fn source_queue(&self, node: usize) -> Vec<u32>;
-    /// Packet streaming into `node`'s injection channel and flits sent.
-    fn source_emitting(&self, node: usize) -> Option<(u32, u32)>;
-    /// Unproductive hops packet `id` has taken so far.
-    fn packet_misroutes(&self, id: u32) -> u32;
-    /// Whether packet `id` has been fully consumed at its destination.
-    fn packet_delivered(&self, id: u32) -> bool;
-    /// The circular wait of the current state, as an *ordered* slot
-    /// cycle (each entry waits for the next, wrapping), or empty when no
-    /// circular wait exists or the engine does not expose one.
-    fn deadlock_cycle(&self) -> Vec<usize>;
-}
-
-impl McEngine for Sim<'_> {
-    type Snap = SimSnapshot;
-
-    fn snapshot(&self) -> SimSnapshot {
-        Sim::snapshot(self)
-    }
-
-    fn restore(&mut self, snap: &SimSnapshot) {
-        Sim::restore(self, snap);
-    }
-
-    fn step_with_choices(&mut self, script: &mut ChoiceScript) {
-        Sim::step_with_choices(self, script);
-    }
-
-    fn inject(&mut self, src: NodeId, dst: NodeId, len: u32) {
-        self.inject_packet(src, dst, len);
-    }
-
-    fn is_idle(&self) -> bool {
-        Sim::is_idle(self)
-    }
-
-    fn num_slots(&self) -> usize {
-        Sim::num_slots(self)
-    }
-
-    fn slot_owner(&self, slot: usize) -> Option<u32> {
-        Sim::slot_owner(self, slot)
-    }
-
-    fn slot_binding(&self, slot: usize) -> Option<usize> {
-        Sim::slot_binding(self, slot)
-    }
-
-    fn slot_flits(&self, slot: usize) -> Vec<(u32, bool, bool)> {
-        Sim::slot_flits(self, slot).collect()
-    }
-
-    fn source_queue(&self, node: usize) -> Vec<u32> {
-        Sim::source_queue(self, node).collect()
-    }
-
-    fn source_emitting(&self, node: usize) -> Option<(u32, u32)> {
-        Sim::source_emitting(self, node)
-    }
-
-    fn packet_misroutes(&self, id: u32) -> u32 {
-        self.packets()[id as usize].misroutes
-    }
-
-    fn packet_delivered(&self, id: u32) -> bool {
-        self.packets()[id as usize].delivered.is_some()
-    }
-
-    fn deadlock_cycle(&self) -> Vec<usize> {
-        let snap = self.deadlock_snapshot();
-        let members = snap.cycle_channels();
-        let Some(&start) = members.first() else {
-            return Vec::new();
-        };
-        // cycle_channels reports membership sorted by slot index; recover
-        // the wait order by chasing the (partial-function) waits-for
-        // pointers around the cycle.
-        let mut next = vec![usize::MAX; snap.layout.num_channels];
-        for e in &snap.edges {
-            if let Some(w) = e.waits_for {
-                next[e.channel] = w;
-            }
-        }
-        let mut cycle = vec![start];
-        let mut c = next[start];
-        while c != start && c != usize::MAX && cycle.len() <= members.len() {
-            cycle.push(c);
-            c = next[c];
-        }
-        if c == start {
-            cycle
-        } else {
-            Vec::new()
+/// The circular wait of `engine`'s current state, as an *ordered* slot
+/// cycle (each entry waits for the next, wrapping), or empty when no
+/// circular wait exists.
+pub(crate) fn deadlock_cycle<'a, L: Lanes<'a>>(engine: &Engine<'a, L>) -> Vec<usize> {
+    let snap = engine.deadlock_snapshot();
+    let members = snap.cycle_channels();
+    let Some(&start) = members.first() else {
+        return Vec::new();
+    };
+    // cycle_channels reports membership sorted by slot index; recover
+    // the wait order by chasing the (partial-function) waits-for
+    // pointers around the cycle.
+    let mut next = vec![usize::MAX; snap.layout.num_channels];
+    for e in &snap.edges {
+        if let Some(w) = e.waits_for {
+            next[e.channel] = w;
         }
     }
-}
-
-impl McEngine for VcSim<'_> {
-    type Snap = VcSimSnapshot;
-
-    fn snapshot(&self) -> VcSimSnapshot {
-        VcSim::snapshot(self)
+    let mut cycle = vec![start];
+    let mut c = next[start];
+    while c != start && c != usize::MAX && cycle.len() <= members.len() {
+        cycle.push(c);
+        c = next[c];
     }
-
-    fn restore(&mut self, snap: &VcSimSnapshot) {
-        VcSim::restore(self, snap);
-    }
-
-    fn step_with_choices(&mut self, script: &mut ChoiceScript) {
-        VcSim::step_with_choices(self, script);
-    }
-
-    fn inject(&mut self, src: NodeId, dst: NodeId, len: u32) {
-        self.inject_packet(src, dst, len);
-    }
-
-    fn is_idle(&self) -> bool {
-        VcSim::is_idle(self)
-    }
-
-    fn num_slots(&self) -> usize {
-        VcSim::num_slots(self)
-    }
-
-    fn slot_owner(&self, slot: usize) -> Option<u32> {
-        VcSim::slot_owner(self, slot)
-    }
-
-    fn slot_binding(&self, slot: usize) -> Option<usize> {
-        VcSim::slot_binding(self, slot)
-    }
-
-    fn slot_flits(&self, slot: usize) -> Vec<(u32, bool, bool)> {
-        VcSim::slot_flits(self, slot).collect()
-    }
-
-    fn source_queue(&self, node: usize) -> Vec<u32> {
-        VcSim::source_queue(self, node).collect()
-    }
-
-    fn source_emitting(&self, node: usize) -> Option<(u32, u32)> {
-        VcSim::source_emitting(self, node)
-    }
-
-    fn packet_misroutes(&self, id: u32) -> u32 {
-        self.packets()[id as usize].misroutes
-    }
-
-    fn packet_delivered(&self, id: u32) -> bool {
-        self.packets()[id as usize].delivered.is_some()
-    }
-
-    fn deadlock_cycle(&self) -> Vec<usize> {
-        // The VC engine has no waits-for snapshot; VC configurations in
-        // the matrix are all expected deadlock free, so no refinement
-        // mapping is ever needed. A stuck VC state is still reported
-        // through the scenario counterexample.
+    if c == start {
+        cycle
+    } else {
         Vec::new()
     }
 }
@@ -253,5 +95,36 @@ impl<R: RoutingFunction> RoutingFunction for BuggyRouter<R> {
 
     fn turn_set(&self, _num_dims: usize) -> Option<TurnSet> {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::extract::PlantedCyclicVc;
+    use turnroute_sim::harness;
+    use turnroute_topology::Mesh;
+    use turnroute_traffic::Uniform;
+    use turnroute_vc::VcSim;
+
+    #[test]
+    fn deadlock_cycle_orders_a_virtual_channel_wedge() {
+        let mesh = Mesh::new_2d(8, 8);
+        let pattern = Uniform::new();
+        let cfg = harness::saturating_config(11, 20_000, 300);
+        let mut sim = VcSim::new(&mesh, &PlantedCyclicVc, &pattern, cfg);
+        assert!(sim.run().deadlocked);
+        let cycle = deadlock_cycle(&sim);
+        assert!(cycle.len() >= 2, "{cycle:?}");
+        // Each entry waits for the next, wrapping.
+        let snap = sim.deadlock_snapshot();
+        for (i, &c) in cycle.iter().enumerate() {
+            let edge = snap
+                .edges
+                .iter()
+                .find(|e| e.channel == c)
+                .expect("occupied");
+            assert_eq!(edge.waits_for, Some(cycle[(i + 1) % cycle.len()]));
+        }
     }
 }

@@ -28,11 +28,11 @@
 //! min-over-orbit a sound state-space reduction. The canonical form is
 //! the lexicographically smallest encoding over the stabilizer.
 
-use super::driver::McEngine;
 use super::front::FrontPacket;
 use std::hash::{BuildHasher, Hasher};
 use turnroute_model::symmetry::mesh_symmetries;
 use turnroute_model::TurnSet;
+use turnroute_sim::{Engine, Lanes};
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 
 /// 64-bit FNV-1a, the visited-set hasher. The set keys on the *full*
@@ -241,8 +241,8 @@ pub(crate) struct RawView {
 
 /// Extract the relabeled view of `engine`'s current state. `order[p]` is
 /// the front index of engine packet id `p`.
-pub(crate) fn extract_view<E: McEngine>(
-    engine: &E,
+pub(crate) fn extract_view<'a, L: Lanes<'a>>(
+    engine: &Engine<'a, L>,
     order: &[u32],
     pending: u32,
     ctx: &EncodeCtx,
@@ -257,14 +257,13 @@ pub(crate) fn extract_view<E: McEngine>(
         let binding = engine.slot_binding(s).unwrap_or(usize::MAX);
         let flits = engine
             .slot_flits(s)
-            .into_iter()
             .map(|(p, h, t)| (relabel(p), h, t))
             .collect();
         view.slots.push((owner, binding, flits));
     }
     for v in 0..ctx.num_nodes {
         view.queues
-            .push(engine.source_queue(v).into_iter().map(relabel).collect());
+            .push(engine.source_queue(v).map(relabel).collect());
         view.emitting.push(
             engine
                 .source_emitting(v)
@@ -272,9 +271,8 @@ pub(crate) fn extract_view<E: McEngine>(
         );
     }
     view.packets = vec![(false, 0); ctx.front_len];
-    for (p, &front) in order.iter().enumerate() {
-        let p = p as u32;
-        view.packets[front as usize] = (engine.packet_delivered(p), engine.packet_misroutes(p));
+    for (p, &front) in engine.packets().iter().zip(order) {
+        view.packets[front as usize] = (p.delivered.is_some(), p.misroutes);
     }
     view
 }

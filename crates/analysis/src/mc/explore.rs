@@ -24,11 +24,11 @@
 //!   them in the scripted configuration (zero injection rate, zero
 //!   routing delay), so merging states that differ only there is sound.
 
-use super::driver::McEngine;
+use super::driver::deadlock_cycle;
 use super::encode::{canonical, extract_view, EncodeCtx, FnvBuild};
 use super::front::FrontPacket;
 use std::collections::{HashSet, VecDeque};
-use turnroute_sim::ChoiceScript;
+use turnroute_sim::{ChoiceScript, Engine, Lanes, SimSnapshot};
 
 /// Knobs for one exploration.
 pub(crate) struct ExploreParams {
@@ -85,9 +85,9 @@ struct Meta {
 }
 
 /// A frontier entry: a state still to expand.
-struct Rec<S> {
+struct Rec {
     id: u32,
-    snap: S,
+    snap: SimSnapshot,
     /// `order[p]` = front index of engine packet id `p`.
     order: Vec<u32>,
     /// Front indices not yet injected.
@@ -97,8 +97,8 @@ struct Rec<S> {
 
 /// Explore every state reachable from `engine`'s current (empty)
 /// configuration under injections from `front`.
-pub(crate) fn explore<E: McEngine>(
-    engine: &mut E,
+pub(crate) fn explore<'a, L: Lanes<'a>>(
+    engine: &mut Engine<'a, L>,
     front: &[FrontPacket],
     ctx: &EncodeCtx,
     params: &ExploreParams,
@@ -106,7 +106,7 @@ pub(crate) fn explore<E: McEngine>(
     assert!(front.len() <= 32, "front indices are a u32 bitmask");
     let mut visited: HashSet<Vec<u8>, FnvBuild> = HashSet::with_hasher(FnvBuild);
     let mut metas: Vec<Meta> = Vec::new();
-    let mut queue: VecDeque<Rec<E::Snap>> = VecDeque::new();
+    let mut queue: VecDeque<Rec> = VecDeque::new();
     let mut out = ExploreOutcome {
         states: 0,
         transitions: 0,
@@ -175,7 +175,7 @@ pub(crate) fn explore<E: McEngine>(
                 let mut injected = Vec::new();
                 for (i, p) in front.iter().enumerate() {
                     if mask & (1 << i) != 0 {
-                        engine.inject(p.src, p.dst, p.len);
+                        engine.inject_packet(p.src, p.dst, p.len);
                         order.push(i as u32);
                         injected.push(i as u32);
                     }
@@ -184,8 +184,8 @@ pub(crate) fn explore<E: McEngine>(
                 out.transitions += 1;
                 let pending = rec.pending & !mask;
                 let canon = canonical(&extract_view(engine, &order, pending, ctx), ctx);
-                for p in 0..order.len() {
-                    out.max_misroutes = out.max_misroutes.max(engine.packet_misroutes(p as u32));
+                for p in &engine.packets()[..order.len()] {
+                    out.max_misroutes = out.max_misroutes.max(p.misroutes);
                 }
                 if canon != rec.canon {
                     any_progress = true;
@@ -222,7 +222,7 @@ pub(crate) fn explore<E: McEngine>(
             if out.first_deadlock.is_none() {
                 engine.restore(&rec.snap);
                 out.first_deadlock = Some(Deadlock {
-                    cycle_slots: engine.deadlock_cycle(),
+                    cycle_slots: deadlock_cycle(engine),
                     trace: trace_to(&metas, rec.id),
                 });
             }

@@ -35,7 +35,6 @@ pub use front::{antipodal_exchange, corner_exchange, witness_front, FrontPacket,
 pub use scenario::{replay_wormhole, ReplayOutcome, Scenario, ScenarioStep};
 
 use crate::routing::TurnSetRouting;
-use driver::McEngine;
 use encode::EncodeCtx;
 use explore::{explore, ExploreOutcome, ExploreParams};
 use turnroute_model::cycle::two_turn_census;
@@ -43,7 +42,7 @@ use turnroute_model::livelock::check_progress;
 use turnroute_model::verifier::Check;
 use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_routing::{hypercube::e_cube, mesh2d, torus::NegativeFirstTorus, RoutingMode};
-use turnroute_sim::{LengthDist, Sim, SimConfig};
+use turnroute_sim::{Engine, Lanes, LengthDist, Sim, SimConfig};
 use turnroute_topology::{Hypercube, Mesh, NodeId, Topology, Torus};
 use turnroute_traffic::Uniform;
 use turnroute_vc::{DoubleYAdaptive, VcSim};
@@ -397,10 +396,10 @@ fn entry_from(
 
 /// Certify a configuration on an arbitrary wormhole engine with no
 /// symmetry reduction.
-fn certify_plain<E: McEngine>(
+fn certify_plain<'a, L: Lanes<'a>>(
     name: String,
     engine_kind: &'static str,
-    engine: &mut E,
+    engine: &mut Engine<'a, L>,
     front: &[FrontPacket],
     num_nodes: usize,
     misroute_bound: u32,

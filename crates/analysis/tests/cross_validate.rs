@@ -15,8 +15,8 @@ use turnroute_analysis::certificate::Verdict;
 use turnroute_analysis::{check, extract, find_dead_end, prove, TurnSetRouting};
 use turnroute_model::{Cdg, Turn, TurnSet};
 use turnroute_rng::{Rng, SeedableRng, StdRng};
-use turnroute_sim::obs::ChannelLayout;
-use turnroute_sim::{harness, InvariantObserver, RunTermination, Sim, SimConfig};
+use turnroute_sim::obs::{ChannelLayout, DeadlockSnapshot};
+use turnroute_sim::{harness, InvariantObserver, RunTermination, Sim, SimConfig, SimObserver};
 use turnroute_topology::Mesh;
 use turnroute_traffic::Uniform;
 use turnroute_vc::{DoubleYAdaptive, VcSim};
@@ -187,4 +187,40 @@ fn planted_cyclic_vc_yields_a_witness_the_checker_accepts() {
     // of the VC graph; rendering must name virtual directions.
     let rendered = spec.render_cycle(cycle);
     assert!(rendered.contains("channel cycle"), "{rendered}");
+}
+
+#[test]
+fn planted_cyclic_vc_deadlock_fires_on_deadlock_with_a_circular_wait() {
+    // The behavioral side of the negative control, on the VC adapter: the
+    // planted assignment wedges under saturation, the engine fires
+    // `on_deadlock`, and the frozen waits-for graph names the worms on
+    // the circular wait (the hook and the snapshot are the one core's, so
+    // virtual channels get them without a second implementation).
+    #[derive(Default)]
+    struct Wedge(Option<DeadlockSnapshot>);
+    impl SimObserver for Wedge {
+        fn on_deadlock(&mut self, _now: u64, snapshot: &DeadlockSnapshot) {
+            self.0 = Some(snapshot.clone());
+        }
+    }
+    let mesh = Mesh::new_2d(8, 8);
+    let pattern = Uniform::new();
+    let cfg = harness::saturating_config(11, 20_000, 300);
+    let mut sim = VcSim::with_observer(
+        &mesh,
+        &extract::PlantedCyclicVc,
+        &pattern,
+        cfg,
+        Wedge::default(),
+    );
+    let report = sim.run();
+    assert!(
+        report.deadlocked,
+        "planted cyclic VC never wedged: {report}"
+    );
+    let snapshot = sim.observer().0.as_ref().expect("on_deadlock fired");
+    assert_eq!(snapshot.layout, sim.channel_layout());
+    let cycle = snapshot.cycle_channels();
+    assert!(cycle.len() >= 2, "no circular wait in {snapshot:?}");
+    assert!(cycle.iter().all(|&c| c < snapshot.layout.inj_base));
 }

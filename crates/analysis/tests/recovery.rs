@@ -121,9 +121,9 @@ fn vc_packets_blocked_by_a_transient_fault_recover_after_the_heal() {
         .seed(0xeca2)
         .fault_plan(plan)
         .build();
-    // The VC engine multiplexes four virtual channels per node with
-    // depth-1 buffers; the sanitizer shadows that layout.
-    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), 1);
+    // Two lanes on each of a node's four links: the shape of a
+    // four-dimension layout, which the sanitizer shadows.
+    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), cfg.buffer_depth);
     let pattern = Tornado::new();
     let mut sim = VcSim::with_observer(&mesh, &routing, &pattern, cfg, obs);
     let report = sim.run();

@@ -253,11 +253,10 @@ pub fn soak(scale: Scale, seed: u64, inject_bad: bool) -> ChaosReport {
         violations: sanitizer.violations().to_vec(),
     };
 
-    // Engine 2: the virtual-channel engine under the identical storm.
-    // VC buffers are depth 1 regardless of the configured network depth.
+    // Engine 2: the virtual-channel adapter under the identical storm.
     let routing = DoubleYAdaptive::new();
     let cfg = soak_config(&spec, &mesh, seed.wrapping_add(2));
-    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), 1);
+    let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), cfg.buffer_depth);
     let mut vc_sim = VcSim::with_observer(&mesh, &routing, &pattern, cfg, obs);
     let report = vc_sim.run();
     let obs = vc_sim.observer();
@@ -333,7 +332,7 @@ mod tests {
         };
         let routing = DoubleYAdaptive::new();
         let cfg = soak_config(&spec, &mesh, spec.seed.wrapping_add(2));
-        let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), 1);
+        let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), cfg.buffer_depth);
         let mut vc_sim = VcSim::with_observer(&mesh, &routing, &pattern, cfg, obs);
         let report = vc_sim.run();
         let obs = vc_sim.observer();

@@ -1,6 +1,8 @@
 //! The simulation engine: wormhole mechanics, arbitration, and the
-//! measurement protocol.
+//! measurement protocol — one core, instantiated per [`Lanes`] adapter.
 
+use crate::flits::{BufFlit, FlitBuffers};
+use crate::lanes::{Candidate, Lanes, SingleLane};
 use crate::obs::{
     ChannelLayout, DeadlockSnapshot, NoopObserver, PacketBlame, SimObserver, StallReason,
     StreamingHistogram, WaitEdge,
@@ -12,7 +14,8 @@ use crate::{
     RunTermination, SimConfig, SimReport,
 };
 use std::collections::VecDeque;
-use turnroute_model::{RoutingFunction, Turn, TurnSet};
+use std::ops::Range;
+use turnroute_model::Turn;
 use turnroute_rng::rngs::StdRng;
 use turnroute_rng::{Rng, SeedableRng};
 use turnroute_topology::{Direction, NodeId, Topology};
@@ -20,14 +23,6 @@ use turnroute_traffic::TrafficPattern;
 
 /// Sentinel for "no packet" / "no channel".
 const NONE_U32: u32 = u32::MAX;
-
-/// One flit sitting in a channel's single-flit input buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BufFlit {
-    packet: u32,
-    is_head: bool,
-    is_tail: bool,
-}
 
 /// Per-source stream state: the packet currently being pushed into the
 /// injection channel and how many of its flits have been emitted.
@@ -39,24 +34,87 @@ struct Emitting {
 
 /// What arbitration can do for the head flit waiting at one input
 /// channel, before contention is considered: bind the ejection channel,
-/// wait out a healing hold, or choose among the turn-legal healthy
-/// candidate outputs. Shared by the policy-driven
-/// [`try_assign`](Sim::try_assign), the choice-scripted variant, and the
-/// deadlock snapshot's wanted-output reconstruction, so all three see
+/// wait out a healing hold, or choose among the candidate outputs.
+/// Shared by [`try_assign`](Engine::try_assign) under either arbiter and
+/// the deadlock snapshot's wanted-output reconstruction, so all see
 /// byte-identical routing semantics.
 enum RouteDecision {
     /// Destination reached: bind this ejection slot (if free).
     Eject(usize),
     /// The input router is held by the healing driver; grant nothing.
     Hold,
-    /// The arrival direction and every candidate `(dir, slot,
-    /// productive)` output — turn-legal, existing, healthy, and within
-    /// the misroute budget — before the free-channel filter.
-    Candidates(Option<Direction>, Vec<(Direction, usize, bool)>),
+    /// The caller's candidate list now holds every output the adapter
+    /// offers — existing, healthy, and within the misroute budget —
+    /// before the free-channel filter.
+    Candidates,
+}
+
+/// Who resolves arbitration's two choice points — which waiting head a
+/// router serves next and which free candidate output it takes. The
+/// `SCRIPTED` constant is the [`NoopObserver`] `ENABLED` trick reused:
+/// each stepper monomorphises to one branch.
+trait Arbiter {
+    /// Whether decisions come from [`Arbiter::decide`] instead of the
+    /// configured input policy and the adapter's output selection.
+    const SCRIPTED: bool;
+    /// Resolve one `arity`-way decision.
+    fn decide(&mut self, arity: usize) -> usize;
+}
+
+/// The configured policies: `cfg.input_policy` orders the heads and
+/// [`Lanes::select`] picks the output.
+struct Policies;
+
+impl Arbiter for Policies {
+    const SCRIPTED: bool = false;
+
+    fn decide(&mut self, _arity: usize) -> usize {
+        unreachable!("policy-driven arbitration consults no oracle")
+    }
+}
+
+impl Arbiter for ChoiceScript {
+    const SCRIPTED: bool = true;
+
+    fn decide(&mut self, arity: usize) -> usize {
+        ChoiceScript::decide(self, arity)
+    }
+}
+
+/// Where the stepper's per-phase wall-clock spans go.
+trait SpanSink {
+    /// Run one engine phase, attributing its time to `phase`.
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R;
+    /// Count one completed cycle.
+    fn add_cycle(&mut self);
+}
+
+/// No profiling: the phases run bare.
+struct NoSpans;
+
+impl SpanSink for NoSpans {
+    #[inline(always)]
+    fn time<R>(&mut self, _phase: Phase, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
+    #[inline(always)]
+    fn add_cycle(&mut self) {}
+}
+
+impl SpanSink for PhaseProfiler {
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let _span = self.span(phase);
+        f()
+    }
+
+    fn add_cycle(&mut self) {
+        PhaseProfiler::add_cycle(self);
+    }
 }
 
 /// A complete copy of one engine's mutable state, produced by
-/// [`Sim::snapshot`] and consumed by [`Sim::restore`].
+/// [`Engine::snapshot`] and consumed by [`Engine::restore`].
 ///
 /// The snapshot boundary is the *simulation* state: cycle counter, RNG,
 /// channel/buffer/worm state, sources, fault and healing state, and every
@@ -82,7 +140,7 @@ pub struct SimSnapshot {
     unroutable_packets: u64,
     total_retries: u64,
     owner: Vec<u32>,
-    buf: Vec<VecDeque<BufFlit>>,
+    buf: FlitBuffers,
     assigned_out: Vec<u32>,
     head_since: Vec<u64>,
     packets: Vec<Packet>,
@@ -109,19 +167,21 @@ pub struct SimSnapshot {
 
 /// A wormhole network simulation in progress.
 ///
-/// Construct with [`Sim::new`], optionally seed packets with
-/// [`Sim::inject_packet`], then either call [`Sim::run`] for the full
-/// warmup/measure/drain protocol or drive individual cycles with
-/// [`Sim::step`].
+/// Construct with [`Engine::new`] (through the [`Sim`] alias, or
+/// `turnroute_vc::VcSim`), optionally seed packets with
+/// [`Engine::inject_packet`], then either call [`Engine::run`] for the
+/// full warmup/measure/drain protocol or drive individual cycles with
+/// [`Engine::step`].
 ///
-/// The engine is generic over a [`SimObserver`] receiving flit-level
+/// The engine is generic over a [`Lanes`] adapter describing the network
+/// (see [`crate::lanes`]) and over a [`SimObserver`] receiving flit-level
 /// telemetry hooks; the default [`NoopObserver`] has `ENABLED = false`
 /// and every hook call site is guarded by that associated constant, so
 /// an unobserved simulation compiles to the same code as before the
-/// hooks existed. Attach collectors with [`Sim::with_observer`].
-pub struct Sim<'a, O: SimObserver = NoopObserver> {
+/// hooks existed. Attach collectors with [`Engine::with_observer`].
+pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
+    lanes: L,
     topo: &'a dyn Topology,
-    routing: &'a dyn RoutingFunction,
     pattern: &'a dyn TrafficPattern,
     cfg: SimConfig,
     rng: StdRng,
@@ -130,7 +190,7 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
 
     // --- static network description ---
     num_nodes: usize,
-    dirs_per_node: usize,
+    lanes_per_link: usize,
     /// First injection slot; ejection slots follow.
     inj_base: usize,
     ej_base: usize,
@@ -140,6 +200,9 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
     /// Router whose input buffer each channel feeds (ejection channels
     /// feed the local processor and carry their node here).
     input_router: Vec<u32>,
+    /// Physical link of each slot, for the per-cycle bandwidth arbiter;
+    /// empty unless [`Lanes::SHARED_LINKS`].
+    phys_link: Vec<u32>,
     /// Broken channels (fault injection): `faulty[slot]` is
     /// `fault_depth[slot] > 0`, maintained on every fault transition.
     faulty: Vec<bool>,
@@ -157,15 +220,10 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
     /// ejects, and all its incident channels are failed.
     node_down: Vec<u16>,
     /// Whether any fault source exists (scheduled plan or `set_fault`).
-    /// Gates the turn-legality filter and the misroute-around-fault
-    /// fallback so fault-free arbitration is byte-for-byte the old code
-    /// path.
+    /// Gates every hot-path `faulty` lookup and the adapter's
+    /// degraded-mode routing so fault-free arbitration is byte-for-byte
+    /// the old code path.
     faults_possible: bool,
-    /// The routing function's declared turn set. Under faults, every
-    /// arbitration output — primary or fallback — is filtered through it,
-    /// which keeps the live dependency graph a subgraph of the turn set's
-    /// (acyclic) CDG no matter what fails.
-    turn_filter: Option<TurnSet>,
 
     // --- online reconfiguration (turnheal) ---
     /// Routers whose output arbitration is paused while the healing
@@ -196,7 +254,7 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
     /// Per-channel input buffers (FIFO, capacity `cfg.buffer_depth`; the
     /// paper's routers use depth 1). A buffer only ever holds flits of
     /// the packet owning the channel.
-    buf: Vec<VecDeque<BufFlit>>,
+    buf: FlitBuffers,
     /// Output binding for each *input* channel, while a worm crosses it.
     assigned_out: Vec<u32>,
     /// Cycle the current head flit arrived in this buffer (for FCFS).
@@ -251,54 +309,77 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
     scratch_state: Vec<u8>,
     scratch_order: Vec<u32>,
     scratch_stack: Vec<u32>,
+    scratch_candidates: Vec<Candidate>,
+    /// Links that already carried a flit this cycle; empty unless
+    /// [`Lanes::SHARED_LINKS`].
+    scratch_link_used: Vec<bool>,
 }
 
-impl<'a> Sim<'a> {
+/// The paper's simulator: one channel per physical link of any topology.
+pub type Sim<'a, O = NoopObserver> = Engine<'a, SingleLane<'a>, O>;
+
+impl<'a, L: Lanes<'a>> Engine<'a, L> {
     /// Create a simulation of `routing` on `topo` under `pattern`.
     ///
     /// # Panics
     ///
     /// Panics if the topology has fewer than 2 nodes.
     pub fn new(
-        topo: &'a dyn Topology,
-        routing: &'a dyn RoutingFunction,
+        topo: &'a L::Topo,
+        routing: &'a L::Routing,
         pattern: &'a dyn TrafficPattern,
         cfg: SimConfig,
-    ) -> Sim<'a> {
-        Sim::with_observer(topo, routing, pattern, cfg, NoopObserver)
+    ) -> Engine<'a, L> {
+        Engine::with_observer(topo, routing, pattern, cfg, NoopObserver)
     }
 }
 
-impl<'a, O: SimObserver> Sim<'a, O> {
-    /// Like [`Sim::new`], but with `observer` attached to receive
+impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
+    /// Like [`Engine::new`], but with `observer` attached to receive
     /// flit-level telemetry hooks (see [`crate::obs`]).
     ///
     /// # Panics
     ///
     /// Panics if the topology has fewer than 2 nodes.
     pub fn with_observer(
-        topo: &'a dyn Topology,
-        routing: &'a dyn RoutingFunction,
+        topo: &'a L::Topo,
+        routing: &'a L::Routing,
         pattern: &'a dyn TrafficPattern,
         cfg: SimConfig,
         observer: O,
-    ) -> Sim<'a, O> {
+    ) -> Engine<'a, L, O> {
+        let lanes = L::new(topo, routing);
+        let topo = lanes.topology();
         let num_nodes = topo.num_nodes();
         assert!(num_nodes >= 2, "need at least two nodes");
-        let dirs_per_node = 2 * topo.num_dims();
-        let inj_base = num_nodes * dirs_per_node;
+        let lanes_per_link = lanes.lanes_per_link();
+        assert!(
+            lanes_per_link == 1 || (L::SHARED_LINKS && lanes_per_link > 1),
+            "adapter's lane count contradicts its SHARED_LINKS"
+        );
+        let inj_base = topo.channel_slot_count() * lanes_per_link;
         let ej_base = inj_base + num_nodes;
         let num_channels = ej_base + num_nodes;
 
+        // Which lanes a link carries depends only on its direction.
+        let carried: Vec<bool> = Direction::all(topo.num_dims())
+            .flat_map(|dir| (0..lanes_per_link).map(move |lane| (dir, lane)))
+            .map(|(dir, lane)| lanes.lane_exists(dir, lane))
+            .collect();
         let mut exists = vec![false; num_channels];
         let mut input_router = vec![NONE_U32; num_channels];
         for node in 0..num_nodes {
             let node_id = NodeId(node as u32);
             for dir in Direction::all(topo.num_dims()) {
-                let slot = topo.channel_slot(node_id, dir);
-                if let Some(next) = topo.neighbor(node_id, dir) {
-                    exists[slot] = true;
-                    input_router[slot] = next.0;
+                let Some(next) = topo.neighbor(node_id, dir) else {
+                    continue;
+                };
+                let first = topo.channel_slot(node_id, dir) * lanes_per_link;
+                for lane in 0..lanes_per_link {
+                    if carried[dir.index() * lanes_per_link + lane] {
+                        exists[first + lane] = true;
+                        input_router[first + lane] = next.0;
+                    }
                 }
             }
             exists[inj_base + node] = true;
@@ -306,30 +387,46 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             exists[ej_base + node] = true;
             input_router[ej_base + node] = node as u32;
         }
+        // Network lanes share their link; each injection and ejection
+        // channel is a link of its own.
+        let network_links = inj_base / lanes_per_link;
+        let num_links = if L::SHARED_LINKS {
+            network_links + 2 * num_nodes
+        } else {
+            0
+        };
+        let mut phys_link: Vec<u32> = Vec::new();
+        if L::SHARED_LINKS {
+            phys_link.reserve_exact(num_channels);
+            for link in 0..network_links as u32 {
+                phys_link.extend(std::iter::repeat_n(link, lanes_per_link));
+            }
+            phys_link.extend(network_links as u32..num_links as u32);
+        }
 
         let fault_events = cfg.fault_plan.events();
         let faults_possible = !fault_events.is_empty();
-        let mut sim = Sim {
+        let mut sim = Engine {
+            lanes,
             topo,
-            routing,
             pattern,
             rng: StdRng::seed_from_u64(cfg.seed),
             obs: observer,
             now: 0,
             num_nodes,
-            dirs_per_node,
+            lanes_per_link,
             inj_base,
             ej_base,
             num_channels,
             exists,
             input_router,
+            phys_link,
             faulty: vec![false; num_channels],
             fault_events,
             fault_cursor: 0,
             fault_depth: vec![0; num_channels],
             node_down: vec![0; num_nodes],
             faults_possible,
-            turn_filter: routing.turn_set(topo.num_dims()),
             held: vec![false; num_nodes],
             quarantined: vec![false; num_channels],
             healing_possible: false,
@@ -338,9 +435,9 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             dropped_packets: 0,
             unroutable_packets: 0,
             total_retries: 0,
+            buf: FlitBuffers::new(num_channels, cfg.buffer_depth as usize),
             cfg,
             owner: vec![NONE_U32; num_channels],
-            buf: vec![VecDeque::new(); num_channels],
             assigned_out: vec![NONE_U32; num_channels],
             head_since: vec![0; num_channels],
             packets: Vec::new(),
@@ -364,9 +461,11 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             occupied_buffers: 0,
             total_stall_cycles: 0,
             scratch_heads: Vec::new(),
-            scratch_state: vec![0; num_channels],
+            scratch_state: Vec::new(),
             scratch_order: Vec::new(),
             scratch_stack: Vec::new(),
+            scratch_candidates: Vec::new(),
+            scratch_link_used: vec![false; num_links],
         };
         // Stagger first arrivals so all nodes do not fire at cycle 0.
         if sim.cfg.injection_rate > 0.0 {
@@ -408,10 +507,28 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         &self.packets
     }
 
-    /// Flits that crossed the network channel leaving `node` in `dir`
+    /// The engine's slot numbering, for decoding observer events:
+    /// `2 * num_dims * lanes_per_link` network slots per node (the shape
+    /// of a `num_dims * lanes_per_link`-dimension layout), then one
+    /// injection and one ejection slot per node. With several lanes per link
+    /// [`ChannelLayout::dir_of`] is meaningless — a network slot is a
+    /// (direction, lane) pair — but the injection/ejection predicates and
+    /// `node_of` decode correctly.
+    pub fn channel_layout(&self) -> ChannelLayout {
+        ChannelLayout::new(self.num_nodes, self.topo.num_dims() * self.lanes_per_link)
+    }
+
+    /// Every lane slot of the physical link leaving `node` in `dir`
+    /// (whether or not the link or the lane exists).
+    fn link_slots(&self, node: NodeId, dir: Direction) -> Range<usize> {
+        let first = self.topo.channel_slot(node, dir) * self.lanes_per_link;
+        first..first + self.lanes_per_link
+    }
+
+    /// Flits that crossed the physical link leaving `node` in `dir`
     /// during the measurement window. Zero for nonexistent channels.
     pub fn channel_load(&self, node: NodeId, dir: Direction) -> u64 {
-        self.channel_flits[self.topo.channel_slot(node, dir)]
+        self.channel_flits[self.link_slots(node, dir)].iter().sum()
     }
 
     /// The heaviest per-channel flit count observed during the
@@ -442,18 +559,18 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         }
     }
 
-    /// Mark the channel leaving `node` in `dir` as faulty; the routing
-    /// arbitration will never assign it. For scheduled or transient
-    /// failures use [`SimConfig::fault_plan`] instead.
+    /// Mark the link leaving `node` in `dir` (every lane of it) as
+    /// faulty; the routing arbitration will never assign it. For
+    /// scheduled or transient failures use [`SimConfig::fault_plan`]
+    /// instead.
     ///
     /// # Panics
     ///
     /// Panics if the channel does not exist.
     pub fn set_fault(&mut self, node: NodeId, dir: Direction) {
-        let slot = self.topo.channel_slot(node, dir);
-        assert!(self.exists[slot], "no channel at {node} {dir}");
         self.faults_possible = true;
-        self.shift_fault(slot, true);
+        let any = self.shift_link(node, dir, true);
+        assert!(any, "no channel at {node} {dir}");
     }
 
     /// Pause (`on`) or resume output arbitration at `node`. A held router
@@ -466,25 +583,28 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         self.held[node.index()] = on;
     }
 
-    /// Quarantine (`on`) or release the channel leaving `node` in `dir`:
-    /// a quarantined channel is never assigned to a new worm, exactly
-    /// like a faulty one, but its failure refcount is untouched — this is
-    /// the healing driver's escape-path-only mode for channels implicated
-    /// in a `Cyclic` verdict.
+    /// Quarantine (`on`) or release the link leaving `node` in `dir`
+    /// (every lane of it): a quarantined channel is never assigned to a
+    /// new worm, exactly like a faulty one, but its failure refcount is
+    /// untouched — this is the healing driver's escape-path-only mode for
+    /// channels implicated in a `Cyclic` verdict.
     ///
     /// # Panics
     ///
     /// Panics if the channel does not exist.
     pub fn set_quarantine(&mut self, node: NodeId, dir: Direction, on: bool) {
-        let slot = self.topo.channel_slot(node, dir);
-        assert!(self.exists[slot], "no channel at {node} {dir}");
+        let slots = self.link_slots(node, dir);
+        assert!(
+            self.exists[slots.clone()].contains(&true),
+            "no channel at {node} {dir}"
+        );
         self.healing_possible = true;
-        self.quarantined[slot] = on;
+        self.quarantined[slots].fill(on);
     }
 
-    /// Whether the channel leaving `node` in `dir` is quarantined.
+    /// Whether the link leaving `node` in `dir` is quarantined.
     pub fn is_quarantined(&self, node: NodeId, dir: Direction) -> bool {
-        self.quarantined[self.topo.channel_slot(node, dir)]
+        self.quarantined[self.link_slots(node, dir)].contains(&true)
     }
 
     /// How many entries of the compiled fault-event stream have been
@@ -495,10 +615,10 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         self.fault_cursor
     }
 
-    /// Set the measurement window `[start, end)` explicitly. [`Sim::run`]
+    /// Set the measurement window `[start, end)` explicitly. [`Engine::run`]
     /// derives the window from the configuration; an external driver that
     /// steps the engine cycle by cycle (the healing driver) sets it once
-    /// up front so [`Sim::report`] summarizes the same window `run` would.
+    /// up front so [`Engine::report`] summarizes the same window `run` would.
     pub fn set_measure_window(&mut self, start: u64, end: u64) {
         self.window = (start, end);
     }
@@ -594,96 +714,91 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         slot >= self.inj_base && slot < self.ej_base
     }
 
-    #[inline]
-    fn dir_of_network_slot(&self, slot: usize) -> Direction {
-        Direction::from_index(slot % self.dirs_per_node)
+    /// The one phase sequence of a simulated cycle. Every public stepper
+    /// is this function under a choice of arbiter (configured policies or
+    /// a [`ChoiceScript`]) and span sink (a [`PhaseProfiler`] or
+    /// nothing); both are zero-cost type parameters, so the plain stepper
+    /// carries neither an oracle check nor timing overhead.
+    fn cycle<A: Arbiter, S: SpanSink>(&mut self, arb: &mut A, spans: &mut S) {
+        spans.time(Phase::Drain, || {
+            self.apply_faults();
+            self.expire_packets();
+        });
+        spans.time(Phase::Injection, || self.generate());
+        spans.time(Phase::Routing, || self.collect_route_heads::<A>());
+        spans.time(Phase::Arbitration, || self.arbitrate_heads(arb));
+        spans.time(Phase::Traversal, || self.advance());
+        spans.time(Phase::Injection, || self.feed_injection());
+        spans.time(Phase::Drain, || self.detect_deadlock());
+        if O::ENABLED {
+            self.obs.on_cycle_end(self.now);
+        }
+        self.now += 1;
+        spans.add_cycle();
     }
 
     /// Advance the simulation by one cycle.
     pub fn step(&mut self) {
-        self.apply_faults();
-        self.expire_packets();
-        self.generate();
-        self.assign_outputs();
-        self.advance();
-        self.feed_injection();
-        self.detect_deadlock();
-        if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
-        }
-        self.now += 1;
+        self.cycle(&mut Policies, &mut NoSpans);
     }
 
     /// Advance one cycle with each engine phase timed onto `prof`.
-    ///
-    /// Byte-identical in simulation behavior to [`Sim::step`] — the
-    /// phases run in the same order on the same state — it only adds
-    /// wall-clock spans around them. Kept separate so the unprofiled
-    /// stepper's hot path carries no timing overhead.
+    /// Simulation behavior is [`Engine::step`]'s, byte for byte.
     pub fn step_profiled(&mut self, prof: &mut PhaseProfiler) {
-        {
-            let _s = prof.span(Phase::Drain);
-            self.apply_faults();
-            self.expire_packets();
-        }
-        {
-            let _s = prof.span(Phase::Injection);
-            self.generate();
-        }
-        let heads = {
-            let _s = prof.span(Phase::Routing);
-            self.collect_route_heads()
-        };
-        {
-            let _s = prof.span(Phase::Arbitration);
-            self.arbitrate_heads(heads);
-        }
-        {
-            let _s = prof.span(Phase::Traversal);
-            self.advance();
-        }
-        {
-            let _s = prof.span(Phase::Injection);
-            self.feed_injection();
-        }
-        {
-            let _s = prof.span(Phase::Drain);
-            self.detect_deadlock();
-        }
-        if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
-        }
-        self.now += 1;
-        prof.add_cycle();
+        self.cycle(&mut Policies, prof);
     }
 
-    /// [`Sim::run`] with every cycle stepped through
-    /// [`Sim::step_profiled`]; same protocol, same report, plus a phase
-    /// profile accumulated onto `prof`.
-    pub fn run_profiled(&mut self, prof: &mut PhaseProfiler) -> SimReport {
+    /// Advance one cycle with every arbitration decision resolved by
+    /// `script` instead of the configured input/output policies.
+    ///
+    /// The mechanics are [`Engine::step`]'s own; only the *selection*
+    /// among waiting heads and among free candidate outputs is delegated
+    /// to the oracle. `turncheck` enumerates scripts (see
+    /// [`ChoiceScript::next_script`]) to cover every schedule any policy
+    /// could produce; the decision points are:
+    ///
+    /// 1. per router, which waiting head is served next (the input-policy
+    ///    axis), and
+    /// 2. per served head, which free candidate output it takes (the
+    ///    output-policy axis; with several lanes per link, the
+    ///    lane-allocation axis as well).
+    ///
+    /// Heads are grouped by input router in router-index order. Same-cycle
+    /// arbitrations at *distinct* routers commute — a router only reads
+    /// and grants ownership of its own output channels and only writes
+    /// the bindings of its own input channels — so exploring service
+    /// orders within each router while fixing the router order is a sound
+    /// partial-order reduction, not a loss of coverage. The shared-link
+    /// bandwidth arbiter in `advance` stays deterministic (plan order): it
+    /// is work-conserving and re-arbitrated from scratch every cycle, so
+    /// it can delay a flit by at most the link's service of other ready
+    /// flits and can never create a circular wait.
+    pub fn step_with_choices(&mut self, script: &mut ChoiceScript) {
+        self.cycle(script, &mut NoSpans);
+    }
+
+    /// The warmup → measure → drain protocol over [`Engine::cycle`].
+    fn run_spanned<S: SpanSink>(&mut self, spans: &mut S) -> SimReport {
         let start = self.now;
         let measure_start = start + self.cfg.warmup_cycles;
         let measure_end = measure_start + self.cfg.measure_cycles;
         let total_end = measure_end + self.cfg.drain_cycles;
         self.window = (measure_start, measure_end);
         while self.now < total_end && !self.deadlocked {
-            self.step_profiled(prof);
+            self.cycle(&mut Policies, spans);
         }
         self.report()
+    }
+
+    /// [`Engine::run`] plus a phase profile accumulated onto `prof`.
+    pub fn run_profiled(&mut self, prof: &mut PhaseProfiler) -> SimReport {
+        self.run_spanned(prof)
     }
 
     /// Run the full warmup → measure → drain protocol from the current
     /// state and summarize.
     pub fn run(&mut self) -> SimReport {
-        let start = self.now;
-        let measure_start = start + self.cfg.warmup_cycles;
-        let measure_end = measure_start + self.cfg.measure_cycles;
-        let total_end = measure_end + self.cfg.drain_cycles;
-        self.window = (measure_start, measure_end);
-        while self.now < total_end && !self.deadlocked {
-            self.step();
-        }
-        self.report()
+        self.run_spanned(&mut NoSpans)
     }
 
     /// Step until the network is empty (queues drained, no flits in
@@ -701,7 +816,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
 
     /// Whether no packet is queued, streaming, or in flight.
     pub fn is_idle(&self) -> bool {
-        self.buf.iter().all(VecDeque::is_empty)
+        self.buf.all_empty()
             && self.queues.iter().all(VecDeque::is_empty)
             && self.emitting.iter().all(Option::is_none)
     }
@@ -796,12 +911,8 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             self.fault_cursor += 1;
             match ev.target {
                 FaultTarget::Link { node, dir } => {
-                    let slot = self.topo.channel_slot(node, dir);
-                    assert!(
-                        self.exists[slot],
-                        "fault plan names a missing channel: {node} {dir}"
-                    );
-                    self.shift_fault(slot, ev.down);
+                    let any = self.shift_link(node, dir, ev.down);
+                    assert!(any, "fault plan names a missing channel: {node} {dir}");
                 }
                 FaultTarget::Node(v) => {
                     let vi = v.index();
@@ -811,11 +922,9 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                         self.node_down[vi] -= 1;
                     }
                     for dir in Direction::all(self.topo.num_dims()) {
-                        if self.topo.neighbor(v, dir).is_some() {
-                            self.shift_fault(self.topo.channel_slot(v, dir), ev.down);
-                        }
+                        self.shift_link(v, dir, ev.down);
                         if let Some(prev) = self.topo.neighbor(v, dir.opposite()) {
-                            self.shift_fault(self.topo.channel_slot(prev, dir), ev.down);
+                            self.shift_link(prev, dir, ev.down);
                         }
                     }
                     self.shift_fault(self.inj_slot(vi), ev.down);
@@ -823,6 +932,20 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 }
             }
         }
+    }
+
+    /// Shift the failure refcount of every existing lane of the link
+    /// leaving `node` in `dir` (a link fault takes down all its lanes);
+    /// returns whether the link has any.
+    fn shift_link(&mut self, node: NodeId, dir: Direction, down: bool) -> bool {
+        let mut any = false;
+        for slot in self.link_slots(node, dir) {
+            if self.exists[slot] {
+                self.shift_fault(slot, down);
+                any = true;
+            }
+        }
+        any
     }
 
     /// Adjust one channel's failure refcount and report edge transitions
@@ -921,9 +1044,9 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             if self.owner[slot] != pid {
                 continue;
             }
-            if !self.buf[slot].is_empty() {
-                debug_assert!(self.buf[slot].iter().all(|f| f.packet == pid));
-                self.buf[slot].clear();
+            if !self.buf.is_empty(slot) {
+                debug_assert!(self.buf.queued(slot).iter().all(|f| f.packet == pid));
+                self.buf.clear(slot);
                 self.occupied_buffers -= 1;
             }
             self.owner[slot] = NONE_U32;
@@ -955,17 +1078,10 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         }
     }
 
-    /// Phase A: route waiting header flits and arbitrate output channels.
-    fn assign_outputs(&mut self) {
-        let heads = self.collect_route_heads();
-        self.arbitrate_heads(heads);
-    }
-
-    /// First half of phase A: collect input channels whose buffered flit
-    /// is an unassigned head and order them under the input policy. The
-    /// returned vec is the engine's scratch buffer; hand it back via
-    /// [`Sim::arbitrate_heads`].
-    fn collect_route_heads(&mut self) -> Vec<u32> {
+    /// Phase A, first half: collect input channels whose buffered flit
+    /// is an unassigned head into `scratch_heads`, in service order — the
+    /// input policy's, or grouped by router for a scripted arbiter.
+    fn collect_route_heads<A: Arbiter>(&mut self) {
         let mut heads = std::mem::take(&mut self.scratch_heads);
         heads.clear();
         for slot in 0..self.ej_base {
@@ -974,33 +1090,55 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             }
             // A header arriving at cycle t is normally routable at t+1;
             // routing_delay postpones that by `delay` further cycles.
-            if matches!(self.buf[slot].front(), Some(f) if f.is_head)
+            if matches!(self.buf.front(slot), Some(f) if f.is_head)
                 && self.now > self.head_since[slot] + self.cfg.routing_delay
             {
                 heads.push(slot as u32);
             }
         }
-        match self.cfg.input_policy {
-            InputPolicy::Fcfs => {
-                heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
-            }
-            InputPolicy::PortOrder => heads.sort_unstable(),
-            InputPolicy::Random => {
-                // Fisher–Yates with the run RNG for determinism.
-                for i in (1..heads.len()).rev() {
-                    let j = self.rng.gen_range(0..=i);
-                    heads.swap(i, j);
+        if A::SCRIPTED {
+            heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
+        } else {
+            match self.cfg.input_policy {
+                InputPolicy::Fcfs => {
+                    heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
+                }
+                InputPolicy::PortOrder => heads.sort_unstable(),
+                InputPolicy::Random => {
+                    // Fisher–Yates with the run RNG for determinism.
+                    for i in (1..heads.len()).rev() {
+                        let j = self.rng.gen_range(0..=i);
+                        heads.swap(i, j);
+                    }
                 }
             }
         }
-        heads
+        self.scratch_heads = heads;
     }
 
-    /// Second half of phase A: compute routes and grant output channels
-    /// to the selected heads, in order.
-    fn arbitrate_heads(&mut self, heads: Vec<u32>) {
-        for &c in &heads {
-            self.try_assign(c as usize);
+    /// Phase A, second half: compute routes and grant output channels to
+    /// the collected heads — in order, or per router in an order the
+    /// scripted arbiter chooses.
+    fn arbitrate_heads<A: Arbiter>(&mut self, arb: &mut A) {
+        let heads = std::mem::take(&mut self.scratch_heads);
+        if A::SCRIPTED {
+            let mut i = 0;
+            while i < heads.len() {
+                let router = self.input_router[heads[i] as usize];
+                let group = heads[i..]
+                    .iter()
+                    .take_while(|&&c| self.input_router[c as usize] == router);
+                let mut remaining: Vec<u32> = group.copied().collect();
+                i += remaining.len();
+                while !remaining.is_empty() {
+                    let c = remaining.remove(arb.decide(remaining.len()));
+                    self.try_assign(c as usize, arb);
+                }
+            }
+        } else {
+            for &c in &heads {
+                self.try_assign(c as usize, arb);
+            }
         }
         self.scratch_heads = heads;
     }
@@ -1015,12 +1153,13 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     }
 
     /// Everything arbitration knows about the head at input channel `c`
-    /// before contention: ejection binding, healing hold, or the full
-    /// candidate list. This is the single copy of the routing semantics
-    /// that [`try_assign`](Sim::try_assign), the scripted variant, and
-    /// [`wanted_output`](Sim::wanted_output) all consume.
-    fn route_decision(&self, c: usize) -> RouteDecision {
-        let flit = *self.buf[c].front().expect("head present");
+    /// before contention: ejection binding, healing hold, or the
+    /// adapter's candidate list (written to `candidates`). This is the
+    /// single copy of the routing semantics that
+    /// [`try_assign`](Engine::try_assign) and
+    /// [`wanted_output`](Engine::wanted_output) both consume.
+    fn route_decision(&self, c: usize, candidates: &mut Vec<Candidate>) -> RouteDecision {
+        let flit = self.buf.front(c).expect("head present");
         let pkt = self.packets[flit.packet as usize];
         let v = NodeId(self.input_router[c]);
         // Destination reached: bind to the ejection channel.
@@ -1032,110 +1171,62 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         if self.healing_possible && self.held[v.index()] {
             return RouteDecision::Hold;
         }
-        let arrived = if self.is_injection(c) {
-            None
-        } else {
-            Some(self.dir_of_network_slot(c))
-        };
-        let dirs = self.routing.route(self.topo, v, pkt.dst, arrived);
-        // Under faults every output — primary or fallback — is filtered
-        // through the declared turn set: misrouting around a failure can
-        // leave a packet in arrival states its algorithm never produces,
-        // and the filter is what keeps the live channel-dependency graph
-        // a subgraph of the turn set's acyclic CDG. Fault-free runs skip
-        // this entirely (`faults_possible` is false).
-        let legal_bits = if !self.faults_possible {
-            u32::MAX
-        } else {
-            match (&self.turn_filter, arrived) {
-                (Some(set), Some(a)) => set.allowed_from_bits(a),
-                _ => u32::MAX,
-            }
-        };
-        // Candidate output channels: turn-legal, existing, non-faulty, and
-        // within the misroute budget when the routing function is
-        // nonminimal.
-        let here = self.topo.min_hops(v, pkt.dst);
-        let mut candidates: Vec<(Direction, usize, bool)> = Vec::with_capacity(4);
-        for dir in dirs.iter() {
-            if legal_bits & (1 << dir.index()) == 0 {
-                continue;
-            }
-            let slot = self.topo.channel_slot(v, dir);
-            if !self.exists[slot] || self.unusable(slot) {
-                continue;
-            }
-            let next = self.topo.neighbor(v, dir).expect("existing channel");
-            let productive = self.topo.min_hops(next, pkt.dst) < here;
-            candidates.push((dir, slot, productive));
-        }
-        // Misroute around the fault: when every output the algorithm
-        // offers is broken, take any healthy turn-legal channel instead.
-        // Nonminimal drifting is bounded by the packet lifetime, not the
-        // misroute budget.
-        if candidates.is_empty() && self.faults_possible && self.turn_filter.is_some() {
-            for dir_idx in 0..self.dirs_per_node {
-                if legal_bits & (1 << dir_idx) == 0 {
-                    continue;
-                }
-                let dir = Direction::from_index(dir_idx);
-                let slot = self.topo.channel_slot(v, dir);
-                if !self.exists[slot] || self.unusable(slot) {
-                    continue;
-                }
-                let next = self.topo.neighbor(v, dir).expect("existing channel");
-                let productive = self.topo.min_hops(next, pkt.dst) < here;
-                candidates.push((dir, slot, productive));
-            }
-        }
-        if !self.routing.is_minimal()
+        let arrived = (!self.is_injection(c)).then_some(c);
+        candidates.clear();
+        self.lanes.candidates(
+            v,
+            pkt.dst,
+            arrived,
+            self.faults_possible,
+            |slot| !self.unusable(slot),
+            candidates,
+        );
+        // Out of misroute budget: a nonminimal function's unproductive
+        // offers are withdrawn while any productive one remains.
+        if !self.lanes.is_minimal()
             && pkt.misroutes >= self.cfg.misroute_budget
-            && candidates.iter().any(|&(_, _, p)| p)
+            && candidates.iter().any(|k| k.productive)
         {
-            candidates.retain(|&(_, _, p)| p);
+            candidates.retain(|k| k.productive);
         }
-        RouteDecision::Candidates(arrived, candidates)
+        RouteDecision::Candidates
     }
 
     /// Commit one granted output: channel bindings, misroute marking,
     /// packet accounting, path recording, and observer hooks.
-    fn commit_grant(
-        &mut self,
-        c: usize,
-        arrived: Option<Direction>,
-        pick: (Direction, usize, bool),
-    ) {
-        let packet = self.buf[c].front().expect("head present").packet;
+    fn commit_grant(&mut self, c: usize, pick: Candidate) {
+        let packet = self.buf.front(c).expect("head present").packet;
         let v = NodeId(self.input_router[c]);
-        let (dir, slot, productive) = pick;
-        self.assigned_out[c] = slot as u32;
-        self.owner[slot] = packet;
-        self.misroute_assigned[c] = !productive;
+        self.assigned_out[c] = pick.slot as u32;
+        self.owner[pick.slot] = packet;
+        self.misroute_assigned[c] = !pick.productive;
         if O::ENABLED {
-            if let Some(arr) = arrived {
-                self.obs
-                    .on_turn(self.now, PacketId(packet), v, Turn::new(arr, dir));
+            if !self.is_injection(c) {
+                if let Some(arr) = self.lanes.turn_dir(c) {
+                    let turn = Turn::new(arr, pick.dir);
+                    self.obs.on_turn(self.now, PacketId(packet), v, turn);
+                }
             }
-            if !productive {
-                self.obs.on_misroute(self.now, PacketId(packet), v, dir);
+            if !pick.productive {
+                self.obs
+                    .on_misroute(self.now, PacketId(packet), v, pick.dir);
             }
         }
         let p = &mut self.packets[packet as usize];
         p.hops += 1;
-        if !productive {
+        if !pick.productive {
             p.misroutes += 1;
         }
         if self.cfg.record_paths {
-            let next = self.topo.neighbor(v, dir).expect("assigned channel");
+            let next = NodeId(self.input_router[pick.slot]);
             self.paths[packet as usize].push(next);
         }
     }
 
-    /// Bind the ejection slot for the worm at `c` if it is free; shared
-    /// by the policy-driven and scripted arbitration (ejection is never a
-    /// choice point).
+    /// Bind the ejection slot for the worm at `c` if it is free (ejection
+    /// is never a choice point).
     fn try_eject(&mut self, c: usize, ej: usize) {
-        let packet = self.buf[c].front().expect("head present").packet;
+        let packet = self.buf.front(c).expect("head present").packet;
         if self.owner[ej] == NONE_U32 && !self.unusable(ej) {
             self.assigned_out[c] = ej as u32;
             self.owner[ej] = packet;
@@ -1143,131 +1234,42 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         }
     }
 
-    fn try_assign(&mut self, c: usize) {
-        match self.route_decision(c) {
+    /// Route the head at input channel `c` and grant it an output if one
+    /// is free: the scripted arbiter's pick, or the adapter's selection
+    /// under `cfg.output_policy`.
+    fn try_assign<A: Arbiter>(&mut self, c: usize, arb: &mut A) {
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        match self.route_decision(c, &mut candidates) {
             RouteDecision::Eject(ej) => self.try_eject(c, ej),
             RouteDecision::Hold => {}
-            RouteDecision::Candidates(arrived, mut candidates) => {
+            RouteDecision::Candidates => {
                 // Free channels only, and misroute only when necessary: if
                 // any productive channel is free, unproductive ones are
                 // not taken.
-                candidates.retain(|&(_, slot, _)| self.owner[slot] == NONE_U32);
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
+                candidates.retain(|k| self.owner[k.slot] == NONE_U32);
+                if candidates.iter().any(|k| k.productive) {
+                    candidates.retain(|k| k.productive);
                 }
-                if candidates.is_empty() {
-                    return;
+                if !candidates.is_empty() {
+                    let pick = if A::SCRIPTED {
+                        candidates[arb.decide(candidates.len())]
+                    } else {
+                        match self.lanes.select(&candidates, self.cfg.output_policy) {
+                            Some(pick) => pick,
+                            None => candidates[self.rng.gen_range(0..candidates.len())],
+                        }
+                    };
+                    self.commit_grant(c, pick);
                 }
-                let pick = match self.cfg.output_policy {
-                    OutputPolicy::LowestDim => *candidates
-                        .iter()
-                        .min_by_key(|&&(dir, _, _)| dir.index())
-                        .expect("nonempty"),
-                    OutputPolicy::HighestDim => *candidates
-                        .iter()
-                        .max_by_key(|&&(dir, _, _)| dir.index())
-                        .expect("nonempty"),
-                    OutputPolicy::Random => candidates[self.rng.gen_range(0..candidates.len())],
-                };
-                self.commit_grant(c, arrived, pick);
             }
         }
-    }
-
-    // ---- choice-scripted stepping (model checking) ------------------
-
-    /// Advance one cycle with every arbitration decision resolved by
-    /// `script` instead of the configured input/output policies.
-    ///
-    /// The mechanics are [`Sim::step`]'s own — same phases, same order,
-    /// same `route_decision` semantics — only the *selection* among
-    /// waiting heads and among free candidate outputs is delegated to the
-    /// oracle. `turncheck` enumerates scripts (see
-    /// [`ChoiceScript::next_script`]) to cover every schedule any policy
-    /// could produce; the decision points are:
-    ///
-    /// 1. per router, which waiting head is served next (the input-policy
-    ///    axis), and
-    /// 2. per served head, which free candidate output it takes (the
-    ///    output-policy axis).
-    ///
-    /// Heads are grouped by input router in router-index order. Same-cycle
-    /// arbitrations at *distinct* routers commute — a router only reads
-    /// and grants ownership of its own output channels and only writes
-    /// the bindings of its own input channels — so exploring service
-    /// orders within each router while fixing the router order is a sound
-    /// partial-order reduction, not a loss of coverage.
-    pub fn step_with_choices(&mut self, script: &mut ChoiceScript) {
-        self.apply_faults();
-        self.expire_packets();
-        self.generate();
-        self.assign_outputs_scripted(script);
-        self.advance();
-        self.feed_injection();
-        self.detect_deadlock();
-        if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
-        }
-        self.now += 1;
-    }
-
-    /// Phase A under the choice oracle: collect routable heads exactly as
-    /// [`Sim::collect_route_heads`] does, then serve them per router in a
-    /// script-chosen order with script-chosen output picks.
-    fn assign_outputs_scripted(&mut self, script: &mut ChoiceScript) {
-        let mut heads = std::mem::take(&mut self.scratch_heads);
-        heads.clear();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            if matches!(self.buf[slot].front(), Some(f) if f.is_head)
-                && self.now > self.head_since[slot] + self.cfg.routing_delay
-            {
-                heads.push(slot as u32);
-            }
-        }
-        heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
-        let mut i = 0;
-        while i < heads.len() {
-            let router = self.input_router[heads[i] as usize];
-            let mut j = i;
-            while j < heads.len() && self.input_router[heads[j] as usize] == router {
-                j += 1;
-            }
-            let mut remaining: Vec<u32> = heads[i..j].to_vec();
-            while !remaining.is_empty() {
-                let k = script.decide(remaining.len());
-                let c = remaining.remove(k);
-                self.try_assign_scripted(c as usize, script);
-            }
-            i = j;
-        }
-        self.scratch_heads = heads;
-    }
-
-    /// [`Sim::try_assign`] with the output pick delegated to the oracle.
-    fn try_assign_scripted(&mut self, c: usize, script: &mut ChoiceScript) {
-        match self.route_decision(c) {
-            RouteDecision::Eject(ej) => self.try_eject(c, ej),
-            RouteDecision::Hold => {}
-            RouteDecision::Candidates(arrived, mut candidates) => {
-                candidates.retain(|&(_, slot, _)| self.owner[slot] == NONE_U32);
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
-                }
-                if candidates.is_empty() {
-                    return;
-                }
-                let pick = candidates[script.decide(candidates.len())];
-                self.commit_grant(c, arrived, pick);
-            }
-        }
+        self.scratch_candidates = candidates;
     }
 
     /// Phase B: advance flits in lockstep. A flit moves when its bound
-    /// output buffer is empty or is itself vacating this cycle; dependency
-    /// cycles (deadlock) advance nothing.
+    /// output buffer has room or is itself vacating this cycle; dependency
+    /// cycles (deadlock) advance nothing. Where lanes share links, each
+    /// physical link additionally carries at most one flit per cycle.
     fn advance(&mut self) {
         const UNKNOWN: u8 = 0;
         const IN_PROGRESS: u8 = 1;
@@ -1276,12 +1278,13 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         let mut state = std::mem::take(&mut self.scratch_state);
         let mut order = std::mem::take(&mut self.scratch_order);
         let mut stack = std::mem::take(&mut self.scratch_stack);
-        state.iter_mut().for_each(|s| *s = UNKNOWN);
+        state.clear();
+        state.resize(self.num_channels, UNKNOWN);
         order.clear();
 
         let depth = self.cfg.buffer_depth as usize;
         for start in 0..self.num_channels {
-            if state[start] != UNKNOWN || self.buf[start].is_empty() {
+            if state[start] != UNKNOWN || self.buf.is_empty(start) {
                 continue;
             }
             stack.clear();
@@ -1290,7 +1293,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 let c = c as usize;
                 match state[c] {
                     UNKNOWN => {
-                        if self.buf[c].is_empty() {
+                        if self.buf.is_empty(c) {
                             state[c] = NO;
                             stack.pop();
                             continue;
@@ -1308,7 +1311,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                             continue;
                         }
                         let o = o as usize;
-                        if self.buf[o].len() < depth {
+                        if self.buf.len(o) < depth {
                             state[c] = YES;
                             order.push(c as u32);
                             stack.pop();
@@ -1353,6 +1356,32 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             }
         }
 
+        // Shared links: one flit per physical link per cycle, granted in
+        // plan order (targets first). A move is withdrawn if its link's
+        // budget is spent or its full target did not actually vacate
+        // (because that move was itself withdrawn); withdrawal cascades
+        // upstream through the `state` check.
+        if L::SHARED_LINKS {
+            self.scratch_link_used.fill(false);
+            order.retain(|&c| {
+                let c = c as usize;
+                if c >= self.ej_base {
+                    // Consuming from the ejection buffer is the processor
+                    // side; the ejection link was paid when entering it.
+                    return true;
+                }
+                let o = self.assigned_out[c] as usize;
+                let link = self.phys_link[o] as usize;
+                let room = self.buf.len(o) < depth || state[o] == YES;
+                if !room || self.scratch_link_used[link] {
+                    state[c] = NO;
+                    return false;
+                }
+                self.scratch_link_used[link] = true;
+                true
+            });
+        }
+
         // Stall accounting: every occupied channel either moves a flit
         // this cycle (it is in `order`) or stalls in place.
         let in_window = self.in_window();
@@ -1364,7 +1393,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 if st == YES {
                     continue;
                 }
-                let Some(front) = self.buf[c].front() else {
+                let Some(front) = self.buf.front(c) else {
                     continue;
                 };
                 let reason = if self.assigned_out[c] == NONE_U32 {
@@ -1380,8 +1409,8 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         // Apply moves targets-first.
         for &c in &order {
             let c = c as usize;
-            let flit = self.buf[c].pop_front().expect("flit scheduled to move");
-            if self.buf[c].is_empty() {
+            let flit = self.buf.pop_front(c).expect("flit scheduled to move");
+            if self.buf.is_empty(c) {
                 self.occupied_buffers -= 1;
             }
             self.last_move = self.now;
@@ -1436,7 +1465,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 }
             } else {
                 let o = self.assigned_out[c] as usize;
-                debug_assert!(self.buf[o].len() < depth);
+                debug_assert!(self.buf.len(o) < depth);
                 if in_window {
                     self.channel_flits[o] += 1;
                 }
@@ -1450,10 +1479,10 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                         self.misroute_progress[pidx] += 1;
                     }
                 }
-                if self.buf[o].is_empty() {
+                if self.buf.is_empty(o) {
                     self.occupied_buffers += 1;
                 }
-                self.buf[o].push_back(flit);
+                self.buf.push_back(o, flit);
                 if O::ENABLED {
                     self.obs.on_flit_advance(
                         self.now,
@@ -1483,7 +1512,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             let inj = self.inj_slot(v);
             if (self.faults_possible && self.faulty[inj])
                 || (self.healing_possible && self.held[v])
-                || self.buf[inj].len() >= depth
+                || self.buf.len(inj) >= depth
             {
                 continue;
             }
@@ -1512,14 +1541,14 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 self.head_since[inj] = self.now;
                 self.owner[inj] = packet;
             }
-            if self.buf[inj].is_empty() {
+            if self.buf.is_empty(inj) {
                 self.occupied_buffers += 1;
             }
             if O::ENABLED {
                 self.obs
                     .on_flit_source(self.now, inj, PacketId(packet), flit.is_tail);
             }
-            self.buf[inj].push_back(flit);
+            self.buf.push_back(inj, flit);
             self.emitting[v] = if sent + 1 == len {
                 None
             } else {
@@ -1550,10 +1579,10 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     /// on; [`DeadlockSnapshot::cycle_channels`] then separates worms on
     /// an actual circular wait from traffic merely blocked behind them.
     pub fn deadlock_snapshot(&self) -> DeadlockSnapshot {
-        let layout = ChannelLayout::new(self.num_nodes, self.dirs_per_node / 2);
+        let layout = self.channel_layout();
         let mut edges = Vec::new();
         for c in 0..self.num_channels {
-            let Some(front) = self.buf[c].front() else {
+            let Some(front) = self.buf.front(c) else {
                 continue;
             };
             let waits_for = if self.is_ejection(c) {
@@ -1571,7 +1600,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             edges.push(WaitEdge {
                 channel: c,
                 packet: front.packet,
-                buffered: self.buf[c].len(),
+                buffered: self.buf.len(c),
                 head_waiting: front.is_head,
                 waits_for,
             });
@@ -1584,29 +1613,26 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     }
 
     /// The output channel the (unassigned) head flit at `c` is waiting
-    /// to acquire: [`Sim::try_assign`]'s candidate selection minus the
-    /// free-channel filter. With several busy alternatives the output
-    /// policy's preferred one is reported (`Random` falls back to
-    /// `LowestDim` — the snapshot cannot perturb the RNG).
+    /// to acquire: [`Engine::try_assign`]'s candidate selection minus the
+    /// free-channel filter. With several busy alternatives the adapter's
+    /// preferred one is reported (`Random` falls back to `LowestDim` —
+    /// the snapshot cannot perturb the RNG).
     fn wanted_output(&self, c: usize) -> Option<usize> {
-        self.buf[c].front()?;
-        match self.route_decision(c) {
+        self.buf.front(c)?;
+        let mut candidates = Vec::new();
+        match self.route_decision(c, &mut candidates) {
             RouteDecision::Eject(ej) => Some(ej),
             // Arbitration paused: the head waits on the hold.
             RouteDecision::Hold => None,
-            RouteDecision::Candidates(_, mut candidates) => {
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
+            RouteDecision::Candidates => {
+                if candidates.iter().any(|k| k.productive) {
+                    candidates.retain(|k| k.productive);
                 }
-                let pick = match self.cfg.output_policy {
-                    OutputPolicy::HighestDim => {
-                        candidates.iter().max_by_key(|&&(dir, _, _)| dir.index())
-                    }
-                    OutputPolicy::LowestDim | OutputPolicy::Random => {
-                        candidates.iter().min_by_key(|&&(dir, _, _)| dir.index())
-                    }
+                let policy = match self.cfg.output_policy {
+                    OutputPolicy::Random => OutputPolicy::LowestDim,
+                    policy => policy,
                 };
-                pick.map(|&(_, slot, _)| slot)
+                self.lanes.select(&candidates, policy).map(|k| k.slot)
             }
         }
     }
@@ -1617,7 +1643,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     ///
     /// See [`SimSnapshot`] for the boundary. Restoring the snapshot into
     /// the same (or an identically-shaped) simulation with
-    /// [`Sim::restore`] resumes execution bit-for-bit: same RNG stream,
+    /// [`Engine::restore`] resumes execution bit-for-bit: same RNG stream,
     /// same arbitration outcomes, same report.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
@@ -1663,7 +1689,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         }
     }
 
-    /// Restore state captured by [`Sim::snapshot`]. The observer is not
+    /// Restore state captured by [`Engine::snapshot`]. The observer is not
     /// rewound — see [`SimSnapshot`] for the boundary.
     ///
     /// # Panics
@@ -1745,7 +1771,8 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     /// The flits buffered at `slot`, front first, as
     /// `(packet, is_head, is_tail)`.
     pub fn slot_flits(&self, slot: usize) -> impl Iterator<Item = (u32, bool, bool)> + '_ {
-        self.buf[slot]
+        self.buf
+            .queued(slot)
             .iter()
             .map(|f| (f.packet, f.is_head, f.is_tail))
     }
@@ -1762,11 +1789,11 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     }
 }
 
-impl<O: SimObserver> std::fmt::Debug for Sim<'_, O> {
+impl<'a, L: Lanes<'a>, O: SimObserver> std::fmt::Debug for Engine<'a, L, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
+        f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("routing", &self.routing.name())
+            .field("routing", &self.lanes.routing_name())
             .field("pattern", &self.pattern.name())
             .field("packets", &self.packets.len())
             .field("deadlocked", &self.deadlocked)
@@ -1777,6 +1804,7 @@ impl<O: SimObserver> std::fmt::Debug for Sim<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turnroute_model::RoutingFunction;
     use turnroute_routing::{mesh2d, RoutingMode};
     use turnroute_topology::Mesh;
     use turnroute_traffic::Uniform;

@@ -1,0 +1,204 @@
+//! Lane adapters: what the wormhole core is told about a network.
+//!
+//! The paper's Section 7 treats virtual channels as lanes that share a
+//! physical channel and split its bandwidth. The engine takes that
+//! literally: every physical link carries `lanes_per_link` channel
+//! slots, and everything that differs between "one channel per link" and
+//! "several virtual channels per link" sits behind the [`Lanes`] trait —
+//! which lanes exist, which outputs a head may take, and how one is
+//! selected. Buffers, worms, faults, expiry, traversal, measurement and
+//! snapshots are the engine's and exist once.
+//!
+//! # Slot numbering
+//!
+//! Network slots are link-major: the lanes of the link leaving `node` in
+//! `dir` are the `lanes_per_link` consecutive slots starting at
+//! `topo.channel_slot(node, dir) * lanes_per_link`. One injection and one
+//! ejection slot per node follow, as in
+//! [`ChannelLayout`](crate::obs::ChannelLayout).
+
+use crate::OutputPolicy;
+use turnroute_model::{RoutingFunction, TurnSet};
+use turnroute_topology::{Direction, NodeId, Topology};
+
+/// One output a waiting head may acquire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    /// Physical direction of the output link.
+    pub dir: Direction,
+    /// The output lane's slot.
+    pub slot: usize,
+    /// Whether taking it brings the packet closer to its destination.
+    pub productive: bool,
+}
+
+/// The network description one engine instantiation runs over.
+///
+/// `'a` is the lifetime of the borrowed topology and routing function;
+/// the adapter names their types so that one generic constructor serves
+/// every instantiation.
+pub trait Lanes<'a>: Sized {
+    /// Whether a link can carry more than one lane, so that lanes compete
+    /// for the link's one flit per cycle. A compile-time fact of the
+    /// adapter, not an option: the one-lane instantiation compiles the
+    /// bandwidth arbiter (and its per-slot link table) away.
+    const SHARED_LINKS: bool;
+    /// The topology the adapter is built over.
+    type Topo: ?Sized + 'a;
+    /// The routing function the adapter consults.
+    type Routing: ?Sized + 'a;
+
+    /// Bind the adapter to its network.
+    fn new(topo: &'a Self::Topo, routing: &'a Self::Routing) -> Self;
+    /// The physical topology (nodes, neighbors, link numbering).
+    fn topology(&self) -> &'a dyn Topology;
+    /// Name of the routing function, for `Debug` output.
+    fn routing_name(&self) -> &str;
+    /// Whether the routing function offers only shortest-path moves (the
+    /// misroute budget applies only when it does not).
+    fn is_minimal(&self) -> bool;
+    /// Slots per physical link; `1` unless [`Lanes::SHARED_LINKS`].
+    fn lanes_per_link(&self) -> usize;
+    /// Whether links in direction `dir` carry lane number `lane` (the
+    /// link itself existing is the topology's business).
+    fn lane_exists(&self, dir: Direction, lane: usize) -> bool;
+    /// The physical direction a head buffered at network `slot` arrived
+    /// in, for the `on_turn` hook; `None` if the adapter has no turn
+    /// notion over physical directions.
+    fn turn_dir(&self, slot: usize) -> Option<Direction>;
+    /// Append, in preference order, every output the head at router `at`
+    /// bound for `dst` may take, having arrived on network slot `arrived`
+    /// (`None` at injection). Only existing lanes for which `usable`
+    /// holds are offered; `faults_possible` tells the adapter that lanes
+    /// may be unusable, so any degraded-mode routing discipline applies.
+    fn candidates(
+        &self,
+        at: NodeId,
+        dst: NodeId,
+        arrived: Option<usize>,
+        faults_possible: bool,
+        usable: impl Fn(usize) -> bool,
+        out: &mut Vec<Candidate>,
+    );
+    /// The adapter's output selection among `candidates`: `Some` is its
+    /// deterministic pick (`None` only when `candidates` is empty),
+    /// `None` on a nonempty list asks the engine for a uniform draw from
+    /// the run RNG.
+    fn select(&self, candidates: &[Candidate], policy: OutputPolicy) -> Option<Candidate>;
+}
+
+/// The paper's network: one channel per physical link of any
+/// [`Topology`], routed by a [`RoutingFunction`] over physical
+/// directions, output selection by [`OutputPolicy`].
+pub struct SingleLane<'a> {
+    topo: &'a dyn Topology,
+    routing: &'a dyn RoutingFunction,
+    /// The routing function's declared turn set. Under faults, every
+    /// arbitration output — primary or fallback — is filtered through it,
+    /// which keeps the live dependency graph a subgraph of the turn set's
+    /// (acyclic) CDG no matter what fails.
+    turn_filter: Option<TurnSet>,
+}
+
+impl<'a> Lanes<'a> for SingleLane<'a> {
+    const SHARED_LINKS: bool = false;
+    type Topo = dyn Topology + 'a;
+    type Routing = dyn RoutingFunction + 'a;
+
+    fn new(topo: &'a Self::Topo, routing: &'a Self::Routing) -> Self {
+        SingleLane {
+            topo,
+            routing,
+            turn_filter: routing.turn_set(topo.num_dims()),
+        }
+    }
+
+    fn topology(&self) -> &'a dyn Topology {
+        self.topo
+    }
+
+    fn routing_name(&self) -> &str {
+        self.routing.name()
+    }
+
+    fn is_minimal(&self) -> bool {
+        self.routing.is_minimal()
+    }
+
+    fn lanes_per_link(&self) -> usize {
+        1
+    }
+
+    fn lane_exists(&self, _dir: Direction, _lane: usize) -> bool {
+        true
+    }
+
+    fn turn_dir(&self, slot: usize) -> Option<Direction> {
+        Some(Direction::from_index(slot % (2 * self.topo.num_dims())))
+    }
+
+    fn candidates(
+        &self,
+        at: NodeId,
+        dst: NodeId,
+        arrived: Option<usize>,
+        faults_possible: bool,
+        usable: impl Fn(usize) -> bool,
+        out: &mut Vec<Candidate>,
+    ) {
+        let arrived = arrived.and_then(|slot| self.turn_dir(slot));
+        let dirs = self.routing.route(self.topo, at, dst, arrived);
+        // Under faults every output — primary or fallback — is filtered
+        // through the declared turn set: misrouting around a failure can
+        // leave a packet in arrival states its algorithm never produces,
+        // and the filter is what keeps the live channel-dependency graph
+        // a subgraph of the turn set's acyclic CDG. Fault-free runs skip
+        // this entirely.
+        let legal_bits = if !faults_possible {
+            u32::MAX
+        } else {
+            match (&self.turn_filter, arrived) {
+                (Some(set), Some(a)) => set.allowed_from_bits(a),
+                _ => u32::MAX,
+            }
+        };
+        let here = self.topo.min_hops(at, dst);
+        let offer = |dir: Direction, out: &mut Vec<Candidate>| {
+            if legal_bits & (1 << dir.index()) == 0 {
+                return;
+            }
+            let Some(next) = self.topo.neighbor(at, dir) else {
+                return;
+            };
+            let slot = self.topo.channel_slot(at, dir);
+            if usable(slot) {
+                out.push(Candidate {
+                    dir,
+                    slot,
+                    productive: self.topo.min_hops(next, dst) < here,
+                });
+            }
+        };
+        for dir in dirs.iter() {
+            offer(dir, out);
+        }
+        // Misroute around the fault: when every output the algorithm
+        // offers is broken, take any healthy turn-legal channel instead.
+        // Nonminimal drifting is bounded by the packet lifetime, not the
+        // misroute budget.
+        if out.is_empty() && faults_possible && self.turn_filter.is_some() {
+            for dir in Direction::all(self.topo.num_dims()) {
+                offer(dir, out);
+            }
+        }
+    }
+
+    fn select(&self, candidates: &[Candidate], policy: OutputPolicy) -> Option<Candidate> {
+        let by_dim = candidates.iter().copied();
+        match policy {
+            OutputPolicy::LowestDim => by_dim.min_by_key(|k| k.dir.index()),
+            OutputPolicy::HighestDim => by_dim.max_by_key(|k| k.dir.index()),
+            OutputPolicy::Random => None,
+        }
+    }
+}

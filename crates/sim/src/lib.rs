@@ -52,7 +52,9 @@ mod choice;
 mod config;
 mod engine;
 mod fault;
+mod flits;
 pub mod harness;
+pub mod lanes;
 pub mod obs;
 mod packet;
 mod policies;
@@ -61,8 +63,9 @@ mod report;
 
 pub use choice::ChoiceScript;
 pub use config::{LengthDist, SimConfig, SimConfigBuilder, CYCLES_PER_MICROSEC};
-pub use engine::{Sim, SimSnapshot};
+pub use engine::{Engine, Sim, SimSnapshot};
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultTarget};
+pub use lanes::{Candidate, Lanes, SingleLane};
 pub use obs::{
     Alert, AlertKind, DetectorBank, DetectorConfig, FrameCollector, HealEvent, InvariantObserver,
     InvariantSummary, NoopObserver, PacketBlame, SimObserver, Telemetry, TelemetryFrame,

@@ -25,9 +25,9 @@
 //! The observer never panics; violations accumulate as human-readable
 //! strings so a harness can choose between [`InvariantObserver::is_clean`]
 //! for a boolean gate and [`InvariantObserver::assert_clean`] in tests.
-//! Because it implements [`SimObserver`], it runs against both the
-//! wormhole engine (`Sim::with_observer`) and the virtual-channel engine
-//! (`VcSim::with_observer`), and composes with other collectors via the
+//! Because it implements [`SimObserver`], it runs against the engine
+//! under either lane adapter (`Sim::with_observer`,
+//! `VcSim::with_observer`), and composes with other collectors via the
 //! tuple impl.
 
 use std::collections::{HashMap, VecDeque};
@@ -100,9 +100,9 @@ impl InvariantObserver {
     /// Sanitizer for an engine with `layout`'s slot numbering and
     /// `buffer_depth`-flit channel buffers.
     ///
-    /// For the wormhole engine pass [`ChannelLayout::for_topology`]; the
-    /// virtual-channel engine exposes its own numbering via
-    /// `VcSim::channel_layout`.
+    /// For `Sim` pass [`ChannelLayout::for_topology`]; any instantiation
+    /// reports its numbering via
+    /// [`Engine::channel_layout`](crate::Engine::channel_layout).
     pub fn new(layout: ChannelLayout, buffer_depth: u32) -> InvariantObserver {
         InvariantObserver {
             layout,

@@ -1,11 +1,11 @@
 //! Span-based engine phase profiler.
 //!
-//! [`crate::Sim::step_profiled`] wraps each engine phase in a
+//! [`crate::Engine::step_profiled`] wraps each engine phase in a
 //! [`Span`] that accumulates wall-clock nanoseconds onto a
 //! [`PhaseProfiler`], answering "where does a simulated cycle's cost go?"
-//! without instrumenting the hot path of plain [`crate::Sim::step`] — the
-//! profiled stepper is a separate method, so the unprofiled build is
-//! untouched.
+//! without instrumenting the hot path of plain [`crate::Engine::step`] —
+//! both are the one stepper, whose span sink is a type parameter that is
+//! either this profiler or a no-op the compiler removes.
 //!
 //! Wall-clock numbers are inherently nondeterministic; they belong in
 //! human-facing output (`turnstat profile`) and must never be embedded in

@@ -19,8 +19,9 @@
 //!   the trade-off the paper discusses;
 //! * deadlock freedom is verified mechanically by [`VcCdg`], the channel
 //!   dependency graph over *virtual* channels;
-//! * [`VcSim`] simulates it faithfully: virtual channels have private
-//!   single-flit buffers but **share the physical link's bandwidth** (one
+//! * [`VcSim`] simulates it faithfully — it is the base simulator's one
+//!   wormhole core over the [`VcLanes`] adapter: virtual channels have
+//!   private buffers but **share the physical link's bandwidth** (one
 //!   flit per physical link per cycle).
 //!
 //! # Example
@@ -47,7 +48,7 @@ mod vdir;
 
 pub use double_y::{count_paths, DoubleYAdaptive};
 pub use graph::{VcCdg, VcChannel};
-pub use sim::{VcSim, VcSimReport, VcSimSnapshot};
+pub use sim::{VcLanes, VcSim, VcSimReport};
 pub use specsim::{SpecSim, SpecSimReport, SpecView};
 pub use table::TableVcRouting;
 pub use vdir::{outgoing_vdirs, VcClass, VcRoutingFunction, VirtualDirection};

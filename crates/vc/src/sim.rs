@@ -1,1234 +1,138 @@
-//! Virtual-channel wormhole simulator.
+//! Virtual-channel wormhole simulator: the lane adapter that instantiates
+//! the one wormhole core of [`turnroute_sim`] over a mesh whose physical
+//! links carry several virtual channels.
 //!
-//! Mirrors the base simulator's mechanics (single-flit buffers, header
-//! reservation, tail release, FCFS input selection) with one addition:
-//! each *physical* link transfers at most one flit per cycle, shared by
-//! its virtual channels — the bandwidth cost of virtual channels the
-//! paper points out ("it also reduces the bandwidths of the virtual
-//! channels already sharing the physical channel").
+//! The mechanics (buffers, header reservation, tail release, input
+//! selection, faults, healing, snapshots, profiling) are the core's own;
+//! the adapter contributes the lane structure — and with it the one
+//! addition: each *physical* link transfers at most one flit per cycle,
+//! shared by its virtual channels — the bandwidth cost of virtual
+//! channels the paper points out ("it also reduces the bandwidths of the
+//! virtual channels already sharing the physical channel").
 
-use crate::{VcRoutingFunction, VirtualDirection};
-use std::collections::VecDeque;
-use turnroute_rng::rngs::StdRng;
-use turnroute_rng::{Rng, SeedableRng};
-use turnroute_sim::obs::{ChannelLayout, PacketBlame, StallReason, StreamingHistogram};
-use turnroute_sim::{
-    BlameTotals, ChoiceScript, FaultTarget, LengthDist, NoopObserver, Packet, PacketId,
-    RunTermination, SimConfig, SimObserver, SimReport,
-};
+use crate::{VcClass, VcRoutingFunction, VirtualDirection};
+use turnroute_sim::{Candidate, Engine, Lanes, NoopObserver, OutputPolicy, SimReport};
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
-use turnroute_traffic::TrafficPattern;
-
-const NONE_U32: u32 = u32::MAX;
 
 /// Results of a virtual-channel simulation (same shape as the base
 /// simulator's report).
 pub type VcSimReport = SimReport;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BufFlit {
-    packet: u32,
-    is_head: bool,
-    is_tail: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Emitting {
-    packet: u32,
-    sent: u32,
-}
-
-/// A complete copy of a [`VcSim`]'s mutable state, produced by
-/// [`VcSim::snapshot`] and consumed by [`VcSim::restore`].
+/// A wormhole simulation over a 2D mesh with `num_classes` virtual
+/// channels per physical direction: [`turnroute_sim::Engine`] over
+/// [`VcLanes`].
 ///
-/// Same boundary as the base engine's
-/// [`SimSnapshot`](turnroute_sim::SimSnapshot): the simulation state is
-/// captured, the static network description and the attached observer are
-/// not.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VcSimSnapshot {
-    now: u64,
-    rng: StdRng,
-    fault_cursor: usize,
-    fault_depth: Vec<u16>,
-    faulty: Vec<bool>,
-    node_down: Vec<u16>,
-    deadlines: VecDeque<(u64, u32)>,
-    retry_counts: Vec<u32>,
-    dropped_packets: u64,
-    unroutable_packets: u64,
-    total_retries: u64,
-    owner: Vec<u32>,
-    buf: Vec<Option<BufFlit>>,
-    assigned_out: Vec<u32>,
-    head_since: Vec<u64>,
-    packets: Vec<Packet>,
-    queues: Vec<VecDeque<u32>>,
-    emitting: Vec<Option<Emitting>>,
-    next_arrival: Vec<f64>,
-    progress_cycles: Vec<u64>,
-    last_progress: Vec<u64>,
-    blame: BlameTotals,
-    window: (u64, u64),
-    generated_packets: u64,
-    generated_flits: u64,
-    delivered_flits_in_window: u64,
-    max_queue_len: usize,
-    last_move: u64,
-    deadlocked: bool,
-    total_stall_cycles: u64,
-}
+/// Same [`SimConfig`](turnroute_sim::SimConfig), API, observer hooks and
+/// snapshot type as the base simulator. Output selection takes the routing
+/// function's first offered virtual channel that is free (`output_policy`
+/// does not apply: the offer order *is* the function's preference). The
+/// turn-level hooks (`on_turn`, `on_misroute`) are specific to physical
+/// directions and are not fired.
+pub type VcSim<'a, O = NoopObserver> = Engine<'a, VcLanes<'a>, O>;
 
-/// A wormhole simulation over a double-y virtual-channel mesh.
-///
-/// Uses the same [`SimConfig`] as the base simulator; input selection is
-/// local FCFS and output selection takes the routing function's first
-/// offered virtual channel that is free (the `input_policy` /
-/// `output_policy` fields are ignored).
-///
-/// Like the base engine, the simulation is generic over a
-/// [`SimObserver`]; the default [`NoopObserver`] compiles every hook call
-/// away. The virtual-channel engine fires the per-flit hooks
-/// (`on_inject`, `on_flit_source`, `on_flit_advance`, `on_deliver`,
-/// `on_fault`, `on_purge`, `on_drop`, `on_cycle_end`) using the slot
-/// numbering of [`VcSim::channel_layout`]; the turn-level hooks
-/// (`on_turn`, `on_misroute`) are specific to the base engine's physical
-/// directions and are not fired here.
-pub struct VcSim<'a, O: SimObserver = NoopObserver> {
+/// The lane adapter of a virtual-channel 2D mesh: `num_classes` lanes per
+/// physical link, slot `node * 4 * num_classes + vdir.index_in(num_classes)`.
+pub struct VcLanes<'a> {
     mesh: &'a Mesh,
     routing: &'a dyn VcRoutingFunction,
-    pattern: &'a dyn TrafficPattern,
-    cfg: SimConfig,
-    rng: StdRng,
-    obs: O,
-    now: u64,
-
-    num_nodes: usize,
-    /// Virtual-channel classes per physical direction (2 for double-y).
     num_classes: usize,
-    /// Network VC slots per node: `4 * num_classes`.
-    slots_per_node: usize,
-    /// Network VC slots: `node * slots_per_node + vdir.index_in(classes)`;
-    /// then injection, then ejection slots.
-    inj_base: usize,
-    ej_base: usize,
-    num_channels: usize,
-    exists: Vec<bool>,
-    input_router: Vec<u32>,
-    /// Physical link of each slot (per-cycle bandwidth arbiter).
-    phys_link: Vec<u32>,
-    num_links: usize,
-
-    // --- fault injection (same model as the base engine: fail-stop for
-    // new channel acquisitions, in-flight flits drain) ---
-    /// Time-sorted transitions compiled from the config's fault plan. A
-    /// link fault takes down both virtual channels of the physical link.
-    fault_events: Vec<turnroute_sim::FaultEvent>,
-    fault_cursor: usize,
-    /// Per-slot failure refcount (overlapping faults compose).
-    fault_depth: Vec<u16>,
-    faulty: Vec<bool>,
-    /// Whether the plan has any fault at all; gates every hot-path
-    /// `faulty` lookup so an empty plan costs one predictable branch.
-    faults_possible: bool,
-    /// Per-node failure refcount; a down router neither injects nor
-    /// ejects.
-    node_down: Vec<u16>,
-
-    // --- graceful degradation ---
-    /// Packet-lifetime deadlines, nondecreasing; expiry is an amortized
-    /// O(1) front-pop scan.
-    deadlines: VecDeque<(u64, u32)>,
-    retry_counts: Vec<u32>,
-    dropped_packets: u64,
-    unroutable_packets: u64,
-    total_retries: u64,
-
-    owner: Vec<u32>,
-    buf: Vec<Option<BufFlit>>,
-    assigned_out: Vec<u32>,
-    head_since: Vec<u64>,
-
-    packets: Vec<Packet>,
-    queues: Vec<VecDeque<u32>>,
-    emitting: Vec<Option<Emitting>>,
-    next_arrival: Vec<f64>,
-
-    // --- latency blame attribution (turnscope; misroute is always zero
-    // here — the double-y scheme only offers productive channels) ---
-    /// Per-packet in-network cycles with at least one flit movement,
-    /// current injection attempt only.
-    progress_cycles: Vec<u64>,
-    /// Cycle stamp deduplicating progress increments (`u64::MAX` = no
-    /// movement yet).
-    last_progress: Vec<u64>,
-    /// Blame totals accumulated over delivered window packets.
-    blame: BlameTotals,
-
-    window: (u64, u64),
-    generated_packets: u64,
-    generated_flits: u64,
-    delivered_flits_in_window: u64,
-    max_queue_len: usize,
-    last_move: u64,
-    deadlocked: bool,
-    /// Occupied-channel cycles that advanced nothing, measurement window
-    /// only.
-    total_stall_cycles: u64,
 }
 
-impl<'a> VcSim<'a> {
-    /// Create a virtual-channel simulation with no instrumentation.
-    pub fn new(
-        mesh: &'a Mesh,
-        routing: &'a dyn VcRoutingFunction,
-        pattern: &'a dyn TrafficPattern,
-        cfg: SimConfig,
-    ) -> VcSim<'a> {
-        VcSim::with_observer(mesh, routing, pattern, cfg, NoopObserver)
-    }
-}
-
-impl<'a, O: SimObserver> VcSim<'a, O> {
-    /// Create a virtual-channel simulation that reports events to `obs`.
-    pub fn with_observer(
-        mesh: &'a Mesh,
-        routing: &'a dyn VcRoutingFunction,
-        pattern: &'a dyn TrafficPattern,
-        cfg: SimConfig,
-        obs: O,
-    ) -> VcSim<'a, O> {
-        assert_eq!(mesh.num_dims(), 2, "VC engine is for 2D meshes");
-        let num_nodes = mesh.num_nodes();
-        let num_classes = routing.num_classes();
-        assert!(num_classes >= 1, "need at least one VC class");
-        let slots_per_node = 4 * num_classes;
-        let inj_base = num_nodes * slots_per_node;
-        let ej_base = inj_base + num_nodes;
-        let num_channels = ej_base + num_nodes;
-        let phys_network_links = num_nodes * 4;
-        let num_links = phys_network_links + 2 * num_nodes;
-
-        let mut exists = vec![false; num_channels];
-        let mut input_router = vec![NONE_U32; num_channels];
-        let mut phys_link = vec![NONE_U32; num_channels];
-        for node in 0..num_nodes {
-            let node_id = NodeId(node as u32);
-            for vd in VirtualDirection::all_classes(2, num_classes) {
-                if !routing.channel_exists(vd) {
-                    continue;
-                }
-                if let Some(next) = mesh.neighbor(node_id, vd.dir()) {
-                    let slot = node * slots_per_node + vd.index_in(num_classes);
-                    exists[slot] = true;
-                    input_router[slot] = next.0;
-                    phys_link[slot] = (node * 4 + vd.dir().index()) as u32;
-                }
-            }
-            exists[inj_base + node] = true;
-            input_router[inj_base + node] = node as u32;
-            phys_link[inj_base + node] = (phys_network_links + node) as u32;
-            exists[ej_base + node] = true;
-            input_router[ej_base + node] = node as u32;
-            phys_link[ej_base + node] = (phys_network_links + num_nodes + node) as u32;
-        }
-
-        let fault_events = cfg.fault_plan.events();
-        let faults_possible = !fault_events.is_empty();
-        let mut sim = VcSim {
-            mesh,
-            routing,
-            pattern,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            obs,
-            now: 0,
-            fault_events,
-            fault_cursor: 0,
-            faults_possible,
-            fault_depth: vec![0; num_channels],
-            faulty: vec![false; num_channels],
-            node_down: vec![0; num_nodes],
-            deadlines: VecDeque::new(),
-            retry_counts: Vec::new(),
-            dropped_packets: 0,
-            unroutable_packets: 0,
-            total_retries: 0,
-            cfg,
-            num_nodes,
-            num_classes,
-            slots_per_node,
-            inj_base,
-            ej_base,
-            num_channels,
-            exists,
-            input_router,
-            phys_link,
-            num_links,
-            owner: vec![NONE_U32; num_channels],
-            buf: vec![None; num_channels],
-            assigned_out: vec![NONE_U32; num_channels],
-            head_since: vec![0; num_channels],
-            packets: Vec::new(),
-            queues: vec![VecDeque::new(); num_nodes],
-            emitting: vec![None; num_nodes],
-            next_arrival: vec![0.0; num_nodes],
-            progress_cycles: Vec::new(),
-            last_progress: Vec::new(),
-            blame: BlameTotals::default(),
-            window: (0, u64::MAX),
-            generated_packets: 0,
-            generated_flits: 0,
-            delivered_flits_in_window: 0,
-            max_queue_len: 0,
-            last_move: 0,
-            deadlocked: false,
-            total_stall_cycles: 0,
-        };
-        if sim.cfg.injection_rate > 0.0 {
-            let mean = sim.mean_interarrival();
-            for v in 0..num_nodes {
-                sim.next_arrival[v] = sim.sample_exp(mean);
-            }
-        }
-        sim
-    }
-
-    /// The current cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
-    /// Consume the simulation, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.obs
-    }
-
-    /// The engine's slot numbering, for decoding observer events:
-    /// `4 * num_classes` virtual-direction slots per node
-    /// (`node * slots_per_node + vdir.index_in(num_classes)`, the shape of
-    /// a `2 * num_classes`-dimension layout), then one injection and one
-    /// ejection slot per node. [`ChannelLayout::dir_of`] is meaningless
-    /// here — slot index pairs are (direction, VC class) — but the
-    /// injection/ejection predicates and `node_of` decode correctly.
-    pub fn channel_layout(&self) -> ChannelLayout {
-        ChannelLayout::new(self.num_nodes, 2 * self.num_classes)
-    }
-
-    /// Whether deadlock was detected.
-    pub fn deadlocked(&self) -> bool {
-        self.deadlocked
-    }
-
-    /// All packets created so far.
-    pub fn packets(&self) -> &[Packet] {
-        &self.packets
-    }
-
-    /// Manually queue a packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or `len == 0`.
-    pub fn inject_packet(&mut self, src: NodeId, dst: NodeId, len: u32) -> PacketId {
-        assert_ne!(src, dst, "packet must leave its source");
-        assert!(len >= 1, "packet needs at least one flit");
-        PacketId(self.create_packet(src, dst, len))
-    }
-
-    fn create_packet(&mut self, src: NodeId, dst: NodeId, len: u32) -> u32 {
-        let id = self.packets.len() as u32;
-        self.packets.push(Packet {
-            id: PacketId(id),
-            src,
-            dst,
-            len,
-            created: self.now,
-            injected: None,
-            delivered: None,
-            dropped: None,
-            hops: 0,
-            misroutes: 0,
-        });
-        if self.cfg.packet_timeout > 0 {
-            self.deadlines
-                .push_back((self.now + self.cfg.packet_timeout, id));
-            self.retry_counts.push(0);
-        }
-        self.progress_cycles.push(0);
-        self.last_progress.push(u64::MAX);
-        self.queues[src.index()].push_back(id);
-        if self.in_window() {
-            self.generated_packets += 1;
-            self.generated_flits += u64::from(len);
-        }
-        id
-    }
-
-    fn in_window(&self) -> bool {
-        self.now >= self.window.0 && self.now < self.window.1
-    }
-
-    fn mean_interarrival(&self) -> f64 {
-        self.cfg.lengths.mean() / self.cfg.injection_rate
-    }
-
-    fn sample_exp(&mut self, mean: f64) -> f64 {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
-    fn sample_len(&mut self) -> u32 {
-        match self.cfg.lengths {
-            LengthDist::Fixed(n) => n,
-            LengthDist::Bimodal { short, long } => {
-                if self.rng.gen_bool(0.5) {
-                    short
-                } else {
-                    long
-                }
-            }
-        }
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        self.apply_faults();
-        self.expire_packets();
-        self.generate();
-        self.assign_outputs();
-        self.advance();
-        self.feed_injection();
-        if self.now.saturating_sub(self.last_move) >= self.cfg.deadlock_threshold
-            && self.buf.iter().any(Option::is_some)
-        {
-            self.deadlocked = true;
-        }
-        if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
-        }
-        self.now += 1;
-    }
-
-    /// Run warmup → measure → drain and summarize.
-    pub fn run(&mut self) -> VcSimReport {
-        let start = self.now;
-        let ms = start + self.cfg.warmup_cycles;
-        let me = ms + self.cfg.measure_cycles;
-        let end = me + self.cfg.drain_cycles;
-        self.window = (ms, me);
-        while self.now < end && !self.deadlocked {
-            self.step();
-        }
-        self.report()
-    }
-
-    /// Step until idle or `max_cycles` pass; `true` if everything
-    /// drained.
-    pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
-        let end = self.now + max_cycles;
-        while self.now < end && !self.deadlocked {
-            self.step();
-            if self.is_idle() {
-                return true;
-            }
-        }
-        self.is_idle()
-    }
-
-    /// Whether nothing is queued, streaming, or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.buf.iter().all(Option::is_none)
-            && self.queues.iter().all(VecDeque::is_empty)
-            && self.emitting.iter().all(Option::is_none)
-    }
-
-    /// Summarize packets created in the measurement window.
-    pub fn report(&self) -> VcSimReport {
-        let (ms, me) = self.window;
-        let mut hist = StreamingHistogram::new();
-        let mut network_sum = 0u64;
-        let mut hops_sum = 0u64;
-        for p in &self.packets {
-            if p.created < ms || p.created >= me {
-                continue;
-            }
-            if let Some(lat) = p.latency() {
-                hist.record(lat);
-                network_sum += p.network_latency().unwrap_or(lat);
-                hops_sum += u64::from(p.hops);
-            }
-        }
-        let delivered = hist.count();
-        let avg = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
-        SimReport {
-            generated_packets: self.generated_packets,
-            generated_flits: self.generated_flits,
-            delivered_packets: delivered,
-            delivered_flits_in_window: self.delivered_flits_in_window,
-            measure_cycles: me.saturating_sub(ms),
-            avg_latency_cycles: hist.mean(),
-            p50_latency_cycles: hist.p50() as f64,
-            p90_latency_cycles: hist.p90() as f64,
-            p99_latency_cycles: hist.p99() as f64,
-            max_latency_cycles: hist.max(),
-            avg_network_latency_cycles: avg(network_sum, delivered),
-            avg_hops: avg(hops_sum, delivered),
-            avg_misroutes: 0.0,
-            blame: self.blame,
-            total_stall_cycles: self.total_stall_cycles,
-            queued_at_end: self.queues.iter().map(|q| q.len() as u64).sum(),
-            max_queue_len: self.max_queue_len,
-            dropped_packets: self.dropped_packets,
-            unroutable_packets: self.unroutable_packets,
-            retries: self.total_retries,
-            deadlocked: self.deadlocked,
-            termination: if self.deadlocked {
-                RunTermination::Deadlock
-            } else if self.generated_packets
-                > delivered + self.dropped_packets + self.unroutable_packets
-            {
-                // Same cohort rule as the base engine: window packets
-                // unresolved at the horizon mean the measured load never
-                // drained.
-                RunTermination::Timeout
-            } else {
-                RunTermination::Completed
-            },
-            end_cycle: self.now,
-        }
-    }
-
-    /// Every virtual-channel slot of the physical link leaving `node` in
-    /// `dir` (one per class, whether or not the routing uses it).
-    fn link_vc_slots(&self, node: NodeId, dir: Direction) -> Vec<usize> {
-        let base = node.index() * self.slots_per_node + dir.index() * self.num_classes;
-        (base..base + self.num_classes).collect()
-    }
-
-    /// Apply every fault transition scheduled at or before `now`.
-    fn apply_faults(&mut self) {
-        while self.fault_cursor < self.fault_events.len()
-            && self.fault_events[self.fault_cursor].at <= self.now
-        {
-            let ev = self.fault_events[self.fault_cursor];
-            self.fault_cursor += 1;
-            match ev.target {
-                FaultTarget::Link { node, dir } => {
-                    // In the double-y scheme only the y links carry two
-                    // virtual channels; fail whichever VC slots the
-                    // physical link actually has.
-                    let slots = self.link_vc_slots(node, dir);
-                    assert!(
-                        slots.iter().any(|&s| self.exists[s]),
-                        "fault plan names a missing channel: {node} {dir}"
-                    );
-                    for slot in slots {
-                        if self.exists[slot] {
-                            self.shift_fault(slot, ev.down);
-                        }
-                    }
-                }
-                FaultTarget::Node(v) => {
-                    let vi = v.index();
-                    if ev.down {
-                        self.node_down[vi] += 1;
-                    } else {
-                        self.node_down[vi] -= 1;
-                    }
-                    for dir in Direction::all(2) {
-                        if self.mesh.neighbor(v, dir).is_some() {
-                            for slot in self.link_vc_slots(v, dir) {
-                                if self.exists[slot] {
-                                    self.shift_fault(slot, ev.down);
-                                }
-                            }
-                        }
-                        if let Some(prev) = self.mesh.neighbor(v, dir.opposite()) {
-                            for slot in self.link_vc_slots(prev, dir) {
-                                if self.exists[slot] {
-                                    self.shift_fault(slot, ev.down);
-                                }
-                            }
-                        }
-                    }
-                    self.shift_fault(self.inj_base + vi, ev.down);
-                    self.shift_fault(self.ej_base + vi, ev.down);
-                }
-            }
-        }
-    }
-
-    fn shift_fault(&mut self, slot: usize, down: bool) {
-        let was = self.faulty[slot];
-        if down {
-            self.fault_depth[slot] += 1;
-        } else {
-            self.fault_depth[slot] -= 1;
-        }
-        let is = self.fault_depth[slot] > 0;
-        self.faulty[slot] = is;
-        if O::ENABLED && was != is {
-            self.obs.on_fault(self.now, slot, is);
-        }
-    }
-
-    /// Purge packets whose lifetime expired: retry while retries remain
-    /// and delivery is still possible, otherwise drop and account. Same
-    /// precedence as the base engine: a purge counts as progress, so
-    /// `packet_timeout < deadlock_threshold` degrades gracefully.
-    fn expire_packets(&mut self) {
-        if self.cfg.packet_timeout == 0 {
-            return;
-        }
-        while let Some(&(deadline, pid)) = self.deadlines.front() {
-            if deadline > self.now {
-                break;
-            }
-            self.deadlines.pop_front();
-            let p = self.packets[pid as usize];
-            if p.delivered.is_some() || p.dropped.is_some() {
-                continue;
-            }
-            self.purge_packet(pid);
-            if O::ENABLED {
-                self.obs.on_purge(self.now, PacketId(pid));
-            }
-            let unroutable = self.node_down[p.src.index()] > 0 || self.node_down[p.dst.index()] > 0;
-            let counted = p.created >= self.window.0 && p.created < self.window.1;
-            if !unroutable && self.retry_counts[pid as usize] < self.cfg.max_retries {
-                self.retry_counts[pid as usize] += 1;
-                if counted {
-                    self.total_retries += 1;
-                }
-                let p = &mut self.packets[pid as usize];
-                p.injected = None;
-                p.hops = 0;
-                p.misroutes = 0;
-                self.progress_cycles[pid as usize] = 0;
-                self.last_progress[pid as usize] = u64::MAX;
-                self.queues[p.src.index()].push_back(pid);
-                self.deadlines
-                    .push_back((self.now + self.cfg.packet_timeout, pid));
-            } else {
-                self.packets[pid as usize].dropped = Some(self.now);
-                if counted {
-                    if unroutable {
-                        self.unroutable_packets += 1;
-                    } else {
-                        self.dropped_packets += 1;
-                    }
-                }
-                if O::ENABLED {
-                    self.obs.on_drop(self.now, PacketId(pid), unroutable);
-                }
-            }
-            self.last_move = self.now;
-        }
-    }
-
-    /// Remove every trace of `pid` from the network.
-    fn purge_packet(&mut self, pid: u32) {
-        let src = self.packets[pid as usize].src.index();
-        self.queues[src].retain(|&q| q != pid);
-        if matches!(self.emitting[src], Some(e) if e.packet == pid) {
-            self.emitting[src] = None;
-        }
-        for slot in 0..self.num_channels {
-            if self.owner[slot] != pid {
-                continue;
-            }
-            if matches!(self.buf[slot], Some(f) if f.packet == pid) {
-                self.buf[slot] = None;
-            }
-            self.owner[slot] = NONE_U32;
-            self.assigned_out[slot] = NONE_U32;
-        }
-    }
-
-    fn generate(&mut self) {
-        if self.cfg.injection_rate <= 0.0 {
-            return;
-        }
-        let mean = self.mean_interarrival();
-        for v in 0..self.num_nodes {
-            while self.next_arrival[v] <= self.now as f64 {
-                let step = self.sample_exp(mean);
-                self.next_arrival[v] += step;
-                let src = NodeId(v as u32);
-                if let Some(dst) = self.pattern.dest(self.mesh, src, &mut self.rng) {
-                    let len = self.sample_len();
-                    self.create_packet(src, dst, len);
-                }
-            }
-            if self.in_window() {
-                self.max_queue_len = self.max_queue_len.max(self.queues[v].len());
-            }
-        }
-    }
-
+impl VcLanes<'_> {
     fn vdir_of_slot(&self, slot: usize) -> VirtualDirection {
-        let vidx = slot % self.slots_per_node;
-        let dir = turnroute_topology::Direction::from_index(vidx / self.num_classes);
-        let class = crate::VcClass::new((vidx % self.num_classes) as u8);
+        let vidx = slot % (4 * self.num_classes);
+        let dir = Direction::from_index(vidx / self.num_classes);
+        let class = VcClass::new((vidx % self.num_classes) as u8);
         VirtualDirection::new(dir, class)
     }
-
-    fn assign_outputs(&mut self) {
-        let mut heads: Vec<u32> = Vec::new();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            if matches!(self.buf[slot], Some(f) if f.is_head) {
-                heads.push(slot as u32);
-            }
-        }
-        heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
-        for &c in &heads {
-            self.try_assign(c as usize);
-        }
-    }
-
-    fn try_assign(&mut self, c: usize) {
-        let flit = self.buf[c].expect("head present");
-        let pkt = self.packets[flit.packet as usize];
-        let v = NodeId(self.input_router[c]);
-        if v == pkt.dst {
-            let ej = self.ej_base + v.index();
-            if self.owner[ej] == NONE_U32 && !(self.faults_possible && self.faulty[ej]) {
-                self.assigned_out[c] = ej as u32;
-                self.owner[ej] = flit.packet;
-            }
-            return;
-        }
-        let arrived = if c >= self.inj_base {
-            None
-        } else {
-            Some(self.vdir_of_slot(c))
-        };
-        // Faulty channels are simply skipped: removing outputs from the
-        // double-y scheme never adds edges to its (acyclic) virtual-channel
-        // dependency graph, so deadlock freedom survives any fault
-        // pattern; packets with every offered channel down wait for the
-        // packet timeout.
-        for vd in self.routing.route(self.mesh, v, pkt.dst, arrived) {
-            let slot = v.index() * self.slots_per_node + vd.index_in(self.num_classes);
-            debug_assert!(self.exists[slot], "offered channel must exist");
-            if self.owner[slot] == NONE_U32 && !(self.faults_possible && self.faulty[slot]) {
-                self.assigned_out[c] = slot as u32;
-                self.owner[slot] = flit.packet;
-                self.packets[flit.packet as usize].hops += 1;
-                return;
-            }
-        }
-    }
-
-    // ---- choice-scripted stepping (model checking) ------------------
-
-    /// Advance one cycle with every arbitration decision resolved by
-    /// `script` instead of the engine's FCFS/first-free defaults.
-    ///
-    /// Same phases in the same order as [`VcSim::step`]; the explored
-    /// decision points are (1) which waiting head each router serves
-    /// next and (2) which *free* offered virtual channel a served head
-    /// acquires — together these cover every input-selection and
-    /// VC-allocation policy. The physical-link bandwidth arbiter in
-    /// `advance` stays deterministic (slot order): it is work-conserving
-    /// and re-arbitrated from scratch every cycle, so it can delay a flit
-    /// by at most the link's service of other ready flits and can never
-    /// create a circular wait — a sound reduction for deadlock checking.
-    pub fn step_with_choices(&mut self, script: &mut ChoiceScript) {
-        self.apply_faults();
-        self.expire_packets();
-        self.generate();
-        self.assign_outputs_scripted(script);
-        self.advance();
-        self.feed_injection();
-        if self.now.saturating_sub(self.last_move) >= self.cfg.deadlock_threshold
-            && self.buf.iter().any(Option::is_some)
-        {
-            self.deadlocked = true;
-        }
-        if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
-        }
-        self.now += 1;
-    }
-
-    /// Phase A under the choice oracle: same routable-head collection as
-    /// [`VcSim::assign_outputs`], grouped by input router (router
-    /// arbitrations at distinct routers touch disjoint channel state and
-    /// commute), served in a script-chosen order.
-    fn assign_outputs_scripted(&mut self, script: &mut ChoiceScript) {
-        let mut heads: Vec<u32> = Vec::new();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            if matches!(self.buf[slot], Some(f) if f.is_head) {
-                heads.push(slot as u32);
-            }
-        }
-        heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
-        let mut i = 0;
-        while i < heads.len() {
-            let router = self.input_router[heads[i] as usize];
-            let mut j = i;
-            while j < heads.len() && self.input_router[heads[j] as usize] == router {
-                j += 1;
-            }
-            let mut remaining: Vec<u32> = heads[i..j].to_vec();
-            while !remaining.is_empty() {
-                let k = script.decide(remaining.len());
-                let c = remaining.remove(k);
-                self.try_assign_scripted(c as usize, script);
-            }
-            i = j;
-        }
-    }
-
-    /// [`VcSim::try_assign`] with the free-VC pick delegated to the
-    /// oracle: instead of the first free offered virtual channel, any of
-    /// them is reachable.
-    fn try_assign_scripted(&mut self, c: usize, script: &mut ChoiceScript) {
-        let flit = self.buf[c].expect("head present");
-        let pkt = self.packets[flit.packet as usize];
-        let v = NodeId(self.input_router[c]);
-        if v == pkt.dst {
-            let ej = self.ej_base + v.index();
-            if self.owner[ej] == NONE_U32 && !(self.faults_possible && self.faulty[ej]) {
-                self.assigned_out[c] = ej as u32;
-                self.owner[ej] = flit.packet;
-            }
-            return;
-        }
-        let arrived = if c >= self.inj_base {
-            None
-        } else {
-            Some(self.vdir_of_slot(c))
-        };
-        let mut free: Vec<usize> = Vec::with_capacity(4);
-        for vd in self.routing.route(self.mesh, v, pkt.dst, arrived) {
-            let slot = v.index() * self.slots_per_node + vd.index_in(self.num_classes);
-            debug_assert!(self.exists[slot], "offered channel must exist");
-            if self.owner[slot] == NONE_U32 && !(self.faults_possible && self.faulty[slot]) {
-                free.push(slot);
-            }
-        }
-        if free.is_empty() {
-            return;
-        }
-        let slot = free[script.decide(free.len())];
-        self.assigned_out[c] = slot as u32;
-        self.owner[slot] = flit.packet;
-        self.packets[flit.packet as usize].hops += 1;
-    }
-
-    // ---- snapshot / restore -----------------------------------------
-
-    /// Capture the engine's complete mutable state. See [`VcSimSnapshot`].
-    pub fn snapshot(&self) -> VcSimSnapshot {
-        VcSimSnapshot {
-            now: self.now,
-            rng: self.rng.clone(),
-            fault_cursor: self.fault_cursor,
-            fault_depth: self.fault_depth.clone(),
-            faulty: self.faulty.clone(),
-            node_down: self.node_down.clone(),
-            deadlines: self.deadlines.clone(),
-            retry_counts: self.retry_counts.clone(),
-            dropped_packets: self.dropped_packets,
-            unroutable_packets: self.unroutable_packets,
-            total_retries: self.total_retries,
-            owner: self.owner.clone(),
-            buf: self.buf.clone(),
-            assigned_out: self.assigned_out.clone(),
-            head_since: self.head_since.clone(),
-            packets: self.packets.clone(),
-            queues: self.queues.clone(),
-            emitting: self.emitting.clone(),
-            next_arrival: self.next_arrival.clone(),
-            progress_cycles: self.progress_cycles.clone(),
-            last_progress: self.last_progress.clone(),
-            blame: self.blame,
-            window: self.window,
-            generated_packets: self.generated_packets,
-            generated_flits: self.generated_flits,
-            delivered_flits_in_window: self.delivered_flits_in_window,
-            max_queue_len: self.max_queue_len,
-            last_move: self.last_move,
-            deadlocked: self.deadlocked,
-            total_stall_cycles: self.total_stall_cycles,
-        }
-    }
-
-    /// Restore state captured by [`VcSim::snapshot`]. The observer is not
-    /// rewound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a differently-shaped network.
-    pub fn restore(&mut self, snap: &VcSimSnapshot) {
-        assert_eq!(
-            snap.owner.len(),
-            self.num_channels,
-            "snapshot from a different network shape"
-        );
-        assert_eq!(
-            snap.queues.len(),
-            self.num_nodes,
-            "snapshot from a different network shape"
-        );
-        self.now = snap.now;
-        self.rng = snap.rng.clone();
-        self.fault_cursor = snap.fault_cursor;
-        self.fault_depth.clone_from(&snap.fault_depth);
-        self.faulty.clone_from(&snap.faulty);
-        self.node_down.clone_from(&snap.node_down);
-        self.deadlines.clone_from(&snap.deadlines);
-        self.retry_counts.clone_from(&snap.retry_counts);
-        self.dropped_packets = snap.dropped_packets;
-        self.unroutable_packets = snap.unroutable_packets;
-        self.total_retries = snap.total_retries;
-        self.owner.clone_from(&snap.owner);
-        self.buf.clone_from(&snap.buf);
-        self.assigned_out.clone_from(&snap.assigned_out);
-        self.head_since.clone_from(&snap.head_since);
-        self.packets.clone_from(&snap.packets);
-        self.queues.clone_from(&snap.queues);
-        self.emitting.clone_from(&snap.emitting);
-        self.next_arrival.clone_from(&snap.next_arrival);
-        self.progress_cycles.clone_from(&snap.progress_cycles);
-        self.last_progress.clone_from(&snap.last_progress);
-        self.blame = snap.blame;
-        self.window = snap.window;
-        self.generated_packets = snap.generated_packets;
-        self.generated_flits = snap.generated_flits;
-        self.delivered_flits_in_window = snap.delivered_flits_in_window;
-        self.max_queue_len = snap.max_queue_len;
-        self.last_move = snap.last_move;
-        self.deadlocked = snap.deadlocked;
-        self.total_stall_cycles = snap.total_stall_cycles;
-    }
-
-    // ---- model-checker state views ----------------------------------
-
-    /// Total channel slots (eight VC slots per node, then injection, then
-    /// ejection; see [`VcSim::channel_layout`]).
-    pub fn num_slots(&self) -> usize {
-        self.num_channels
-    }
-
-    /// The packet whose worm currently owns `slot`, if any.
-    pub fn slot_owner(&self, slot: usize) -> Option<u32> {
-        (self.owner[slot] != NONE_U32).then_some(self.owner[slot])
-    }
-
-    /// The output slot the worm crossing input `slot` is bound to, if
-    /// routed.
-    pub fn slot_binding(&self, slot: usize) -> Option<usize> {
-        (self.assigned_out[slot] != NONE_U32).then_some(self.assigned_out[slot] as usize)
-    }
-
-    /// The flit buffered at `slot` (VC buffers hold at most one) as
-    /// `(packet, is_head, is_tail)`.
-    pub fn slot_flits(&self, slot: usize) -> impl Iterator<Item = (u32, bool, bool)> + '_ {
-        self.buf[slot]
-            .iter()
-            .map(|f| (f.packet, f.is_head, f.is_tail))
-    }
-
-    /// Packets queued at `node`'s source, front first.
-    pub fn source_queue(&self, node: usize) -> impl Iterator<Item = u32> + '_ {
-        self.queues[node].iter().copied()
-    }
-
-    /// The packet currently streaming into `node`'s injection channel and
-    /// how many of its flits have been emitted.
-    pub fn source_emitting(&self, node: usize) -> Option<(u32, u32)> {
-        self.emitting[node].map(|e| (e.packet, e.sent))
-    }
-
-    fn advance(&mut self) {
-        const UNKNOWN: u8 = 0;
-        const IN_PROGRESS: u8 = 1;
-        const YES: u8 = 2;
-        const NO: u8 = 3;
-        let mut state = vec![UNKNOWN; self.num_channels];
-        let mut order: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-
-        // Per-channel stall candidates (occupied at cycle start); cleared
-        // as moves land so the survivors fire `on_stall`.
-        let mut stalled: Vec<bool> = if O::ENABLED {
-            vec![false; self.num_channels]
-        } else {
-            Vec::new()
-        };
-        let mut occupied = 0usize;
-        for start in 0..self.num_channels {
-            if self.buf[start].is_none() {
-                continue;
-            }
-            occupied += 1;
-            if O::ENABLED {
-                stalled[start] = true;
-            }
-            if state[start] != UNKNOWN {
-                continue;
-            }
-            stack.clear();
-            stack.push(start as u32);
-            while let Some(&c) = stack.last() {
-                let c = c as usize;
-                match state[c] {
-                    UNKNOWN => {
-                        if self.buf[c].is_none() {
-                            state[c] = NO;
-                            stack.pop();
-                            continue;
-                        }
-                        if c >= self.ej_base {
-                            state[c] = YES;
-                            order.push(c as u32);
-                            stack.pop();
-                            continue;
-                        }
-                        let o = self.assigned_out[c];
-                        if o == NONE_U32 {
-                            state[c] = NO;
-                            stack.pop();
-                            continue;
-                        }
-                        let o = o as usize;
-                        if self.buf[o].is_none() {
-                            state[c] = YES;
-                            order.push(c as u32);
-                            stack.pop();
-                            continue;
-                        }
-                        match state[o] {
-                            UNKNOWN => {
-                                state[c] = IN_PROGRESS;
-                                stack.push(o as u32);
-                            }
-                            IN_PROGRESS => {
-                                state[c] = NO;
-                                stack.pop();
-                            }
-                            YES => {
-                                state[c] = YES;
-                                order.push(c as u32);
-                                stack.pop();
-                            }
-                            _ => {
-                                state[c] = NO;
-                                stack.pop();
-                            }
-                        }
-                    }
-                    IN_PROGRESS => {
-                        let o = self.assigned_out[c] as usize;
-                        if state[o] == YES {
-                            state[c] = YES;
-                            order.push(c as u32);
-                        } else {
-                            state[c] = NO;
-                        }
-                        stack.pop();
-                    }
-                    _ => {
-                        stack.pop();
-                    }
-                }
-            }
-        }
-
-        // Apply targets-first, with one flit per physical link per cycle.
-        // A move is skipped if its link budget is spent or its target did
-        // not actually vacate (because an earlier move was skipped);
-        // skipping cascades naturally through the occupancy check.
-        let in_window = self.in_window();
-        let mut link_used = vec![false; self.num_links];
-        let mut moved = 0usize;
-        for &c in &order {
-            let c = c as usize;
-            let Some(flit) = self.buf[c] else { continue };
-            let pidx = flit.packet as usize;
-            if c >= self.ej_base {
-                // Consume from the ejection buffer (the processor side of
-                // the ejection link was already paid when entering it).
-                self.buf[c] = None;
-                self.last_move = self.now;
-                moved += 1;
-                if self.last_progress[pidx] != self.now {
-                    self.last_progress[pidx] = self.now;
-                    self.progress_cycles[pidx] += 1;
-                }
-                if in_window {
-                    self.delivered_flits_in_window += 1;
-                }
-                if O::ENABLED {
-                    stalled[c] = false;
-                    self.obs.on_flit_advance(
-                        self.now,
-                        c,
-                        None,
-                        PacketId(flit.packet),
-                        flit.is_tail,
-                    );
-                }
-                if flit.is_tail {
-                    self.owner[c] = NONE_U32;
-                    let p = &mut self.packets[pidx];
-                    p.delivered = Some(self.now);
-                    let (id, created, hops) = (p.id, p.created, p.hops);
-                    let injected = p.injected.expect("delivered packet was injected");
-                    let latency = self.now - created;
-                    let progress = self.progress_cycles[pidx];
-                    let blame = PacketBlame {
-                        queue_cycles: injected - created,
-                        blocked_cycles: (self.now - injected) - progress,
-                        service_cycles: progress,
-                        misroute_cycles: 0,
-                    };
-                    debug_assert_eq!(blame.total(), latency);
-                    if created >= self.window.0 && created < self.window.1 {
-                        self.blame.queue_cycles += blame.queue_cycles;
-                        self.blame.blocked_cycles += blame.blocked_cycles;
-                        self.blame.service_cycles += blame.service_cycles;
-                    }
-                    if O::ENABLED {
-                        self.obs.on_deliver(self.now, id, latency, hops);
-                        self.obs.on_blame(self.now, id, blame);
-                    }
-                }
-                continue;
-            }
-            let o = self.assigned_out[c] as usize;
-            if self.buf[o].is_some() {
-                continue; // upstream of a skipped move
-            }
-            let link = self.phys_link[o] as usize;
-            if link_used[link] {
-                continue; // physical bandwidth spent this cycle
-            }
-            link_used[link] = true;
-            self.buf[c] = None;
-            self.buf[o] = Some(flit);
-            self.last_move = self.now;
-            moved += 1;
-            if self.last_progress[pidx] != self.now {
-                self.last_progress[pidx] = self.now;
-                self.progress_cycles[pidx] += 1;
-            }
-            if O::ENABLED {
-                stalled[c] = false;
-                self.obs
-                    .on_flit_advance(self.now, c, Some(o), PacketId(flit.packet), flit.is_tail);
-            }
-            if flit.is_head {
-                self.head_since[o] = self.now;
-            }
-            if flit.is_tail {
-                self.owner[c] = NONE_U32;
-                self.assigned_out[c] = NONE_U32;
-            }
-        }
-        // Occupied channels that moved nothing this cycle stalled.
-        if in_window {
-            self.total_stall_cycles += (occupied - moved) as u64;
-        }
-        if O::ENABLED {
-            for (c, &was_stalled) in stalled.iter().enumerate() {
-                if !was_stalled {
-                    continue;
-                }
-                let Some(flit) = self.buf[c] else { continue };
-                let reason = if c < self.ej_base && self.assigned_out[c] == NONE_U32 {
-                    StallReason::NotRouted
-                } else {
-                    StallReason::Backpressure
-                };
-                self.obs
-                    .on_stall(self.now, c, PacketId(flit.packet), reason);
-            }
-        }
-    }
-
-    fn feed_injection(&mut self) {
-        for v in 0..self.num_nodes {
-            let inj = self.inj_base + v;
-            if (self.faults_possible && self.faulty[inj]) || self.buf[inj].is_some() {
-                continue;
-            }
-            if self.emitting[v].is_none() {
-                let Some(pid) = self.queues[v].pop_front() else {
-                    continue;
-                };
-                self.packets[pid as usize].injected = Some(self.now);
-                self.emitting[v] = Some(Emitting {
-                    packet: pid,
-                    sent: 0,
-                });
-                if O::ENABLED {
-                    let p = self.packets[pid as usize];
-                    self.obs.on_inject(self.now, p.id, p.src, p.dst, p.len);
-                }
-            }
-            let Emitting { packet, sent } = self.emitting[v].expect("set above");
-            let len = self.packets[packet as usize].len;
-            let flit = BufFlit {
-                packet,
-                is_head: sent == 0,
-                is_tail: sent + 1 == len,
-            };
-            if O::ENABLED {
-                self.obs
-                    .on_flit_source(self.now, inj, PacketId(packet), flit.is_tail);
-            }
-            self.buf[inj] = Some(flit);
-            if flit.is_head {
-                self.head_since[inj] = self.now;
-                self.owner[inj] = packet;
-            }
-            self.emitting[v] = if sent + 1 == len {
-                None
-            } else {
-                Some(Emitting {
-                    packet,
-                    sent: sent + 1,
-                })
-            };
-        }
-    }
 }
 
-impl<O: SimObserver> std::fmt::Debug for VcSim<'_, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VcSim")
-            .field("now", &self.now)
-            .field("routing", &self.routing.name())
-            .field("packets", &self.packets.len())
-            .field("deadlocked", &self.deadlocked)
-            .finish()
+impl<'a> Lanes<'a> for VcLanes<'a> {
+    const SHARED_LINKS: bool = true;
+    type Topo = Mesh;
+    type Routing = dyn VcRoutingFunction + 'a;
+
+    fn new(mesh: &'a Mesh, routing: &'a Self::Routing) -> Self {
+        assert_eq!(mesh.num_dims(), 2, "VC engine is for 2D meshes");
+        let num_classes = routing.num_classes();
+        assert!(num_classes >= 1, "need at least one VC class");
+        VcLanes {
+            mesh,
+            routing,
+            num_classes,
+        }
+    }
+
+    fn topology(&self) -> &'a dyn Topology {
+        self.mesh
+    }
+
+    fn routing_name(&self) -> &str {
+        self.routing.name()
+    }
+
+    fn is_minimal(&self) -> bool {
+        self.routing.is_minimal()
+    }
+
+    fn lanes_per_link(&self) -> usize {
+        self.num_classes
+    }
+
+    fn lane_exists(&self, dir: Direction, lane: usize) -> bool {
+        let vd = VirtualDirection::new(dir, VcClass::new(lane as u8));
+        self.routing.channel_exists(vd)
+    }
+
+    fn turn_dir(&self, _slot: usize) -> Option<Direction> {
+        None
+    }
+
+    // Unusable channels are simply skipped: removing outputs from a VC
+    // assignment never adds edges to its virtual-channel dependency graph,
+    // so deadlock freedom survives any fault pattern; packets with every
+    // offered channel down wait for the packet timeout.
+    fn candidates(
+        &self,
+        at: NodeId,
+        dst: NodeId,
+        arrived: Option<usize>,
+        _faults_possible: bool,
+        usable: impl Fn(usize) -> bool,
+        out: &mut Vec<Candidate>,
+    ) {
+        let arrived = arrived.map(|slot| self.vdir_of_slot(slot));
+        for vd in self.routing.route(self.mesh, at, dst, arrived) {
+            debug_assert!(
+                self.routing.channel_exists(vd) && self.mesh.neighbor(at, vd.dir()).is_some(),
+                "offered channel must exist"
+            );
+            let slot = at.index() * 4 * self.num_classes + vd.index_in(self.num_classes);
+            if usable(slot) {
+                out.push(Candidate {
+                    dir: vd.dir(),
+                    slot,
+                    productive: true,
+                });
+            }
+        }
+    }
+
+    fn select(&self, candidates: &[Candidate], _policy: OutputPolicy) -> Option<Candidate> {
+        candidates.first().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DoubleYAdaptive;
+    use crate::{DoubleYAdaptive, TableVcRouting};
+    use turnroute_model::RoutingFunction;
+    use turnroute_routing::{mesh2d, RoutingMode};
+    use turnroute_sim::obs::ChannelLayout;
+    use turnroute_sim::{
+        ChoiceScript, InputPolicy, LengthDist, Phase, PhaseProfiler, RunTermination, Sim, SimConfig,
+    };
     use turnroute_traffic::{MeshTranspose, Uniform};
 
     fn quiet_cfg() -> SimConfig {
@@ -1409,15 +313,268 @@ mod tests {
             .seed(9)
             .fault_plan(plan)
             .build();
-        // VC buffers hold a single flit regardless of cfg.buffer_depth.
-        let obs = InvariantObserver::new(ChannelLayout::new(mesh.num_nodes(), 4), 1);
+        let layout = ChannelLayout::new(mesh.num_nodes(), 4);
+        let obs = InvariantObserver::new(layout, cfg.buffer_depth);
         let mut sim = VcSim::with_observer(&mesh, &alg, &pattern, cfg, obs);
+        assert_eq!(sim.channel_layout(), layout);
         let report = sim.run();
         assert!(!report.deadlocked);
         let obs = sim.observer();
         obs.assert_clean();
         let s = obs.summary();
         assert!(s.sourced_flits > 0 && s.consumed_flits > 0);
+    }
+
+    #[test]
+    fn depth_two_run_is_sanitizer_clean() {
+        // Every node sends one 20-flit packet to its transpose at once:
+        // worms collide and compress into the depth-2 buffers, and the
+        // shadow model — built from the configured depth — sees neither an
+        // overfull buffer nor a lost flit. (One packet per source: at
+        // depth > 1 the engine lets a queued packet's head into an
+        // injection buffer still holding the previous tail, which the
+        // sanitizer rightly flags; see ROADMAP.)
+        use turnroute_sim::InvariantObserver;
+        let mesh = Mesh::new_2d(6, 6);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder()
+            .injection_rate(0.0)
+            .deadlock_threshold(500)
+            .buffer_depth(2)
+            .build();
+        let obs = InvariantObserver::new(ChannelLayout::new(36, 4), cfg.buffer_depth);
+        let mut sim = VcSim::with_observer(&mesh, &alg, &pattern, cfg, obs);
+        let mut sent = 0;
+        for x in 0..6u16 {
+            for y in (0..6u16).filter(|&y| y != x) {
+                let (src, dst) = (mesh.node_at_coords(&[x, y]), mesh.node_at_coords(&[y, x]));
+                sim.inject_packet(src, dst, 20);
+                sent += 1;
+            }
+        }
+        assert!(sim.run_until_idle(5_000));
+        let obs = sim.observer();
+        obs.assert_clean();
+        assert_eq!(obs.summary().consumed_flits, sent * 20);
+    }
+
+    #[test]
+    fn deeper_vc_buffers_are_used() {
+        // A blocked worm compresses into its held channels: behind a held
+        // router, a 6-flit packet three hops out fits entirely into depth-2
+        // buffers (injection + 2 network channels), but not into depth 1.
+        let mesh = Mesh::new_2d(4, 4);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let mut queued_flits = Vec::new();
+        for depth in [1u32, 2] {
+            let cfg = SimConfig::builder()
+                .injection_rate(0.0)
+                .deadlock_threshold(500)
+                .buffer_depth(depth)
+                .build();
+            let mut sim = VcSim::new(&mesh, &alg, &pattern, cfg);
+            sim.set_hold(mesh.node_at_coords(&[2, 0]), true);
+            sim.inject_packet(
+                mesh.node_at_coords(&[0, 0]),
+                mesh.node_at_coords(&[3, 0]),
+                6,
+            );
+            for _ in 0..50 {
+                sim.step();
+            }
+            let flits: usize = (0..sim.num_slots())
+                .map(|s| sim.slot_flits(s).count())
+                .sum();
+            queued_flits.push(flits);
+        }
+        assert_eq!(queued_flits, [3, 6]);
+    }
+
+    #[test]
+    fn routing_delay_adds_per_hop_latency() {
+        // As in the base adapter's edge-case test: one extra cycle of
+        // route selection per router adds hops + 1 cycles (every router
+        // the header is routed at, ejection binding included).
+        let mesh = Mesh::new_2d(8, 8);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let mut base = None;
+        for delay in [0u64, 1, 2] {
+            let cfg = SimConfig::builder()
+                .injection_rate(0.0)
+                .routing_delay(delay)
+                .build();
+            let mut sim = VcSim::new(&mesh, &alg, &pattern, cfg);
+            let id = sim.inject_packet(NodeId(0), NodeId(7), 10); // 7 hops
+            assert!(sim.run_until_idle(500));
+            let latency = sim.packets()[id.index()].latency().unwrap();
+            match base {
+                None => base = Some(latency),
+                Some(b) => assert_eq!(latency, b + delay * 8, "delay {delay}"),
+            }
+        }
+    }
+
+    #[test]
+    fn input_policy_is_honoured() {
+        // Under contention the service order decides who waits, so the
+        // three input policies must produce three different runs (they
+        // were one and the same while the VC engine ignored the field).
+        let mesh = Mesh::new_2d(8, 8);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let run = |policy| {
+            let cfg = SimConfig::builder()
+                .injection_rate(0.25)
+                .warmup_cycles(200)
+                .measure_cycles(1_500)
+                .drain_cycles(500)
+                .input_policy(policy)
+                .seed(5)
+                .build();
+            VcSim::new(&mesh, &alg, &pattern, cfg).run()
+        };
+        let fcfs = run(InputPolicy::Fcfs);
+        let port = run(InputPolicy::PortOrder);
+        let random = run(InputPolicy::Random);
+        assert!(fcfs.delivered_packets > 100, "{fcfs}");
+        assert_ne!(fcfs, port);
+        assert_ne!(fcfs, random);
+        assert_ne!(port, random);
+    }
+
+    #[test]
+    fn held_router_pauses_and_resumes_arbitration() {
+        let mesh = Mesh::new_2d(4, 4);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let mut sim = VcSim::new(&mesh, &alg, &pattern, quiet_cfg());
+        let src = mesh.node_at_coords(&[0, 0]);
+        let mid = mesh.node_at_coords(&[1, 0]);
+        let dst = mesh.node_at_coords(&[3, 0]);
+        sim.set_hold(mid, true);
+        let id = sim.inject_packet(src, dst, 3);
+        // The head reaches the held router and waits there; nothing is
+        // granted past it, so the network never goes idle.
+        assert!(!sim.run_until_idle(100));
+        assert!(sim.packets()[id.index()].delivered.is_none());
+        sim.set_hold(mid, false);
+        assert!(sim.run_until_idle(200));
+        assert!(sim.packets()[id.index()].delivered.is_some());
+    }
+
+    #[test]
+    fn quarantined_link_is_avoided_like_a_fault_and_releases() {
+        let mesh = Mesh::new_2d(4, 4);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let mut sim = VcSim::new(&mesh, &alg, &pattern, quiet_cfg());
+        let src = mesh.node_at_coords(&[0, 0]);
+        let dst = mesh.node_at_coords(&[2, 2]);
+        sim.set_quarantine(src, Direction::EAST, true);
+        assert!(sim.is_quarantined(src, Direction::EAST));
+        let id = sim.inject_packet(src, dst, 5);
+        assert!(sim.run_until_idle(500));
+        // Same detour as the faulty-link test: double-y goes north first
+        // and the quarantined link (every lane of it) carries nothing.
+        let p = sim.packets()[id.index()];
+        assert_eq!(p.hops, 4);
+        assert!(p.delivered.is_some());
+        assert_eq!(sim.channel_load(src, Direction::EAST), 0);
+        // Released, the link is grantable again.
+        sim.set_quarantine(src, Direction::EAST, false);
+        assert!(!sim.is_quarantined(src, Direction::EAST));
+        let id2 = sim.inject_packet(src, mesh.node_at_coords(&[2, 0]), 5);
+        assert!(sim.run_until_idle(500));
+        assert!(sim.packets()[id2.index()].delivered.is_some());
+        assert!(sim.channel_load(src, Direction::EAST) > 0);
+    }
+
+    #[test]
+    fn profiled_run_matches_plain_run_exactly() {
+        let mesh = Mesh::new_2d(8, 8);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder()
+            .injection_rate(0.08)
+            .warmup_cycles(200)
+            .measure_cycles(500)
+            .drain_cycles(500)
+            .seed(17)
+            .build();
+        let plain = VcSim::new(&mesh, &alg, &pattern, cfg.clone()).run();
+        let mut prof = PhaseProfiler::new();
+        let profiled = VcSim::new(&mesh, &alg, &pattern, cfg).run_profiled(&mut prof);
+        assert_eq!(plain, profiled, "profiling must not perturb simulation");
+        assert_eq!(prof.cycles(), 1_200);
+        for phase in Phase::ALL {
+            assert!(prof.nanos(phase) > 0, "{} never timed", phase.name());
+        }
+    }
+
+    /// `routing` tabulated as a one-class VC function offering the same
+    /// physical directions in `DirSet` (ascending index) order.
+    fn one_class_table(mesh: &Mesh, routing: &dyn RoutingFunction) -> TableVcRouting {
+        let lane = |dir| VirtualDirection::new(dir, VcClass::One);
+        let mut table = TableVcRouting::builder(routing.name(), mesh, 1, routing.is_minimal());
+        for dir in Direction::all(2) {
+            table.declare_channel(lane(dir));
+        }
+        let nodes = || (0..mesh.num_nodes() as u32).map(NodeId);
+        for (dest, node) in nodes().flat_map(|d| nodes().map(move |v| (d, v))) {
+            if dest == node {
+                continue;
+            }
+            let arrivals = Direction::all(2)
+                .filter(|d| mesh.neighbor(node, d.opposite()).is_some())
+                .map(Some);
+            for arrived in std::iter::once(None).chain(arrivals) {
+                let offered = routing.route(mesh, node, dest, arrived);
+                table.set_route(
+                    dest,
+                    node,
+                    arrived.map(lane),
+                    offered.iter().map(lane).collect(),
+                );
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn one_lane_vc_run_equals_the_base_simulator() {
+        // The two adapters over one core, differentially: with one lane
+        // per link the bandwidth arbiter never bites and "first free
+        // offered" in ascending direction order is lowest-dimension output
+        // selection, so reports and packet records agree exactly.
+        let mesh = Mesh::new_2d(8, 8);
+        let pattern = Uniform::new();
+        let algorithms: [Box<dyn RoutingFunction>; 2] = [
+            Box::new(mesh2d::xy()),
+            Box::new(mesh2d::west_first(RoutingMode::Minimal)),
+        ];
+        for routing in &algorithms {
+            let table = one_class_table(&mesh, routing.as_ref());
+            for rate in [0.05, 0.30] {
+                for seed in [1u64, 2, 3] {
+                    let cfg = SimConfig::builder()
+                        .injection_rate(rate)
+                        .warmup_cycles(200)
+                        .measure_cycles(1_000)
+                        .drain_cycles(500)
+                        .seed(seed)
+                        .build();
+                    let mut base = Sim::new(&mesh, routing.as_ref(), &pattern, cfg.clone());
+                    let mut vc = VcSim::new(&mesh, &table, &pattern, cfg);
+                    let what = format!("{} rate {rate} seed {seed}", routing.name());
+                    assert_eq!(base.run(), vc.run(), "{what}");
+                    assert_eq!(base.packets(), vc.packets(), "{what}");
+                    assert!(base.packets().len() > 20, "{what}: no load");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1434,7 +591,7 @@ mod tests {
             .build();
         let plain = VcSim::new(&mesh, &alg, &pattern, cfg.clone()).run();
         let mut sim = VcSim::new(&mesh, &alg, &pattern, cfg);
-        sim.window = (100, 500);
+        sim.set_measure_window(100, 500);
         for _ in 0..250 {
             sim.step();
         }
@@ -1474,7 +631,7 @@ mod tests {
             let mut script = ChoiceScript::new(vec![digit]);
             sim.step_with_choices(&mut script);
             let chosen: Vec<usize> = (0..sim.num_slots())
-                .filter(|&s| s < sim.inj_base && sim.slot_owner(s).is_some())
+                .filter(|&s| s < sim.channel_layout().inj_base && sim.slot_owner(s).is_some())
                 .collect();
             assert_eq!(chosen.len(), 1, "exactly one network VC acquired");
             assert!(
