@@ -223,7 +223,11 @@ if [[ $full -eq 1 ]]; then
     # The full matrices are deterministic, so the committed artifacts are
     # a behavioural fingerprint of the engine and the analysis: a stale
     # artifact, or a change that shifts simulated behaviour, fails here
-    # instead of being found by hand (about 10 s in release).
+    # instead of being found by hand (about 10 s in release). The chaos
+    # soak and the fault sweep at full scale (about 40 s more) are the
+    # fingerprints of the degraded-mode path: the engine's fault-aware
+    # arbitration and every healing certificate run one function,
+    # `model::degraded_route`, and these five files move if it does.
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnprove -- \
         --out "$tmp/turnprove.json" > /dev/null
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnsynth -- \
@@ -232,8 +236,13 @@ if [[ $full -eq 1 ]]; then
         --out "$tmp/turnlint.json" > /dev/null
     cargo run --release --offline --quiet -p turnroute-analysis --bin turncheck -- \
         --out "$tmp/mc.json" --ttr-out "$tmp/mc_counterexample.ttr" > /dev/null
-    for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr; do
-        cmp "$tmp/$artifact" "results/$artifact"
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        chaos --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        faults --out "$tmp/full" > /dev/null 2>&1
+    for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr \
+        full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json; do
+        cmp "$tmp/$artifact" "results/$(basename "$artifact")"
     done
 fi
 

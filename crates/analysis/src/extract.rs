@@ -3,12 +3,13 @@
 //! Everything `turnprove` verifies is first lowered to a
 //! [`GraphSpec`] by one of the functions here — from a bare [`TurnSet`]
 //! (potential dependencies), a concrete [`RoutingFunction`] (induced
-//! dependencies, optionally masked by a [`FaultSet`] through the
-//! verifier's own [`FaultMasked`] view), or a [`VcRoutingFunction`] over
-//! the virtual channels of the double-y mesh. The extraction reuses the
-//! workspace's existing graph builders ([`Cdg`], [`VcCdg`]) for the
-//! dependency edges, so the prover and the simulator argue about the
-//! *same* relation rather than two hand-derived copies.
+//! dependencies, optionally degraded by a [`FaultSet`] through
+//! [`FaultMasked`], the rule the engine itself arbitrates by), or a
+//! [`VcRoutingFunction`] over the virtual channels of the double-y mesh.
+//! Dependency edges and route tables both come out of one walk of the
+//! relation (`turnroute_model::depgraph::lower`, behind [`Cdg`] and
+//! [`VcCdg`]), so a held-state route is a dependency edge by
+//! construction.
 //!
 //! Extraction is the trusted computing base of the prover/checker split:
 //! the checker validates certificates against these specs, so a bug here
@@ -20,15 +21,17 @@ use turnroute_model::{Cdg, FaultMasked, RoutingFunction, TurnSet};
 use turnroute_topology::{FaultSet, Mesh, NodeId, Topology};
 use turnroute_vc::{VcCdg, VcClass, VcRoutingFunction, VirtualDirection};
 
-/// Lower a bare turn set: dependency edges are the *potential* CDG (any
-/// allowed turn, regardless of destination — the strongest claim), and the
-/// routing relation is the maximal coherent minimal function the set
-/// permits ([`TurnSetRouting`]).
+/// Lower a bare turn set: the routing relation is the maximal coherent
+/// minimal function the set permits ([`TurnSetRouting`]), and the
+/// dependency edges are widened from the ones that function induces to
+/// the *potential* CDG (any allowed turn, regardless of destination — the
+/// strongest claim).
 pub fn from_turn_set(name: impl Into<String>, topo: &dyn Topology, set: &TurnSet) -> GraphSpec {
     let name = name.into();
-    let cdg = Cdg::from_turn_set(topo, set);
     let routing = TurnSetRouting::new(name.clone(), set.clone(), topo);
-    physical_spec(name, topo, &cdg, &routing)
+    let mut spec = from_routing(name, topo, &routing);
+    spec.deps = Cdg::from_turn_set(topo, set).graph().edges().collect();
+    spec
 }
 
 /// Lower a concrete routing function: dependency edges are the induced
@@ -39,175 +42,52 @@ pub fn from_routing(
     topo: &dyn Topology,
     routing: &dyn RoutingFunction,
 ) -> GraphSpec {
-    let cdg = Cdg::from_routing(topo, routing);
-    physical_spec(name.into(), topo, &cdg, routing)
+    let (cdg, routes) = Cdg::lower(topo, routing, true);
+    let label = |ch: &turnroute_topology::Channel| ChannelVertex {
+        src: ch.src().0,
+        dst: ch.dst().0,
+        label: ch.to_string(),
+    };
+    GraphSpec {
+        name: name.into(),
+        num_nodes: topo.num_nodes() as u32,
+        channels: cdg.channels().iter().map(label).collect(),
+        deps: cdg.graph().edges().collect(),
+        routes,
+    }
 }
 
-/// Lower a routing function under a fault pattern, through the *same*
-/// [`FaultMasked`] view `verify_under_faults` checks: primary routes and
-/// turn-legal misroute fallbacks filtered by the fault set, failed-input
-/// arrival states excluded as vacuous.
+/// Lower a routing function under a fault pattern, through
+/// [`FaultMasked`]: primary routes and turn-legal misroute fallbacks
+/// filtered by the fault set, failed-input arrival states excluded as
+/// vacuous.
 pub fn from_faulted_routing(
     name: impl Into<String>,
     topo: &dyn Topology,
     routing: &dyn RoutingFunction,
     faults: &FaultSet,
 ) -> GraphSpec {
-    let masked = FaultMasked::new(topo, routing, faults);
-    from_routing(name, topo, &masked)
+    from_routing(name, topo, &FaultMasked::new(routing, topo, faults))
 }
 
-/// Shared physical-channel lowering: vertices and state indexing from
-/// `topo`, dependency edges from `cdg`, routes from `routing` (with the
-/// same reachable-state pruning the CDG builder applies to minimal
-/// functions, so the route relation never exceeds the proven edges).
-fn physical_spec(
-    name: String,
-    topo: &dyn Topology,
-    cdg: &Cdg,
-    routing: &dyn RoutingFunction,
-) -> GraphSpec {
-    let channels = topo.channels();
-    let num_nodes = topo.num_nodes();
-    let mut slot_to_channel = vec![u32::MAX; topo.channel_slot_count()];
-    for ch in &channels {
-        slot_to_channel[topo.channel_slot(ch.src(), ch.dir())] = ch.id().0;
-    }
-    let verts: Vec<ChannelVertex> = channels
-        .iter()
-        .map(|ch| ChannelVertex {
-            src: ch.src().0,
-            dst: ch.dst().0,
-            label: ch.to_string(),
-        })
-        .collect();
-    let mut deps = Vec::with_capacity(cdg.num_edges());
-    for ch in cdg.channels() {
-        for &succ in cdg.successors(ch.id()) {
-            deps.push((ch.id().0, succ));
-        }
-    }
-
-    let minimal = routing.is_minimal();
-    let num_states = num_nodes + channels.len();
-    let mut routes = Vec::with_capacity(num_nodes);
-    for dest in 0..num_nodes {
-        let dest = NodeId(dest as u32);
-        let mut table = vec![Vec::new(); num_states];
-        for node in 0..num_nodes {
-            let node = NodeId(node as u32);
-            if node == dest {
-                continue;
-            }
-            table[node.index()] = resolve(topo, &slot_to_channel, node, {
-                routing.route(topo, node, dest, None)
-            });
-        }
-        for ch in &channels {
-            let mid = ch.dst();
-            if mid == dest {
-                continue;
-            }
-            if minimal && topo.min_hops(mid, dest) >= topo.min_hops(ch.src(), dest) {
-                continue; // unreachable state for a minimal function
-            }
-            table[num_nodes + ch.id().index()] = resolve(topo, &slot_to_channel, mid, {
-                routing.route(topo, mid, dest, Some(ch.dir()))
-            });
-        }
-        routes.push(table);
-    }
-    GraphSpec {
-        name,
-        num_nodes: num_nodes as u32,
-        channels: verts,
-        deps,
-        routes,
-    }
-}
-
-/// Map offered directions at `node` to channel ids, dropping directions
-/// with no channel (mesh boundaries), exactly as the CDG builder does.
-fn resolve(
-    topo: &dyn Topology,
-    slot_to_channel: &[u32],
-    node: NodeId,
-    dirs: turnroute_topology::DirSet,
-) -> Vec<u32> {
-    dirs.iter()
-        .filter(|&d| topo.neighbor(node, d).is_some())
-        .map(|d| {
-            let id = slot_to_channel[topo.channel_slot(node, d)];
-            debug_assert_ne!(id, u32::MAX);
-            id
-        })
-        .collect()
-}
-
-/// Lower a virtual-channel routing function over the double-y channel set
-/// of `mesh`: vertices are *virtual* channels, dependency edges come from
-/// [`VcCdg`], and the route relation is extracted with the same
-/// reachable-state pruning.
+/// Lower a virtual-channel routing function over the channel set it
+/// declares on `mesh`: vertices are *virtual* channels.
 pub fn from_vc_routing(
     name: impl Into<String>,
     mesh: &Mesh,
     routing: &dyn VcRoutingFunction,
 ) -> GraphSpec {
-    let cdg = VcCdg::from_routing(mesh, routing);
-    let chans = cdg.channels();
-    let verts: Vec<ChannelVertex> = chans
-        .iter()
-        .map(|ch| ChannelVertex {
-            src: ch.src.0,
-            dst: ch.dst.0,
-            label: format!("c{} {} -> {} ({})", ch.id, ch.src, ch.dst, ch.vdir),
-        })
-        .collect();
-    let mut deps = Vec::with_capacity(cdg.num_edges());
-    for ch in chans {
-        for &succ in cdg.successors(ch.id) {
-            deps.push((ch.id, succ));
-        }
-    }
-
-    let num_nodes = mesh.num_nodes();
-    let minimal = routing.is_minimal();
-    let num_states = num_nodes + chans.len();
-    let resolve_vc = |node: NodeId, vdirs: Vec<VirtualDirection>| -> Vec<u32> {
-        vdirs
-            .into_iter()
-            .filter_map(|vd| cdg.channel_at(node, vd))
-            .collect()
+    let (cdg, routes) = VcCdg::lower(mesh, routing, true);
+    let label = |ch: &turnroute_vc::VcChannel| ChannelVertex {
+        src: ch.src.0,
+        dst: ch.dst.0,
+        label: format!("c{} {} -> {} ({})", ch.id, ch.src, ch.dst, ch.vdir),
     };
-    let mut routes = Vec::with_capacity(num_nodes);
-    for dest in 0..num_nodes {
-        let dest = NodeId(dest as u32);
-        let mut table = vec![Vec::new(); num_states];
-        for node in 0..num_nodes {
-            let node = NodeId(node as u32);
-            if node == dest {
-                continue;
-            }
-            table[node.index()] = resolve_vc(node, routing.route(mesh, node, dest, None));
-        }
-        for ch in chans {
-            let mid = ch.dst;
-            if mid == dest {
-                continue;
-            }
-            if minimal && mesh.min_hops(mid, dest) >= mesh.min_hops(ch.src, dest) {
-                continue; // unreachable state for a minimal function
-            }
-            table[num_nodes + ch.id as usize] =
-                resolve_vc(mid, routing.route(mesh, mid, dest, Some(ch.vdir)));
-        }
-        routes.push(table);
-    }
     GraphSpec {
         name: name.into(),
-        num_nodes: num_nodes as u32,
-        channels: verts,
-        deps,
+        num_nodes: mesh.num_nodes() as u32,
+        channels: cdg.channels().iter().map(label).collect(),
+        deps: cdg.graph().edges().collect(),
         routes,
     }
 }
@@ -230,107 +110,15 @@ pub fn from_vc_routing(
 /// Panics when a link endpoint is out of range, a link is a self-loop,
 /// or the netlist is not connected.
 pub fn from_netlist(name: impl Into<String>, num_nodes: u32, links: &[(u32, u32)]) -> GraphSpec {
-    let n = num_nodes as usize;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in links {
-        assert!(
-            a < num_nodes && b < num_nodes && a != b,
-            "bad link ({a}, {b})"
-        );
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-    }
-    let mut level = vec![u32::MAX; n];
-    level[0] = 0;
-    let mut queue = std::collections::VecDeque::from([0u32]);
-    while let Some(v) = queue.pop_front() {
-        for &w in &adj[v as usize] {
-            if level[w as usize] == u32::MAX {
-                level[w as usize] = level[v as usize] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    assert!(
-        level.iter().all(|&l| l != u32::MAX),
-        "netlist is not connected"
-    );
-
-    // One channel per direction per link, in link order.
-    let chans: Vec<(u32, u32)> = links.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+    let level = netlist_levels(num_nodes, links);
     let up = |c: (u32, u32)| (level[c.1 as usize], c.1) < (level[c.0 as usize], c.0);
-    let verts: Vec<ChannelVertex> = chans
-        .iter()
-        .map(|&(a, b)| ChannelVertex {
-            src: a,
-            dst: b,
-            label: format!("{a} -> {b} ({})", if up((a, b)) { "up" } else { "down" }),
-        })
-        .collect();
-
-    let mut deps = Vec::new();
-    for (i, &c1) in chans.iter().enumerate() {
-        for (j, &c2) in chans.iter().enumerate() {
-            let continues = c2.0 == c1.1 && c2.1 != c1.0; // no reversal
-            let down_to_up = !up(c1) && up(c2); // the prohibited turn
-            if continues && !down_to_up {
-                deps.push((i as u32, j as u32));
-            }
-        }
-    }
-
-    // Forward adjacency over dependency edges, for per-destination
-    // reachability.
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
-    for &(a, b) in &deps {
-        succ[a as usize].push(b);
-    }
-    let num_states = n + chans.len();
-    let mut routes = Vec::with_capacity(n);
-    for dest in 0..n as u32 {
-        // good[c]: holding c, some legal continuation delivers at dest.
-        let mut good = vec![false; chans.len()];
-        let mut queue: std::collections::VecDeque<usize> = (0..chans.len())
-            .filter(|&c| chans[c].1 == dest)
-            .inspect(|&c| good[c] = true)
-            .collect();
-        let mut pred: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
-        for &(a, b) in &deps {
-            pred[b as usize].push(a);
-        }
-        while let Some(c) = queue.pop_front() {
-            for &p in &pred[c] {
-                if !good[p as usize] {
-                    good[p as usize] = true;
-                    queue.push_back(p as usize);
-                }
-            }
-        }
-        let mut table = vec![Vec::new(); num_states];
-        for (c, &(a, _)) in chans.iter().enumerate() {
-            if a != dest && good[c] {
-                table[a as usize].push(c as u32);
-            }
-        }
-        for (c, &(_, b)) in chans.iter().enumerate() {
-            if b == dest {
-                continue;
-            }
-            table[n + c] = succ[c]
-                .iter()
-                .copied()
-                .filter(|&next| good[next as usize])
-                .collect();
-        }
-        routes.push(table);
-    }
-    GraphSpec {
-        name: name.into(),
-        num_nodes,
-        channels: verts,
-        deps,
-        routes,
-    }
+    let label = |c: (u32, u32)| {
+        let way = if up(c) { "up" } else { "down" };
+        format!("{} -> {} ({way})", c.0, c.1)
+    };
+    netlist_spec(name.into(), num_nodes, links, label, |c1, c2| {
+        up(c1) || !up(c2) // everything but the prohibited down -> up
+    })
 }
 
 /// Lower an arbitrary connected netlist under *unrestricted* routing:
@@ -350,8 +138,15 @@ pub fn from_netlist_unrestricted(
     num_nodes: u32,
     links: &[(u32, u32)],
 ) -> GraphSpec {
-    let n = num_nodes as usize;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    netlist_levels(num_nodes, links);
+    let label = |c: (u32, u32)| format!("{} -> {}", c.0, c.1);
+    netlist_spec(name.into(), num_nodes, links, label, |_, _| true)
+}
+
+/// Breadth-first level of every node from node 0, after checking the
+/// netlist is well formed and connected.
+fn netlist_levels(num_nodes: u32, links: &[(u32, u32)]) -> Vec<u32> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_nodes as usize];
     for &(a, b) in links {
         assert!(
             a < num_nodes && b < num_nodes && a != b,
@@ -360,49 +155,65 @@ pub fn from_netlist_unrestricted(
         adj[a as usize].push(b);
         adj[b as usize].push(a);
     }
-    let mut seen = vec![false; n];
-    seen[0] = true;
+    let mut level = vec![u32::MAX; num_nodes as usize];
+    level[0] = 0;
     let mut queue = std::collections::VecDeque::from([0u32]);
     while let Some(v) = queue.pop_front() {
         for &w in &adj[v as usize] {
-            if !seen[w as usize] {
-                seen[w as usize] = true;
+            if level[w as usize] == u32::MAX {
+                level[w as usize] = level[v as usize] + 1;
                 queue.push_back(w);
             }
         }
     }
-    assert!(seen.iter().all(|&s| s), "netlist is not connected");
+    assert!(
+        level.iter().all(|&l| l != u32::MAX),
+        "netlist is not connected"
+    );
+    level
+}
 
+/// The netlist lowering proper: one channel per direction per link, in
+/// link order; a dependency for every non-reversing continuation that
+/// `legal` admits; and per destination the routes that keep the
+/// destination reachable through dependencies. Every dependency `c1 ->
+/// c2` is such a route for the destination `c2` enters, so routes and
+/// dependencies are the same relation.
+fn netlist_spec(
+    name: String,
+    num_nodes: u32,
+    links: &[(u32, u32)],
+    label: impl Fn((u32, u32)) -> String,
+    legal: impl Fn((u32, u32), (u32, u32)) -> bool,
+) -> GraphSpec {
+    let n = num_nodes as usize;
     let chans: Vec<(u32, u32)> = links.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
     let verts: Vec<ChannelVertex> = chans
         .iter()
         .map(|&(a, b)| ChannelVertex {
             src: a,
             dst: b,
-            label: format!("{a} -> {b}"),
+            label: label((a, b)),
         })
         .collect();
 
-    // Every non-reversing continuation is a potential dependency.
+    let mut deps = Vec::new();
     let mut succ: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
+    let mut pred: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
     for (i, &c1) in chans.iter().enumerate() {
         for (j, &c2) in chans.iter().enumerate() {
-            if c2.0 == c1.1 && c2.1 != c1.0 {
+            let continues = c2.0 == c1.1 && c2.1 != c1.0; // no reversal
+            if continues && legal(c1, c2) {
+                deps.push((i as u32, j as u32));
                 succ[i].push(j as u32);
+                pred[j].push(i as u32);
             }
         }
     }
-    let mut pred: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
-    for (i, succs) in succ.iter().enumerate() {
-        for &j in succs {
-            pred[j as usize].push(i as u32);
-        }
-    }
 
-    let num_states = n + chans.len();
     let mut routes = Vec::with_capacity(n);
-    let mut deps = std::collections::BTreeSet::new();
-    for dest in 0..n as u32 {
+    for dest in 0..num_nodes {
+        // good[c]: holding c, some legal continuation delivers at dest.
         let mut good = vec![false; chans.len()];
         let mut queue: std::collections::VecDeque<usize> = (0..chans.len())
             .filter(|&c| chans[c].1 == dest)
@@ -416,33 +227,23 @@ pub fn from_netlist_unrestricted(
                 }
             }
         }
-        let mut table = vec![Vec::new(); num_states];
-        for (c, &(a, _)) in chans.iter().enumerate() {
+        let mut table = vec![Vec::new(); n + chans.len()];
+        for (c, &(a, b)) in chans.iter().enumerate() {
             if a != dest && good[c] {
                 table[a as usize].push(c as u32);
             }
-        }
-        for (c, &(_, b)) in chans.iter().enumerate() {
-            if b == dest {
-                continue;
+            if b != dest {
+                let onward = succ[c].iter().copied();
+                table[n + c] = onward.filter(|&next| good[next as usize]).collect();
             }
-            let moves: Vec<u32> = succ[c]
-                .iter()
-                .copied()
-                .filter(|&next| good[next as usize])
-                .collect();
-            for &m in &moves {
-                deps.insert((c as u32, m));
-            }
-            table[n + c] = moves;
         }
         routes.push(table);
     }
     GraphSpec {
-        name: name.into(),
+        name,
         num_nodes,
         channels: verts,
-        deps: deps.into_iter().collect(),
+        deps,
         routes,
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! 1. **hold** — output arbitration pauses at the routers adjacent to the
 //!    changed links/nodes ([`Sim::set_hold`]); in-flight worms keep
-//!    draining, and everywhere else traffic degrades onto the same
-//!    turn-legal misroute fallback the fault-masked verifier models;
-//! 2. **re-extract** — the fault-masked channel graph is rebuilt through
-//!    the verifier's own [`FaultMasked`] view
-//!    ([`crate::extract::from_faulted_routing`]), so the online engine and
-//!    the offline gate argue about the *same* relation;
+//!    draining, and everywhere else traffic degrades onto the
+//!    turn-legal misroute fallback of `turnroute_model::degraded_route`;
+//! 2. **re-extract** — the fault-masked channel graph is rebuilt by
+//!    lowering [`FaultMasked`], that same function over the epoch's
+//!    fault set ([`crate::extract::from_faulted_routing`]), so the
+//!    relation certified is the relation the engine arbitrates by;
 //! 3. **re-prove, incrementally** — when only connectivity changed (every
 //!    new dependency edge already respects the previous epoch's total
 //!    channel numbering) the numbering is *reused*; violations are

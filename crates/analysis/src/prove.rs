@@ -3,9 +3,8 @@
 //!
 //! [`prove`] takes an extracted [`GraphSpec`] and produces a
 //! [`Certificate`]: a total channel numbering when the dependency graph
-//! is acyclic (via the model crate's generalized
-//! [`numbering_from_edges`]), a *minimal* witness cycle when it is not
-//! (a shortest cycle through the offending component), and one explicit
+//! is acyclic, a *minimal* witness cycle when it is not (both searches
+//! are the model crate's [`DepGraph`] kernel), and one explicit
 //! legal path per deliverable ordered node pair. Every certificate is
 //! immediately re-validated by the independent checker
 //! ([`crate::check`]) — the driver records the checker's verdict, never
@@ -21,8 +20,7 @@
 use crate::certificate::{Certificate, GraphSpec, PathCert, Verdict};
 use crate::extract;
 use crate::routing::TurnSetRouting;
-use turnroute_model::numbering::numbering_from_edges;
-use turnroute_model::{presets, Cdg, Turn, TurnSet};
+use turnroute_model::{presets, Cdg, DepGraph, Turn, TurnSet};
 use turnroute_routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute_routing::{hex, hypercube, mesh2d, RoutingFunction, RoutingMode};
 use turnroute_sim::obs::json;
@@ -257,118 +255,23 @@ pub fn prove(spec: &GraphSpec) -> Certificate {
 }
 
 /// The deadlock verdict alone: a total channel numbering from scratch, or
-/// a minimal witness cycle. Shared with the incremental healer
+/// a minimal witness cycle — any cycle by depth-first search, shrunk to
+/// the shortest cycle through one of its vertices (ties toward the
+/// earlier vertex of the DFS cycle). Shared with the incremental healer
 /// ([`crate::heal`]), whose full-reprove fallback needs the verdict
 /// without paying for connectivity twice.
 pub(crate) fn verdict_of(spec: &GraphSpec) -> Verdict {
-    match numbering_from_edges(spec.channels.len(), &spec.deps) {
-        Some(numbers) => Verdict::Acyclic {
+    let graph = DepGraph::from_edges(spec.channels.len(), &spec.deps);
+    if let Some(numbers) = graph.numbering() {
+        return Verdict::Acyclic {
             numbering: numbers.into_iter().map(|x| x as u64).collect(),
-        },
-        None => Verdict::Cyclic {
-            cycle: minimal_cycle(spec),
-        },
+        };
     }
-}
-
-/// A minimal witness cycle: find any cycle by depth-first search, then
-/// shrink it to a shortest cycle through one of its vertices by
-/// breadth-first search. Deterministic: ties break toward lower ids.
-fn minimal_cycle(spec: &GraphSpec) -> Vec<u32> {
-    let n = spec.channels.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in &spec.deps {
-        adj[a as usize].push(b);
+    let seed = graph.find_cycle().expect("no numbering, so a cycle");
+    let cycle = graph.shortest_cycle_among(seed);
+    Verdict::Cyclic {
+        cycle: cycle.expect("a vertex of a DFS cycle lies on a cycle"),
     }
-    let seed = dfs_cycle(&adj).expect("minimal_cycle called on a cyclic graph");
-    let mut best: Option<Vec<u32>> = None;
-    for &v in &seed {
-        if let Some(cycle) = shortest_cycle_through(&adj, v as usize) {
-            if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
-                best = Some(cycle);
-            }
-        }
-    }
-    best.expect("a vertex of a DFS cycle lies on a cycle")
-}
-
-/// Any cycle, by iterative DFS with gray-path tracking.
-fn dfs_cycle(adj: &[Vec<u32>]) -> Option<Vec<u32>> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    let n = adj.len();
-    let mut color = vec![WHITE; n];
-    let mut path = Vec::new();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if color[start] != WHITE {
-            continue;
-        }
-        color[start] = GRAY;
-        path.push(start);
-        stack.push((start, 0));
-        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-            if *next < adj[v].len() {
-                let w = adj[v][*next] as usize;
-                *next += 1;
-                match color[w] {
-                    WHITE => {
-                        color[w] = GRAY;
-                        path.push(w);
-                        stack.push((w, 0));
-                    }
-                    GRAY => {
-                        let pos = path.iter().position(|&x| x == w).expect("on path");
-                        return Some(path[pos..].iter().map(|&i| i as u32).collect());
-                    }
-                    _ => {}
-                }
-            } else {
-                color[v] = 2;
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    None
-}
-
-/// Shortest cycle through `v` (BFS over successors back to `v`), or
-/// `None` if `v` lies on no cycle.
-fn shortest_cycle_through(adj: &[Vec<u32>], v: usize) -> Option<Vec<u32>> {
-    let n = adj.len();
-    let mut parent = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    // Seed with v's successors at depth 1; finding v again closes a cycle.
-    for &w in &adj[v] {
-        if w as usize == v {
-            return Some(vec![v as u32]); // self-loop
-        }
-        if parent[w as usize] == u32::MAX {
-            parent[w as usize] = v as u32;
-            queue.push_back(w as usize);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &w in &adj[u] {
-            if w as usize == v {
-                // Reconstruct v -> ... -> u, the cycle closes u -> v.
-                let mut rev = vec![u as u32];
-                let mut cur = u;
-                while cur != v {
-                    cur = parent[cur] as usize;
-                    rev.push(cur as u32);
-                }
-                rev.reverse();
-                return Some(rev);
-            }
-            if parent[w as usize] == u32::MAX {
-                parent[w as usize] = u as u32;
-                queue.push_back(w as usize);
-            }
-        }
-    }
-    None
 }
 
 /// Connectivity certificates: for each destination, a reverse
@@ -802,7 +705,9 @@ mod tests {
             deps: vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0)],
             routes: vec![vec![Vec::new(); 7]],
         };
-        let cycle = minimal_cycle(&spec);
+        let Verdict::Cyclic { cycle } = verdict_of(&spec) else {
+            panic!("the ring is cyclic");
+        };
         assert_eq!(cycle.len(), 3, "{cycle:?}");
     }
 }

@@ -98,7 +98,7 @@ fn wormhole_misrouted_packets_survive_a_transient_fault() {
     // both dead-end-free — delivery was guaranteed, not lucky.
     assert_eq!(find_dead_end(&mesh, &wf), None, "restored relation");
     let mid_fault = plan.fault_set_at(600, &mesh);
-    let masked = FaultMasked::new(&mesh, &wf, &mid_fault);
+    let masked = FaultMasked::new(&wf, &mesh, &mid_fault);
     assert_eq!(find_dead_end(&mesh, &masked), None, "masked relation");
 }
 

@@ -10,8 +10,9 @@
 //! [`RoutingFunction`] (only moves some destination actually induces) — and
 //! searches them for cycles.
 
+use crate::depgraph::{self, DepGraph};
 use crate::{RoutingFunction, TurnSet};
-use turnroute_topology::{Channel, ChannelId, DirSet, Direction, NodeId, Topology};
+use turnroute_topology::{Channel, ChannelId, Topology};
 
 /// A channel dependency graph over the channels of a topology.
 ///
@@ -29,8 +30,7 @@ use turnroute_topology::{Channel, ChannelId, DirSet, Direction, NodeId, Topology
 #[derive(Debug, Clone)]
 pub struct Cdg {
     channels: Vec<Channel>,
-    adj: Vec<Vec<u32>>,
-    num_edges: usize,
+    graph: DepGraph,
 }
 
 impl Cdg {
@@ -52,13 +52,22 @@ impl Cdg {
             topo.num_dims(),
             "turn set dimensionality must match topology"
         );
-        Self::build(topo, |mid, in_dir| {
-            let _ = mid;
-            DirSet::all(set.num_dims())
+        let channels = topo.channels();
+        let mut slot_to_channel = vec![u32::MAX; topo.channel_slot_count()];
+        for ch in &channels {
+            slot_to_channel[topo.channel_slot(ch.src(), ch.dir())] = ch.id().0;
+        }
+        let successors = |ch: &Channel| -> Vec<u32> {
+            let legal = set.legal_outputs(Some(ch.dir()));
+            let built = legal
                 .iter()
-                .filter(|&out| set.is_allowed(in_dir, out))
+                .filter(|&out| topo.neighbor(ch.dst(), out).is_some());
+            built
+                .map(|out| slot_to_channel[topo.channel_slot(ch.dst(), out)])
                 .collect()
-        })
+        };
+        let graph = DepGraph::from_successors(channels.iter().map(successors).collect());
+        Cdg { channels, graph }
     }
 
     /// Build the CDG induced by a routing function: a dependency exists
@@ -70,56 +79,38 @@ impl Cdg {
     /// function, a packet holding `c1` must have found `c1` productive, so
     /// destinations that `c1` does not move toward are excluded.
     pub fn from_routing(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Cdg {
-        let num_nodes = topo.num_nodes();
-        let minimal = routing.is_minimal();
-        Self::build(topo, |mid, in_dir| {
-            let src = topo
-                .neighbor(mid, in_dir.opposite())
-                .expect("incoming channel has a source");
-            let mut union = DirSet::empty();
-            for dest in 0..num_nodes {
-                let dest = NodeId(dest as u32);
-                if dest == mid {
-                    continue;
-                }
-                if minimal && topo.min_hops(mid, dest) >= topo.min_hops(src, dest) {
-                    continue; // no minimal packet arrives on c1 bound for dest
-                }
-                union = union.union(routing.route(topo, mid, dest, Some(in_dir)));
-            }
-            union
-        })
+        Self::lower(topo, routing, false).0
     }
 
-    /// Shared construction: `successors(v, in_dir)` yields the directions a
-    /// packet that entered `v` traveling `in_dir` may leave by.
-    fn build(topo: &dyn Topology, mut successors: impl FnMut(NodeId, Direction) -> DirSet) -> Cdg {
+    /// [`Cdg::from_routing`] and, if `with_routes`, the route table the
+    /// same walk produces (see [`crate::depgraph::Lowering::routes`]).
+    pub fn lower(
+        topo: &dyn Topology,
+        routing: &dyn RoutingFunction,
+        with_routes: bool,
+    ) -> (Cdg, Vec<Vec<Vec<u32>>>) {
+        let minimal = routing.is_minimal();
+        let mut lowered = depgraph::lower(
+            topo,
+            1,
+            |_, _| true,
+            minimal,
+            with_routes,
+            |at, dest, held, out| {
+                let dirs = routing.route(topo, at, dest, held.map(|(dir, _)| dir));
+                out.extend(dirs.iter().map(|dir| (dir, 0)));
+            },
+        );
+        // A channel's successors are the union of direction sets, so they
+        // come in direction order, which is channel-id order.
+        lowered.graph.sort_successors();
         let channels = topo.channels();
-        // Map (node, direction) slots to channel indices for O(1) lookup.
-        let mut slot_to_channel = vec![u32::MAX; topo.channel_slot_count()];
-        for ch in &channels {
-            slot_to_channel[topo.channel_slot(ch.src(), ch.dir())] = ch.id().0;
-        }
-        let mut adj = vec![Vec::new(); channels.len()];
-        let mut num_edges = 0;
-        for ch in &channels {
-            let mid = ch.dst();
-            let outs = successors(mid, ch.dir());
-            for out_dir in outs.iter() {
-                if topo.neighbor(mid, out_dir).is_none() {
-                    continue;
-                }
-                let next = slot_to_channel[topo.channel_slot(mid, out_dir)];
-                debug_assert_ne!(next, u32::MAX);
-                adj[ch.id().index()].push(next);
-                num_edges += 1;
-            }
-        }
-        Cdg {
+        debug_assert_eq!(channels.len(), lowered.channels.len());
+        let cdg = Cdg {
             channels,
-            adj,
-            num_edges,
-        }
+            graph: lowered.graph,
+        };
+        (cdg, lowered.routes)
     }
 
     /// The channels (vertices) of the graph, indexed by channel id.
@@ -127,92 +118,26 @@ impl Cdg {
         &self.channels
     }
 
+    /// The dependency graph itself, vertex `i` being channel id `i`.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
+    }
+
     /// Number of dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.graph.num_edges()
     }
 
     /// The successor channel ids of `channel`.
     pub fn successors(&self, channel: ChannelId) -> &[u32] {
-        &self.adj[channel.index()]
+        self.graph.successors(channel.0)
     }
 
     /// Find a dependency cycle, returning the channels along it (each
     /// waiting on the next, the last waiting on the first), or `None` if
     /// the graph is acyclic — i.e. the routing is deadlock free.
     pub fn find_cycle(&self) -> Option<Vec<ChannelId>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.channels.len();
-        let mut color = vec![WHITE; n];
-        let mut path: Vec<usize> = Vec::new();
-        // Iterative DFS: stack of (vertex, next-successor-index).
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            color[start] = GRAY;
-            path.push(start);
-            stack.push((start, 0));
-            while let Some(&mut (v, ref mut next_idx)) = stack.last_mut() {
-                if *next_idx < self.adj[v].len() {
-                    let w = self.adj[v][*next_idx] as usize;
-                    *next_idx += 1;
-                    match color[w] {
-                        WHITE => {
-                            color[w] = GRAY;
-                            path.push(w);
-                            stack.push((w, 0));
-                        }
-                        GRAY => {
-                            // Found a cycle: the suffix of `path` from w.
-                            let pos = path.iter().position(|&x| x == w).expect("gray on path");
-                            return Some(
-                                path[pos..].iter().map(|&i| ChannelId(i as u32)).collect(),
-                            );
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[v] = BLACK;
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// A topological order of the channels (lower position = acquired
-    /// later), or `None` if the graph is cyclic. An acyclic CDG's
-    /// topological order *is* a channel numbering in the Dally–Seitz sense:
-    /// every packet traverses channels in strictly decreasing position.
-    pub fn topological_order(&self) -> Option<Vec<ChannelId>> {
-        let n = self.channels.len();
-        let mut indegree = vec![0usize; n];
-        for succs in &self.adj {
-            for &w in succs {
-                indegree[w as usize] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(ChannelId(v as u32));
-            for &w in &self.adj[v] {
-                indegree[w as usize] -= 1;
-                if indegree[w as usize] == 0 {
-                    queue.push(w as usize);
-                }
-            }
-        }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        self.graph.find_cycle().map(channel_ids)
     }
 
     /// Whether the dependency graph is acyclic (deadlock free).
@@ -225,56 +150,18 @@ impl Cdg {
     ///
     /// [`Cdg::find_cycle`] returns whatever cycle DFS stumbles into first,
     /// which on a big mesh can thread through dozens of channels; a
-    /// shortest cycle is the witness a human can actually read. BFS from
-    /// every vertex, looking for the shortest path that returns to its
-    /// start; deterministic, so the same graph always yields the same
-    /// witness. Format matches `find_cycle`: each channel's successors
-    /// contain the next, and the last wraps to the first.
+    /// shortest cycle is the witness a human can actually read. The
+    /// shortest cycle through every vertex in ascending order, the first
+    /// of the shortest winning; deterministic, so the same graph always
+    /// yields the same witness. Format matches `find_cycle`.
     pub fn find_shortest_cycle(&self) -> Option<Vec<ChannelId>> {
-        let n = self.channels.len();
-        let mut best: Option<Vec<usize>> = None;
-        let mut dist = vec![u32::MAX; n];
-        let mut parent = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
-            dist.fill(u32::MAX);
-            parent.fill(u32::MAX);
-            queue.clear();
-            dist[s] = 0;
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                // A cycle closing through v has dist[v] + 1 edges; prune
-                // whole frontiers that cannot beat the current best.
-                if let Some(b) = &best {
-                    if dist[v] as usize + 1 >= b.len() {
-                        continue;
-                    }
-                }
-                for &w in &self.adj[v] {
-                    let w = w as usize;
-                    if w == s {
-                        // Shortest path s -> v plus the edge v -> s.
-                        let mut path = Vec::with_capacity(dist[v] as usize + 1);
-                        let mut cur = v;
-                        while cur != s {
-                            path.push(cur);
-                            cur = parent[cur] as usize;
-                        }
-                        path.push(s);
-                        path.reverse();
-                        if best.as_ref().is_none_or(|b| path.len() < b.len()) {
-                            best = Some(path);
-                        }
-                    } else if dist[w] == u32::MAX {
-                        dist[w] = dist[v] + 1;
-                        parent[w] = v as u32;
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-        best.map(|p| p.into_iter().map(|i| ChannelId(i as u32)).collect())
+        let all = 0..self.channels.len() as u32;
+        self.graph.shortest_cycle_among(all).map(channel_ids)
     }
+}
+
+fn channel_ids(cycle: Vec<u32>) -> Vec<ChannelId> {
+    cycle.into_iter().map(ChannelId).collect()
 }
 
 #[cfg(test)]
@@ -298,118 +185,21 @@ mod tests {
     }
 
     #[test]
-    fn xy_turn_set_is_acyclic() {
+    fn named_turn_sets_are_acyclic() {
         let mesh = Mesh::new_2d(5, 4);
-        let cdg = Cdg::from_turn_set(&mesh, &presets::xy_turns());
-        assert!(cdg.is_acyclic());
-        assert!(cdg.topological_order().is_some());
-    }
-
-    #[test]
-    fn west_first_turn_set_is_acyclic() {
-        let mesh = Mesh::new_2d(4, 4);
+        assert!(Cdg::from_turn_set(&mesh, &presets::xy_turns()).is_acyclic());
         assert!(Cdg::from_turn_set(&mesh, &presets::west_first_turns()).is_acyclic());
-    }
-
-    #[test]
-    fn negative_first_3d_turn_set_is_acyclic() {
         let mesh = Mesh::new(vec![3, 3, 3]);
-        let cdg = Cdg::from_turn_set(&mesh, &presets::negative_first_turns(3));
-        assert!(cdg.is_acyclic());
+        assert!(Cdg::from_turn_set(&mesh, &presets::negative_first_turns(3)).is_acyclic());
     }
 
     #[test]
-    fn topological_order_is_none_for_cyclic() {
-        let mesh = Mesh::new_2d(3, 3);
-        let cdg = Cdg::from_turn_set(&mesh, &TurnSet::all_ninety(2));
-        assert!(cdg.topological_order().is_none());
-    }
-
-    #[test]
-    fn topological_order_respects_edges() {
-        let mesh = Mesh::new_2d(4, 3);
-        let cdg = Cdg::from_turn_set(&mesh, &presets::negative_first_turns(2));
-        let order = cdg.topological_order().expect("acyclic");
-        let mut pos = vec![0usize; cdg.channels().len()];
-        for (i, c) in order.iter().enumerate() {
-            pos[c.index()] = i;
-        }
-        for ch in cdg.channels() {
-            for &succ in cdg.successors(ch.id()) {
-                assert!(
-                    pos[ch.id().index()] < pos[succ as usize],
-                    "edge violates topological order"
-                );
-            }
-        }
-    }
-
-    /// Exhaustive ground truth for minimality: depth-bounded DFS over all
-    /// simple paths — is there any cycle with fewer than `k` channels?
-    fn has_cycle_shorter_than(cdg: &Cdg, k: usize) -> bool {
-        fn dfs(
-            cdg: &Cdg,
-            s: usize,
-            v: usize,
-            depth: usize,
-            k: usize,
-            on_path: &mut [bool],
-        ) -> bool {
-            for &w in cdg.successors(ChannelId(v as u32)) {
-                let w = w as usize;
-                if w == s && depth + 1 < k {
-                    return true;
-                }
-                if !on_path[w] && depth + 1 < k {
-                    on_path[w] = true;
-                    if dfs(cdg, s, w, depth + 1, k, on_path) {
-                        return true;
-                    }
-                    on_path[w] = false;
-                }
-            }
-            false
-        }
-        let n = cdg.channels().len();
-        (0..n).any(|s| {
-            let mut on_path = vec![false; n];
-            on_path[s] = true;
-            dfs(cdg, s, s, 0, k, &mut on_path)
-        })
-    }
-
-    #[test]
-    fn shortest_cycle_is_globally_minimal() {
+    fn shortest_cycle_of_the_unrestricted_mesh_is_one_unit_square() {
         let mesh = Mesh::new_2d(4, 4);
         let cdg = Cdg::from_turn_set(&mesh, &TurnSet::all_ninety(2));
-        let cycle = cdg
-            .find_shortest_cycle()
-            .expect("unrestricted turns deadlock");
-        // It is a genuine cycle in find_cycle()'s format.
-        for (i, &c) in cycle.iter().enumerate() {
-            let next = cycle[(i + 1) % cycle.len()];
-            assert!(cdg.successors(c).contains(&next.0));
-        }
-        // Minimality, proven by an independent exhaustive search.
-        assert!(
-            !has_cycle_shorter_than(&cdg, cycle.len()),
-            "a cycle shorter than {} exists",
-            cycle.len()
-        );
-        // And the known girth of the unrestricted 2D mesh CDG: the four
-        // channels around one unit square.
-        assert_eq!(cycle.len(), 4);
-    }
-
-    #[test]
-    fn shortest_cycle_is_none_on_acyclic_and_deterministic_otherwise() {
-        let mesh = Mesh::new_2d(4, 4);
-        assert!(Cdg::from_turn_set(&mesh, &presets::xy_turns())
-            .find_shortest_cycle()
-            .is_none());
-        let a = Cdg::from_turn_set(&mesh, &TurnSet::all_ninety(2));
-        let b = Cdg::from_turn_set(&mesh, &TurnSet::all_ninety(2));
-        assert_eq!(a.find_shortest_cycle(), b.find_shortest_cycle());
+        assert_eq!(cdg.find_shortest_cycle().expect("cyclic").len(), 4);
+        let xy = Cdg::from_turn_set(&mesh, &presets::xy_turns());
+        assert!(xy.find_shortest_cycle().is_none());
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!   necessary-condition check that a turn set breaks all of them
 //!   (Theorem 1);
 //! * [`Cdg`] — the channel dependency graph of Dally & Seitz, the
-//!   mechanical deadlock-freedom verdict used throughout the workspace;
+//!   mechanical deadlock-freedom verdict used throughout the workspace,
+//!   a view of the [`depgraph`] kernel (one graph, one set of searches,
+//!   one walk over a routing relation's reachable states);
+//! * [`degraded_route`] and [`FaultMasked`] — the one rule for routing
+//!   around failures inside the turn set;
 //! * [`numbering`] — the channel-numbering witnesses from the paper's
 //!   proofs (Figures 6–8, Theorem 5);
 //! * [`adaptiveness`] — the closed-form path counts of Sections 3.4 and 5
@@ -41,6 +45,8 @@
 pub mod adaptiveness;
 mod cdg;
 pub mod cycle;
+mod degraded;
+pub mod depgraph;
 pub mod livelock;
 pub mod numbering;
 pub mod presets;
@@ -51,7 +57,8 @@ mod turnset;
 pub mod verifier;
 
 pub use cdg::Cdg;
+pub use degraded::{degraded_route, FaultMasked};
+pub use depgraph::DepGraph;
 pub use route::RoutingFunction;
 pub use turn::{Turn, TurnKind};
 pub use turnset::TurnSet;
-pub use verifier::FaultMasked;

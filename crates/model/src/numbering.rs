@@ -10,8 +10,8 @@
 //! from any acyclic [`Cdg`], and a checker that verifies monotonicity over
 //! every move a routing function can make.
 
-use crate::{Cdg, RoutingFunction};
-use turnroute_topology::{ChannelId, Mesh, NodeId, Sign, Topology};
+use crate::{Cdg, DepGraph, RoutingFunction};
+use turnroute_topology::{ChannelId, Mesh, Sign, Topology};
 
 /// Whether packets must see strictly increasing or strictly decreasing
 /// channel numbers along their routes.
@@ -110,12 +110,7 @@ pub fn west_first_numbering(mesh: &Mesh) -> Vec<i64> {
 /// covered packet can make — strictly increases the number. Returns `None`
 /// if the CDG is cyclic (no such numbering exists; the routing deadlocks).
 pub fn numbering_from_cdg(cdg: &Cdg) -> Option<Vec<i64>> {
-    let order = cdg.topological_order()?;
-    let mut numbers = vec![0i64; cdg.channels().len()];
-    for (pos, ch) in order.iter().enumerate() {
-        numbers[ch.index()] = pos as i64;
-    }
-    Some(numbers)
+    cdg.graph().numbering()
 }
 
 /// Extract a numbering for an *arbitrary* dependency relation — the
@@ -130,33 +125,14 @@ pub fn numbering_from_cdg(cdg: &Cdg) -> Option<Vec<i64>> {
 ///
 /// Panics if an edge endpoint is `>= num_vertices`.
 pub fn numbering_from_edges(num_vertices: usize, edges: &[(u32, u32)]) -> Option<Vec<i64>> {
-    // Kahn's algorithm; the topological position is the number.
-    let mut indegree = vec![0usize; num_vertices];
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
-    for &(a, b) in edges {
-        adj[a as usize].push(b);
-        indegree[b as usize] += 1;
-    }
-    let mut queue: Vec<usize> = (0..num_vertices).filter(|&v| indegree[v] == 0).collect();
-    let mut numbers = vec![0i64; num_vertices];
-    let mut seen = 0usize;
-    while let Some(v) = queue.pop() {
-        numbers[v] = seen as i64;
-        seen += 1;
-        for &w in &adj[v] {
-            indegree[w as usize] -= 1;
-            if indegree[w as usize] == 0 {
-                queue.push(w as usize);
-            }
-        }
-    }
-    (seen == num_vertices).then_some(numbers)
+    DepGraph::from_edges(num_vertices, edges).numbering()
 }
 
 /// Verify that `routing` moves packets along strictly monotonic channel
-/// numbers: for every channel `c1` into a node, every destination, and
-/// every output channel `c2` the routing function offers, `numbers[c2]`
-/// must be ordered after `numbers[c1]` as `monotonic` requires.
+/// numbers: for every dependency `c1 -> c2` of the routing function's CDG
+/// ([`Cdg::from_routing`]: some destination makes it offer `c2` to a
+/// packet holding `c1`), `numbers[c2]` must be ordered after `numbers[c1]`
+/// as `monotonic` requires.
 ///
 /// # Errors
 ///
@@ -171,46 +147,25 @@ pub fn verify_monotonic(
     numbers: &[i64],
     monotonic: Monotonic,
 ) -> Result<(), Violation> {
-    let channels = topo.channels();
+    let cdg = Cdg::from_routing(topo, routing);
     assert_eq!(
         numbers.len(),
-        channels.len(),
+        cdg.channels().len(),
         "one number per channel required"
     );
-    // Slot -> channel id lookup for resolving output directions.
-    let mut slot_to_channel = vec![u32::MAX; topo.channel_slot_count()];
-    for ch in &channels {
-        slot_to_channel[topo.channel_slot(ch.src(), ch.dir())] = ch.id().0;
-    }
-    let minimal = routing.is_minimal();
-    for c1 in &channels {
-        let mid = c1.dst();
-        for dest in 0..topo.num_nodes() {
-            let dest = NodeId(dest as u32);
-            if dest == mid {
-                continue;
-            }
-            if minimal && topo.min_hops(mid, dest) >= topo.min_hops(c1.src(), dest) {
-                continue; // no minimal packet arrives on c1 bound for dest
-            }
-            for out in routing.route(topo, mid, dest, Some(c1.dir())).iter() {
-                let slot = topo.channel_slot(mid, out);
-                let c2 = slot_to_channel[slot];
-                assert_ne!(c2, u32::MAX, "routing offered a nonexistent channel");
-                let (a, b) = (numbers[c1.id().index()], numbers[c2 as usize]);
-                let ok = match monotonic {
-                    Monotonic::Increasing => a < b,
-                    Monotonic::Decreasing => a > b,
-                };
-                if !ok {
-                    return Err(Violation {
-                        from: c1.id(),
-                        to: ChannelId(c2),
-                        from_number: a,
-                        to_number: b,
-                    });
-                }
-            }
+    for (c1, c2) in cdg.graph().edges() {
+        let (a, b) = (numbers[c1 as usize], numbers[c2 as usize]);
+        let ok = match monotonic {
+            Monotonic::Increasing => a < b,
+            Monotonic::Decreasing => a > b,
+        };
+        if !ok {
+            return Err(Violation {
+                from: ChannelId(c1),
+                to: ChannelId(c2),
+                from_number: a,
+                to_number: b,
+            });
         }
     }
     Ok(())
@@ -220,38 +175,7 @@ pub fn verify_monotonic(
 mod tests {
     use super::*;
     use crate::TurnSet;
-    use turnroute_topology::{DirSet, Direction};
-
-    #[test]
-    fn numbering_from_edges_matches_cdg_semantics() {
-        // A small DAG: every edge must strictly increase the number.
-        let edges = [(0u32, 1u32), (1, 2), (0, 2), (3, 1)];
-        let numbers = numbering_from_edges(4, &edges).expect("acyclic");
-        for (a, b) in edges {
-            assert!(numbers[a as usize] < numbers[b as usize], "{a} -> {b}");
-        }
-        // A cycle admits no numbering.
-        assert!(numbering_from_edges(3, &[(0, 1), (1, 2), (2, 0)]).is_none());
-        // The empty graph trivially does.
-        assert_eq!(numbering_from_edges(0, &[]), Some(Vec::new()));
-    }
-
-    #[test]
-    fn numbering_from_edges_agrees_with_cdg_on_a_real_turn_set() {
-        let mesh = Mesh::new_2d(4, 3);
-        let cdg = Cdg::from_turn_set(&mesh, &crate::presets::west_first_turns());
-        let mut edges = Vec::new();
-        for ch in cdg.channels() {
-            for &succ in cdg.successors(ch.id()) {
-                edges.push((ch.id().0, succ));
-            }
-        }
-        let generic = numbering_from_edges(cdg.channels().len(), &edges).expect("acyclic");
-        assert!(numbering_from_cdg(&cdg).is_some());
-        for (a, b) in edges {
-            assert!(generic[a as usize] < generic[b as usize]);
-        }
-    }
+    use turnroute_topology::{DirSet, Direction, NodeId};
 
     /// Minimal negative-first routing, inlined for witness tests.
     struct MinimalNegativeFirst;

@@ -7,8 +7,8 @@
 //! turn-set consistency (every move uses an allowed turn). Run it against
 //! a custom algorithm before trusting it with a network.
 
-use crate::{Cdg, RoutingFunction, TurnSet};
-use turnroute_topology::{ChannelId, DirSet, Direction, FaultSet, NodeId, Topology};
+use crate::{Cdg, FaultMasked, RoutingFunction};
+use turnroute_topology::{ChannelId, Direction, FaultSet, NodeId, Topology};
 
 /// The outcome of one verification check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,22 +71,29 @@ impl VerificationReport {
 impl std::fmt::Display for VerificationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "verification of {}:", self.algorithm)?;
-        for (name, check) in [
-            ("deadlock-free", &self.deadlock_free),
-            ("connected", &self.connected),
-            ("minimal", &self.minimal),
-            ("progress", &self.progress),
-            ("channels-valid", &self.channels_valid),
-            ("turns-consistent", &self.turns_consistent),
-        ] {
-            match check {
-                Check::Passed => writeln!(f, "  {name}: ok")?,
-                Check::Skipped => writeln!(f, "  {name}: n/a")?,
-                Check::Failed(why) => writeln!(f, "  {name}: FAILED — {why}")?,
-            }
-        }
-        Ok(())
+        write_checks(
+            f,
+            &[
+                ("deadlock-free", &self.deadlock_free),
+                ("connected", &self.connected),
+                ("minimal", &self.minimal),
+                ("progress", &self.progress),
+                ("channels-valid", &self.channels_valid),
+                ("turns-consistent", &self.turns_consistent),
+            ],
+        )
     }
+}
+
+fn write_checks(f: &mut std::fmt::Formatter<'_>, checks: &[(&str, &Check)]) -> std::fmt::Result {
+    for (name, check) in checks {
+        match check {
+            Check::Passed => writeln!(f, "  {name}: ok")?,
+            Check::Skipped => writeln!(f, "  {name}: n/a")?,
+            Check::Failed(why) => writeln!(f, "  {name}: FAILED — {why}")?,
+        }
+    }
+    Ok(())
 }
 
 /// Run every applicable check of `routing` on `topo`.
@@ -125,45 +132,56 @@ fn check_deadlock(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Check {
     }
 }
 
-/// Greedy worst-case walk: always take the *last* offered direction, a
-/// simple adversarial choice. For minimal coherent functions this still
-/// reaches the destination in exactly `min_hops` steps; bounded walk
-/// length catches livelocks and dead ends.
-fn check_connected(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Check {
+/// Every ordered pair of distinct nodes.
+fn ordered_pairs(topo: &dyn Topology) -> impl Iterator<Item = (NodeId, NodeId)> {
+    let nodes = 0..topo.num_nodes() as u32;
+    nodes
+        .clone()
+        .flat_map(move |s| nodes.clone().map(move |d| (NodeId(s), NodeId(d))))
+        .filter(|(s, d)| s != d)
+}
+
+/// Greedy worst-case walk from `src` to `dst`: always take the *last*
+/// offered direction, a simple adversarial choice. For minimal coherent
+/// functions this still reaches the destination in exactly `min_hops`
+/// steps; the bounded walk length catches livelocks, and the error says
+/// where a walk that does not deliver gave up.
+fn greedy_walk(
+    topo: &dyn Topology,
+    routing: &dyn RoutingFunction,
+    src: NodeId,
+    dst: NodeId,
+) -> Result<(), String> {
     let limit = 8 * (topo.num_nodes() + 8);
-    for s in 0..topo.num_nodes() {
-        for d in 0..topo.num_nodes() {
-            if s == d {
-                continue;
-            }
-            let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
-            let mut cur = src;
-            let mut arrived: Option<Direction> = None;
-            let mut hops = 0usize;
-            while cur != dst {
-                let dirs = routing.route(topo, cur, dst, arrived);
-                let Some(dir) = dirs.iter().last() else {
-                    return Check::Failed(format!(
-                        "dead end at {cur} routing {src} -> {dst} (arrived {arrived:?})"
-                    ));
-                };
-                let Some(next) = topo.neighbor(cur, dir) else {
-                    return Check::Failed(format!(
-                        "nonexistent channel {dir} offered at {cur} for {src} -> {dst}"
-                    ));
-                };
-                cur = next;
-                arrived = Some(dir);
-                hops += 1;
-                if hops > limit {
-                    return Check::Failed(format!(
-                        "walk {src} -> {dst} exceeded {limit} hops (livelock?)"
-                    ));
-                }
-            }
+    let (mut cur, mut arrived, mut hops) = (src, None, 0usize);
+    while cur != dst {
+        let dirs = routing.route(topo, cur, dst, arrived);
+        let Some(dir) = dirs.iter().last() else {
+            return Err(format!(
+                "dead end at {cur} routing {src} -> {dst} (arrived {arrived:?})"
+            ));
+        };
+        let Some(next) = topo.neighbor(cur, dir) else {
+            return Err(format!(
+                "nonexistent channel {dir} offered at {cur} for {src} -> {dst}"
+            ));
+        };
+        cur = next;
+        arrived = Some(dir);
+        hops += 1;
+        if hops > limit {
+            return Err(format!(
+                "walk {src} -> {dst} exceeded {limit} hops (livelock?)"
+            ));
         }
     }
-    Check::Passed
+    Ok(())
+}
+
+fn check_connected(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Check {
+    let failure =
+        ordered_pairs(topo).find_map(|(src, dst)| greedy_walk(topo, routing, src, dst).err());
+    failure.map_or(Check::Passed, Check::Failed)
 }
 
 fn check_minimal(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Check {
@@ -291,120 +309,17 @@ impl std::fmt::Display for FaultVerification {
             "fault verification of {} ({} links, {} nodes failed):",
             self.algorithm, self.failed_links, self.failed_nodes
         )?;
-        for (name, check) in [
+        let checks = [
             ("deadlock-free", &self.deadlock_free),
             ("progress", &self.progress),
-        ] {
-            match check {
-                Check::Passed => writeln!(f, "  {name}: ok")?,
-                Check::Skipped => writeln!(f, "  {name}: n/a")?,
-                Check::Failed(why) => writeln!(f, "  {name}: FAILED — {why}")?,
-            }
-        }
+        ];
+        write_checks(f, &checks)?;
         writeln!(
             f,
             "  reachable pairs: {} of {}",
             self.reachable_pairs,
             self.reachable_pairs + self.unreachable_pairs
         )
-    }
-}
-
-/// A routing function masked by a fault pattern, mirroring the simulator's
-/// fault-aware candidate selection: offered directions crossing a failed
-/// link or into a failed node are removed; if that empties the set and the
-/// inner function declares a turn set, the fallback offers every
-/// turn-legal healthy direction (a misroute around the fault).
-///
-/// All outputs — primary and fallback — are filtered through the declared
-/// turn set, so the induced CDG is a subgraph of the turn set's CDG and
-/// inherits its acyclicity.
-///
-/// The struct is public so external analyses (notably the `turnprove`
-/// channel-graph extraction in the analysis crate) can reason about
-/// *exactly* the relation the verifier checks, instead of re-deriving a
-/// slightly different fault masking of their own.
-pub struct FaultMasked<'a> {
-    inner: &'a dyn RoutingFunction,
-    faults: &'a FaultSet,
-    turns: Option<TurnSet>,
-    name: String,
-}
-
-impl<'a> FaultMasked<'a> {
-    /// Mask `inner` by `faults` on `topo`. The turn set is resolved once,
-    /// against `topo.num_dims()`.
-    pub fn new(topo: &dyn Topology, inner: &'a dyn RoutingFunction, faults: &'a FaultSet) -> Self {
-        FaultMasked {
-            turns: inner.turn_set(topo.num_dims()),
-            name: format!("{}+faults", inner.name()),
-            inner,
-            faults,
-        }
-    }
-
-    fn healthy(&self, topo: &dyn Topology, current: NodeId, dir: Direction) -> bool {
-        match topo.neighbor(current, dir) {
-            Some(next) => {
-                !self.faults.link_failed(topo.channel_slot(current, dir))
-                    && !self.faults.node_failed(next)
-            }
-            None => false,
-        }
-    }
-}
-
-impl RoutingFunction for FaultMasked<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn route(
-        &self,
-        topo: &dyn Topology,
-        current: NodeId,
-        dest: NodeId,
-        arrived: Option<Direction>,
-    ) -> DirSet {
-        if self.faults.node_failed(current) {
-            return DirSet::empty();
-        }
-        if let Some(a) = arrived {
-            // A packet cannot occupy a failed input channel, so states that
-            // arrive on one are vacuous — excluding them removes their CDG
-            // edges.
-            match topo.neighbor(current, a.opposite()) {
-                Some(prev) if !self.faults.link_failed(topo.channel_slot(prev, a)) => {}
-                _ => return DirSet::empty(),
-            }
-        }
-        let legal = match &self.turns {
-            Some(set) => set.legal_outputs(arrived),
-            None => DirSet::all(topo.num_dims()),
-        };
-        let primary: DirSet = self
-            .inner
-            .route(topo, current, dest, arrived)
-            .intersection(legal)
-            .iter()
-            .filter(|&d| self.healthy(topo, current, d))
-            .collect();
-        if !primary.is_empty() || self.turns.is_none() {
-            return primary;
-        }
-        // Misroute-around-fault fallback: any turn-legal healthy direction.
-        legal
-            .iter()
-            .filter(|&d| self.healthy(topo, current, d))
-            .collect()
-    }
-
-    fn is_minimal(&self) -> bool {
-        false // fallback misroutes
-    }
-
-    fn turn_set(&self, num_dims: usize) -> Option<TurnSet> {
-        self.inner.turn_set(num_dims)
     }
 }
 
@@ -420,10 +335,16 @@ pub fn verify_under_faults(
     routing: &dyn RoutingFunction,
     faults: &FaultSet,
 ) -> FaultVerification {
-    let masked = FaultMasked::new(topo, routing, faults);
+    let masked = FaultMasked::new(routing, topo, faults);
     let deadlock_free = check_deadlock(topo, &masked);
     let progress = crate::livelock::check_progress(topo, &masked).bounded;
-    let (reachable, unreachable) = fault_reachability(topo, &masked, faults);
+    // Dead ends and over-long walks are tallied, not fatal: a faulted
+    // network may legitimately be partitioned. A failed endpoint shows up
+    // as a dead end too — nothing leaves one, nothing healthy enters one.
+    let pairs = topo.num_nodes() * topo.num_nodes().saturating_sub(1);
+    let reachable = ordered_pairs(topo)
+        .filter(|&(src, dst)| greedy_walk(topo, &masked, src, dst).is_ok())
+        .count();
     FaultVerification {
         algorithm: routing.name().to_string(),
         failed_links: faults.failed_link_count(),
@@ -431,62 +352,15 @@ pub fn verify_under_faults(
         deadlock_free,
         progress,
         reachable_pairs: reachable,
-        unreachable_pairs: unreachable,
+        unreachable_pairs: pairs - reachable,
     }
-}
-
-/// Greedy worst-case walk census under faults: unlike [`check_connected`],
-/// dead ends and over-long walks are tallied, not fatal — a faulted network
-/// may legitimately be partitioned.
-fn fault_reachability(
-    topo: &dyn Topology,
-    routing: &dyn RoutingFunction,
-    faults: &FaultSet,
-) -> (usize, usize) {
-    let limit = 8 * (topo.num_nodes() + 8);
-    let (mut reachable, mut unreachable) = (0usize, 0usize);
-    for s in 0..topo.num_nodes() {
-        for d in 0..topo.num_nodes() {
-            if s == d {
-                continue;
-            }
-            let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
-            if faults.node_failed(src) || faults.node_failed(dst) {
-                unreachable += 1;
-                continue;
-            }
-            let mut cur = src;
-            let mut arrived: Option<Direction> = None;
-            let mut hops = 0usize;
-            let delivered = loop {
-                if cur == dst {
-                    break true;
-                }
-                let dirs = routing.route(topo, cur, dst, arrived);
-                let Some(dir) = dirs.iter().last() else {
-                    break false;
-                };
-                cur = topo.neighbor(cur, dir).expect("offered channel exists");
-                arrived = Some(dir);
-                hops += 1;
-                if hops > limit {
-                    break false;
-                }
-            };
-            if delivered {
-                reachable += 1;
-            } else {
-                unreachable += 1;
-            }
-        }
-    }
-    (reachable, unreachable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turnroute_topology::Mesh;
+    use crate::TurnSet;
+    use turnroute_topology::{DirSet, Mesh};
 
     /// A minimal fully adaptive function: connected and minimal, but not
     /// deadlock free.

@@ -1,27 +1,29 @@
 //! Fault-aware routing: wrap any turn-model algorithm so it routes around
 //! a static fault pattern.
 //!
-//! [`FaultAware`] is the static (routing-function-level) counterpart of the
-//! simulator's per-cycle fault masking. It filters the wrapped algorithm's
-//! offered directions against a [`FaultSet`], removing outputs that cross a
-//! failed link or enter a failed node, and — when the primary set empties —
-//! falls back to *any* healthy direction the algorithm's turn set allows
-//! from the current arrival direction, a misroute around the fault.
+//! [`FaultAware`] is [`turnroute_model::FaultMasked`] owning its fault
+//! pattern: the degraded-mode rule the simulator arbitrates by
+//! ([`turnroute_model::degraded_route`]) frozen into a routing function.
+//! Offered directions that cross a failed link or enter a failed node are
+//! removed, and — when that empties the set — any healthy direction the
+//! algorithm's turn set allows from the current arrival direction is
+//! offered instead, a misroute around the fault.
 //!
 //! # Deadlock safety
 //!
-//! Every direction `FaultAware` offers, primary or fallback, is legal under
-//! the wrapped algorithm's declared turn set. The channel dependency graph
-//! of the wrapper is therefore a subgraph of the turn set's CDG, which the
+//! Every direction offered, primary or fallback, is legal under the
+//! wrapped algorithm's declared turn set. The channel dependency graph of
+//! the wrapper is therefore a subgraph of the turn set's CDG, which the
 //! turn model proves acyclic — so wrapping cannot introduce deadlock, for
 //! any fault pattern. `turnroute_model::verifier::verify_under_faults`
-//! checks the same property mechanically per pattern.
+//! checks the same property mechanically per pattern, on this same type.
 
-use turnroute_model::{RoutingFunction, TurnSet};
-use turnroute_topology::{DirSet, Direction, FaultSet, NodeId, Topology};
+use turnroute_model::FaultMasked;
+use turnroute_topology::FaultSet;
 
-/// A routing function filtered through a static fault pattern, with a
-/// turn-legal misroute fallback when every primary output is failed.
+/// A routing function filtered through a static fault pattern it owns,
+/// with a turn-legal misroute fallback when every primary output is
+/// failed.
 ///
 /// # Example
 ///
@@ -42,100 +44,14 @@ use turnroute_topology::{DirSet, Direction, FaultSet, NodeId, Topology};
 /// assert!(!dirs.contains(Direction::EAST));
 /// assert!(!dirs.is_empty());
 /// ```
-pub struct FaultAware<R> {
-    inner: R,
-    faults: FaultSet,
-    turns: Option<TurnSet>,
-    name: String,
-}
-
-impl<R: RoutingFunction> FaultAware<R> {
-    /// Wrap `inner` so its routes avoid the failures in `faults`.
-    ///
-    /// The turn set is resolved once, against `topo.num_dims()`.
-    pub fn new(inner: R, topo: &dyn Topology, faults: FaultSet) -> FaultAware<R> {
-        FaultAware {
-            turns: inner.turn_set(topo.num_dims()),
-            name: format!("{}+fault-aware", inner.name()),
-            inner,
-            faults,
-        }
-    }
-
-    /// The wrapped routing function.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// The fault pattern this wrapper routes around.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    fn healthy(&self, topo: &dyn Topology, current: NodeId, dir: Direction) -> bool {
-        match topo.neighbor(current, dir) {
-            Some(next) => {
-                !self.faults.link_failed(topo.channel_slot(current, dir))
-                    && !self.faults.node_failed(next)
-            }
-            None => false,
-        }
-    }
-}
-
-impl<R: RoutingFunction> RoutingFunction for FaultAware<R> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn route(
-        &self,
-        topo: &dyn Topology,
-        current: NodeId,
-        dest: NodeId,
-        arrived: Option<Direction>,
-    ) -> DirSet {
-        if current == dest || self.faults.node_failed(current) || self.faults.node_failed(dest) {
-            return DirSet::empty();
-        }
-        let legal = match &self.turns {
-            Some(set) => set.legal_outputs(arrived),
-            None => DirSet::all(topo.num_dims()),
-        };
-        let primary: DirSet = self
-            .inner
-            .route(topo, current, dest, arrived)
-            .intersection(legal)
-            .iter()
-            .filter(|&d| self.healthy(topo, current, d))
-            .collect();
-        if !primary.is_empty() || self.turns.is_none() {
-            return primary;
-        }
-        // Misroute around the fault: any turn-legal healthy direction. The
-        // caller (simulator or walk) bounds how long a packet may drift.
-        legal
-            .iter()
-            .filter(|&d| self.healthy(topo, current, d))
-            .collect()
-    }
-
-    fn is_minimal(&self) -> bool {
-        // Fallback misroutes may move away from the destination.
-        false
-    }
-
-    fn turn_set(&self, num_dims: usize) -> Option<TurnSet> {
-        self.inner.turn_set(num_dims)
-    }
-}
+pub type FaultAware<R> = FaultMasked<R, FaultSet>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{mesh2d, RoutingMode};
-    use turnroute_model::verifier::verify_under_faults;
-    use turnroute_topology::Mesh;
+    use turnroute_model::RoutingFunction;
+    use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 
     #[test]
     fn empty_fault_set_routes_like_inner_filtered_by_turns() {
@@ -174,7 +90,7 @@ mod tests {
         assert!(!dirs.contains(Direction::EAST));
         assert!(!dirs.is_empty(), "fallback must offer a detour");
         assert!(!routed.is_minimal());
-        assert!(routed.name().contains("fault-aware"));
+        assert!(routed.name().contains("+faults"));
     }
 
     #[test]
@@ -211,27 +127,6 @@ mod tests {
                     assert!(hops <= limit, "walk {src}->{dst} exceeded {limit} hops");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn wrapper_matches_verifier_model() {
-        // The static wrapper and the verifier's internal mask embody the
-        // same relation: the verifier must certify the wrapper's inner
-        // algorithm deadlock free under the same pattern.
-        let mesh = Mesh::new_2d(6, 6);
-        let mut faults = FaultSet::new(&mesh);
-        faults.fail_link(&mesh, mesh.node_at_coords(&[3, 3]), Direction::NORTH);
-        faults.fail_node(&mesh, mesh.node_at_coords(&[1, 4]));
-        let algos: [Box<dyn RoutingFunction>; 4] = [
-            Box::new(mesh2d::xy()),
-            Box::new(mesh2d::west_first(RoutingMode::Minimal)),
-            Box::new(mesh2d::north_last(RoutingMode::Minimal)),
-            Box::new(mesh2d::negative_first(RoutingMode::Minimal)),
-        ];
-        for algo in &algos {
-            let report = verify_under_faults(&mesh, algo, &faults);
-            assert!(report.all_ok(), "{report}");
         }
     }
 }

@@ -18,7 +18,7 @@
 //! [`ChannelLayout`](crate::obs::ChannelLayout).
 
 use crate::OutputPolicy;
-use turnroute_model::{RoutingFunction, TurnSet};
+use turnroute_model::{degraded_route, RoutingFunction, TurnSet};
 use turnroute_topology::{Direction, NodeId, Topology};
 
 /// One output a waiting head may acquire.
@@ -93,10 +93,9 @@ pub trait Lanes<'a>: Sized {
 pub struct SingleLane<'a> {
     topo: &'a dyn Topology,
     routing: &'a dyn RoutingFunction,
-    /// The routing function's declared turn set. Under faults, every
-    /// arbitration output — primary or fallback — is filtered through it,
-    /// which keeps the live dependency graph a subgraph of the turn set's
-    /// (acyclic) CDG no matter what fails.
+    /// The routing function's declared turn set, which
+    /// [`degraded_route`] keeps every output inside once faults are
+    /// possible.
     turn_filter: Option<TurnSet>,
 }
 
@@ -147,28 +146,21 @@ impl<'a> Lanes<'a> for SingleLane<'a> {
         out: &mut Vec<Candidate>,
     ) {
         let arrived = arrived.and_then(|slot| self.turn_dir(slot));
-        let dirs = self.routing.route(self.topo, at, dst, arrived);
-        // Under faults every output — primary or fallback — is filtered
-        // through the declared turn set: misrouting around a failure can
-        // leave a packet in arrival states its algorithm never produces,
-        // and the filter is what keeps the live channel-dependency graph
-        // a subgraph of the turn set's acyclic CDG. Fault-free runs skip
-        // this entirely.
-        let legal_bits = if !faults_possible {
-            u32::MAX
+        // Under faults the offer is the degraded-mode relation — the very
+        // function the healing certificates are extracted from. Fault-free
+        // runs skip it entirely.
+        let dirs = if faults_possible {
+            let (routing, turns, topo) = (self.routing, self.turn_filter.as_ref(), self.topo);
+            degraded_route(routing, turns, topo, at, dst, arrived, |dir| {
+                topo.neighbor(at, dir).is_some() && usable(topo.channel_slot(at, dir))
+            })
         } else {
-            match (&self.turn_filter, arrived) {
-                (Some(set), Some(a)) => set.allowed_from_bits(a),
-                _ => u32::MAX,
-            }
+            self.routing.route(self.topo, at, dst, arrived)
         };
         let here = self.topo.min_hops(at, dst);
-        let offer = |dir: Direction, out: &mut Vec<Candidate>| {
-            if legal_bits & (1 << dir.index()) == 0 {
-                return;
-            }
+        for dir in dirs.iter() {
             let Some(next) = self.topo.neighbor(at, dir) else {
-                return;
+                continue;
             };
             let slot = self.topo.channel_slot(at, dir);
             if usable(slot) {
@@ -177,18 +169,6 @@ impl<'a> Lanes<'a> for SingleLane<'a> {
                     slot,
                     productive: self.topo.min_hops(next, dst) < here,
                 });
-            }
-        };
-        for dir in dirs.iter() {
-            offer(dir, out);
-        }
-        // Misroute around the fault: when every output the algorithm
-        // offers is broken, take any healthy turn-legal channel instead.
-        // Nonminimal drifting is bounded by the packet lifetime, not the
-        // misroute budget.
-        if out.is_empty() && faults_possible && self.turn_filter.is_some() {
-            for dir in Direction::all(self.topo.num_dims()) {
-                offer(dir, out);
             }
         }
     }

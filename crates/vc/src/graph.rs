@@ -1,7 +1,8 @@
 //! Channel dependency graphs over virtual channels.
 
-use crate::{VcRoutingFunction, VirtualDirection};
-use turnroute_topology::{Mesh, NodeId, Topology};
+use crate::{VcClass, VcRoutingFunction, VirtualDirection};
+use turnroute_model::depgraph::{self, DepGraph, LaneChannel, Offer};
+use turnroute_topology::{Mesh, NodeId};
 
 /// One virtual channel of the double-y mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,10 +23,7 @@ pub struct VcChannel {
 #[derive(Debug, Clone)]
 pub struct VcCdg {
     channels: Vec<VcChannel>,
-    adj: Vec<Vec<u32>>,
-    num_classes: usize,
-    slots_per_node: usize,
-    slot_to_id: Vec<u32>,
+    graph: DepGraph,
 }
 
 impl VcCdg {
@@ -34,82 +32,46 @@ impl VcCdg {
     /// for minimal functions. The routing function declares its class
     /// count and which virtual channels exist; channels are enumerated
     /// node-major in dense [`VirtualDirection::index_in`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routing` offers a virtual channel it declares
+    /// nonexistent.
     pub fn from_routing(mesh: &Mesh, routing: &dyn VcRoutingFunction) -> VcCdg {
-        // Enumerate virtual channels and a slot lookup.
-        let num_classes = routing.num_classes();
-        let slots_per_node = 2 * mesh.num_dims() * num_classes; // dirs * classes
-        let mut slot_to_id = vec![u32::MAX; mesh.num_nodes() * slots_per_node];
-        let mut channels = Vec::new();
-        for node in 0..mesh.num_nodes() {
-            let node = NodeId(node as u32);
-            for vd in VirtualDirection::all_classes(mesh.num_dims(), num_classes) {
-                if !routing.channel_exists(vd) {
-                    continue;
-                }
-                if let Some(dst) = mesh.neighbor(node, vd.dir()) {
-                    let id = channels.len() as u32;
-                    slot_to_id[node.index() * slots_per_node + vd.index_in(num_classes)] = id;
-                    channels.push(VcChannel {
-                        id,
-                        src: node,
-                        dst,
-                        vdir: vd,
-                    });
-                }
-            }
-        }
-        let minimal = routing.is_minimal();
-        let mut adj = vec![Vec::new(); channels.len()];
-        for c1 in &channels {
-            let mid = c1.dst;
-            let mut union: Vec<VirtualDirection> = Vec::new();
-            for dest in 0..mesh.num_nodes() {
-                let dest = NodeId(dest as u32);
-                if dest == mid {
-                    continue;
-                }
-                if minimal && mesh.min_hops(mid, dest) >= mesh.min_hops(c1.src, dest) {
-                    continue;
-                }
-                for vd in routing.route(mesh, mid, dest, Some(c1.vdir)) {
-                    if !union.contains(&vd) {
-                        union.push(vd);
-                    }
-                }
-            }
-            for vd in union {
-                let id = slot_to_id[mid.index() * slots_per_node + vd.index_in(num_classes)];
-                assert_ne!(id, u32::MAX, "routing offered a nonexistent channel");
-                adj[c1.id as usize].push(id);
-            }
-        }
-        VcCdg {
-            channels,
-            adj,
-            num_classes,
-            slots_per_node,
-            slot_to_id,
-        }
+        Self::lower(mesh, routing, false).0
     }
 
-    /// Number of virtual-channel classes per physical direction.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Dense virtual-channel slots per node (`2 * dims * classes`).
-    pub fn slots_per_node(&self) -> usize {
-        self.slots_per_node
-    }
-
-    /// The channel id occupying `node`'s slot for `vd`, or `None` if that
-    /// virtual channel does not exist (boundary link or pruned class).
-    pub fn channel_at(&self, node: NodeId, vd: VirtualDirection) -> Option<u32> {
-        let slot = node.index() * self.slots_per_node + vd.index_in(self.num_classes);
-        match self.slot_to_id[slot] {
-            u32::MAX => None,
-            id => Some(id),
-        }
+    /// [`VcCdg::from_routing`] and, if `with_routes`, the route table the
+    /// same walk produces (see
+    /// [`turnroute_model::depgraph::Lowering::routes`]).
+    pub fn lower(
+        mesh: &Mesh,
+        routing: &dyn VcRoutingFunction,
+        with_routes: bool,
+    ) -> (VcCdg, Vec<Vec<Vec<u32>>>) {
+        let vdir = |(dir, lane): Offer| VirtualDirection::new(dir, VcClass::new(lane as u8));
+        let lowered = depgraph::lower(
+            mesh,
+            routing.num_classes(),
+            |dir, lane| routing.channel_exists(vdir((dir, lane))),
+            routing.is_minimal(),
+            with_routes,
+            |at, dest, held, out| {
+                let offered = routing.route(mesh, at, dest, held.map(vdir));
+                out.extend(offered.iter().map(|vd| (vd.dir(), vd.class().index())));
+            },
+        );
+        let channel = |(id, ch): (usize, &LaneChannel)| VcChannel {
+            id: id as u32,
+            src: ch.src,
+            dst: ch.dst,
+            vdir: vdir((ch.dir, ch.lane)),
+        };
+        let cdg = VcCdg {
+            channels: lowered.channels.iter().enumerate().map(channel).collect(),
+            graph: lowered.graph,
+        };
+        (cdg, lowered.routes)
     }
 
     /// The virtual channels (vertices).
@@ -117,57 +79,24 @@ impl VcCdg {
         &self.channels
     }
 
-    /// Number of dependency edges.
-    pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
+    /// The dependency graph itself, vertex `i` being channel id `i`.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
-    /// The successor channel ids of the virtual channel `id` — the
-    /// adjacency view external verifiers (the analysis crate's channel-graph
-    /// extraction) need to lift this graph into their own representation.
+    /// Number of dependency edges.
+    pub fn num_edges(&self) -> usize {
+        self.graph.num_edges()
+    }
+
+    /// The successor channel ids of the virtual channel `id`.
     pub fn successors(&self, id: u32) -> &[u32] {
-        &self.adj[id as usize]
+        self.graph.successors(id)
     }
 
     /// Find a dependency cycle, or `None` if the graph is acyclic.
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        let n = self.channels.len();
-        let mut color = vec![WHITE; n];
-        let mut path = Vec::new();
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            color[start] = GRAY;
-            path.push(start);
-            stack.push((start, 0));
-            while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-                if *next < self.adj[v].len() {
-                    let w = self.adj[v][*next] as usize;
-                    *next += 1;
-                    match color[w] {
-                        WHITE => {
-                            color[w] = GRAY;
-                            path.push(w);
-                            stack.push((w, 0));
-                        }
-                        GRAY => {
-                            let pos = path.iter().position(|&x| x == w).expect("on path");
-                            return Some(path[pos..].iter().map(|&i| i as u32).collect());
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[v] = 2;
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        None
+        self.graph.find_cycle()
     }
 
     /// Whether the graph is acyclic (deadlock free).
@@ -180,7 +109,7 @@ impl VcCdg {
 mod tests {
     use super::*;
     use crate::DoubleYAdaptive;
-    use turnroute_topology::{Direction, Sign};
+    use turnroute_topology::{Direction, Sign, Topology};
 
     #[test]
     fn double_y_is_acyclic_on_assorted_meshes() {
