@@ -166,8 +166,10 @@ grep -q "self-test ok" "$lint_tmp/heal_bad/chaos.md"
 echo "==> turnscope gate"
 # The streaming-telemetry gate: the canonical recorded run seals
 # telemetry frames into the log, so exporting them twice must be
-# byte-identical and re-deriving frames + alerts from the raw event
-# stream must reproduce the sealed ones exactly. The self-test must
+# byte-identical — as must the export of the other same-seed recording,
+# since the frame stream rides the one event vocabulary — and
+# re-deriving frames + alerts from the raw event stream must reproduce
+# the sealed ones exactly. The self-test must
 # reject tampered frame payloads (length and version) and see a planted
 # saturation ramp trip the blocked-mass detector; the scope study must
 # call its planted collapse ahead of time while staying silent on the
@@ -176,6 +178,9 @@ cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
     frames "$lint_tmp/trace_a/run.ttr" --out "$lint_tmp/frames_a.jsonl" 2> /dev/null
 cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
     frames "$lint_tmp/trace_a/run.ttr" --out "$lint_tmp/frames_b.jsonl" 2> /dev/null
+cmp "$lint_tmp/frames_a.jsonl" "$lint_tmp/frames_b.jsonl"
+cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
+    frames "$lint_tmp/trace_b/run.ttr" --out "$lint_tmp/frames_b.jsonl" 2> /dev/null
 cmp "$lint_tmp/frames_a.jsonl" "$lint_tmp/frames_b.jsonl"
 test -s "$lint_tmp/frames_a.jsonl"
 cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
@@ -213,6 +218,11 @@ if [[ $full -eq 1 ]]; then
         fig13 --quick --out "$tmp" --metrics-out "$tmp/metrics.json"
     cargo run --release --offline -p turnroute-experiments --bin exp -- \
         fig1 --trace --out "$tmp"
+    # The ring trace stores the same events the log does: same run, same
+    # postmortem, byte for byte.
+    cargo run --release --offline -p turnroute-experiments --bin exp -- \
+        fig1 --trace --out "$tmp/again"
+    cmp "$tmp/fig1_postmortem.jsonl" "$tmp/again/fig1_postmortem.jsonl"
     cargo run --release --offline -p turnroute-experiments --bin exp -- \
         faults --quick --out "$tmp"
     test -s "$tmp/metrics.json"
@@ -244,6 +254,25 @@ if [[ $full -eq 1 ]]; then
         full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json; do
         cmp "$tmp/$artifact" "results/$(basename "$artifact")"
     done
+
+    echo "==> turnbench correctness"
+    # The part of the benchmark that is not noisy: every workload at seed
+    # 1 must reproduce its golden digests of the simulated results (plus
+    # the Fig. 16 shape and the proof matrices' ok()), which turnbench
+    # reports by exiting nonzero. Timing stays advisory on this box.
+    # Then the self-test: with a golden bit flipped the same check must
+    # fail (exit 1), or the gate is blind.
+    bench=(cargo run --release --offline --quiet --manifest-path turnbench/Cargo.toml --)
+    for workload in mesh_heavy mesh_light vc_heavy fig_sweep record_replay proof_matrix; do
+        "${bench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+    done
+    status=0
+    "${bench[@]}" --workload mesh_light --seed 1 --seconds 1 --trace 0 --self-test \
+        > /dev/null 2>&1 || status=$?
+    if [[ $status -ne 1 ]]; then
+        echo "turnbench --self-test exited $status, not 1; the golden check is blind" >&2
+        exit 1
+    fi
 fi
 
 echo "OK"

@@ -31,7 +31,7 @@
 //! function of the proof work actually performed (graph operations at
 //! [`OPS_PER_CYCLE`] per cycle), so two same-seed runs heal at identical
 //! cycles and their observability logs compare byte for byte. Every
-//! transition is emitted through [`SimObserver::on_heal`] — epoch open,
+//! transition is emitted as an [`Event::Heal`] — epoch open,
 //! proof, certificate digest, table swap, quarantine — which the obslog
 //! crate records as its own event tags.
 //!
@@ -41,6 +41,7 @@ use crate::certificate::{Certificate, GraphSpec, Verdict};
 use crate::{check, extract, prove};
 use std::collections::HashSet;
 use turnroute_model::RoutingFunction;
+use turnroute_sim::obs::Event;
 use turnroute_sim::{
     FaultEvent, FaultTarget, HealEvent, NoopObserver, Sim, SimConfig, SimObserver, SimReport,
 };
@@ -443,12 +444,12 @@ pub fn run_healing<O: SimObserver>(
             None,
         );
         let latency = 1 + proof.ops / OPS_PER_CYCLE;
-        sim.observer_mut().on_heal(
+        sim.observer_mut().on_event(
             0,
-            HealEvent::EpochOpen {
+            &Event::Heal(HealEvent::EpochOpen {
                 epoch: 0,
                 transitions: 0,
-            },
+            }),
         );
         complete_epoch(
             &mut sim,
@@ -500,7 +501,7 @@ pub fn run_healing<O: SimObserver>(
                 }
             };
             sim.observer_mut()
-                .on_heal(t, HealEvent::EpochOpen { epoch, transitions });
+                .on_event(t, &Event::Heal(HealEvent::EpochOpen { epoch, transitions }));
             let faults = plan.fault_set_at(t, topo);
             let (spec, proof) = prove_epoch(
                 &format!("{config}/epoch{epoch}"),
@@ -637,21 +638,21 @@ fn complete_epoch<O: SimObserver>(
     }
     let checker_ok = check::check(&p.spec, &p.proof.cert).is_ok();
     let hash = certificate_hash(&p.proof.cert);
-    sim.observer_mut().on_heal(
+    sim.observer_mut().on_event(
         now,
-        HealEvent::Proof {
+        &Event::Heal(HealEvent::Proof {
             epoch: p.epoch,
             latency,
             incremental: p.proof.incremental,
             acyclic: p.proof.masked_acyclic,
-        },
+        }),
     );
-    sim.observer_mut().on_heal(
+    sim.observer_mut().on_event(
         now,
-        HealEvent::Certificate {
+        &Event::Heal(HealEvent::Certificate {
             epoch: p.epoch,
             hash,
-        },
+        }),
     );
     if checker_ok {
         // Reconcile quarantine: release channels the new certificate no
@@ -659,32 +660,32 @@ fn complete_epoch<O: SimObserver>(
         for &(node, dir) in active_quarantine.iter() {
             if !p.proof.quarantine.contains(&(node, dir)) {
                 sim.set_quarantine(node, dir, false);
-                sim.observer_mut().on_heal(
+                sim.observer_mut().on_event(
                     now,
-                    HealEvent::Quarantine {
+                    &Event::Heal(HealEvent::Quarantine {
                         epoch: p.epoch,
                         slot: topo.channel_slot(node, dir) as u32,
                         on: false,
-                    },
+                    }),
                 );
             }
         }
         for &(node, dir) in &p.proof.quarantine {
             if !active_quarantine.contains(&(node, dir)) {
                 sim.set_quarantine(node, dir, true);
-                sim.observer_mut().on_heal(
+                sim.observer_mut().on_event(
                     now,
-                    HealEvent::Quarantine {
+                    &Event::Heal(HealEvent::Quarantine {
                         epoch: p.epoch,
                         slot: topo.channel_slot(node, dir) as u32,
                         on: true,
-                    },
+                    }),
                 );
             }
         }
         *active_quarantine = p.proof.quarantine.clone();
         sim.observer_mut()
-            .on_heal(now, HealEvent::TableSwap { epoch: p.epoch });
+            .on_event(now, &Event::Heal(HealEvent::TableSwap { epoch: p.epoch }));
         if let Verdict::Acyclic { numbering } = &p.proof.cert.verdict {
             *prior = Some(Prior {
                 deps: p.spec.deps.iter().copied().collect(),
@@ -719,7 +720,7 @@ mod tests {
     use turnroute_topology::{HexMesh, Mesh, NodeId};
     use turnroute_traffic::Uniform;
 
-    /// Counts every healing event forwarded through the observer hook.
+    /// Counts every healing event fired on the observer.
     #[derive(Default)]
     struct HealCounter {
         opens: u32,
@@ -730,13 +731,14 @@ mod tests {
     }
 
     impl SimObserver for HealCounter {
-        fn on_heal(&mut self, _now: u64, ev: HealEvent) {
+        fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
             match ev {
-                HealEvent::EpochOpen { .. } => self.opens += 1,
-                HealEvent::Proof { .. } => self.proofs += 1,
-                HealEvent::Certificate { .. } => self.certs += 1,
-                HealEvent::TableSwap { .. } => self.swaps += 1,
-                HealEvent::Quarantine { .. } => self.quarantines += 1,
+                Event::Heal(HealEvent::EpochOpen { .. }) => self.opens += 1,
+                Event::Heal(HealEvent::Proof { .. }) => self.proofs += 1,
+                Event::Heal(HealEvent::Certificate { .. }) => self.certs += 1,
+                Event::Heal(HealEvent::TableSwap { .. }) => self.swaps += 1,
+                Event::Heal(HealEvent::Quarantine { .. }) => self.quarantines += 1,
+                _ => {}
             }
         }
     }

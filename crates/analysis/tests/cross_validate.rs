@@ -15,7 +15,7 @@ use turnroute_analysis::certificate::Verdict;
 use turnroute_analysis::{check, extract, find_dead_end, prove, TurnSetRouting};
 use turnroute_model::{Cdg, Turn, TurnSet};
 use turnroute_rng::{Rng, SeedableRng, StdRng};
-use turnroute_sim::obs::{ChannelLayout, DeadlockSnapshot};
+use turnroute_sim::obs::{ChannelLayout, DeadlockSnapshot, Event};
 use turnroute_sim::{harness, InvariantObserver, RunTermination, Sim, SimConfig, SimObserver};
 use turnroute_topology::Mesh;
 use turnroute_traffic::Uniform;
@@ -192,15 +192,17 @@ fn planted_cyclic_vc_yields_a_witness_the_checker_accepts() {
 #[test]
 fn planted_cyclic_vc_deadlock_fires_on_deadlock_with_a_circular_wait() {
     // The behavioral side of the negative control, on the VC adapter: the
-    // planted assignment wedges under saturation, the engine fires
-    // `on_deadlock`, and the frozen waits-for graph names the worms on
-    // the circular wait (the hook and the snapshot are the one core's, so
-    // virtual channels get them without a second implementation).
+    // planted assignment wedges under saturation, the engine fires a
+    // `Deadlock` event, and the frozen waits-for graph names the worms on
+    // the circular wait (the event and the snapshot are the one core's,
+    // so virtual channels get them without a second implementation).
     #[derive(Default)]
     struct Wedge(Option<DeadlockSnapshot>);
     impl SimObserver for Wedge {
-        fn on_deadlock(&mut self, _now: u64, snapshot: &DeadlockSnapshot) {
-            self.0 = Some(snapshot.clone());
+        fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+            if let Event::Deadlock(snapshot) = ev {
+                self.0 = Some((*snapshot).clone());
+            }
         }
     }
     let mesh = Mesh::new_2d(8, 8);

@@ -13,10 +13,8 @@ use std::collections::HashSet;
 use turnroute_analysis::find_dead_end;
 use turnroute_model::FaultMasked;
 use turnroute_routing::{mesh2d, RoutingMode};
-use turnroute_sim::obs::ChannelLayout;
-use turnroute_sim::{
-    FaultPlan, InvariantObserver, LengthDist, PacketId, Sim, SimConfig, SimObserver,
-};
+use turnroute_sim::obs::{ChannelLayout, Event};
+use turnroute_sim::{FaultPlan, InvariantObserver, LengthDist, Sim, SimConfig, SimObserver};
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 use turnroute_traffic::Tornado;
 use turnroute_vc::{DoubleYAdaptive, VcSim};
@@ -31,16 +29,13 @@ struct RecoveryTrace {
 }
 
 impl SimObserver for RecoveryTrace {
-    fn on_misroute(&mut self, _now: u64, packet: PacketId, _at: NodeId, _dir: Direction) {
-        self.misrouted.insert(packet.0);
-    }
-
-    fn on_deliver(&mut self, _now: u64, packet: PacketId, _latency: u64, _hops: u32) {
-        self.delivered.insert(packet.0);
-    }
-
-    fn on_drop(&mut self, _now: u64, _packet: PacketId, _unroutable: bool) {
-        self.drops += 1;
+    fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+        match *ev {
+            Event::Misroute { packet, .. } => _ = self.misrouted.insert(packet.0),
+            Event::Deliver { packet, .. } => _ = self.delivered.insert(packet.0),
+            Event::Drop { .. } => self.drops += 1,
+            _ => {}
+        }
     }
 }
 

@@ -1,33 +1,13 @@
 //! `exp` — regenerate the paper's figures and tables.
 //!
-//! Usage:
-//!
 //! ```text
-//! exp <subcommand> [--quick] [--seed N] [--out DIR]
-//!
-//! subcommands:
-//!   fig1             Figure 1 deadlock demonstration
-//!   turn-census      Figures 2-4 + the 16-way census
-//!   turn-census-3d   the 4096-way 3D census (extension)
-//!   example-paths    Figures 5b/9b/10b path traces
-//!   numbering        Figures 6-8, Theorems 2 & 5
-//!   theorems         Theorems 1 & 6 counts
-//!   adaptiveness-2d  Section 3.4 adaptiveness table
-//!   pcube-table      Section 5 10-cube table
-//!   fig13 fig14 fig15 fig16   Section 6 sweeps
-//!   claims           Section 6 scalar claims
-//!   link-load        channel-load imbalance ablation
-//!   policy-ablation  input/output selection policy grid ([19])
-//!   nonminimal       minimal vs nonminimal, healthy and faulty
-//!   vc-ablation      no-extra-channel adaptivity vs double-y VCs
-//!   faults           graceful degradation vs failed-link fraction
-//!   scope            turnscope saturation-approach study
-//!   mc               turncheck exhaustive state-space census
-//!   synth            turnsynth escape/adaptive synthesis study
-//!   buffer-depth     input-buffer depth sensitivity
-//!   node-delay       Section 7's route-selection delay trade-off
-//!   all              everything above, written to --out
+//! exp <subcommand> [--quick] [--seed N] [--out DIR] [--metrics-out FILE] [--trace] [--inject-bad]
 //! ```
+//!
+//! The subcommands are the rows of [`ROWS`] — what each regenerates and
+//! the files it writes under `--out` (without `--out`, text goes to
+//! stdout) — plus `all`, which runs every row in table order. Running
+//! `exp` with no arguments prints the table.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,12 +36,155 @@ struct Options {
     inject_bad: bool,
 }
 
+impl Options {
+    /// The mesh side the scale-dependent tables use.
+    fn mesh_side(&self) -> u16 {
+        match self.scale {
+            Scale::Quick => 8,
+            Scale::Full => 16,
+        }
+    }
+}
+
+/// One file's content: text goes through the shared artifact writer (or
+/// to stdout), a sealed binary log is written raw and only under `--out`.
+enum Content {
+    Text(String),
+    Binary(Vec<u8>),
+}
+
+/// What one subcommand produced.
+#[derive(Default)]
+struct Produced {
+    /// Contents of the row's files, in order; a trailing optional file
+    /// (`fig1`'s trace) may be missing.
+    files: Vec<Content>,
+    /// Per-point sweep metrics, when the row ran instrumented.
+    metrics: Option<String>,
+    /// Why the process must exit nonzero once the files are written: the
+    /// study's own pass/fail contract did not hold.
+    failed: Option<String>,
+}
+
+impl Produced {
+    fn text(files: impl IntoIterator<Item = String>) -> Produced {
+        Produced {
+            files: files.into_iter().map(Content::Text).collect(),
+            ..Produced::default()
+        }
+    }
+
+    /// A study with a pass/fail contract: `what` FAILED unless `passed`.
+    fn study(md: String, passed: bool, what: &str) -> Produced {
+        Produced {
+            failed: (!passed).then(|| format!("{what} FAILED:\n{md}")),
+            ..Produced::text([md])
+        }
+    }
+}
+
+/// A subcommand: its name, what it regenerates, the files it writes, and
+/// how. Usage, dispatch and `all` all read this one table.
+struct Row {
+    name: &'static str,
+    about: &'static str,
+    files: &'static [&'static str],
+    run: fn(&Options) -> Produced,
+}
+
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    Row { name: "fig1", about: "Figure 1 deadlock demonstration (--trace: + JSONL postmortem)",
+          files: &["fig1.md", "fig1_postmortem.jsonl"],
+          run: |o| Produced::text([fig1::render()].into_iter().chain(o.trace.then(fig1::postmortem))) },
+    Row { name: "turn-census", about: "Figures 2-4 + the 16-way census",
+          files: &["turn_census.md"], run: |_| Produced::text([census::render()]) },
+    Row { name: "turn-census-3d", about: "the 4096-way 3D census (extension)",
+          files: &["turn_census_3d.md"], run: |_| Produced::text([census::render_3d()]) },
+    Row { name: "example-paths", about: "Figures 5b/9b/10b path traces",
+          files: &["example_paths.md"], run: |_| Produced::text([paths::render()]) },
+    Row { name: "numbering", about: "Figures 6-8, Theorems 2 & 5",
+          files: &["numbering.md"], run: |_| Produced::text([numbering_exp::render()]) },
+    Row { name: "theorems", about: "Theorems 1 & 6 counts",
+          files: &["theorems.md"], run: |_| Produced::text([theorems::render(6)]) },
+    Row { name: "adaptiveness-2d", about: "Section 3.4 adaptiveness table",
+          files: &["adaptiveness_2d.md"],
+          run: |o| Produced::text([adaptiveness_exp::render(o.mesh_side())]) },
+    Row { name: "pcube-table", about: "Section 5 10-cube table",
+          files: &["pcube_table.md"], run: |_| Produced::text([pcube_table::render()]) },
+    Row { name: "fig13", about: "Section 6 sweep: uniform traffic, 16x16 mesh",
+          files: &["fig13.md", "fig13.csv", "fig13.svg"], run: |o| figure(13, o) },
+    Row { name: "fig14", about: "Section 6 sweep: matrix transpose, 16x16 mesh",
+          files: &["fig14.md", "fig14.csv", "fig14.svg"], run: |o| figure(14, o) },
+    Row { name: "fig15", about: "Section 6 sweep: matrix transpose, binary 8-cube",
+          files: &["fig15.md", "fig15.csv", "fig15.svg"], run: |o| figure(15, o) },
+    Row { name: "fig16", about: "Section 6 sweep: reverse flip, binary 8-cube",
+          files: &["fig16.md", "fig16.csv", "fig16.svg"], run: |o| figure(16, o) },
+    Row { name: "claims", about: "Section 6 scalar claims",
+          files: &["claims.md"], run: |o| Produced::text([claims::render(o.scale, o.seed)]) },
+    Row { name: "link-load", about: "channel-load imbalance ablation",
+          files: &["link_load.md"], run: |o| Produced::text([render_link_load(o.seed)]) },
+    Row { name: "policy-ablation", about: "input/output selection policy grid ([19])",
+          files: &["policy_ablation.md"],
+          run: |o| {
+              let wf = mesh2d::west_first(RoutingMode::Minimal);
+              Produced::text([policies::render(&wf, o.scale, o.seed)])
+          } },
+    Row { name: "nonminimal", about: "minimal vs nonminimal, healthy and faulty",
+          files: &["nonminimal.md"],
+          run: |o| Produced::text([nonminimal_exp::render(o.scale, o.seed)]) },
+    Row { name: "vc-ablation", about: "no-extra-channel adaptivity vs double-y VCs",
+          files: &["vc_ablation.md"], run: |o| Produced::text([vc_ablation::render(o.scale, o.seed)]) },
+    Row { name: "buffer-depth", about: "input-buffer depth sensitivity",
+          files: &["buffer_depth.md"], run: |o| Produced::text([buffers::render(o.scale, o.seed)]) },
+    Row { name: "node-delay", about: "Section 7's route-selection delay trade-off",
+          files: &["node_delay.md"], run: |o| Produced::text([node_delay::render(o.scale, o.seed)]) },
+    Row { name: "faults", about: "graceful degradation vs failed-link fraction",
+          files: &["faults.md", "faults.csv", "faults.json"],
+          run: |o| Produced::text(fault_outputs(o.scale, o.seed)) },
+    // Both engines under a seeded MTTF/MTTR fault storm with the healing
+    // engine and invariant sanitizer attached; the sealed binary healing
+    // log is replayable and byte-comparable via `turnstat`.
+    Row { name: "chaos", about: "chaos-storm soak with certificate-gated healing (--inject-bad: self-test)",
+          files: &["chaos.md", "chaos_heal.ttr"],
+          run: |o| {
+              let report = chaos::soak(o.scale, o.seed, o.inject_bad);
+              let mut produced = Produced::study(report.render(), report.passed(), "chaos soak");
+              produced.files.push(Content::Binary(report.log));
+              produced
+          } },
+    // Load ramp with blame decomposition, planted collapse with
+    // early-warning lead time, clean heavy-load baseline, and chaos-storm
+    // telemetry determinism; fails unless the early-warning contract held.
+    Row { name: "scope", about: "turnscope saturation-approach study",
+          files: &["scope.md"],
+          run: |o| {
+              let report = scope::study(o.scale, o.seed);
+              Produced::study(report.render(), report.passed(), "scope study")
+          } },
+    Row { name: "mc", about: "turncheck exhaustive state-space census",
+          files: &["mc.md"],
+          run: |o| {
+              let (md, passed) = mc_exp::study(o.scale);
+              Produced::study(md, passed, "model-checking census")
+          } },
+    Row { name: "synth", about: "turnsynth escape/adaptive synthesis study",
+          files: &["synth.md"],
+          run: |o| {
+              let (md, passed) = synth_exp::study(o.scale);
+              Produced::study(md, passed, "synthesis study")
+          } },
+];
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: exp <fig1|turn-census|example-paths|numbering|theorems|adaptiveness-2d|\
-         pcube-table|fig13|fig14|fig15|fig16|claims|link-load|policy-ablation|nonminimal|vc-ablation|faults|chaos|scope|mc|synth|buffer-depth|node-delay|all> \
-         [--quick] [--seed N] [--out DIR] [--metrics-out FILE] [--trace] [--inject-bad]"
+        "usage: exp <subcommand> [--quick] [--seed N] [--out DIR] [--metrics-out FILE] \
+         [--trace] [--inject-bad]\n\nsubcommands:"
     );
+    for row in ROWS {
+        eprintln!("  {:<16} {}", row.name, row.about);
+    }
+    eprintln!("  {:<16} every subcommand above, in order", "all");
     ExitCode::FAILURE
 }
 
@@ -105,135 +228,45 @@ fn main() -> ExitCode {
         }
     }
 
+    // `--faults` accepted as an alias so the sweep reads naturally as a
+    // flag: `exp --faults --quick`.
+    let cmd = if cmd == "--faults" { "faults" } else { &cmd };
+    let selected: Vec<&Row> = ROWS
+        .iter()
+        .filter(|row| cmd == "all" || cmd == row.name)
+        .collect();
+    if selected.is_empty() {
+        return usage();
+    }
     let mut metrics_docs: Vec<String> = Vec::new();
-    let outputs: Vec<(&str, String)> = match cmd.as_str() {
-        "fig1" => {
-            let mut v = vec![("fig1.md", fig1::render())];
-            if opts.trace {
-                v.push(("fig1_postmortem.jsonl", fig1::postmortem()));
-            }
-            v
+    let mut failures: Vec<String> = Vec::new();
+    for row in selected {
+        if cmd == "all" {
+            eprintln!("running {}...", row.name);
         }
-        "turn-census" => vec![("turn_census.md", census::render())],
-        "turn-census-3d" => vec![("turn_census_3d.md", census::render_3d())],
-        "example-paths" => vec![("example_paths.md", paths::render())],
-        "numbering" => vec![("numbering.md", numbering_exp::render())],
-        "theorems" => vec![("theorems.md", theorems::render(6))],
-        "adaptiveness-2d" => {
-            let m = match opts.scale {
-                Scale::Quick => 8,
-                Scale::Full => 16,
-            };
-            vec![("adaptiveness_2d.md", adaptiveness_exp::render(m))]
-        }
-        "pcube-table" => vec![("pcube_table.md", pcube_table::render())],
-        "fig13" | "fig14" | "fig15" | "fig16" => {
-            let n: u8 = cmd[3..].parse().expect("figure number");
-            let (md, csv, svg, metrics) =
-                figure_outputs(n, opts.scale, opts.seed, opts.metrics_out.is_some());
-            metrics_docs.extend(metrics);
-            vec![
-                (leak(format!("fig{n}.md")), md),
-                (leak(format!("fig{n}.csv")), csv),
-                (leak(format!("fig{n}.svg")), svg),
-            ]
-        }
-        "claims" => vec![("claims.md", claims::render(opts.scale, opts.seed))],
-        "link-load" => vec![("link_load.md", render_link_load(opts.seed))],
-        "policy-ablation" => {
-            let wf = mesh2d::west_first(RoutingMode::Minimal);
-            vec![(
-                "policy_ablation.md",
-                policies::render(&wf, opts.scale, opts.seed),
-            )]
-        }
-        "nonminimal" => vec![(
-            "nonminimal.md",
-            nonminimal_exp::render(opts.scale, opts.seed),
-        )],
-        "vc-ablation" => vec![("vc_ablation.md", vc_ablation::render(opts.scale, opts.seed))],
-        // `--faults` accepted as an alias so the sweep reads naturally as
-        // a flag: `exp --faults --quick`.
-        "faults" | "--faults" => {
-            let (md, csv, json) = fault_outputs(opts.scale, opts.seed);
-            vec![
-                ("faults.md", md),
-                ("faults.csv", csv),
-                ("faults.json", json),
-            ]
-        }
-        "chaos" => return run_chaos(&opts),
-        "scope" => return run_scope(&opts),
-        "mc" => return run_mc(&opts),
-        "synth" => return run_synth(&opts),
-        "buffer-depth" => vec![("buffer_depth.md", buffers::render(opts.scale, opts.seed))],
-        "node-delay" => vec![("node_delay.md", node_delay::render(opts.scale, opts.seed))],
-        "all" => {
-            let mut v: Vec<(&str, String)> = vec![
-                ("fig1.md", fig1::render()),
-                ("turn_census.md", census::render()),
-                ("turn_census_3d.md", census::render_3d()),
-                ("example_paths.md", paths::render()),
-                ("numbering.md", numbering_exp::render()),
-                ("theorems.md", theorems::render(6)),
-                (
-                    "adaptiveness_2d.md",
-                    adaptiveness_exp::render(match opts.scale {
-                        Scale::Quick => 8,
-                        Scale::Full => 16,
-                    }),
-                ),
-                ("pcube_table.md", pcube_table::render()),
-            ];
-            for n in [13u8, 14, 15, 16] {
-                eprintln!("running figure {n} sweeps...");
-                let (md, csv, svg, metrics) =
-                    figure_outputs(n, opts.scale, opts.seed, opts.metrics_out.is_some());
-                metrics_docs.extend(metrics);
-                v.push((leak(format!("fig{n}.md")), md));
-                v.push((leak(format!("fig{n}.csv")), csv));
-                v.push((leak(format!("fig{n}.svg")), svg));
-            }
-            eprintln!("measuring claims...");
-            v.push(("claims.md", claims::render(opts.scale, opts.seed)));
-            eprintln!("running ablations...");
-            v.push(("link_load.md", render_link_load(opts.seed)));
-            let wf = mesh2d::west_first(RoutingMode::Minimal);
-            v.push((
-                "policy_ablation.md",
-                policies::render(&wf, opts.scale, opts.seed),
-            ));
-            v.push((
-                "nonminimal.md",
-                nonminimal_exp::render(opts.scale, opts.seed),
-            ));
-            v.push(("vc_ablation.md", vc_ablation::render(opts.scale, opts.seed)));
-            v.push(("buffer_depth.md", buffers::render(opts.scale, opts.seed)));
-            v.push(("node_delay.md", node_delay::render(opts.scale, opts.seed)));
-            eprintln!("running fault-injection sweeps...");
-            let (md, csv, json) = fault_outputs(opts.scale, opts.seed);
-            v.push(("faults.md", md));
-            v.push(("faults.csv", csv));
-            v.push(("faults.json", json));
-            v
-        }
-        _ => return usage(),
-    };
-
-    for (name, content) in outputs {
-        match &opts.out {
-            Some(dir) => {
-                // The shared artifact writer normalizes every file to
-                // exactly one trailing newline, so reruns are
-                // byte-identical and diff- and POSIX-tool-friendly.
-                let path = dir.join(name);
-                if let Err(e) = artifact::write_artifact(&path, &content) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
+        let produced = (row.run)(&opts);
+        metrics_docs.extend(produced.metrics);
+        failures.extend(produced.failed);
+        for (name, content) in row.files.iter().zip(produced.files) {
+            let Some(dir) = &opts.out else {
+                if let Content::Text(text) = content {
+                    println!("{}", artifact::normalized(text));
                 }
-                eprintln!("wrote {}", path.display());
+                continue;
+            };
+            let path = dir.join(name);
+            let written = match content {
+                // The shared artifact writer normalizes every text file
+                // to exactly one trailing newline, so reruns are
+                // byte-identical and diff- and POSIX-tool-friendly.
+                Content::Text(text) => artifact::write_artifact(&path, &text),
+                Content::Binary(bytes) => std::fs::write(&path, bytes),
+            };
+            if let Err(e) = written {
+                eprintln!("cannot write {}: {e}", path.display());
+                return ExitCode::FAILURE;
             }
-            None => println!("{}", artifact::normalized(content)),
+            eprintln!("wrote {}", path.display());
         }
     }
     if let Some(path) = &opts.metrics_out {
@@ -252,118 +285,19 @@ fn main() -> ExitCode {
         }
         eprintln!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
-}
-
-/// Run the chaos-storm soak: both engines under a seeded MTTF/MTTR fault
-/// storm with the healing engine and invariant sanitizer attached. Writes
-/// `chaos.md` plus the sealed binary healing log `chaos_heal.ttr`
-/// (replayable and byte-comparable via `turnstat`), and fails the process
-/// unless the soak passed.
-fn run_chaos(opts: &Options) -> ExitCode {
-    let report = chaos::soak(opts.scale, opts.seed, opts.inject_bad);
-    let md = report.render();
-    match &opts.out {
-        Some(dir) => {
-            if let Err(e) = artifact::write_artifact(&dir.join("chaos.md"), &md) {
-                eprintln!("cannot write chaos.md: {e}");
-                return ExitCode::FAILURE;
-            }
-            let ttr = dir.join("chaos_heal.ttr");
-            if let Err(e) = std::fs::write(&ttr, &report.log) {
-                eprintln!("cannot write {}: {e}", ttr.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", dir.join("chaos.md").display());
-            eprintln!("wrote {}", ttr.display());
-        }
-        None => println!("{}", artifact::normalized(md)),
+    for failure in &failures {
+        eprintln!("{failure}");
     }
-    if report.passed() {
+    if failures.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("chaos soak FAILED:\n{}", report.render());
-        ExitCode::FAILURE
-    }
-}
-
-/// Run the turnscope saturation-approach study: load ramp with blame
-/// decomposition, planted collapse with early-warning lead time, clean
-/// heavy-load baseline, and chaos-storm telemetry determinism. Writes
-/// `scope.md` and fails the process unless the early-warning contract
-/// held.
-fn run_scope(opts: &Options) -> ExitCode {
-    let report = scope::study(opts.scale, opts.seed);
-    let md = report.render();
-    match &opts.out {
-        Some(dir) => {
-            if let Err(e) = artifact::write_artifact(&dir.join("scope.md"), &md) {
-                eprintln!("cannot write scope.md: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", dir.join("scope.md").display());
-        }
-        None => println!("{}", artifact::normalized(md)),
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("scope study FAILED:\n{}", report.render());
-        ExitCode::FAILURE
-    }
-}
-
-/// Run the turncheck state-space census: the full model-checking matrix
-/// rendered as a markdown table of reachable-state counts and verdicts.
-/// Writes `mc.md` and fails the process unless every configuration met
-/// its expectation.
-fn run_mc(opts: &Options) -> ExitCode {
-    let (md, passed) = mc_exp::study(opts.scale);
-    match &opts.out {
-        Some(dir) => {
-            if let Err(e) = artifact::write_artifact(&dir.join("mc.md"), &md) {
-                eprintln!("cannot write mc.md: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", dir.join("mc.md").display());
-        }
-        None => println!("{}", artifact::normalized(md)),
-    }
-    if passed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("model-checking census FAILED");
-        ExitCode::FAILURE
-    }
-}
-
-/// Run the turnsynth synthesis study: every cyclic configuration of the
-/// proof matrix split into certified escape/adaptive classes, rendered as
-/// a markdown table with the live cross-validations. Writes `synth.md`
-/// and fails the process unless every synthesis was certified.
-fn run_synth(opts: &Options) -> ExitCode {
-    let (md, passed) = synth_exp::study(opts.scale);
-    match &opts.out {
-        Some(dir) => {
-            if let Err(e) = artifact::write_artifact(&dir.join("synth.md"), &md) {
-                eprintln!("cannot write synth.md: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", dir.join("synth.md").display());
-        }
-        None => println!("{}", artifact::normalized(md)),
-    }
-    if passed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("synthesis study FAILED");
         ExitCode::FAILURE
     }
 }
 
 /// Run the graceful-degradation sweep: every turn-model algorithm over
 /// the same random link-failure patterns on a uniform-traffic mesh.
-fn fault_outputs(scale: Scale, seed: u64) -> (String, String, String) {
+fn fault_outputs(scale: Scale, seed: u64) -> [String; 3] {
     let m = match scale {
         Scale::Quick => 8,
         Scale::Full => 16,
@@ -382,11 +316,11 @@ fn fault_outputs(scale: Scale, seed: u64) -> (String, String, String) {
         .map(|alg| faults::fault_sweep(&mesh, alg.as_ref(), &uniform, &fractions, scale, seed))
         .collect();
     let title = format!("Graceful degradation under link faults, {m}x{m} mesh");
-    (
+    [
         faults::to_markdown(&curves, &title),
         faults::to_csv(&curves),
         faults::to_json(&curves, &title),
-    )
+    ]
 }
 
 fn render_link_load(seed: u64) -> String {
@@ -398,19 +332,11 @@ fn render_link_load(seed: u64) -> String {
     linkload::render(&algorithms, &MeshTranspose::new(), seed)
 }
 
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
-}
-
 /// Run one figure's sweeps once and render all artifacts from them;
-/// `instrument` additionally captures per-point channel heatmaps and
-/// latency histograms and returns them as a JSON document.
-fn figure_outputs(
-    n: u8,
-    scale: Scale,
-    seed: u64,
-    instrument: bool,
-) -> (String, String, String, Option<String>) {
+/// under `--metrics-out` additionally capture per-point channel heatmaps
+/// and latency histograms as a JSON document.
+fn figure(n: u8, opts: &Options) -> Produced {
+    let (scale, seed, instrument) = (opts.scale, opts.seed, opts.metrics_out.is_some());
     let (sweeps, title) = match n {
         13 => (
             figures::fig13(scale, seed, instrument),
@@ -428,9 +354,8 @@ fn figure_outputs(
             figures::fig16(scale, seed, instrument),
             "Figure 16: reverse-flip traffic, binary 8-cube",
         ),
-        _ => unreachable!("validated above"),
+        _ => unreachable!("the table names figures 13 to 16"),
     };
-    let metrics = instrument.then(|| turnroute_experiments::sweep::metrics_json(&sweeps, title));
     let md = turnroute_experiments::sweep::to_markdown(&sweeps, title);
     let mut csv = String::new();
     for (i, s) in sweeps.iter().enumerate() {
@@ -443,5 +368,8 @@ fn figure_outputs(
         }
     }
     let svg = turnroute_experiments::plot::latency_vs_throughput_svg(&sweeps, title, 120.0);
-    (md, csv, svg, metrics)
+    Produced {
+        metrics: instrument.then(|| turnroute_experiments::sweep::metrics_json(&sweeps, title)),
+        ..Produced::text([md, csv, svg])
+    }
 }

@@ -28,26 +28,25 @@ use turnroute_obslog::log::fnv1a64;
 use turnroute_obslog::LogObserver;
 use turnroute_routing::{mesh2d, RoutingMode};
 use turnroute_sim::harness::{chaos_plan, StormSpec};
-use turnroute_sim::obs::ChannelLayout;
-use turnroute_sim::{HealEvent, InvariantObserver, InvariantSummary, SimConfig, SimObserver};
+use turnroute_sim::obs::{ChannelLayout, Event};
+use turnroute_sim::{InvariantObserver, InvariantSummary, SimConfig, SimObserver};
 use turnroute_topology::{Mesh, Topology};
 use turnroute_traffic::Uniform;
 use turnroute_vc::{DoubleYAdaptive, VcSim};
 
-/// Forwards only the healing protocol — fault transitions and
-/// [`HealEvent`]s — into a TTRL log. The resulting *healing log* stays
+/// Forwards only the healing protocol — [`Event::Fault`] transitions and
+/// [`Event::Heal`]s — into a TTRL log. The resulting *healing log* stays
 /// kilobytes even over million-cycle storms, replays through `turnstat`
 /// like any other log, and is the byte-compared determinism witness of
 /// the chaos CI gate.
 pub struct HealingLog(pub LogObserver);
 
 impl SimObserver for HealingLog {
-    fn on_fault(&mut self, now: u64, slot: usize, active: bool) {
-        self.0.on_fault(now, slot, active);
-    }
-
-    fn on_heal(&mut self, now: u64, ev: HealEvent) {
-        self.0.on_heal(now, ev);
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        if matches!(ev, Event::Fault { .. } | Event::Heal(_)) {
+            self.0.on_event(now, ev);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The replay-equivalence aggregate stack.
 //!
 //! [`ReplayableAggregates`] derives everything it reports *purely from
-//! observer hooks* — never from engine internals — which is exactly what
+//! observed events* — never from engine internals — which is exactly what
 //! makes it replayable: drive it live beside a [`crate::LogObserver`] or
 //! re-drive it from the recorded log, and it lands in the same state, byte
 //! for byte. It carries the PR 1 collectors (latency histogram, channel
@@ -9,14 +9,10 @@
 
 use crate::artifact::JsonObject;
 use crate::metrics::{self, Registry};
-use turnroute_model::Turn;
-use turnroute_sim::obs::{
-    ChannelHeatmap, ChannelLayout, DeadlockSnapshot, StallReason, StreamingHistogram, TurnCensus,
-};
-use turnroute_sim::{Alert, BlameTotals, PacketBlame, PacketId, SimObserver, TelemetryFrame};
-use turnroute_topology::{Direction, NodeId};
+use turnroute_sim::obs::{ChannelHeatmap, ChannelLayout, Event, StreamingHistogram, TurnCensus};
+use turnroute_sim::{BlameTotals, SimObserver};
 
-/// Hook-derived aggregates that replay bit-identically from a log.
+/// Event-derived aggregates that replay bit-identically from a log.
 #[derive(Debug, Clone)]
 pub struct ReplayableAggregates {
     /// Per-channel load and stall-attribution heatmap.
@@ -88,7 +84,7 @@ impl ReplayableAggregates {
         self.deadlocked
     }
 
-    /// Final cycle the stack saw (via `on_cycle_end`).
+    /// Final cycle the stack saw end.
     pub fn last_cycle(&self) -> u64 {
         self.last_cycle
     }
@@ -226,84 +222,43 @@ impl ReplayableAggregates {
 }
 
 impl SimObserver for ReplayableAggregates {
-    fn on_inject(&mut self, _now: u64, _packet: PacketId, _src: NodeId, _dst: NodeId, len: u32) {
-        self.injected_packets += 1;
-        self.injected_flits += u64::from(len);
-    }
-
-    fn on_flit_advance(
-        &mut self,
-        now: u64,
-        from: usize,
-        to: Option<usize>,
-        packet: PacketId,
-        is_tail: bool,
-    ) {
-        if to.is_none() {
-            self.consumed_flits += 1;
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        self.heatmap.on_event(now, ev);
+        self.census.on_event(now, ev);
+        match *ev {
+            Event::Inject { len, .. } => {
+                self.injected_packets += 1;
+                self.injected_flits += u64::from(len);
+            }
+            Event::FlitSource { .. } => self.sourced_flits += 1,
+            Event::FlitAdvance { to: None, .. } => self.consumed_flits += 1,
+            Event::Misroute { .. } => self.misroutes += 1,
+            Event::Deliver { latency, hops, .. } => {
+                self.delivered_packets += 1;
+                self.latency.record(latency);
+                self.hops.record(u64::from(hops));
+            }
+            Event::Blame { blame, .. } => {
+                self.blamed_packets += 1;
+                let sum = &mut self.blame;
+                sum.queue_cycles = sum.queue_cycles.saturating_add(blame.queue_cycles);
+                sum.blocked_cycles = sum.blocked_cycles.saturating_add(blame.blocked_cycles);
+                sum.service_cycles = sum.service_cycles.saturating_add(blame.service_cycles);
+                sum.misroute_cycles = sum.misroute_cycles.saturating_add(blame.misroute_cycles);
+            }
+            Event::Fault { .. } => self.faults += 1,
+            Event::Drop { unroutable, .. } => {
+                self.drops += 1;
+                self.unroutable_drops += u64::from(unroutable);
+            }
+            Event::Purge { .. } => self.purges += 1,
+            Event::CycleEnd => self.last_cycle = now,
+            Event::Deadlock(_) => self.deadlocked = true,
+            Event::Frame(_) => self.frames += 1,
+            Event::Alert(_) => self.alerts += 1,
+            _ => {}
         }
-        self.heatmap.on_flit_advance(now, from, to, packet, is_tail);
-    }
-
-    fn on_turn(&mut self, now: u64, packet: PacketId, at: NodeId, turn: Turn) {
-        self.census.on_turn(now, packet, at, turn);
-    }
-
-    fn on_misroute(&mut self, _now: u64, _packet: PacketId, _at: NodeId, _dir: Direction) {
-        self.misroutes += 1;
-    }
-
-    fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-        self.heatmap.on_stall(now, slot, packet, reason);
-    }
-
-    fn on_deliver(&mut self, _now: u64, _packet: PacketId, latency: u64, hops: u32) {
-        self.delivered_packets += 1;
-        self.latency.record(latency);
-        self.hops.record(u64::from(hops));
-    }
-
-    fn on_deadlock(&mut self, _now: u64, _snapshot: &DeadlockSnapshot) {
-        self.deadlocked = true;
-    }
-
-    fn on_fault(&mut self, _now: u64, _slot: usize, _active: bool) {
-        self.faults += 1;
-    }
-
-    fn on_drop(&mut self, _now: u64, _packet: PacketId, unroutable: bool) {
-        self.drops += 1;
-        if unroutable {
-            self.unroutable_drops += 1;
-        }
-    }
-
-    fn on_flit_source(&mut self, _now: u64, _slot: usize, _packet: PacketId, _is_tail: bool) {
-        self.sourced_flits += 1;
-    }
-
-    fn on_purge(&mut self, _now: u64, _packet: PacketId) {
-        self.purges += 1;
-    }
-
-    fn on_blame(&mut self, _now: u64, _packet: PacketId, blame: PacketBlame) {
-        self.blamed_packets += 1;
-        self.blame.queue_cycles += blame.queue_cycles;
-        self.blame.blocked_cycles += blame.blocked_cycles;
-        self.blame.service_cycles += blame.service_cycles;
-        self.blame.misroute_cycles += blame.misroute_cycles;
-    }
-
-    fn on_frame(&mut self, _now: u64, _frame: &TelemetryFrame) {
-        self.frames += 1;
-    }
-
-    fn on_alert(&mut self, _now: u64, _alert: &Alert) {
-        self.alerts += 1;
-    }
-
-    fn on_cycle_end(&mut self, now: u64) {
-        self.last_cycle = now;
     }
 }
 
@@ -314,7 +269,7 @@ mod tests {
     use crate::replay::replay;
     use turnroute_routing::{mesh2d, RoutingMode};
     use turnroute_sim::{FaultPlan, Sim, SimConfig};
-    use turnroute_topology::Mesh;
+    use turnroute_topology::{Direction, Mesh, NodeId};
     use turnroute_traffic::Uniform;
 
     #[test]

@@ -47,15 +47,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use turnroute_obslog::log::fnv1a64;
 use turnroute_obslog::{
-    artifact, frame_offsets, metrics, replay, scenario, verify_bytes, Registry,
-    ReplayableAggregates,
+    artifact, frame_offsets, metrics, replay, scenario, verify_bytes, FrameScope, LogSummary,
+    Registry, ReplayableAggregates,
 };
-use turnroute_sim::obs::{ChannelLayout, ChannelWindow, StallReason, StreamingHistogram};
+use turnroute_sim::obs::{ChannelLayout, ChannelWindow, Event, StreamingHistogram};
 use turnroute_sim::{
-    Alert, AlertKind, DetectorBank, FrameCollector, HealEvent, NoopObserver, PacketId,
-    PhaseProfiler, Sim, SimObserver, TelemetryFrame,
+    Alert, AlertKind, DetectorBank, NoopObserver, PhaseProfiler, Sim, SimObserver, TelemetryFrame,
 };
-use turnroute_topology::NodeId;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -232,61 +230,11 @@ struct FrameStream {
 }
 
 impl SimObserver for FrameStream {
-    fn on_frame(&mut self, _now: u64, frame: &TelemetryFrame) {
-        self.frames.push(frame.clone());
-    }
-    fn on_alert(&mut self, _now: u64, alert: &Alert) {
-        self.alerts.push(*alert);
-    }
-}
-
-/// Re-derives frames and alerts from the raw hook stream, ignoring the
-/// logged frame/alert events entirely. Starts deliberately undersized
-/// (one channel slot) — the collector and bank grow themselves from the
-/// slots the stream actually touches, so a matching result really is
-/// re-derived, not copied.
-struct Rederive {
-    collector: FrameCollector,
-    bank: DetectorBank,
-    frames: Vec<TelemetryFrame>,
-    alerts: Vec<Alert>,
-}
-
-impl SimObserver for Rederive {
-    fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-        self.collector.on_inject(now, packet, src, dst, len);
-    }
-    fn on_flit_advance(
-        &mut self,
-        now: u64,
-        from: usize,
-        to: Option<usize>,
-        packet: PacketId,
-        is_tail: bool,
-    ) {
-        self.collector
-            .on_flit_advance(now, from, to, packet, is_tail);
-    }
-    fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-        self.collector.on_stall(now, slot, packet, reason);
-    }
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-        self.collector.on_deliver(now, packet, latency, hops);
-    }
-    fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-        self.collector.on_drop(now, packet, unroutable);
-    }
-    fn on_purge(&mut self, now: u64, packet: PacketId) {
-        self.collector.on_purge(now, packet);
-    }
-    fn on_heal(&mut self, now: u64, ev: HealEvent) {
-        self.collector.on_heal(now, ev);
-    }
-    fn on_cycle_end(&mut self, now: u64) {
-        self.collector.on_cycle_end(now);
-        for frame in self.collector.take_frames() {
-            self.alerts.extend(self.bank.push(&frame));
-            self.frames.push(frame);
+    fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+        match *ev {
+            Event::Frame(frame) => self.frames.push(frame.clone()),
+            Event::Alert(alert) => self.alerts.push(*alert),
+            _ => {}
         }
     }
 }
@@ -300,10 +248,13 @@ fn frames_cmd(c: &Common) -> ExitCode {
         return frames_inject_bad(&bytes);
     }
     let mut stream = FrameStream::default();
-    if let Err(e) = replay(&bytes, &mut stream) {
-        eprintln!("turnstat: rejected: {e}");
-        return ExitCode::FAILURE;
-    }
+    let header = match replay(&bytes, &mut stream) {
+        Ok(LogSummary { header, .. }) => header,
+        Err(e) => {
+            eprintln!("turnstat: rejected: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if stream.frames.is_empty() {
         eprintln!("turnstat frames: log carries no telemetry frames (record without frames?)");
         return ExitCode::FAILURE;
@@ -333,31 +284,28 @@ fn frames_cmd(c: &Common) -> ExitCode {
         }
     }
     if c.check {
-        // Frame 0 opens at cycle 0, so its window length *is* the cadence
-        // — no out-of-band configuration needed to re-derive.
+        // Re-derive frames and alerts from the raw event stream with a
+        // fresh scope, which ignores the logged frame/alert events
+        // entirely. Frame 0 opens at cycle 0, so its window length *is*
+        // the cadence — no out-of-band configuration needed.
         let cadence = stream.frames[0].window_len();
-        let mut re = Rederive {
-            collector: FrameCollector::new(1, cadence),
-            bank: DetectorBank::new(1),
-            frames: Vec::new(),
-            alerts: Vec::new(),
-        };
+        let mut re = FrameScope::new(&header, cadence);
         if let Err(e) = replay(&bytes, &mut re) {
             eprintln!("turnstat: rejected: {e}");
             return ExitCode::FAILURE;
         }
-        if re.frames != stream.frames {
+        if re.frames() != stream.frames {
             eprintln!(
                 "turnstat frames: re-derived frames DIFFER from logged frames ({} vs {})",
-                re.frames.len(),
+                re.frames().len(),
                 stream.frames.len()
             );
             return ExitCode::FAILURE;
         }
-        if re.alerts != stream.alerts {
+        if re.alerts() != stream.alerts {
             eprintln!(
                 "turnstat frames: re-derived alerts DIFFER from logged alerts ({} vs {})",
-                re.alerts.len(),
+                re.alerts().len(),
                 stream.alerts.len()
             );
             return ExitCode::FAILURE;

@@ -108,7 +108,13 @@ pub fn decode_frame_payload(bytes: &[u8]) -> Result<TelemetryFrame, String> {
     for _ in 0..n_pairs {
         pairs.push((r.varint()?, r.varint()?));
     }
-    let latency = StreamingHistogram::from_raw(sum, min, max, &pairs);
+    if window_start > window_end || window_end == u64::MAX {
+        return Err(format!(
+            "frame window {window_start}..={window_end} is not a cycle range"
+        ));
+    }
+    let latency = StreamingHistogram::from_raw(sum, min, max, &pairs)
+        .ok_or_else(|| "latency sketch buckets are not a histogram's".to_string())?;
     let n_channels = r.varint()? as usize;
     let mut channels = Vec::with_capacity(n_channels.min(4096));
     for _ in 0..n_channels {

@@ -1,14 +1,17 @@
 //! `turntrace`: recording/replay observability for the turn-model
 //! simulators.
 //!
-//! Four pieces, layered on the engines' existing
-//! [`turnroute_sim::SimObserver`] hooks:
+//! Six pieces, layered on the one event vocabulary every
+//! [`turnroute_sim::SimObserver`] sees ([`turnroute_sim::obs::Event`]):
 //!
 //! * [`log`] — an append-only binary event log. A [`log::LogObserver`]
-//!   rides a run and serializes every hook firing (injections, turns,
+//!   rides a run and serializes every event (injections, turns,
 //!   arbitration outcomes, fault transitions, drops, deliveries) behind a
 //!   versioned header that names the configuration hash, seed, fault
 //!   plan, and turn set, so a `.ttr` file is self-describing.
+//! * [`codec`] — the body format, stated once: per event kind its tag,
+//!   its name, its encoder and its range-checking decoder, all from one
+//!   table row. The recorder and the reader both come through it.
 //! * [`replay()`] — a reader that re-drives *any* observer stack from a log
 //!   without re-simulating. Recording the same `(config, seed)` twice
 //!   yields byte-identical logs, and replaying a log through
@@ -69,6 +72,7 @@
 
 pub mod aggregates;
 pub mod artifact;
+pub mod codec;
 pub mod frame_codec;
 pub mod log;
 pub mod metrics;
@@ -76,7 +80,7 @@ pub mod replay;
 pub mod scenario;
 
 pub use aggregates::ReplayableAggregates;
-pub use log::{LogHeader, LogObserver};
+pub use log::{FrameScope, LogHeader, LogObserver};
 pub use metrics::Registry;
 pub use replay::{
     frame_offsets, replay, replay_bounded, summarize, verify_bytes, LogError, LogSummary,

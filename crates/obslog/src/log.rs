@@ -16,92 +16,42 @@
 //! declared turn set, traffic pattern, seed, the full canonical
 //! configuration (fault plan included) and its hash.
 //!
-//! Events are a tag byte followed by LEB128 varint fields. Cycle numbers
-//! are delta-encoded: a `CycleAdvance` event moves the clock, and every
-//! following event implicitly happens at the current cycle. Recording the
-//! same `(config, seed)` twice yields byte-identical logs because the
-//! engine is deterministic and this encoding has exactly one form per
-//! event stream.
+//! The body is the serialized [`Event`] stream; [`crate::codec`] states
+//! every kind's tag and operands. Cycle numbers are delta-encoded: a
+//! `CYCLE_ADVANCE` moves the clock, and every following event implicitly
+//! happens at the current cycle. Recording the same `(config, seed)`
+//! twice yields byte-identical logs because the engine is deterministic
+//! and this encoding has exactly one form per event stream.
 //!
-//! Arbitration outcomes are captured by the existing hook vocabulary:
+//! Arbitration outcomes are captured by the event vocabulary itself:
 //! winners appear as `Turn` events (the grant names the turn taken) and
 //! losers as `Stall` events with the `NotRouted` reason.
 //!
 //! # Telemetry frames
 //!
 //! A recorder built with [`LogObserver::with_frames`] additionally rides
-//! a [`FrameCollector`] and a [`DetectorBank`]: every `cadence` cycles it
-//! seals a telemetry frame and writes it into the stream as a `Frame`
-//! event (length-prefixed, see [`crate::frame_codec`]), followed by any
-//! early-warning `Alert` events the detectors raise on that frame. Frames
-//! are derived purely from the same hooks the log records, so replaying
-//! the log through a fresh collector re-seals byte-identical frames —
-//! `turnstat frames --check` enforces exactly that. Per-packet latency
-//! blame decompositions arrive through the `on_blame` hook and serialize
-//! as `Blame` events whether or not frames are enabled.
+//! a [`FrameScope`]: every `cadence` cycles it seals a telemetry frame
+//! and writes it into the stream as a `Frame` event (length-prefixed,
+//! see [`crate::frame_codec`]), followed by any early-warning `Alert`
+//! events the detectors raise on that frame. Frames are derived purely
+//! from the same events the log records, so replaying the log through a
+//! fresh scope re-seals byte-identical frames — `turnstat frames --check`
+//! enforces exactly that.
 
-use turnroute_model::{RoutingFunction, Turn};
-use turnroute_sim::obs::{ChannelLayout, DeadlockSnapshot, StallReason};
+use crate::codec::{self, tag};
+use turnroute_model::RoutingFunction;
+use turnroute_sim::obs::{ChannelLayout, Event};
 use turnroute_sim::{
-    Alert, DetectorBank, FaultTarget, FrameCollector, HealEvent, LengthDist, PacketBlame, PacketId,
-    SimConfig, TelemetryFrame,
+    Alert, DetectorBank, FaultTarget, FrameCollector, LengthDist, SimConfig, SimObserver,
+    TelemetryFrame,
 };
-use turnroute_topology::{Direction, NodeId, Topology};
+use turnroute_topology::Topology;
 use turnroute_traffic::TrafficPattern;
 
 /// First four bytes of every log file.
 pub const MAGIC: [u8; 4] = *b"TTRL";
 /// Current format version.
 pub const VERSION: u16 = 1;
-
-/// Event tag bytes. Tag 0 terminates the stream.
-pub mod tag {
-    /// End of stream; followed by the event count and checksum.
-    pub const END: u8 = 0;
-    /// Advance the implicit cycle clock by a varint delta.
-    pub const CYCLE_ADVANCE: u8 = 1;
-    /// A packet started streaming into the network.
-    pub const INJECT: u8 = 2;
-    /// A flit was pushed into an injection buffer.
-    pub const FLIT_SOURCE: u8 = 3;
-    /// A flit crossed between channel buffers (or was consumed).
-    pub const ADVANCE: u8 = 4;
-    /// A header won arbitration and turned at a router.
-    pub const TURN: u8 = 5;
-    /// A header took an unproductive channel.
-    pub const MISROUTE: u8 = 6;
-    /// An occupied channel advanced nothing (arbitration loser or
-    /// backpressure).
-    pub const STALL: u8 = 7;
-    /// A packet's tail was consumed at its destination.
-    pub const DELIVER: u8 = 8;
-    /// A scheduled fault changed a channel's state.
-    pub const FAULT: u8 = 9;
-    /// A packet was dropped after exhausting lifetime and retries.
-    pub const DROP: u8 = 10;
-    /// A packet's flits were purged from the network (retry or drop).
-    pub const PURGE: u8 = 11;
-    /// The engine finished every phase of the current cycle.
-    pub const CYCLE_END: u8 = 12;
-    /// Deadlock detection tripped; carries the frozen waits-for graph.
-    pub const DEADLOCK: u8 = 13;
-    /// A fault transition opened (or extended) a reconfiguration epoch.
-    pub const HEAL_EPOCH: u8 = 14;
-    /// An epoch's re-proof finished (latency, incremental, verdict).
-    pub const HEAL_PROOF: u8 = 15;
-    /// The checker validated an epoch's certificate; carries its hash.
-    pub const HEAL_CERT: u8 = 16;
-    /// Routing swapped to an epoch's newly certified masked relation.
-    pub const HEAL_SWAP: u8 = 17;
-    /// A channel entered or left quarantine (escape-path-only mode).
-    pub const HEAL_QUARANTINE: u8 = 18;
-    /// A delivered packet's latency blame decomposition.
-    pub const BLAME: u8 = 19;
-    /// A sealed telemetry frame; length-prefixed versioned payload.
-    pub const FRAME: u8 = 20;
-    /// An early-warning detector fired on the frame stream.
-    pub const ALERT: u8 = 21;
-}
 
 /// Append `v` as an LEB128 varint.
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -329,28 +279,91 @@ impl LogHeader {
     }
 }
 
-/// A [`turnroute_sim::SimObserver`] that serializes every hook firing into
-/// the binary log format. Compose it with other collectors via the tuple
-/// observer; call [`LogObserver::finish`] after the run to seal the log
-/// with its trailer and checksum.
+/// A [`SimObserver`] that serializes every [`Event`] into the binary log
+/// format. Compose it with other collectors via the tuple observer; call
+/// [`LogObserver::finish`] after the run to seal the log with its trailer
+/// and checksum.
 #[derive(Debug, Clone)]
 pub struct LogObserver {
-    buf: Vec<u8>,
-    cycle: u64,
-    events: u64,
+    stream: Stream,
     frames: Option<FrameScope>,
 }
 
-/// The streaming-telemetry attachment of a frame-enabled recorder: the
-/// collector that seals windows, the detector bank that watches them, and
-/// copies of everything emitted (for in-process consumers like the CI
-/// live-vs-replayed comparison).
+/// The bytes written so far and the clock they stand at.
 #[derive(Debug, Clone)]
-struct FrameScope {
+struct Stream {
+    buf: Vec<u8>,
+    cycle: u64,
+    events: u64,
+}
+
+impl Stream {
+    /// Append `ev` at cycle `now`, moving the clock first if need be.
+    fn write(&mut self, now: u64, ev: &Event<'_>) {
+        if now != self.cycle {
+            debug_assert!(now > self.cycle, "simulated time is monotone");
+            self.buf.push(tag::CYCLE_ADVANCE);
+            write_varint(&mut self.buf, now - self.cycle);
+            self.cycle = now;
+            self.events += 1;
+        }
+        codec::encode(ev, &mut self.buf);
+        self.events += 1;
+    }
+}
+
+/// Streaming telemetry over an event stream: the collector that seals
+/// windows, the detector bank that watches them, and everything the two
+/// have emitted so far. Purely event-derived, so a scope riding a live
+/// run and one re-driven from that run's log hold the same frames and
+/// alerts (`turnstat frames --check`).
+#[derive(Debug, Clone)]
+pub struct FrameScope {
     collector: FrameCollector,
     bank: DetectorBank,
-    sealed: Vec<TelemetryFrame>,
+    frames: Vec<TelemetryFrame>,
     alerts: Vec<Alert>,
+}
+
+impl FrameScope {
+    /// A scope sealing one frame per `cadence` cycles, pre-sized for
+    /// `header`'s network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cadence` is zero.
+    pub fn new(header: &LogHeader, cadence: u64) -> FrameScope {
+        let layout = ChannelLayout::new(header.nodes as usize, header.dims as usize);
+        FrameScope {
+            collector: FrameCollector::new(layout.num_channels, cadence),
+            bank: DetectorBank::new(layout.num_channels),
+            frames: Vec::new(),
+            alerts: Vec::new(),
+        }
+    }
+
+    /// Telemetry frames sealed so far.
+    pub fn frames(&self) -> &[TelemetryFrame] {
+        &self.frames
+    }
+
+    /// Early-warning alerts raised so far.
+    pub fn alerts(&self) -> &[Alert] {
+        &self.alerts
+    }
+}
+
+impl SimObserver for FrameScope {
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        self.collector.on_event(now, ev);
+        if matches!(ev, Event::CycleEnd) {
+            for frame in self.collector.take_frames() {
+                self.alerts.extend(self.bank.push(&frame));
+                self.frames.push(frame);
+            }
+        }
+    }
 }
 
 impl LogObserver {
@@ -374,10 +387,9 @@ impl LogObserver {
         let text = header.to_text();
         buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
         buf.extend_from_slice(text.as_bytes());
+        let (cycle, events) = (0, 0);
         LogObserver {
-            buf,
-            cycle: 0,
-            events: 0,
+            stream: Stream { buf, cycle, events },
             frames: None,
         }
     }
@@ -396,13 +408,7 @@ impl LogObserver {
     /// Panics if `cadence` is zero.
     pub fn with_frames(header: &LogHeader, cadence: u64) -> LogObserver {
         let mut log = LogObserver::with_header(header);
-        let layout = ChannelLayout::new(header.nodes as usize, header.dims as usize);
-        log.frames = Some(FrameScope {
-            collector: FrameCollector::new(layout.num_channels, cadence),
-            bank: DetectorBank::new(layout.num_channels),
-            sealed: Vec::new(),
-            alerts: Vec::new(),
-        });
+        log.frames = Some(FrameScope::new(header, cadence));
         log
     }
 
@@ -424,275 +430,60 @@ impl LogObserver {
 
     /// Events recorded so far (cycle advances included).
     pub fn events(&self) -> u64 {
-        self.events
+        self.stream.events
     }
 
     /// Telemetry frames sealed so far (empty unless frame-enabled).
     pub fn frames(&self) -> &[TelemetryFrame] {
-        self.frames.as_ref().map_or(&[], |s| &s.sealed)
+        self.frames.as_ref().map_or(&[], FrameScope::frames)
     }
 
     /// Early-warning alerts raised so far (empty unless frame-enabled).
     pub fn alerts(&self) -> &[Alert] {
-        self.frames.as_ref().map_or(&[], |s| &s.alerts)
+        self.frames.as_ref().map_or(&[], FrameScope::alerts)
     }
 
     /// Bytes buffered so far (header included, trailer not).
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.stream.buf.len()
     }
 
     /// Seal the log: append the end tag, event count, and whole-stream
     /// FNV-1a-64 checksum, and return the complete byte stream.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf.push(tag::END);
-        write_varint(&mut self.buf, self.events);
-        let sum = fnv1a64(&self.buf);
-        self.buf.extend_from_slice(&sum.to_le_bytes());
-        self.buf
-    }
-
-    fn sync_cycle(&mut self, now: u64) {
-        if now != self.cycle {
-            debug_assert!(now > self.cycle, "simulated time is monotone");
-            self.buf.push(tag::CYCLE_ADVANCE);
-            write_varint(&mut self.buf, now - self.cycle);
-            self.cycle = now;
-            self.events += 1;
-        }
-    }
-
-    fn event(&mut self, now: u64, tag: u8, fields: &[u64]) {
-        self.sync_cycle(now);
-        self.buf.push(tag);
-        for &f in fields {
-            write_varint(&mut self.buf, f);
-        }
-        self.events += 1;
+    pub fn finish(self) -> Vec<u8> {
+        let Stream {
+            mut buf, events, ..
+        } = self.stream;
+        buf.push(tag::END);
+        write_varint(&mut buf, events);
+        let sum = fnv1a64(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
     }
 }
 
-/// `Option<usize>` slots are encoded shifted by one: 0 is `None`.
-fn opt_slot(s: Option<usize>) -> u64 {
-    match s {
-        Some(s) => s as u64 + 1,
-        None => 0,
-    }
-}
-
-impl turnroute_sim::SimObserver for LogObserver {
-    fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-        self.event(
-            now,
-            tag::INJECT,
-            &[
-                u64::from(packet.0),
-                u64::from(src.0),
-                u64::from(dst.0),
-                u64::from(len),
-            ],
-        );
-        if let Some(s) = &mut self.frames {
-            s.collector.on_inject(now, packet, src, dst, len);
-        }
-    }
-
-    fn on_flit_advance(
-        &mut self,
-        now: u64,
-        from: usize,
-        to: Option<usize>,
-        packet: PacketId,
-        is_tail: bool,
-    ) {
-        self.event(
-            now,
-            tag::ADVANCE,
-            &[
-                from as u64,
-                opt_slot(to),
-                u64::from(packet.0),
-                u64::from(is_tail),
-            ],
-        );
-        if let Some(s) = &mut self.frames {
-            s.collector.on_flit_advance(now, from, to, packet, is_tail);
-        }
-    }
-
-    fn on_turn(&mut self, now: u64, packet: PacketId, at: NodeId, turn: Turn) {
-        self.event(
-            now,
-            tag::TURN,
-            &[
-                u64::from(packet.0),
-                u64::from(at.0),
-                turn.from_dir().index() as u64,
-                turn.to_dir().index() as u64,
-            ],
-        );
-    }
-
-    fn on_misroute(&mut self, now: u64, packet: PacketId, at: NodeId, dir: Direction) {
-        self.event(
-            now,
-            tag::MISROUTE,
-            &[u64::from(packet.0), u64::from(at.0), dir.index() as u64],
-        );
-    }
-
-    fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-        let code = match reason {
-            StallReason::NotRouted => 0,
-            StallReason::Backpressure => 1,
-        };
-        self.event(now, tag::STALL, &[slot as u64, u64::from(packet.0), code]);
-        if let Some(s) = &mut self.frames {
-            s.collector.on_stall(now, slot, packet, reason);
-        }
-    }
-
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-        self.event(
-            now,
-            tag::DELIVER,
-            &[u64::from(packet.0), latency, u64::from(hops)],
-        );
-        if let Some(s) = &mut self.frames {
-            s.collector.on_deliver(now, packet, latency, hops);
-        }
-    }
-
-    fn on_blame(&mut self, now: u64, packet: PacketId, blame: PacketBlame) {
-        self.event(
-            now,
-            tag::BLAME,
-            &[
-                u64::from(packet.0),
-                blame.queue_cycles,
-                blame.blocked_cycles,
-                blame.service_cycles,
-                blame.misroute_cycles,
-            ],
-        );
-    }
-
-    fn on_deadlock(&mut self, now: u64, snapshot: &DeadlockSnapshot) {
-        self.sync_cycle(now);
-        self.buf.push(tag::DEADLOCK);
-        write_varint(&mut self.buf, snapshot.edges.len() as u64);
-        for e in &snapshot.edges {
-            write_varint(&mut self.buf, e.channel as u64);
-            write_varint(&mut self.buf, u64::from(e.packet));
-            write_varint(&mut self.buf, e.buffered as u64);
-            write_varint(&mut self.buf, u64::from(e.head_waiting));
-            write_varint(&mut self.buf, opt_slot(e.waits_for));
-        }
-        self.events += 1;
-    }
-
-    fn on_fault(&mut self, now: u64, slot: usize, active: bool) {
-        self.event(now, tag::FAULT, &[slot as u64, u64::from(active)]);
-    }
-
-    fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-        self.event(
-            now,
-            tag::DROP,
-            &[u64::from(packet.0), u64::from(unroutable)],
-        );
-        if let Some(s) = &mut self.frames {
-            s.collector.on_drop(now, packet, unroutable);
-        }
-    }
-
-    fn on_flit_source(&mut self, now: u64, slot: usize, packet: PacketId, is_tail: bool) {
-        self.event(
-            now,
-            tag::FLIT_SOURCE,
-            &[slot as u64, u64::from(packet.0), u64::from(is_tail)],
-        );
-    }
-
-    fn on_purge(&mut self, now: u64, packet: PacketId) {
-        self.event(now, tag::PURGE, &[u64::from(packet.0)]);
-        if let Some(s) = &mut self.frames {
-            s.collector.on_purge(now, packet);
-        }
-    }
-
-    fn on_cycle_end(&mut self, now: u64) {
-        self.event(now, tag::CYCLE_END, &[]);
-        // Drive the frame collector after the cycle-end event so sealed
-        // frames (and the alerts they trip) land right behind it in the
-        // stream, at the same cycle.
-        let Some(mut scope) = self.frames.take() else {
+impl SimObserver for LogObserver {
+    /// Records `ev`. A frame-enabled recorder also feeds its scope, and
+    /// writes whatever that seals — the frame, then the alerts it trips —
+    /// right behind the cycle-end event that sealed it, at the same
+    /// cycle. The scope's output is recorded here and *not* fired down
+    /// the observer chain: callers hand [`LogObserver::frames`] /
+    /// [`LogObserver::alerts`] to whoever else should count them.
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        self.stream.write(now, ev);
+        let Some(scope) = &mut self.frames else {
             return;
         };
-        scope.collector.on_cycle_end(now);
-        for frame in scope.collector.take_frames() {
-            let payload = crate::frame_codec::encode_frame_payload(&frame);
-            self.sync_cycle(now);
-            self.buf.push(tag::FRAME);
-            write_varint(&mut self.buf, payload.len() as u64);
-            self.buf.extend_from_slice(&payload);
-            self.events += 1;
-            for alert in scope.bank.push(&frame) {
-                self.event(
-                    now,
-                    tag::ALERT,
-                    &[
-                        alert.kind.code(),
-                        alert.seq,
-                        alert.cycle,
-                        opt_slot(alert.slot),
-                        alert.value,
-                        alert.threshold,
-                    ],
-                );
-                scope.alerts.push(alert);
-            }
-            scope.sealed.push(frame);
+        let (frames, alerts) = (scope.frames.len(), scope.alerts.len());
+        scope.on_event(now, ev);
+        // At most one window closes per cycle end, so "each frame, then
+        // its alerts" is "the new frames, then the new alerts".
+        for frame in &scope.frames[frames..] {
+            self.stream.write(now, &Event::Frame(frame));
         }
-        self.frames = Some(scope);
-    }
-
-    fn on_heal(&mut self, now: u64, ev: HealEvent) {
-        if let Some(s) = &mut self.frames {
-            s.collector.on_heal(now, ev);
-        }
-        match ev {
-            HealEvent::EpochOpen { epoch, transitions } => self.event(
-                now,
-                tag::HEAL_EPOCH,
-                &[u64::from(epoch), u64::from(transitions)],
-            ),
-            HealEvent::Proof {
-                epoch,
-                latency,
-                incremental,
-                acyclic,
-            } => self.event(
-                now,
-                tag::HEAL_PROOF,
-                &[
-                    u64::from(epoch),
-                    latency,
-                    u64::from(incremental),
-                    u64::from(acyclic),
-                ],
-            ),
-            HealEvent::Certificate { epoch, hash } => {
-                self.event(now, tag::HEAL_CERT, &[u64::from(epoch), hash]);
-            }
-            HealEvent::TableSwap { epoch } => {
-                self.event(now, tag::HEAL_SWAP, &[u64::from(epoch)]);
-            }
-            HealEvent::Quarantine { epoch, slot, on } => self.event(
-                now,
-                tag::HEAL_QUARANTINE,
-                &[u64::from(epoch), u64::from(slot), u64::from(on)],
-            ),
+        for alert in &scope.alerts[alerts..] {
+            self.stream.write(now, &Event::Alert(alert));
         }
     }
 }
@@ -701,6 +492,7 @@ impl turnroute_sim::SimObserver for LogObserver {
 mod tests {
     use super::*;
     use turnroute_sim::FaultPlan;
+    use turnroute_topology::{Direction, NodeId};
 
     #[test]
     fn varint_round_trips_boundaries() {

@@ -544,22 +544,26 @@ mod tests {
 
     #[test]
     fn collector_exports_land_on_the_registry() {
-        use turnroute_sim::obs::ChannelLayout;
-        use turnroute_sim::PacketId;
-        use turnroute_sim::SimObserver;
+        use turnroute_sim::obs::{ChannelLayout, Event};
+        use turnroute_sim::{PacketId, SimObserver};
+        use turnroute_topology::Direction;
         let layout = ChannelLayout::new(4, 2);
         let mut heatmap = ChannelHeatmap::new(layout);
-        heatmap.on_flit_advance(0, 0, Some(5), PacketId(0), false);
-        let mut census = TurnCensus::new(2);
-        census.on_turn(
+        let packet = PacketId(0);
+        let (from, to, is_tail) = (0, Some(5), false);
+        heatmap.on_event(
             0,
-            PacketId(0),
-            turnroute_topology::NodeId(0),
-            turnroute_model::Turn::new(
-                turnroute_topology::Direction::EAST,
-                turnroute_topology::Direction::NORTH,
-            ),
+            &Event::FlitAdvance {
+                from,
+                to,
+                packet,
+                is_tail,
+            },
         );
+        let mut census = TurnCensus::new(2);
+        let at = turnroute_topology::NodeId(0);
+        let turn = turnroute_model::Turn::new(Direction::EAST, Direction::NORTH);
+        census.on_event(0, &Event::Turn { packet, at, turn });
         let mut hist = StreamingHistogram::new();
         hist.record(10);
         let mut reg = Registry::new();

@@ -1,11 +1,13 @@
 //! Replay: re-drive any observer stack from a recorded log, without
 //! re-simulating.
 //!
-//! The reader validates the whole stream before dispatching a single
-//! event: magic, version, header shape, the trailing FNV-1a-64 checksum,
-//! and (while walking) every tag and varint. A log that fails any check is
-//! rejected with a [`LogError`] — truncation and bit flips cannot silently
-//! produce plausible-but-wrong aggregates.
+//! The reader validates the framing before dispatching a single event —
+//! magic, version, header shape, the trailing FNV-1a-64 checksum — and,
+//! while walking, every tag and every operand ([`crate::codec::decode`]).
+//! A log that fails any check is rejected with a [`LogError`]: truncation
+//! and bit flips cannot silently produce plausible-but-wrong aggregates,
+//! and a well-checksummed log of hostile operands cannot crash a
+//! collector.
 //!
 //! # Trust boundary
 //!
@@ -18,13 +20,10 @@
 //! and determinism; it does not prove the recorder was honest about the
 //! simulation — trust in the log is trust in whoever recorded it.
 
-use crate::log::{fnv1a64, tag, LogHeader, MAGIC, VERSION};
-use turnroute_model::Turn;
-use turnroute_sim::obs::{ChannelLayout, DeadlockSnapshot, StallReason, WaitEdge};
-use turnroute_sim::{
-    Alert, AlertKind, HealEvent, NoopObserver, PacketBlame, PacketId, SimObserver,
-};
-use turnroute_topology::{Direction, NodeId};
+use crate::codec::{self, tag, Reader, KINDS};
+use crate::log::{fnv1a64, LogHeader, MAGIC, VERSION};
+use turnroute_sim::obs::Event;
+use turnroute_sim::{NoopObserver, SimObserver};
 
 /// Why a byte stream was rejected as a log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +54,16 @@ pub enum LogError {
     },
     /// Bytes remain after the checksum.
     TrailingData,
+    /// An operand is outside the range its field, or the header's
+    /// network, allows.
+    OutOfRange {
+        /// Byte offset of the offending operand.
+        offset: usize,
+        /// Which operand it is.
+        field: &'static str,
+        /// The value found there.
+        value: u64,
+    },
     /// An embedded telemetry frame failed strict decoding (its declared
     /// payload length disagrees with its content, or its schema version
     /// is unknown).
@@ -82,6 +91,11 @@ impl std::fmt::Display for LogError {
                 "event count mismatch: trailer declares {declared}, found {actual}"
             ),
             LogError::TrailingData => write!(f, "trailing bytes after checksum"),
+            LogError::OutOfRange {
+                offset,
+                field,
+                value,
+            } => write!(f, "{field} {value} out of range at byte {offset}"),
             LogError::BadFrame { offset, why } => {
                 write!(f, "bad telemetry frame at byte {offset}: {why}")
             }
@@ -147,44 +161,6 @@ impl LogSummary {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, LogError> {
-        let b = *self.bytes.get(self.pos).ok_or(LogError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self) -> Result<u64, LogError> {
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return Err(LogError::Truncated);
-            }
-            out |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
-    }
-
-    fn slot(&mut self) -> Result<usize, LogError> {
-        Ok(self.varint()? as usize)
-    }
-
-    fn opt_slot(&mut self) -> Result<Option<usize>, LogError> {
-        let v = self.varint()?;
-        Ok(if v == 0 { None } else { Some(v as usize - 1) })
-    }
-}
-
 /// Validate framing and checksum and parse the header, returning the
 /// header and the byte range holding the event stream (trailer excluded).
 fn parse_frame(bytes: &[u8]) -> Result<(LogHeader, usize), LogError> {
@@ -225,30 +201,30 @@ fn parse_frame(bytes: &[u8]) -> Result<(LogHeader, usize), LogError> {
     Ok((header, events_at))
 }
 
-/// Walk a validated log and re-fire every recorded hook into `obs`.
+/// Walk a validated log and hand every recorded event to `obs`.
 ///
 /// Events are dispatched exactly as the engine originally fired them, so
-/// any [`SimObserver`] that derives its state purely from hooks (the
+/// any [`SimObserver`] that derives its state purely from events (the
 /// [`crate::ReplayableAggregates`] stack, a heatmap, a census…) ends up in
 /// the same state it would have reached riding the live run.
 pub fn replay<O: SimObserver>(bytes: &[u8], obs: &mut O) -> Result<LogSummary, LogError> {
-    walk(bytes, obs, 0, u64::MAX, None)
+    replay_bounded(bytes, obs, 0, u64::MAX)
 }
 
 /// [`replay`] restricted to the cycle window `[from, to]` (inclusive).
 ///
 /// The *whole* stream is still parsed and validated — framing, checksum,
-/// every tag, the trailer count — but hooks are dispatched, and events
-/// counted in the summary, only for cycles inside the window. This backs
-/// `turnstat summarize --from/--to`: integrity is never windowed, only
-/// attention.
+/// every tag and operand, the trailer count — but events are dispatched,
+/// and counted in the summary, only for cycles inside the window. This
+/// backs `turnstat summarize --from/--to`: integrity is never windowed,
+/// only attention.
 pub fn replay_bounded<O: SimObserver>(
     bytes: &[u8],
     obs: &mut O,
     from: u64,
     to: u64,
 ) -> Result<LogSummary, LogError> {
-    walk(bytes, obs, from, to, None)
+    walk(bytes, from, to, |_, now, ev| obs.on_event(now, ev))
 }
 
 /// Byte offsets of every `Frame` event's tag in a valid log, in stream
@@ -256,322 +232,65 @@ pub fn replay_bounded<O: SimObserver>(
 /// with a frame's declared payload length precisely.
 pub fn frame_offsets(bytes: &[u8]) -> Result<Vec<usize>, LogError> {
     let mut offsets = Vec::new();
-    walk(bytes, &mut NoopObserver, 0, u64::MAX, Some(&mut offsets))?;
+    walk(bytes, 0, u64::MAX, |at, _, ev| {
+        if matches!(ev, Event::Frame(_)) {
+            offsets.push(at);
+        }
+    })?;
     Ok(offsets)
 }
 
-fn walk<O: SimObserver>(
+/// Validate the whole of `bytes` and call `visit(tag offset, cycle,
+/// event)` for every event at a cycle in `[from, to]`.
+fn walk(
     bytes: &[u8],
-    obs: &mut O,
     from: u64,
     to: u64,
-    mut frame_tags: Option<&mut Vec<usize>>,
+    mut visit: impl FnMut(usize, u64, &Event<'_>),
 ) -> Result<LogSummary, LogError> {
     let (header, events_at) = parse_frame(bytes)?;
-    let layout = ChannelLayout::new(header.nodes as usize, header.dims as usize);
-    let mut cur = Cursor {
-        bytes: &bytes[..bytes.len() - 8],
-        pos: events_at,
-    };
-    let mut now = 0u64;
+    let mut r = Reader::new(&bytes[..bytes.len() - 8], events_at, &header)?;
     let mut total = 0u64;
-    let mut events = 0u64;
-    let mut counts = [0u64; 22];
+    let mut counts = [0u64; KINDS.len()];
     loop {
-        let at = cur.pos;
-        let t = cur.u8()?;
+        let at = r.pos();
+        let t = r.u8()?;
         if t == tag::END {
-            let declared = cur.varint()?;
+            let declared = r.varint()?;
             if declared != total {
                 return Err(LogError::EventCountMismatch {
                     declared,
                     actual: total,
                 });
             }
-            if cur.pos != cur.bytes.len() {
+            if !r.at_end() {
                 return Err(LogError::TrailingData);
             }
             break;
         }
         total += 1;
         if t == tag::CYCLE_ADVANCE {
-            now += cur.varint()?;
-            if now >= from && now <= to {
-                events += 1;
-                counts[usize::from(tag::CYCLE_ADVANCE)] += 1;
-            }
-            continue;
+            r.advance_clock()?;
         }
+        let now = r.now();
         let in_bounds = now >= from && now <= to;
-        if in_bounds {
-            events += 1;
-            counts[usize::from(t.min(21))] += 1;
+        if t != tag::CYCLE_ADVANCE {
+            let ev = codec::decode(&mut r, t)?;
+            if in_bounds {
+                visit(at, now, &ev);
+            }
         }
-        match t {
-            tag::INJECT => {
-                let (p, src, dst, len) =
-                    (cur.varint()?, cur.varint()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_inject(
-                        now,
-                        PacketId(p as u32),
-                        NodeId(src as u32),
-                        NodeId(dst as u32),
-                        len as u32,
-                    );
-                }
-            }
-            tag::FLIT_SOURCE => {
-                let (slot, p, tail) = (cur.slot()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_flit_source(now, slot, PacketId(p as u32), tail != 0);
-                }
-            }
-            tag::ADVANCE => {
-                let (from, to, p, tail) =
-                    (cur.slot()?, cur.opt_slot()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_flit_advance(now, from, to, PacketId(p as u32), tail != 0);
-                }
-            }
-            tag::TURN => {
-                let (p, node, from, to) = (cur.varint()?, cur.varint()?, cur.slot()?, cur.slot()?);
-                if in_bounds {
-                    obs.on_turn(
-                        now,
-                        PacketId(p as u32),
-                        NodeId(node as u32),
-                        Turn::new(Direction::from_index(from), Direction::from_index(to)),
-                    );
-                }
-            }
-            tag::MISROUTE => {
-                let (p, node, dir) = (cur.varint()?, cur.varint()?, cur.slot()?);
-                if in_bounds {
-                    obs.on_misroute(
-                        now,
-                        PacketId(p as u32),
-                        NodeId(node as u32),
-                        Direction::from_index(dir),
-                    );
-                }
-            }
-            tag::STALL => {
-                let (slot, p, reason) = (cur.slot()?, cur.varint()?, cur.varint()?);
-                let reason = match reason {
-                    0 => StallReason::NotRouted,
-                    1 => StallReason::Backpressure,
-                    _ => return Err(LogError::BadTag { offset: at, tag: t }),
-                };
-                if in_bounds {
-                    obs.on_stall(now, slot, PacketId(p as u32), reason);
-                }
-            }
-            tag::DELIVER => {
-                let (p, latency, hops) = (cur.varint()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_deliver(now, PacketId(p as u32), latency, hops as u32);
-                }
-            }
-            tag::BLAME => {
-                let (p, queue, blocked, service, misroute) = (
-                    cur.varint()?,
-                    cur.varint()?,
-                    cur.varint()?,
-                    cur.varint()?,
-                    cur.varint()?,
-                );
-                if in_bounds {
-                    obs.on_blame(
-                        now,
-                        PacketId(p as u32),
-                        PacketBlame {
-                            queue_cycles: queue,
-                            blocked_cycles: blocked,
-                            service_cycles: service,
-                            misroute_cycles: misroute,
-                        },
-                    );
-                }
-            }
-            tag::FRAME => {
-                if let Some(offsets) = frame_tags.as_deref_mut() {
-                    offsets.push(at);
-                }
-                let len = cur.varint()? as usize;
-                let start = cur.pos;
-                let end = start.checked_add(len).ok_or(LogError::Truncated)?;
-                if end > cur.bytes.len() {
-                    return Err(LogError::Truncated);
-                }
-                let frame = crate::frame_codec::decode_frame_payload(&cur.bytes[start..end])
-                    .map_err(|why| LogError::BadFrame { offset: at, why })?;
-                cur.pos = end;
-                if in_bounds {
-                    obs.on_frame(now, &frame);
-                }
-            }
-            tag::ALERT => {
-                let (code, seq, cycle, slot, value, threshold) = (
-                    cur.varint()?,
-                    cur.varint()?,
-                    cur.varint()?,
-                    cur.opt_slot()?,
-                    cur.varint()?,
-                    cur.varint()?,
-                );
-                let kind = AlertKind::from_code(code).ok_or_else(|| LogError::BadFrame {
-                    offset: at,
-                    why: format!("unknown alert kind {code}"),
-                })?;
-                if in_bounds {
-                    obs.on_alert(
-                        now,
-                        &Alert {
-                            kind,
-                            seq,
-                            cycle,
-                            slot,
-                            value,
-                            threshold,
-                        },
-                    );
-                }
-            }
-            tag::FAULT => {
-                let (slot, active) = (cur.slot()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_fault(now, slot, active != 0);
-                }
-            }
-            tag::DROP => {
-                let (p, unroutable) = (cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_drop(now, PacketId(p as u32), unroutable != 0);
-                }
-            }
-            tag::PURGE => {
-                let p = cur.varint()?;
-                if in_bounds {
-                    obs.on_purge(now, PacketId(p as u32));
-                }
-            }
-            tag::CYCLE_END => {
-                if in_bounds {
-                    obs.on_cycle_end(now);
-                }
-            }
-            tag::DEADLOCK => {
-                let n = cur.varint()? as usize;
-                let mut edges = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    edges.push(WaitEdge {
-                        channel: cur.slot()?,
-                        packet: cur.varint()? as u32,
-                        buffered: cur.slot()?,
-                        head_waiting: cur.varint()? != 0,
-                        waits_for: cur.opt_slot()?,
-                    });
-                }
-                if in_bounds {
-                    let snapshot = DeadlockSnapshot { now, layout, edges };
-                    obs.on_deadlock(now, &snapshot);
-                }
-            }
-            tag::HEAL_EPOCH => {
-                let (epoch, transitions) = (cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_heal(
-                        now,
-                        HealEvent::EpochOpen {
-                            epoch: epoch as u32,
-                            transitions: transitions as u32,
-                        },
-                    );
-                }
-            }
-            tag::HEAL_PROOF => {
-                let (epoch, latency, incremental, acyclic) =
-                    (cur.varint()?, cur.varint()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_heal(
-                        now,
-                        HealEvent::Proof {
-                            epoch: epoch as u32,
-                            latency,
-                            incremental: incremental != 0,
-                            acyclic: acyclic != 0,
-                        },
-                    );
-                }
-            }
-            tag::HEAL_CERT => {
-                let (epoch, hash) = (cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_heal(
-                        now,
-                        HealEvent::Certificate {
-                            epoch: epoch as u32,
-                            hash,
-                        },
-                    );
-                }
-            }
-            tag::HEAL_SWAP => {
-                let epoch = cur.varint()?;
-                if in_bounds {
-                    obs.on_heal(
-                        now,
-                        HealEvent::TableSwap {
-                            epoch: epoch as u32,
-                        },
-                    );
-                }
-            }
-            tag::HEAL_QUARANTINE => {
-                let (epoch, slot, on) = (cur.varint()?, cur.varint()?, cur.varint()?);
-                if in_bounds {
-                    obs.on_heal(
-                        now,
-                        HealEvent::Quarantine {
-                            epoch: epoch as u32,
-                            slot: slot as u32,
-                            on: on != 0,
-                        },
-                    );
-                }
-            }
-            _ => return Err(LogError::BadTag { offset: at, tag: t }),
-        }
+        counts[usize::from(t)] += u64::from(in_bounds);
     }
     Ok(LogSummary {
-        header,
-        events,
-        cycles: now,
+        events: counts.iter().sum(),
+        cycles: r.now(),
         bytes: bytes.len(),
-        counts: vec![
-            ("cycle_advance", counts[1]),
-            ("inject", counts[2]),
-            ("flit_source", counts[3]),
-            ("advance", counts[4]),
-            ("turn", counts[5]),
-            ("misroute", counts[6]),
-            ("stall", counts[7]),
-            ("deliver", counts[8]),
-            ("fault", counts[9]),
-            ("drop", counts[10]),
-            ("purge", counts[11]),
-            ("cycle_end", counts[12]),
-            ("deadlock", counts[13]),
-            ("heal_epoch", counts[14]),
-            ("heal_proof", counts[15]),
-            ("heal_cert", counts[16]),
-            ("heal_swap", counts[17]),
-            ("heal_quarantine", counts[18]),
-            ("blame", counts[19]),
-            ("frame", counts[20]),
-            ("alert", counts[21]),
-        ],
+        counts: KINDS[1..]
+            .iter()
+            .map(|&(t, name, _)| (name, counts[usize::from(t)]))
+            .collect(),
+        header,
     })
 }
 
@@ -775,14 +494,17 @@ mod tests {
         ];
         let mut log = LogObserver::with_header(&header);
         for &(now, ev) in &fired {
-            log.on_heal(now, ev);
+            log.on_event(now, &Event::Heal(ev));
         }
         let bytes = log.finish();
 
         struct Collect(Vec<(u64, HealEvent)>);
         impl SimObserver for Collect {
-            fn on_heal(&mut self, now: u64, ev: HealEvent) {
-                self.0.push((now, ev));
+            fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+                match *ev {
+                    Event::Heal(ev) => self.0.push((now, ev)),
+                    other => panic!("unexpected {other:?}"),
+                }
             }
         }
         let mut got = Collect(Vec::new());
@@ -839,7 +561,7 @@ mod tests {
     }
 
     /// Collects decoded frame/alert events and re-derives frames from the
-    /// raw hook stream at the same time.
+    /// raw event stream at the same time.
     struct FrameCompare {
         logged: Vec<turnroute_sim::TelemetryFrame>,
         logged_alerts: Vec<turnroute_sim::Alert>,
@@ -848,47 +570,17 @@ mod tests {
     }
 
     impl SimObserver for FrameCompare {
-        fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-            self.rederived.on_inject(now, packet, src, dst, len);
-        }
-        fn on_flit_advance(
-            &mut self,
-            now: u64,
-            from: usize,
-            to: Option<usize>,
-            packet: PacketId,
-            is_tail: bool,
-        ) {
-            self.rederived
-                .on_flit_advance(now, from, to, packet, is_tail);
-        }
-        fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-            self.rederived.on_stall(now, slot, packet, reason);
-        }
-        fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-            self.rederived.on_deliver(now, packet, latency, hops);
-        }
-        fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-            self.rederived.on_drop(now, packet, unroutable);
-        }
-        fn on_purge(&mut self, now: u64, packet: PacketId) {
-            self.rederived.on_purge(now, packet);
-        }
-        fn on_heal(&mut self, now: u64, ev: HealEvent) {
-            self.rederived.on_heal(now, ev);
-        }
-        fn on_cycle_end(&mut self, now: u64) {
-            self.rederived.on_cycle_end(now);
-        }
-        fn on_blame(&mut self, _now: u64, _packet: PacketId, blame: PacketBlame) {
-            self.blames += 1;
-            assert!(blame.total() > 0);
-        }
-        fn on_frame(&mut self, _now: u64, frame: &turnroute_sim::TelemetryFrame) {
-            self.logged.push(frame.clone());
-        }
-        fn on_alert(&mut self, _now: u64, alert: &turnroute_sim::Alert) {
-            self.logged_alerts.push(*alert);
+        fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+            self.rederived.on_event(now, ev);
+            match *ev {
+                Event::Blame { blame, .. } => {
+                    self.blames += 1;
+                    assert!(blame.total() > 0);
+                }
+                Event::Frame(frame) => self.logged.push(frame.clone()),
+                Event::Alert(alert) => self.logged_alerts.push(*alert),
+                _ => {}
+            }
         }
     }
 
@@ -900,7 +592,7 @@ mod tests {
             logged: Vec::new(),
             logged_alerts: Vec::new(),
             // Deliberately undersized: the collector must grow itself
-            // from the hook stream.
+            // from the event stream.
             rederived: turnroute_sim::FrameCollector::new(1, 64),
             blames: 0,
         };
@@ -910,7 +602,7 @@ mod tests {
         assert_eq!(
             cmp.rederived.frames(),
             &live_frames[..],
-            "hook-rederived frames == live frames"
+            "event-rederived frames == live frames"
         );
         assert_eq!(s.count("frame"), live_frames.len() as u64);
         assert_eq!(s.count("blame"), s.count("deliver"));
@@ -957,7 +649,10 @@ mod tests {
         assert!(
             matches!(
                 err,
-                LogError::BadFrame { .. } | LogError::BadTag { .. } | LogError::Truncated
+                LogError::BadFrame { .. }
+                    | LogError::BadTag { .. }
+                    | LogError::OutOfRange { .. }
+                    | LogError::Truncated
             ),
             "unexpected rejection {err:?}"
         );

@@ -2,9 +2,9 @@
 //! measurement protocol — one core, instantiated per [`Lanes`] adapter.
 
 use crate::flits::{BufFlit, FlitBuffers};
-use crate::lanes::{Candidate, Lanes, SingleLane};
+use crate::lanes::{Candidate, Lanes, SingleLane, MAX_LANES_PER_LINK};
 use crate::obs::{
-    ChannelLayout, DeadlockSnapshot, NoopObserver, PacketBlame, SimObserver, StallReason,
+    ChannelLayout, DeadlockSnapshot, Event, NoopObserver, PacketBlame, SimObserver, StallReason,
     StreamingHistogram, WaitEdge,
 };
 use crate::profile::{Phase, PhaseProfiler};
@@ -175,10 +175,11 @@ pub struct SimSnapshot {
 ///
 /// The engine is generic over a [`Lanes`] adapter describing the network
 /// (see [`crate::lanes`]) and over a [`SimObserver`] receiving flit-level
-/// telemetry hooks; the default [`NoopObserver`] has `ENABLED = false`
-/// and every hook call site is guarded by that associated constant, so
-/// an unobserved simulation compiles to the same code as before the
-/// hooks existed. Attach collectors with [`Engine::with_observer`].
+/// telemetry [`Event`]s; the default [`NoopObserver`] has `ENABLED =
+/// false` and every event is built and fired behind that associated
+/// constant, so an unobserved simulation compiles to the same code as if
+/// there were nothing to observe. Attach collectors with
+/// [`Engine::with_observer`].
 pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     lanes: L,
     topo: &'a dyn Topology,
@@ -357,6 +358,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             lanes_per_link == 1 || (L::SHARED_LINKS && lanes_per_link > 1),
             "adapter's lane count contradicts its SHARED_LINKS"
         );
+        assert!(lanes_per_link <= MAX_LANES_PER_LINK, "too many lanes");
         let inj_base = topo.channel_slot_count() * lanes_per_link;
         let ej_base = inj_base + num_nodes;
         let num_channels = ej_base + num_nodes;
@@ -731,10 +733,18 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         spans.time(Phase::Injection, || self.feed_injection());
         spans.time(Phase::Drain, || self.detect_deadlock());
         if O::ENABLED {
-            self.obs.on_cycle_end(self.now);
+            self.fire(Event::CycleEnd);
         }
         self.now += 1;
         spans.add_cycle();
+    }
+
+    /// Hand `ev`, which happened this cycle, to the observer. Call sites
+    /// sit behind `if O::ENABLED`, so nothing is built for a
+    /// [`NoopObserver`].
+    #[inline(always)]
+    fn fire(&mut self, ev: Event<'_>) {
+        self.obs.on_event(self.now, &ev);
     }
 
     /// Advance the simulation by one cycle.
@@ -960,7 +970,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         let is = self.fault_depth[slot] > 0;
         self.faulty[slot] = is;
         if O::ENABLED && was != is {
-            self.obs.on_fault(self.now, slot, is);
+            self.fire(Event::Fault { slot, active: is });
         }
     }
 
@@ -983,7 +993,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             }
             self.purge_packet(pid);
             if O::ENABLED {
-                self.obs.on_purge(self.now, PacketId(pid));
+                let packet = PacketId(pid);
+                self.fire(Event::Purge { packet });
             }
             let unroutable = self.node_down[p.src.index()] > 0 || self.node_down[p.dst.index()] > 0;
             let counted = self.created_in_window(&p);
@@ -1015,7 +1026,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     }
                 }
                 if O::ENABLED {
-                    self.obs.on_drop(self.now, PacketId(pid), unroutable);
+                    let packet = PacketId(pid);
+                    self.fire(Event::Drop { packet, unroutable });
                 }
             }
             // A purge is progress: freed channels change the network's
@@ -1201,15 +1213,15 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.owner[pick.slot] = packet;
         self.misroute_assigned[c] = !pick.productive;
         if O::ENABLED {
+            let (packet, at, dir) = (PacketId(packet), v, pick.dir);
             if !self.is_injection(c) {
                 if let Some(arr) = self.lanes.turn_dir(c) {
-                    let turn = Turn::new(arr, pick.dir);
-                    self.obs.on_turn(self.now, PacketId(packet), v, turn);
+                    let turn = Turn::new(arr, dir);
+                    self.fire(Event::Turn { packet, at, turn });
                 }
             }
             if !pick.productive {
-                self.obs
-                    .on_misroute(self.now, PacketId(packet), v, pick.dir);
+                self.fire(Event::Misroute { packet, at, dir });
             }
         }
         let p = &mut self.packets[packet as usize];
@@ -1401,8 +1413,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 } else {
                     StallReason::Backpressure
                 };
-                self.obs
-                    .on_stall(self.now, c, PacketId(front.packet), reason);
+                let (slot, packet) = (c, PacketId(front.packet));
+                self.fire(Event::Stall {
+                    slot,
+                    packet,
+                    reason,
+                });
             }
         }
 
@@ -1427,13 +1443,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     self.delivered_flits_in_window += 1;
                 }
                 if O::ENABLED {
-                    self.obs.on_flit_advance(
-                        self.now,
-                        c,
-                        None,
-                        PacketId(flit.packet),
-                        flit.is_tail,
-                    );
+                    self.fire(Event::FlitAdvance {
+                        from: c,
+                        to: None,
+                        packet: PacketId(flit.packet),
+                        is_tail: flit.is_tail,
+                    });
                 }
                 if flit.is_tail {
                     self.owner[c] = NONE_U32;
@@ -1459,8 +1474,13 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         self.blame.misroute_cycles += blame.misroute_cycles;
                     }
                     if O::ENABLED {
-                        self.obs.on_deliver(self.now, id, latency, hops);
-                        self.obs.on_blame(self.now, id, blame);
+                        let packet = id;
+                        self.fire(Event::Deliver {
+                            packet,
+                            latency,
+                            hops,
+                        });
+                        self.fire(Event::Blame { packet, blame });
                     }
                 }
             } else {
@@ -1484,13 +1504,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 }
                 self.buf.push_back(o, flit);
                 if O::ENABLED {
-                    self.obs.on_flit_advance(
-                        self.now,
-                        c,
-                        Some(o),
-                        PacketId(flit.packet),
-                        flit.is_tail,
-                    );
+                    self.fire(Event::FlitAdvance {
+                        from: c,
+                        to: Some(o),
+                        packet: PacketId(flit.packet),
+                        is_tail: flit.is_tail,
+                    });
                 }
                 if flit.is_tail {
                     self.owner[c] = NONE_U32;
@@ -1527,7 +1546,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 });
                 if O::ENABLED {
                     let p = self.packets[pid as usize];
-                    self.obs.on_inject(self.now, p.id, p.src, p.dst, p.len);
+                    self.fire(Event::Inject {
+                        packet: p.id,
+                        src: p.src,
+                        dst: p.dst,
+                        len: p.len,
+                    });
                 }
             }
             let Emitting { packet, sent } = self.emitting[v].expect("set above");
@@ -1545,8 +1569,11 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 self.occupied_buffers += 1;
             }
             if O::ENABLED {
-                self.obs
-                    .on_flit_source(self.now, inj, PacketId(packet), flit.is_tail);
+                self.fire(Event::FlitSource {
+                    slot: inj,
+                    packet: PacketId(packet),
+                    is_tail: flit.is_tail,
+                });
             }
             self.buf.push_back(inj, flit);
             self.emitting[v] = if sent + 1 == len {
@@ -1567,7 +1594,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             self.deadlocked = true;
             if O::ENABLED {
                 let snapshot = self.deadlock_snapshot();
-                self.obs.on_deadlock(self.now, &snapshot);
+                self.fire(Event::Deadlock(&snapshot));
             }
         }
     }
@@ -2301,8 +2328,10 @@ mod tests {
     fn blame_identity_and_report_totals_match_latencies() {
         struct Blames(Vec<(PacketId, PacketBlame)>);
         impl SimObserver for Blames {
-            fn on_blame(&mut self, _now: u64, packet: PacketId, blame: PacketBlame) {
-                self.0.push((packet, blame));
+            fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+                if let Event::Blame { packet, blame } = *ev {
+                    self.0.push((packet, blame));
+                }
             }
         }
         let mesh = Mesh::new_2d(8, 8);

@@ -32,6 +32,14 @@ pub struct Candidate {
     pub productive: bool,
 }
 
+/// The most lanes a physical link carries under any adapter (a
+/// virtual-channel class is a `u8`). The engine asserts it, so with the
+/// node and dimension counts it bounds every slot an engine can number —
+/// which is what lets log replay reject a slot no engine could have
+/// written ([`ChannelLayout::new`](crate::obs::ChannelLayout::new) over
+/// `num_dims * MAX_LANES_PER_LINK`).
+pub const MAX_LANES_PER_LINK: usize = 256;
+
 /// The network description one engine instantiation runs over.
 ///
 /// `'a` is the lifetime of the borrowed topology and routing function;
@@ -57,13 +65,14 @@ pub trait Lanes<'a>: Sized {
     /// Whether the routing function offers only shortest-path moves (the
     /// misroute budget applies only when it does not).
     fn is_minimal(&self) -> bool;
-    /// Slots per physical link; `1` unless [`Lanes::SHARED_LINKS`].
+    /// Slots per physical link; `1` unless [`Lanes::SHARED_LINKS`], and
+    /// never more than [`MAX_LANES_PER_LINK`].
     fn lanes_per_link(&self) -> usize;
     /// Whether links in direction `dir` carry lane number `lane` (the
     /// link itself existing is the topology's business).
     fn lane_exists(&self, dir: Direction, lane: usize) -> bool;
     /// The physical direction a head buffered at network `slot` arrived
-    /// in, for the `on_turn` hook; `None` if the adapter has no turn
+    /// in, for the `Turn` event; `None` if the adapter has no turn
     /// notion over physical directions.
     fn turn_dir(&self, slot: usize) -> Option<Direction>;
     /// Append, in preference order, every output the head at router `at`

@@ -65,10 +65,11 @@ pub use choice::ChoiceScript;
 pub use config::{LengthDist, SimConfig, SimConfigBuilder, CYCLES_PER_MICROSEC};
 pub use engine::{Engine, Sim, SimSnapshot};
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultTarget};
-pub use lanes::{Candidate, Lanes, SingleLane};
+pub use lanes::{Candidate, Lanes, SingleLane, MAX_LANES_PER_LINK};
 pub use obs::{
-    Alert, AlertKind, DetectorBank, DetectorConfig, FrameCollector, HealEvent, InvariantObserver,
-    InvariantSummary, NoopObserver, PacketBlame, SimObserver, Telemetry, TelemetryFrame,
+    Alert, AlertKind, DetectorBank, DetectorConfig, Event, FrameCollector, HealEvent,
+    InvariantObserver, InvariantSummary, NoopObserver, PacketBlame, SimObserver, Telemetry,
+    TelemetryFrame,
 };
 pub use packet::{Packet, PacketId};
 pub use policies::{InputPolicy, OutputPolicy};

@@ -1,9 +1,8 @@
 //! Counting the turns traffic actually takes.
 
-use super::SimObserver;
-use crate::PacketId;
+use super::{Event, SimObserver};
 use turnroute_model::{Turn, TurnKind};
-use turnroute_topology::{Direction, NodeId};
+use turnroute_topology::Direction;
 
 /// Counts every turn headers take during a run, keyed by (from, to)
 /// direction pair and summarizable by [`TurnKind`] — the dynamic
@@ -106,13 +105,21 @@ impl TurnCensus {
 }
 
 impl SimObserver for TurnCensus {
-    fn on_turn(&mut self, _now: u64, _packet: PacketId, _at: NodeId, turn: Turn) {
-        self.counts[turn.from_dir().index() * self.num_dirs + turn.to_dir().index()] += 1;
+    #[inline]
+    fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+        if let Event::Turn { turn, .. } = ev {
+            let (from, to) = (turn.from_dir().index(), turn.to_dir().index());
+            // A direction outside this census's dimensions is not counted.
+            if from.max(to) < self.num_dirs {
+                self.counts[from * self.num_dirs + to] += 1;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fire;
     use super::*;
 
     #[test]
@@ -121,10 +128,10 @@ mod tests {
         let e = Direction::EAST;
         let n = Direction::NORTH;
         let w = Direction::WEST;
-        c.on_turn(0, PacketId(0), NodeId(0), Turn::new(e, e));
-        c.on_turn(1, PacketId(0), NodeId(0), Turn::new(e, n));
-        c.on_turn(2, PacketId(1), NodeId(0), Turn::new(e, n));
-        c.on_turn(3, PacketId(2), NodeId(0), Turn::new(e, w));
+        fire::turn(&mut c, 0, 0, e, e);
+        fire::turn(&mut c, 1, 0, e, n);
+        fire::turn(&mut c, 2, 1, e, n);
+        fire::turn(&mut c, 3, 2, e, w);
         assert_eq!(c.count(e, n), 2);
         assert_eq!(c.total(), 4);
         assert_eq!(c.by_kind(), (1, 2, 1));

@@ -16,9 +16,8 @@
 //! the same state.
 
 use super::hist::StreamingHistogram;
-use super::{HealEvent, SimObserver};
-use crate::PacketId;
-use turnroute_topology::NodeId;
+use super::{Event, HealEvent, SimObserver};
+use crate::lanes::MAX_LANES_PER_LINK;
 
 /// One channel's activity inside a single frame window. Frames carry
 /// only channels with non-zero activity, keyed by slot.
@@ -34,7 +33,7 @@ pub struct ChannelWindow {
 }
 
 /// A sealed telemetry window: everything one frame of the stream says.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryFrame {
     /// Frame sequence number, 0-based from the start of the run.
     pub seq: u64,
@@ -120,6 +119,8 @@ impl TelemetryFrame {
 pub struct FrameCollector {
     cadence: u64,
     num_channels: usize,
+    /// Growth stops here; activity on slots past it is not counted.
+    max_channels: usize,
     // Window-local state, reset at each seal.
     util: Vec<u64>,
     blocked: Vec<u64>,
@@ -137,7 +138,9 @@ pub struct FrameCollector {
 
 impl FrameCollector {
     /// A collector sealing one frame per `cadence` cycles over
-    /// `num_channels` slots.
+    /// `num_channels` slots — the single-lane layout's count; it grows on
+    /// demand up to [`MAX_LANES_PER_LINK`] times that, which covers every
+    /// lane adapter over the same network.
     ///
     /// # Panics
     ///
@@ -147,6 +150,7 @@ impl FrameCollector {
         FrameCollector {
             cadence,
             num_channels,
+            max_channels: num_channels.saturating_mul(MAX_LANES_PER_LINK),
             util: vec![0; num_channels],
             blocked: vec![0; num_channels],
             injected: 0,
@@ -176,16 +180,25 @@ impl FrameCollector {
         std::mem::take(&mut self.frames)
     }
 
-    /// Grow to cover `slot`: engines with extra virtual-channel slots
-    /// exceed the layout-derived pre-size. Kept `#[cold]` so the hot
-    /// hooks stay a bounds check plus an increment; active slots are
-    /// found by a full sweep at seal time, which is amortized to nothing
-    /// at realistic cadences.
+    /// Whether `slot` is countable, growing to cover it if need be:
+    /// engines with extra virtual-channel slots exceed the layout-derived
+    /// pre-size. Growth is `#[cold]` so the hot path stays a bounds check
+    /// plus an increment; active slots are found by a full sweep at seal
+    /// time, which is amortized to nothing at realistic cadences.
+    #[inline]
+    fn covers(&mut self, slot: usize) -> bool {
+        slot < self.num_channels || self.grow(slot)
+    }
+
     #[cold]
-    fn grow(&mut self, slot: usize) {
+    fn grow(&mut self, slot: usize) -> bool {
+        if slot >= self.max_channels {
+            return false;
+        }
         self.num_channels = slot + 1;
         self.util.resize(self.num_channels, 0);
         self.blocked.resize(self.num_channels, 0);
+        true
     }
 
     fn seal(&mut self, window_end: u64) {
@@ -220,67 +233,35 @@ impl FrameCollector {
 }
 
 impl SimObserver for FrameCollector {
-    fn on_inject(&mut self, _now: u64, _packet: PacketId, _src: NodeId, _dst: NodeId, _len: u32) {
-        self.injected += 1;
-        self.in_flight += 1;
-    }
-
-    fn on_flit_advance(
-        &mut self,
-        _now: u64,
-        _from: usize,
-        to: Option<usize>,
-        _packet: PacketId,
-        _is_tail: bool,
-    ) {
-        if let Some(to) = to {
-            if to >= self.num_channels {
-                self.grow(to);
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        match *ev {
+            Event::Inject { .. } => {
+                self.injected += 1;
+                self.in_flight += 1;
             }
-            self.util[to] += 1;
-        }
-    }
-
-    fn on_stall(&mut self, _now: u64, slot: usize, _packet: PacketId, _reason: super::StallReason) {
-        if slot >= self.num_channels {
-            self.grow(slot);
-        }
-        self.blocked[slot] += 1;
-    }
-
-    fn on_deliver(&mut self, _now: u64, _packet: PacketId, latency: u64, _hops: u32) {
-        self.delivered += 1;
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.latency.record(latency);
-    }
-
-    fn on_drop(&mut self, _now: u64, _packet: PacketId, _unroutable: bool) {
-        self.dropped += 1;
-    }
-
-    fn on_purge(&mut self, _now: u64, _packet: PacketId) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-    }
-
-    fn on_heal(&mut self, _now: u64, ev: HealEvent) {
-        match ev {
-            HealEvent::EpochOpen { .. } => self.open_epochs += 1,
-            HealEvent::TableSwap { .. } => {
+            Event::FlitAdvance { to: Some(to), .. } if self.covers(to) => self.util[to] += 1,
+            Event::Stall { slot, .. } if self.covers(slot) => self.blocked[slot] += 1,
+            Event::Deliver { latency, .. } => {
+                self.delivered += 1;
+                self.in_flight = self.in_flight.saturating_sub(1);
+                self.latency.record(latency);
+            }
+            Event::Drop { .. } => self.dropped += 1,
+            Event::Purge { .. } => self.in_flight = self.in_flight.saturating_sub(1),
+            Event::Heal(HealEvent::EpochOpen { .. }) => self.open_epochs += 1,
+            Event::Heal(HealEvent::TableSwap { .. }) => {
                 self.open_epochs = self.open_epochs.saturating_sub(1);
             }
+            Event::CycleEnd if now % self.cadence == self.cadence - 1 => self.seal(now),
             _ => {}
-        }
-    }
-
-    fn on_cycle_end(&mut self, now: u64) {
-        if (now + 1).is_multiple_of(self.cadence) {
-            self.seal(now);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fire;
     use super::*;
     use crate::obs::json;
 
@@ -288,17 +269,13 @@ mod tests {
     fn collector_seals_on_cadence_and_resets_window_state() {
         let mut c = FrameCollector::new(8, 10);
         // Window 0: one injection, one flit into slot 3, one stall on 5.
-        c.on_inject(2, PacketId(0), NodeId(0), NodeId(1), 10);
-        c.on_flit_advance(3, 0, Some(3), PacketId(0), false);
-        c.on_stall(4, 5, PacketId(0), crate::obs::StallReason::Backpressure);
-        for now in 0..10 {
-            c.on_cycle_end(now);
-        }
+        fire::inject(&mut c, 2, 0, 0, 1, 10);
+        fire::advance(&mut c, 3, 0, Some(3), 0, false);
+        fire::stall(&mut c, 4, 5, 0, crate::obs::StallReason::Backpressure);
+        fire::cycle_ends(&mut c, 0..10);
         // Window 1: a delivery only.
-        c.on_deliver(12, PacketId(0), 10, 2);
-        for now in 10..20 {
-            c.on_cycle_end(now);
-        }
+        fire::deliver(&mut c, 12, 0, 10, 2);
+        fire::cycle_ends(&mut c, 10..20);
         let frames = c.take_frames();
         assert_eq!(frames.len(), 2);
         let f0 = &frames[0];
@@ -339,22 +316,30 @@ mod tests {
     #[test]
     fn heal_epochs_track_opens_and_swaps() {
         let mut c = FrameCollector::new(4, 5);
-        c.on_heal(
-            0,
-            HealEvent::EpochOpen {
-                epoch: 1,
-                transitions: 1,
-            },
-        );
-        for now in 0..5 {
-            c.on_cycle_end(now);
-        }
+        let open = HealEvent::EpochOpen {
+            epoch: 1,
+            transitions: 1,
+        };
+        c.on_event(0, &Event::Heal(open));
+        fire::cycle_ends(&mut c, 0..5);
         assert_eq!(c.frames()[0].open_heal_epochs, 1);
-        c.on_heal(6, HealEvent::TableSwap { epoch: 1 });
-        for now in 5..10 {
-            c.on_cycle_end(now);
-        }
+        c.on_event(6, &Event::Heal(HealEvent::TableSwap { epoch: 1 }));
+        fire::cycle_ends(&mut c, 5..10);
         assert_eq!(c.frames()[1].open_heal_epochs, 0);
+    }
+
+    #[test]
+    fn growth_covers_every_lane_adapter_and_nothing_beyond() {
+        // Pre-sized for 8 slots: growth reaches 8 * MAX_LANES_PER_LINK
+        // slots and not one further, whatever slot an event names.
+        let mut c = FrameCollector::new(8, 10);
+        let last = 8 * MAX_LANES_PER_LINK - 1;
+        fire::stall(&mut c, 0, last, 0, crate::obs::StallReason::NotRouted);
+        fire::advance(&mut c, 0, 0, Some(last + 1), 0, false);
+        fire::stall(&mut c, 0, 1 << 50, 0, crate::obs::StallReason::NotRouted);
+        fire::cycle_ends(&mut c, 0..10);
+        let slots: Vec<usize> = c.frames()[0].channels.iter().map(|w| w.slot).collect();
+        assert_eq!(slots, [last]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Per-channel load and stall-attribution heatmaps.
 
-use super::{ChannelLayout, SimObserver, StallReason};
-use crate::PacketId;
+use super::{ChannelLayout, Event, SimObserver, StallReason};
 use turnroute_topology::NodeId;
 
 /// Accumulates, per channel slot: flits that entered the channel's buffer
@@ -157,40 +156,38 @@ impl ChannelHeatmap {
 }
 
 impl SimObserver for ChannelHeatmap {
-    fn on_flit_advance(
-        &mut self,
-        _now: u64,
-        _from: usize,
-        to: Option<usize>,
-        _packet: PacketId,
-        _is_tail: bool,
-    ) {
-        if let Some(to) = to {
-            self.load[to] += 1;
-        }
-    }
-
-    fn on_stall(&mut self, _now: u64, slot: usize, _packet: PacketId, reason: StallReason) {
-        match reason {
-            StallReason::NotRouted => self.stall_not_routed[slot] += 1,
-            StallReason::Backpressure => self.stall_backpressure[slot] += 1,
+    /// Slots outside the layout (another engine's numbering, a hostile
+    /// log) are not counted.
+    #[inline]
+    fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+        let (counts, slot) = match *ev {
+            Event::FlitAdvance { to: Some(to), .. } => (&mut self.load, to),
+            Event::Stall { slot, reason, .. } => match reason {
+                StallReason::NotRouted => (&mut self.stall_not_routed, slot),
+                StallReason::Backpressure => (&mut self.stall_backpressure, slot),
+            },
+            _ => return,
+        };
+        if let Some(n) = counts.get_mut(slot) {
+            *n += 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fire;
     use super::*;
 
     #[test]
     fn records_load_and_stalls() {
         let layout = ChannelLayout::new(4, 2);
         let mut h = ChannelHeatmap::new(layout);
-        h.on_flit_advance(1, 0, Some(5), PacketId(0), false);
-        h.on_flit_advance(2, 5, Some(9), PacketId(0), true);
-        h.on_flit_advance(3, 9, None, PacketId(0), true); // consumed: no load
-        h.on_stall(4, 5, PacketId(1), StallReason::NotRouted);
-        h.on_stall(5, 5, PacketId(1), StallReason::Backpressure);
+        fire::advance(&mut h, 1, 0, Some(5), 0, false);
+        fire::advance(&mut h, 2, 5, Some(9), 0, true);
+        fire::advance(&mut h, 3, 9, None, 0, true); // consumed: no load
+        fire::stall(&mut h, 4, 5, 1, StallReason::NotRouted);
+        fire::stall(&mut h, 5, 5, 1, StallReason::Backpressure);
         assert_eq!(h.load(5), 1);
         assert_eq!(h.load(9), 1);
         assert_eq!(h.total_load(), 2);
@@ -210,14 +207,14 @@ mod tests {
         // Slot 9 carries the most traffic but slot 5 blocks the longest;
         // the blame ranking must put 5 first, the load ranking 9.
         for _ in 0..5 {
-            h.on_flit_advance(0, 0, Some(9), PacketId(0), false);
+            fire::advance(&mut h, 0, 0, Some(9), 0, false);
         }
         for c in 0..3 {
-            h.on_stall(c, 5, PacketId(1), StallReason::Backpressure);
+            fire::stall(&mut h, c, 5, 1, StallReason::Backpressure);
         }
-        h.on_stall(0, 9, PacketId(0), StallReason::NotRouted);
+        fire::stall(&mut h, 0, 9, 0, StallReason::NotRouted);
         // Injection slots participate: stalled sources are blame too.
-        h.on_stall(0, layout.inj_base, PacketId(2), StallReason::Backpressure);
+        fire::stall(&mut h, 0, layout.inj_base, 2, StallReason::Backpressure);
         let ranked = h.blocked_mass_ranking(10);
         assert_eq!(ranked[0], (5, 3, 0));
         assert_eq!(ranked[1], (9, 1, 5));
@@ -279,7 +276,7 @@ mod tests {
         let mut h = ChannelHeatmap::new(layout);
         // Load node 3's eastward slot heavily.
         for _ in 0..10 {
-            h.on_flit_advance(0, 0, Some(3 * 4), PacketId(0), false);
+            fire::advance(&mut h, 0, 0, Some(3 * 4), 0, false);
         }
         let grid = h.render_grid(2, 2, |x, y| NodeId(u32::from(y * 2 + x)));
         let rows: Vec<&str> = grid.lines().collect();

@@ -74,7 +74,8 @@ impl StreamingHistogram {
         }
         self.counts[b] += 1;
         self.count += 1;
-        self.sum += v;
+        // Saturating: a replayed log may carry any `u64` as a sample.
+        self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -178,23 +179,32 @@ impl StreamingHistogram {
     /// [`StreamingHistogram::sum`]/[`StreamingHistogram::min`]/
     /// [`StreamingHistogram::max`]/[`StreamingHistogram::raw_buckets`].
     /// The result compares equal to the original. Empty pairs rebuild the
-    /// empty histogram regardless of the scalar arguments.
-    pub fn from_raw(sum: u64, min: u64, max: u64, pairs: &[(u64, u64)]) -> StreamingHistogram {
+    /// empty histogram regardless of the scalar arguments. `None` when the
+    /// pairs are no histogram's: a bucket index past the one `u64::MAX`
+    /// falls in, or counts that overflow.
+    pub fn from_raw(
+        sum: u64,
+        min: u64,
+        max: u64,
+        pairs: &[(u64, u64)],
+    ) -> Option<StreamingHistogram> {
         let mut h = StreamingHistogram::new();
         for &(b, c) in pairs {
-            let b = b as usize;
+            let b = usize::try_from(b)
+                .ok()
+                .filter(|&b| b <= bucket_of(u64::MAX))?;
             if b >= h.counts.len() {
                 h.counts.resize(b + 1, 0);
             }
-            h.counts[b] += c;
-            h.count += c;
+            h.counts[b] = h.counts[b].checked_add(c)?;
+            h.count = h.count.checked_add(c)?;
         }
         if h.count > 0 {
             h.sum = sum;
             h.min = min;
             h.max = max;
         }
-        h
+        Some(h)
     }
 
     /// Non-empty buckets as `(lower, upper, count)` triples.
@@ -354,11 +364,11 @@ mod tests {
             h.record(rng.gen_range(0u64..1_000_000));
         }
         let pairs: Vec<(u64, u64)> = h.raw_buckets().collect();
-        let back = StreamingHistogram::from_raw(h.sum(), h.min(), h.max(), &pairs);
+        let back = StreamingHistogram::from_raw(h.sum(), h.min(), h.max(), &pairs).unwrap();
         assert_eq!(back, h);
         assert_eq!(back.p90(), h.p90());
         // Empty round trip: no pairs rebuilds the pristine empty state.
-        let empty = StreamingHistogram::from_raw(0, 0, 0, &[]);
+        let empty = StreamingHistogram::from_raw(0, 0, 0, &[]).unwrap();
         assert_eq!(empty, StreamingHistogram::new());
     }
 

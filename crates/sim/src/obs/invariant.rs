@@ -5,19 +5,18 @@
 //! fed purely by observer hooks, and cross-checks each event against it:
 //!
 //! * **flit conservation** — every flit that enters the network (counted
-//!   per flit by [`SimObserver::on_flit_source`]) is eventually consumed
-//!   at an ejection channel, purged by a timeout, or still buffered; the
-//!   three-way sum is re-audited at every
-//!   [`SimObserver::on_cycle_end`];
+//!   per flit by [`Event::FlitSource`]) is eventually consumed at an
+//!   ejection channel, purged by a timeout, or still buffered; the
+//!   three-way sum is re-audited at every [`Event::CycleEnd`];
 //! * **credit / buffer accounting** — no buffer ever exceeds the
 //!   configured depth, and a buffer only ever holds flits of a single
 //!   packet (the wormhole ownership invariant);
 //! * **no teleport** — a flit can only leave the *front* of the buffer it
 //!   actually occupies, in FIFO order, and each channel moves at most one
 //!   flit per cycle in each direction (the unit-bandwidth invariant);
-//! * **latency blame identity** — every [`SimObserver::on_blame`]
-//!   decomposition must sum exactly to the delivery's latency, and each
-//!   component is re-derived from the raw hook stream: the queue share
+//! * **latency blame identity** — every [`Event::Blame`] decomposition
+//!   must sum exactly to the delivery's latency, and each component is
+//!   re-derived from the raw event stream: the queue share
 //!   from the injection stamp, the service + misroute share from distinct
 //!   cycles with flit movement, the blocked share as the in-network
 //!   remainder.
@@ -32,9 +31,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use super::{ChannelLayout, PacketBlame, SimObserver};
+use super::{ChannelLayout, Event, PacketBlame, SimObserver};
 use crate::PacketId;
-use turnroute_topology::NodeId;
 
 /// Cap on recorded violation messages; past this, only the count grows.
 const MAX_RECORDED: usize = 64;
@@ -227,24 +225,8 @@ impl InvariantObserver {
             }
         }
     }
-}
 
-impl SimObserver for InvariantObserver {
-    fn on_inject(&mut self, now: u64, packet: PacketId, _src: NodeId, _dst: NodeId, _len: u32) {
-        // A retry re-fires this hook; overwriting restarts the in-network
-        // clock, matching the engine's own counter reset (the failed
-        // attempt folds into the queue share).
-        self.blame_shadow.insert(
-            packet.0,
-            BlameShadow {
-                injected: now,
-                last_move: u64::MAX,
-                progress: 0,
-            },
-        );
-    }
-
-    fn on_flit_source(&mut self, now: u64, slot: usize, packet: PacketId, is_tail: bool) {
+    fn flit_sourced(&mut self, now: u64, slot: usize, packet: PacketId, is_tail: bool) {
         if slot < self.shadow.len() && !self.layout.is_injection(slot) {
             self.record(format!(
                 "cycle {now}: packet {} sourced a flit into non-injection slot {}",
@@ -264,7 +246,7 @@ impl SimObserver for InvariantObserver {
         self.summary.in_flight_flits += 1;
     }
 
-    fn on_flit_advance(&mut self, now: u64, from: usize, to: Option<usize>, p: PacketId, t: bool) {
+    fn flit_advanced(&mut self, now: u64, from: usize, to: Option<usize>, p: PacketId, t: bool) {
         if let Some(b) = self.blame_shadow.get_mut(&p.0) {
             if b.last_move != now {
                 b.last_move = now;
@@ -297,11 +279,7 @@ impl SimObserver for InvariantObserver {
         }
     }
 
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, _hops: u32) {
-        self.last_deliver = Some((packet.0, now, latency));
-    }
-
-    fn on_blame(&mut self, now: u64, packet: PacketId, blame: PacketBlame) {
+    fn audit_blame(&mut self, now: u64, packet: PacketId, blame: PacketBlame) {
         self.summary.blamed_packets += 1;
         let Some((pid, dnow, latency)) = self.last_deliver.take() else {
             self.record(format!(
@@ -365,10 +343,9 @@ impl SimObserver for InvariantObserver {
         }
     }
 
-    fn on_purge(&mut self, now: u64, packet: PacketId) {
-        let _ = now;
+    fn purged(&mut self, packet: PacketId) {
         // The engine resets its per-packet blame counters on retry and
-        // re-fires `on_inject` if the packet re-enters; dropping the
+        // fires `Inject` again if the packet re-enters; dropping the
         // shadow here mirrors both the retry and the drop path.
         self.blame_shadow.remove(&packet.0);
         let mut removed = 0u64;
@@ -381,7 +358,7 @@ impl SimObserver for InvariantObserver {
         self.summary.in_flight_flits -= removed.min(self.summary.in_flight_flits);
     }
 
-    fn on_cycle_end(&mut self, now: u64) {
+    fn audit_cycle(&mut self, now: u64) {
         self.summary.audited_cycles += 1;
         let buffered: u64 = self.shadow.iter().map(|b| b.len() as u64).sum();
         if buffered != self.summary.in_flight_flits {
@@ -403,8 +380,45 @@ impl SimObserver for InvariantObserver {
     }
 }
 
+impl SimObserver for InvariantObserver {
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        match *ev {
+            // A retry fires this again; overwriting restarts the
+            // in-network clock, matching the engine's own counter reset
+            // (the failed attempt folds into the queue share).
+            Event::Inject { packet, .. } => {
+                let fresh = BlameShadow {
+                    injected: now,
+                    last_move: u64::MAX,
+                    progress: 0,
+                };
+                self.blame_shadow.insert(packet.0, fresh);
+            }
+            Event::FlitSource {
+                slot,
+                packet,
+                is_tail,
+            } => self.flit_sourced(now, slot, packet, is_tail),
+            Event::FlitAdvance {
+                from,
+                to,
+                packet,
+                is_tail,
+            } => self.flit_advanced(now, from, to, packet, is_tail),
+            Event::Deliver {
+                packet, latency, ..
+            } => self.last_deliver = Some((packet.0, now, latency)),
+            Event::Blame { packet, blame } => self.audit_blame(now, packet, blame),
+            Event::Purge { packet } => self.purged(packet),
+            Event::CycleEnd => self.audit_cycle(now),
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::super::fire;
     use super::*;
 
     fn obs() -> InvariantObserver {
@@ -418,13 +432,13 @@ mod tests {
         let (inj, ej) = (l.inj_base, l.ej_base);
         // A 2-flit packet: source both flits, advance them to ejection,
         // consume them.
-        o.on_flit_source(0, inj, PacketId(7), false);
-        o.on_flit_advance(1, inj, Some(ej), PacketId(7), false);
-        o.on_flit_source(1, inj, PacketId(7), true);
-        o.on_flit_advance(2, ej, None, PacketId(7), false);
-        o.on_flit_advance(2, inj, Some(ej), PacketId(7), true);
-        o.on_flit_advance(3, ej, None, PacketId(7), true);
-        o.on_cycle_end(3);
+        fire::flit_source(&mut o, 0, inj, 7, false);
+        fire::advance(&mut o, 1, inj, Some(ej), 7, false);
+        fire::flit_source(&mut o, 1, inj, 7, true);
+        fire::advance(&mut o, 2, ej, None, 7, false);
+        fire::advance(&mut o, 2, inj, Some(ej), 7, true);
+        fire::advance(&mut o, 3, ej, None, 7, true);
+        o.on_event(3, &Event::CycleEnd);
         o.assert_clean();
         let s = o.summary();
         assert_eq!(s.sourced_flits, 2);
@@ -436,7 +450,7 @@ mod tests {
     fn teleport_is_flagged() {
         let mut o = obs();
         // Flit leaves a buffer it never entered.
-        o.on_flit_advance(5, 0, Some(1), PacketId(3), false);
+        fire::advance(&mut o, 5, 0, Some(1), 3, false);
         assert!(!o.is_clean());
         assert!(
             o.violations()[0].contains("teleport"),
@@ -449,14 +463,14 @@ mod tests {
     fn overflow_and_double_move_are_flagged() {
         let mut o = obs();
         let inj = ChannelLayout::new(4, 2).inj_base;
-        o.on_flit_source(0, inj, PacketId(1), false);
+        fire::flit_source(&mut o, 0, inj, 1, false);
         // Depth is 1: a second resident flit overflows.
-        o.on_flit_source(1, inj, PacketId(1), false);
+        fire::flit_source(&mut o, 1, inj, 1, false);
         assert_eq!(o.summary().violations, 1);
         assert!(o.violations()[0].contains("overflow"));
         // Two pops from one slot in the same cycle violate unit bandwidth.
-        o.on_flit_advance(2, inj, Some(0), PacketId(1), false);
-        o.on_flit_advance(2, inj, Some(1), PacketId(1), false);
+        fire::advance(&mut o, 2, inj, Some(0), 1, false);
+        fire::advance(&mut o, 2, inj, Some(1), 1, false);
         assert!(o.violations().iter().any(|v| v.contains("unit bandwidth")));
     }
 
@@ -464,10 +478,10 @@ mod tests {
     fn conservation_audit_catches_lost_flits() {
         let mut o = obs();
         let inj = ChannelLayout::new(4, 2).inj_base;
-        o.on_flit_source(0, inj, PacketId(1), true);
+        fire::flit_source(&mut o, 0, inj, 1, true);
         // Tamper with the shadow state to simulate an unobserved loss.
         o.shadow[inj].clear();
-        o.on_cycle_end(0);
+        o.on_event(0, &Event::CycleEnd);
         assert!(!o.is_clean());
         assert!(o.violations().iter().any(|v| v.contains("conservation")));
     }
@@ -480,14 +494,15 @@ mod tests {
         // Packet 7, created cycle 0, injected cycle 2, single flit.
         // Moves on cycles 3 (inj -> ej) and 5 (consumed): progress 2,
         // network 3, blocked 1, queue 2, latency 5.
-        o.on_inject(2, PacketId(7), NodeId(0), NodeId(1), 1);
-        o.on_flit_source(2, inj, PacketId(7), true);
-        o.on_flit_advance(3, inj, Some(ej), PacketId(7), true);
-        o.on_flit_advance(5, ej, None, PacketId(7), true);
-        o.on_deliver(5, PacketId(7), 5, 1);
-        o.on_blame(
+        fire::inject(&mut o, 2, 7, 0, 1, 1);
+        fire::flit_source(&mut o, 2, inj, 7, true);
+        fire::advance(&mut o, 3, inj, Some(ej), 7, true);
+        fire::advance(&mut o, 5, ej, None, 7, true);
+        fire::deliver(&mut o, 5, 7, 5, 1);
+        fire::blame(
+            &mut o,
             5,
-            PacketId(7),
+            7,
             PacketBlame {
                 queue_cycles: 2,
                 blocked_cycles: 1,
@@ -495,7 +510,7 @@ mod tests {
                 misroute_cycles: 0,
             },
         );
-        o.on_cycle_end(5);
+        o.on_event(5, &Event::CycleEnd);
         o.assert_clean();
         assert_eq!(o.summary().blamed_packets, 1);
     }
@@ -505,16 +520,17 @@ mod tests {
         let mut o = obs();
         let l = ChannelLayout::new(4, 2);
         let (inj, ej) = (l.inj_base, l.ej_base);
-        o.on_inject(2, PacketId(7), NodeId(0), NodeId(1), 1);
-        o.on_flit_source(2, inj, PacketId(7), true);
-        o.on_flit_advance(3, inj, Some(ej), PacketId(7), true);
-        o.on_flit_advance(5, ej, None, PacketId(7), true);
-        o.on_deliver(5, PacketId(7), 5, 1);
+        fire::inject(&mut o, 2, 7, 0, 1, 1);
+        fire::flit_source(&mut o, 2, inj, 7, true);
+        fire::advance(&mut o, 3, inj, Some(ej), 7, true);
+        fire::advance(&mut o, 5, ej, None, 7, true);
+        fire::deliver(&mut o, 5, 7, 5, 1);
         // Same totals, but a cycle of blocked time misattributed to
         // service: the movement-derived check must catch it.
-        o.on_blame(
+        fire::blame(
+            &mut o,
             5,
-            PacketId(7),
+            7,
             PacketBlame {
                 queue_cycles: 2,
                 blocked_cycles: 0,
@@ -530,9 +546,9 @@ mod tests {
         );
         // And a decomposition that does not even sum to the latency.
         let mut o = obs();
-        o.on_inject(0, PacketId(1), NodeId(0), NodeId(1), 1);
-        o.on_deliver(4, PacketId(1), 4, 1);
-        o.on_blame(4, PacketId(1), PacketBlame::default());
+        fire::inject(&mut o, 0, 1, 0, 1, 1);
+        fire::deliver(&mut o, 4, 1, 4, 1);
+        fire::blame(&mut o, 4, 1, PacketBlame::default());
         assert!(o
             .violations()
             .iter()
@@ -543,9 +559,14 @@ mod tests {
     fn purge_reconciles_shadow_state() {
         let mut o = obs();
         let inj = ChannelLayout::new(4, 2).inj_base;
-        o.on_flit_source(0, inj, PacketId(9), false);
-        o.on_purge(1, PacketId(9));
-        o.on_cycle_end(1);
+        fire::flit_source(&mut o, 0, inj, 9, false);
+        o.on_event(
+            1,
+            &Event::Purge {
+                packet: PacketId(9),
+            },
+        );
+        o.on_event(1, &Event::CycleEnd);
         o.assert_clean();
         assert_eq!(o.summary().purged_flits, 1);
         assert_eq!(o.summary().in_flight_flits, 0);

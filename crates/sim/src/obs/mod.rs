@@ -1,7 +1,9 @@
-//! Flit-level telemetry: observer hooks and composable collectors.
+//! Flit-level telemetry: one [`Event`] vocabulary and composable
+//! collectors.
 //!
-//! The engine is generic over a [`SimObserver`]; the default
-//! [`NoopObserver`] has `ENABLED = false`, so every hook call sits behind
+//! The engine is generic over a [`SimObserver`] and hands it every
+//! [`Event`] through [`SimObserver::on_event`]; the default
+//! [`NoopObserver`] has `ENABLED = false`, so every event is built behind
 //! an `if O::ENABLED` the compiler folds away — an uninstrumented
 //! simulation pays nothing. Collectors in this module implement the trait
 //! and can be composed with tuples (`(A, B)`) or via the all-in-one
@@ -41,7 +43,7 @@ pub use frame::{ChannelWindow, FrameCollector, TelemetryFrame};
 pub use heatmap::ChannelHeatmap;
 pub use hist::StreamingHistogram;
 pub use invariant::{InvariantObserver, InvariantSummary};
-pub use trace::{RingTrace, TraceEvent};
+pub use trace::RingTrace;
 
 use crate::PacketId;
 use turnroute_model::Turn;
@@ -61,8 +63,8 @@ pub enum StallReason {
 /// One transition of the online reconfiguration protocol (`turnheal`).
 ///
 /// The engine itself never emits these — the healing driver
-/// (`turnroute-analysis`'s `heal` module) fires them through
-/// [`SimObserver::on_heal`] on the simulation's observer so every
+/// (`turnroute-analysis`'s `heal` module) fires them as [`Event::Heal`]
+/// on the simulation's observer so every
 /// reconfiguration decision lands in the same event stream as the flit
 /// traffic it reacts to, in deterministic order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,99 +151,165 @@ impl PacketBlame {
     }
 }
 
-/// Hooks the engine fires at each interesting simulation event.
+/// One thing that happened in a simulation: the single vocabulary the
+/// engine, the healing driver, every collector, the TTRL log and replay
+/// share. The cycle it happened at travels beside it
+/// ([`SimObserver::on_event`]'s `now`).
 ///
-/// Every method has an empty default body, so collectors implement only
-/// what they need. `ENABLED` gates the call sites: when `false` (the
-/// [`NoopObserver`]) the instrumentation compiles away entirely.
-pub trait SimObserver {
-    /// Whether the engine should fire hooks at all.
-    const ENABLED: bool = true;
-
+/// The engine fires the first thirteen kinds; [`Event::Heal`] comes from
+/// the healing driver, and [`Event::Frame`] / [`Event::Alert`] from
+/// frame-aware drivers (the obslog recorder's embedded
+/// [`FrameCollector`], or replay re-dispatching recorded ones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event<'a> {
     /// A packet started streaming into its source's injection buffer.
-    fn on_inject(&mut self, _now: u64, _packet: PacketId, _src: NodeId, _dst: NodeId, _len: u32) {}
-
-    /// A flit moved from channel `from` into channel `to`'s buffer
-    /// (`None` = consumed at its destination's ejection buffer).
-    fn on_flit_advance(
-        &mut self,
-        _now: u64,
-        _from: usize,
-        _to: Option<usize>,
-        _packet: PacketId,
-        _is_tail: bool,
-    ) {
-    }
-
-    /// A header reserved an output channel, turning from its arrival
-    /// direction. Not fired for injections (no arrival direction).
-    fn on_turn(&mut self, _now: u64, _packet: PacketId, _at: NodeId, _turn: Turn) {}
-
-    /// A header reserved an unproductive (nonminimal) output channel.
-    fn on_misroute(&mut self, _now: u64, _packet: PacketId, _at: NodeId, _dir: Direction) {}
-
-    /// An occupied channel advanced nothing this cycle.
-    fn on_stall(&mut self, _now: u64, _slot: usize, _packet: PacketId, _reason: StallReason) {}
-
-    /// A packet's tail flit was consumed at its destination.
-    fn on_deliver(&mut self, _now: u64, _packet: PacketId, _latency: u64, _hops: u32) {}
-
-    /// Deadlock detection tripped; `snapshot` holds the frozen waits-for
-    /// graph and channel occupancy.
-    fn on_deadlock(&mut self, _now: u64, _snapshot: &DeadlockSnapshot) {}
-
-    /// A scheduled fault changed a channel's state: `active` means the
-    /// channel at `slot` just failed, `!active` that it healed. Fired once
-    /// per affected channel slot (a node fault fires for every incident
-    /// channel).
-    fn on_fault(&mut self, _now: u64, _slot: usize, _active: bool) {}
-
-    /// A packet was purged after exhausting its lifetime and retries.
-    /// `unroutable` means delivery was impossible (its source or
-    /// destination router was down); otherwise it timed out while
-    /// routable.
-    fn on_drop(&mut self, _now: u64, _packet: PacketId, _unroutable: bool) {}
-
+    Inject {
+        /// The packet.
+        packet: PacketId,
+        /// Its source node.
+        src: NodeId,
+        /// Its destination node.
+        dst: NodeId,
+        /// Its length in flits.
+        len: u32,
+    },
     /// A flit entered the network from the processor side: it was pushed
     /// into injection buffer `slot`. Fired once per flit (unlike
-    /// [`SimObserver::on_inject`], which fires once per packet), so a
-    /// collector that counts these sees every flit the engine ever owns.
-    fn on_flit_source(&mut self, _now: u64, _slot: usize, _packet: PacketId, _is_tail: bool) {}
-
+    /// [`Event::Inject`], once per packet), so a collector that counts
+    /// these sees every flit the engine ever owns.
+    FlitSource {
+        /// The injection slot.
+        slot: usize,
+        /// The flit's packet.
+        packet: PacketId,
+        /// Whether this was the tail flit.
+        is_tail: bool,
+    },
+    /// A flit moved from channel `from` into channel `to`'s buffer.
+    FlitAdvance {
+        /// Source channel slot.
+        from: usize,
+        /// Destination channel slot; `None` = consumed at its
+        /// destination's ejection buffer.
+        to: Option<usize>,
+        /// The flit's packet.
+        packet: PacketId,
+        /// Whether this was the tail flit.
+        is_tail: bool,
+    },
+    /// A header reserved an output channel, turning from its arrival
+    /// direction. Not fired for injections (no arrival direction).
+    Turn {
+        /// The packet.
+        packet: PacketId,
+        /// Router where the turn happened.
+        at: NodeId,
+        /// The turn taken.
+        turn: Turn,
+    },
+    /// A header reserved an unproductive (nonminimal) output channel.
+    Misroute {
+        /// The packet.
+        packet: PacketId,
+        /// Router where the misroute happened.
+        at: NodeId,
+        /// The unproductive direction taken.
+        dir: Direction,
+    },
+    /// An occupied channel advanced nothing this cycle.
+    Stall {
+        /// The occupied channel slot.
+        slot: usize,
+        /// Packet whose flit sits at the buffer's front.
+        packet: PacketId,
+        /// Why nothing moved.
+        reason: StallReason,
+    },
+    /// A packet's tail flit was consumed at its destination.
+    Deliver {
+        /// The packet.
+        packet: PacketId,
+        /// Creation-to-consumption latency in cycles.
+        latency: u64,
+        /// Network hops taken.
+        hops: u32,
+    },
+    /// A delivered packet's latency decomposition. Fired immediately
+    /// after the packet's [`Event::Deliver`], at the same cycle;
+    /// `blame.total()` equals that delivery's latency.
+    Blame {
+        /// The packet.
+        packet: PacketId,
+        /// Where its latency went.
+        blame: PacketBlame,
+    },
+    /// A scheduled fault changed a channel's state. Fired once per
+    /// affected channel slot (a node fault fires for every incident
+    /// channel).
+    Fault {
+        /// The affected channel slot.
+        slot: usize,
+        /// `true` = just failed, `false` = healed.
+        active: bool,
+    },
+    /// A packet was purged after exhausting its lifetime and retries.
+    Drop {
+        /// The packet.
+        packet: PacketId,
+        /// Delivery was impossible (its source or destination router was
+        /// down); otherwise it timed out while routable.
+        unroutable: bool,
+    },
     /// Every flit of `packet` was just removed from the network (lifetime
     /// expiry). Fired for both retried and dropped packets, *before* the
-    /// corresponding [`SimObserver::on_drop`] if the packet is dropped —
+    /// corresponding [`Event::Drop`] if the packet is dropped —
     /// conservation-checking collectors reconcile their shadow state here.
-    fn on_purge(&mut self, _now: u64, _packet: PacketId) {}
-
-    /// The engine finished every phase of cycle `now`. Collectors that
+    Purge {
+        /// The packet.
+        packet: PacketId,
+    },
+    /// The engine finished every phase of the cycle. Collectors that
     /// maintain per-cycle invariants (conservation, occupancy) audit them
     /// here, when the network state is quiescent.
-    fn on_cycle_end(&mut self, _now: u64) {}
-
-    /// The online reconfiguration engine made a protocol transition
-    /// (epoch open, proof, certificate, table swap, quarantine). Fired by
-    /// the healing driver, not the engine itself — see [`HealEvent`].
-    fn on_heal(&mut self, _now: u64, _ev: HealEvent) {}
-
-    /// A delivered packet's latency decomposition. Fired immediately
-    /// after the packet's [`SimObserver::on_deliver`], with the same
-    /// `now`; `blame.total()` equals that delivery's latency.
-    fn on_blame(&mut self, _now: u64, _packet: PacketId, _blame: PacketBlame) {}
-
-    /// A windowed telemetry frame was sealed. Fired by frame-aware
-    /// drivers (the obslog recorder's embedded [`FrameCollector`], or
-    /// replay re-dispatching recorded frames) — the engine itself never
-    /// fires it.
-    fn on_frame(&mut self, _now: u64, _frame: &TelemetryFrame) {}
-
-    /// An early-warning detector tripped over the frame stream. Fired by
-    /// the same drivers as [`SimObserver::on_frame`].
-    fn on_alert(&mut self, _now: u64, _alert: &Alert) {}
+    CycleEnd,
+    /// Deadlock detection tripped; the snapshot holds the frozen
+    /// waits-for graph and channel occupancy.
+    Deadlock(&'a DeadlockSnapshot),
+    /// The online reconfiguration engine made a protocol transition.
+    Heal(HealEvent),
+    /// A windowed telemetry frame was sealed.
+    Frame(&'a TelemetryFrame),
+    /// An early-warning detector tripped over the frame stream.
+    Alert(&'a Alert),
 }
 
-/// The default do-nothing observer; `ENABLED = false` removes every hook
-/// call from the compiled engine.
+/// Receives every [`Event`] of a run, in the order it happened.
+///
+/// `ENABLED` gates the call sites: when `false` (the [`NoopObserver`])
+/// the instrumentation compiles away entirely.
+pub trait SimObserver {
+    /// Whether the engine should build and fire events at all.
+    const ENABLED: bool = true;
+
+    /// `ev` happened at cycle `now`. The default ignores it, so a
+    /// collector matches only the kinds it needs.
+    fn on_event(&mut self, _now: u64, _ev: &Event<'_>) {}
+
+    /// Driver-side entry point for [`Event::Frame`] — the engine never
+    /// fires it; whoever seals frames hands them over through this.
+    fn on_frame(&mut self, now: u64, frame: &TelemetryFrame) {
+        self.on_event(now, &Event::Frame(frame));
+    }
+
+    /// Driver-side entry point for [`Event::Alert`], like
+    /// [`SimObserver::on_frame`].
+    fn on_alert(&mut self, now: u64, alert: &Alert) {
+        self.on_event(now, &Event::Alert(alert));
+    }
+}
+
+/// The default do-nothing observer; `ENABLED = false` removes every event
+/// from the compiled engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -253,91 +321,10 @@ impl SimObserver for NoopObserver {
 impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
-    fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-        self.0.on_inject(now, packet, src, dst, len);
-        self.1.on_inject(now, packet, src, dst, len);
-    }
-
-    fn on_flit_advance(
-        &mut self,
-        now: u64,
-        from: usize,
-        to: Option<usize>,
-        packet: PacketId,
-        is_tail: bool,
-    ) {
-        self.0.on_flit_advance(now, from, to, packet, is_tail);
-        self.1.on_flit_advance(now, from, to, packet, is_tail);
-    }
-
-    fn on_turn(&mut self, now: u64, packet: PacketId, at: NodeId, turn: Turn) {
-        self.0.on_turn(now, packet, at, turn);
-        self.1.on_turn(now, packet, at, turn);
-    }
-
-    fn on_misroute(&mut self, now: u64, packet: PacketId, at: NodeId, dir: Direction) {
-        self.0.on_misroute(now, packet, at, dir);
-        self.1.on_misroute(now, packet, at, dir);
-    }
-
-    fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-        self.0.on_stall(now, slot, packet, reason);
-        self.1.on_stall(now, slot, packet, reason);
-    }
-
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-        self.0.on_deliver(now, packet, latency, hops);
-        self.1.on_deliver(now, packet, latency, hops);
-    }
-
-    fn on_deadlock(&mut self, now: u64, snapshot: &DeadlockSnapshot) {
-        self.0.on_deadlock(now, snapshot);
-        self.1.on_deadlock(now, snapshot);
-    }
-
-    fn on_fault(&mut self, now: u64, slot: usize, active: bool) {
-        self.0.on_fault(now, slot, active);
-        self.1.on_fault(now, slot, active);
-    }
-
-    fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-        self.0.on_drop(now, packet, unroutable);
-        self.1.on_drop(now, packet, unroutable);
-    }
-
-    fn on_flit_source(&mut self, now: u64, slot: usize, packet: PacketId, is_tail: bool) {
-        self.0.on_flit_source(now, slot, packet, is_tail);
-        self.1.on_flit_source(now, slot, packet, is_tail);
-    }
-
-    fn on_purge(&mut self, now: u64, packet: PacketId) {
-        self.0.on_purge(now, packet);
-        self.1.on_purge(now, packet);
-    }
-
-    fn on_cycle_end(&mut self, now: u64) {
-        self.0.on_cycle_end(now);
-        self.1.on_cycle_end(now);
-    }
-
-    fn on_heal(&mut self, now: u64, ev: HealEvent) {
-        self.0.on_heal(now, ev);
-        self.1.on_heal(now, ev);
-    }
-
-    fn on_blame(&mut self, now: u64, packet: PacketId, blame: PacketBlame) {
-        self.0.on_blame(now, packet, blame);
-        self.1.on_blame(now, packet, blame);
-    }
-
-    fn on_frame(&mut self, now: u64, frame: &TelemetryFrame) {
-        self.0.on_frame(now, frame);
-        self.1.on_frame(now, frame);
-    }
-
-    fn on_alert(&mut self, now: u64, alert: &Alert) {
-        self.0.on_alert(now, alert);
-        self.1.on_alert(now, alert);
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        self.0.on_event(now, ev);
+        self.1.on_event(now, ev);
     }
 }
 
@@ -561,49 +548,108 @@ impl Telemetry {
 }
 
 impl SimObserver for Telemetry {
-    fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-        self.trace.on_inject(now, packet, src, dst, len);
+    #[inline]
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        self.heatmap.on_event(now, ev);
+        self.census.on_event(now, ev);
+        self.trace.on_event(now, ev);
+    }
+}
+
+/// Test shorthand: build one [`Event`] from plain operands and fire it.
+#[cfg(test)]
+pub(crate) mod fire {
+    use super::*;
+
+    pub fn inject(o: &mut impl SimObserver, now: u64, packet: u32, src: u32, dst: u32, len: u32) {
+        let (packet, src, dst) = (PacketId(packet), NodeId(src), NodeId(dst));
+        o.on_event(
+            now,
+            &Event::Inject {
+                packet,
+                src,
+                dst,
+                len,
+            },
+        );
     }
 
-    fn on_flit_advance(
-        &mut self,
+    pub fn flit_source(o: &mut impl SimObserver, now: u64, slot: usize, packet: u32, tail: bool) {
+        let (packet, is_tail) = (PacketId(packet), tail);
+        o.on_event(
+            now,
+            &Event::FlitSource {
+                slot,
+                packet,
+                is_tail,
+            },
+        );
+    }
+
+    pub fn advance(
+        o: &mut impl SimObserver,
         now: u64,
         from: usize,
         to: Option<usize>,
-        packet: PacketId,
+        packet: u32,
         is_tail: bool,
     ) {
-        self.heatmap.on_flit_advance(now, from, to, packet, is_tail);
-        self.trace.on_flit_advance(now, from, to, packet, is_tail);
+        let packet = PacketId(packet);
+        o.on_event(
+            now,
+            &Event::FlitAdvance {
+                from,
+                to,
+                packet,
+                is_tail,
+            },
+        );
     }
 
-    fn on_turn(&mut self, now: u64, packet: PacketId, at: NodeId, turn: Turn) {
-        self.census.on_turn(now, packet, at, turn);
-        self.trace.on_turn(now, packet, at, turn);
+    pub fn turn(o: &mut impl SimObserver, now: u64, packet: u32, from: Direction, to: Direction) {
+        let (packet, at, turn) = (PacketId(packet), NodeId(0), Turn::new(from, to));
+        o.on_event(now, &Event::Turn { packet, at, turn });
     }
 
-    fn on_misroute(&mut self, now: u64, packet: PacketId, at: NodeId, dir: Direction) {
-        self.trace.on_misroute(now, packet, at, dir);
+    pub fn stall(
+        o: &mut impl SimObserver,
+        now: u64,
+        slot: usize,
+        packet: u32,
+        reason: StallReason,
+    ) {
+        let packet = PacketId(packet);
+        o.on_event(
+            now,
+            &Event::Stall {
+                slot,
+                packet,
+                reason,
+            },
+        );
     }
 
-    fn on_stall(&mut self, now: u64, slot: usize, packet: PacketId, reason: StallReason) {
-        self.heatmap.on_stall(now, slot, packet, reason);
+    pub fn deliver(o: &mut impl SimObserver, now: u64, packet: u32, latency: u64, hops: u32) {
+        let packet = PacketId(packet);
+        o.on_event(
+            now,
+            &Event::Deliver {
+                packet,
+                latency,
+                hops,
+            },
+        );
     }
 
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-        self.trace.on_deliver(now, packet, latency, hops);
+    pub fn blame(o: &mut impl SimObserver, now: u64, packet: u32, blame: PacketBlame) {
+        let packet = PacketId(packet);
+        o.on_event(now, &Event::Blame { packet, blame });
     }
 
-    fn on_deadlock(&mut self, now: u64, snapshot: &DeadlockSnapshot) {
-        self.trace.on_deadlock(now, snapshot);
-    }
-
-    fn on_fault(&mut self, now: u64, slot: usize, active: bool) {
-        self.trace.on_fault(now, slot, active);
-    }
-
-    fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-        self.trace.on_drop(now, packet, unroutable);
+    pub fn cycle_ends(o: &mut impl SimObserver, cycles: std::ops::Range<u64>) {
+        for now in cycles {
+            o.on_event(now, &Event::CycleEnd);
+        }
     }
 }
 

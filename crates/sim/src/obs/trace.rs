@@ -1,128 +1,47 @@
 //! Bounded event trace with deadlock postmortems.
 
-use super::{DeadlockSnapshot, SimObserver};
-use crate::PacketId;
+use super::{DeadlockSnapshot, Event, SimObserver};
 use std::collections::VecDeque;
-use turnroute_model::Turn;
-use turnroute_topology::{Direction, NodeId};
 
-/// One recorded simulation event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A packet started streaming into the network.
-    Inject {
-        /// Cycle of the event.
-        now: u64,
-        /// The packet.
-        packet: u32,
-        /// Its source node.
-        src: NodeId,
-        /// Its destination node.
-        dst: NodeId,
-        /// Its length in flits.
-        len: u32,
-    },
-    /// A flit crossed between channel buffers (`to: None` = consumed).
-    Advance {
-        /// Cycle of the event.
-        now: u64,
-        /// Source channel slot.
-        from: usize,
-        /// Destination channel slot, `None` when consumed.
-        to: Option<usize>,
-        /// The flit's packet.
-        packet: u32,
-        /// Whether this was the tail flit.
-        is_tail: bool,
-    },
-    /// A header turned at a router.
-    Turn {
-        /// Cycle of the event.
-        now: u64,
-        /// The packet.
-        packet: u32,
-        /// Router where the turn happened.
-        at: NodeId,
-        /// The turn taken.
-        turn: Turn,
-    },
-    /// A header took an unproductive channel.
-    Misroute {
-        /// Cycle of the event.
-        now: u64,
-        /// The packet.
-        packet: u32,
-        /// Router where the misroute happened.
-        at: NodeId,
-        /// The unproductive direction taken.
-        dir: Direction,
-    },
-    /// A packet's tail was consumed at its destination.
-    Deliver {
-        /// Cycle of the event.
-        now: u64,
-        /// The packet.
-        packet: u32,
-        /// Creation-to-consumption latency in cycles.
-        latency: u64,
-        /// Network hops taken.
-        hops: u32,
-    },
-    /// A scheduled fault changed a channel's state.
-    Fault {
-        /// Cycle of the event.
-        now: u64,
-        /// The affected channel slot.
-        slot: usize,
-        /// `true` = failed, `false` = healed.
-        active: bool,
-    },
-    /// A packet was purged after exhausting its lifetime and retries.
-    Drop {
-        /// Cycle of the event.
-        now: u64,
-        /// The packet.
-        packet: u32,
-        /// Whether delivery was impossible (source/destination down).
-        unroutable: bool,
-    },
-}
-
-impl TraceEvent {
-    /// The event as one JSON object (one JSONL line).
-    pub fn to_json(&self) -> String {
-        match *self {
-            TraceEvent::Inject { now, packet, src, dst, len } => format!(
-                "{{\"event\":\"inject\",\"cycle\":{now},\"packet\":{packet},\"src\":{},\"dst\":{},\"len\":{len}}}",
-                src.0, dst.0
-            ),
-            TraceEvent::Advance { now, from, to, packet, is_tail } => format!(
-                "{{\"event\":\"advance\",\"cycle\":{now},\"packet\":{packet},\"from\":{from},\"to\":{},\"is_tail\":{is_tail}}}",
-                match to {
-                    Some(t) => t.to_string(),
-                    None => "null".into(),
-                }
-            ),
-            TraceEvent::Turn { now, packet, at, turn } => format!(
-                "{{\"event\":\"turn\",\"cycle\":{now},\"packet\":{packet},\"at\":{},\"turn\":{}}}",
-                at.0,
-                super::json::string(&turn.to_string())
-            ),
-            TraceEvent::Misroute { now, packet, at, dir } => format!(
-                "{{\"event\":\"misroute\",\"cycle\":{now},\"packet\":{packet},\"at\":{},\"dir\":{}}}",
-                at.0,
-                super::json::string(&dir.to_string())
-            ),
-            TraceEvent::Deliver { now, packet, latency, hops } => format!(
-                "{{\"event\":\"deliver\",\"cycle\":{now},\"packet\":{packet},\"latency\":{latency},\"hops\":{hops}}}"
-            ),
-            TraceEvent::Fault { now, slot, active } => format!(
-                "{{\"event\":\"fault\",\"cycle\":{now},\"slot\":{slot},\"active\":{active}}}"
-            ),
-            TraceEvent::Drop { now, packet, unroutable } => format!(
-                "{{\"event\":\"drop\",\"cycle\":{now},\"packet\":{packet},\"unroutable\":{unroutable}}}"
-            ),
-        }
+/// One traced event as a JSON object (one JSONL line).
+fn to_json(now: u64, ev: &Event<'_>) -> String {
+    match *ev {
+        Event::Inject { packet, src, dst, len } => format!(
+            "{{\"event\":\"inject\",\"cycle\":{now},\"packet\":{},\"src\":{},\"dst\":{},\"len\":{len}}}",
+            packet.0, src.0, dst.0
+        ),
+        Event::FlitAdvance { from, to, packet, is_tail } => format!(
+            "{{\"event\":\"advance\",\"cycle\":{now},\"packet\":{},\"from\":{from},\"to\":{},\"is_tail\":{is_tail}}}",
+            packet.0,
+            match to {
+                Some(t) => t.to_string(),
+                None => "null".into(),
+            }
+        ),
+        Event::Turn { packet, at, turn } => format!(
+            "{{\"event\":\"turn\",\"cycle\":{now},\"packet\":{},\"at\":{},\"turn\":{}}}",
+            packet.0,
+            at.0,
+            super::json::string(&turn.to_string())
+        ),
+        Event::Misroute { packet, at, dir } => format!(
+            "{{\"event\":\"misroute\",\"cycle\":{now},\"packet\":{},\"at\":{},\"dir\":{}}}",
+            packet.0,
+            at.0,
+            super::json::string(&dir.to_string())
+        ),
+        Event::Deliver { packet, latency, hops } => format!(
+            "{{\"event\":\"deliver\",\"cycle\":{now},\"packet\":{},\"latency\":{latency},\"hops\":{hops}}}",
+            packet.0
+        ),
+        Event::Fault { slot, active } => format!(
+            "{{\"event\":\"fault\",\"cycle\":{now},\"slot\":{slot},\"active\":{active}}}"
+        ),
+        Event::Drop { packet, unroutable } => format!(
+            "{{\"event\":\"drop\",\"cycle\":{now},\"packet\":{},\"unroutable\":{unroutable}}}",
+            packet.0
+        ),
+        _ => unreachable!("the ring keeps only the seven kinds above"),
     }
 }
 
@@ -130,10 +49,13 @@ impl TraceEvent {
 /// detects deadlock the snapshot is captured, and
 /// [`RingTrace::postmortem_jsonl`] renders the whole story — the final
 /// events leading in, then the frozen waits-for graph — as JSONL.
+///
+/// Seven kinds are traced: inject, flit-advance, turn, misroute, deliver,
+/// fault and drop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingTrace {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<(u64, Event<'static>)>,
     dropped: u64,
     snapshot: Option<DeadlockSnapshot>,
 }
@@ -150,16 +72,8 @@ impl RingTrace {
         }
     }
 
-    fn push(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    /// The buffered `(cycle, event)` pairs, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = &(u64, Event<'static>)> {
         self.events.iter()
     }
 
@@ -183,8 +97,8 @@ impl RingTrace {
             self.dropped,
             self.snapshot.is_some()
         );
-        for e in &self.events {
-            out.push_str(&e.to_json());
+        for (now, e) in &self.events {
+            out.push_str(&to_json(*now, e));
             out.push('\n');
         }
         if let Some(snap) = &self.snapshot {
@@ -196,122 +110,100 @@ impl RingTrace {
 }
 
 impl SimObserver for RingTrace {
-    fn on_inject(&mut self, now: u64, packet: PacketId, src: NodeId, dst: NodeId, len: u32) {
-        self.push(TraceEvent::Inject {
-            now,
-            packet: packet.0,
-            src,
-            dst,
-            len,
-        });
-    }
-
-    fn on_flit_advance(
-        &mut self,
-        now: u64,
-        from: usize,
-        to: Option<usize>,
-        packet: PacketId,
-        is_tail: bool,
-    ) {
-        self.push(TraceEvent::Advance {
-            now,
-            from,
-            to,
-            packet: packet.0,
-            is_tail,
-        });
-    }
-
-    fn on_turn(&mut self, now: u64, packet: PacketId, at: NodeId, turn: Turn) {
-        self.push(TraceEvent::Turn {
-            now,
-            packet: packet.0,
-            at,
-            turn,
-        });
-    }
-
-    fn on_misroute(&mut self, now: u64, packet: PacketId, at: NodeId, dir: Direction) {
-        self.push(TraceEvent::Misroute {
-            now,
-            packet: packet.0,
-            at,
-            dir,
-        });
-    }
-
-    fn on_deliver(&mut self, now: u64, packet: PacketId, latency: u64, hops: u32) {
-        self.push(TraceEvent::Deliver {
-            now,
-            packet: packet.0,
-            latency,
-            hops,
-        });
-    }
-
-    fn on_deadlock(&mut self, _now: u64, snapshot: &DeadlockSnapshot) {
-        self.snapshot = Some(snapshot.clone());
-    }
-
-    fn on_fault(&mut self, now: u64, slot: usize, active: bool) {
-        self.push(TraceEvent::Fault { now, slot, active });
-    }
-
-    fn on_drop(&mut self, now: u64, packet: PacketId, unroutable: bool) {
-        self.push(TraceEvent::Drop {
-            now,
-            packet: packet.0,
-            unroutable,
-        });
+    fn on_event(&mut self, now: u64, ev: &Event<'_>) {
+        // The traced kinds borrow nothing, so each is rebuilt as an
+        // `Event<'static>` the ring can own.
+        let kept = match *ev {
+            Event::Inject {
+                packet,
+                src,
+                dst,
+                len,
+            } => Event::Inject {
+                packet,
+                src,
+                dst,
+                len,
+            },
+            Event::FlitAdvance {
+                from,
+                to,
+                packet,
+                is_tail,
+            } => Event::FlitAdvance {
+                from,
+                to,
+                packet,
+                is_tail,
+            },
+            Event::Turn { packet, at, turn } => Event::Turn { packet, at, turn },
+            Event::Misroute { packet, at, dir } => Event::Misroute { packet, at, dir },
+            Event::Deliver {
+                packet,
+                latency,
+                hops,
+            } => Event::Deliver {
+                packet,
+                latency,
+                hops,
+            },
+            Event::Fault { slot, active } => Event::Fault { slot, active },
+            Event::Drop { packet, unroutable } => Event::Drop { packet, unroutable },
+            Event::Deadlock(snapshot) => {
+                self.snapshot = Some(snapshot.clone());
+                return;
+            }
+            _ => return,
+        };
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back((now, kept));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ChannelLayout, WaitEdge};
+    use super::super::{fire, ChannelLayout, WaitEdge};
     use super::*;
+    use crate::PacketId;
+    use turnroute_model::Turn;
+    use turnroute_topology::{Direction, NodeId};
+
+    /// The packets of the buffered deliveries, oldest first.
+    fn delivered(t: &RingTrace) -> Vec<u32> {
+        t.events()
+            .map(|(_, e)| match e {
+                Event::Deliver { packet, .. } => packet.0,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
 
     #[test]
     fn ring_is_bounded_and_drops_oldest() {
         let mut t = RingTrace::new(3);
-        for i in 0..5u64 {
-            t.on_deliver(i, PacketId(i as u32), 10 + i, 2);
+        for i in 0..5u32 {
+            fire::deliver(&mut t, u64::from(i), i, 10 + u64::from(i), 2);
         }
-        assert_eq!(t.events().count(), 3);
         assert_eq!(t.dropped(), 2);
-        let first = t.events().next().unwrap();
-        match first {
-            TraceEvent::Deliver { packet, .. } => assert_eq!(*packet, 2),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(delivered(&t), [2, 3, 4]);
     }
 
     #[test]
     fn ring_at_exactly_capacity_drops_nothing() {
         let mut t = RingTrace::new(4);
-        for i in 0..4u64 {
-            t.on_deliver(i, PacketId(i as u32), i, 1);
+        for i in 0..4u32 {
+            fire::deliver(&mut t, u64::from(i), i, u64::from(i), 1);
         }
         // Full to the brim: nothing dropped yet, all four retained in order.
-        assert_eq!(t.events().count(), 4);
         assert_eq!(t.dropped(), 0);
-        let packets: Vec<u32> = t
-            .events()
-            .map(|e| match e {
-                TraceEvent::Deliver { packet, .. } => *packet,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(packets, [0, 1, 2, 3]);
+        assert_eq!(delivered(&t), [0, 1, 2, 3]);
         // One past capacity evicts exactly the oldest.
-        t.on_deliver(4, PacketId(4), 4, 1);
-        assert_eq!(t.events().count(), 4);
+        fire::deliver(&mut t, 4, 4, 4, 1);
         assert_eq!(t.dropped(), 1);
-        match t.events().next().unwrap() {
-            TraceEvent::Deliver { packet, .. } => assert_eq!(*packet, 1),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(delivered(&t), [1, 2, 3, 4]);
         // The postmortem header reflects the boundary crossing.
         assert!(t
             .postmortem_jsonl()
@@ -321,30 +213,57 @@ mod tests {
     #[test]
     fn fault_and_drop_events_are_json() {
         let mut t = RingTrace::new(8);
-        t.on_fault(5, 12, true);
-        t.on_fault(9, 12, false);
-        t.on_drop(11, PacketId(4), true);
+        let (slot, packet) = (12, PacketId(4));
+        t.on_event(5, &Event::Fault { slot, active: true });
+        t.on_event(
+            9,
+            &Event::Fault {
+                slot,
+                active: false,
+            },
+        );
+        let unroutable = true;
+        t.on_event(11, &Event::Drop { packet, unroutable });
         assert_eq!(t.events().count(), 3);
-        for e in t.events() {
-            let j = e.to_json();
-            assert!(crate::obs::json::validate(&j), "bad JSON: {j}");
+        let dump = t.postmortem_jsonl();
+        for line in dump.lines() {
+            assert!(crate::obs::json::validate(line), "bad JSON: {line}");
         }
+        assert!(dump.ends_with(
+            "{\"event\":\"fault\",\"cycle\":9,\"slot\":12,\"active\":false}\n\
+             {\"event\":\"drop\",\"cycle\":11,\"packet\":4,\"unroutable\":true}\n"
+        ));
+    }
+
+    #[test]
+    fn untraced_kinds_stay_out_of_the_ring() {
+        let mut t = RingTrace::new(8);
+        fire::flit_source(&mut t, 0, 16, 0, true);
+        fire::stall(&mut t, 1, 3, 0, crate::obs::StallReason::NotRouted);
+        fire::blame(&mut t, 2, 0, crate::obs::PacketBlame::default());
+        t.on_event(
+            2,
+            &Event::Purge {
+                packet: PacketId(0),
+            },
+        );
+        fire::cycle_ends(&mut t, 0..3);
+        assert_eq!((t.events().count(), t.dropped()), (0, 0));
+        // What is left renders: the header line alone.
+        assert_eq!(t.postmortem_jsonl().lines().count(), 1);
     }
 
     #[test]
     fn postmortem_lines_are_json() {
         let mut t = RingTrace::new(16);
-        t.on_inject(0, PacketId(0), NodeId(0), NodeId(3), 4);
-        t.on_turn(
-            2,
-            PacketId(0),
-            NodeId(1),
-            Turn::new(Direction::EAST, Direction::NORTH),
-        );
-        t.on_misroute(3, PacketId(0), NodeId(1), Direction::SOUTH);
-        t.on_flit_advance(3, 0, Some(4), PacketId(0), false);
-        t.on_flit_advance(4, 4, None, PacketId(0), true);
-        t.on_deliver(4, PacketId(0), 9, 2);
+        let (packet, at) = (PacketId(0), NodeId(1));
+        fire::inject(&mut t, 0, 0, 0, 3, 4);
+        fire::turn(&mut t, 2, 0, Direction::EAST, Direction::NORTH);
+        let dir = Direction::SOUTH;
+        t.on_event(3, &Event::Misroute { packet, at, dir });
+        fire::advance(&mut t, 3, 0, Some(4), 0, false);
+        fire::advance(&mut t, 4, 4, None, 0, true);
+        fire::deliver(&mut t, 4, 0, 9, 2);
         let snap = DeadlockSnapshot {
             now: 7,
             layout: ChannelLayout::new(4, 2),
@@ -356,7 +275,7 @@ mod tests {
                 waits_for: None,
             }],
         };
-        t.on_deadlock(7, &snap);
+        t.on_event(7, &Event::Deadlock(&snap));
         let dump = t.postmortem_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
         // header + 6 events + snapshot
@@ -365,6 +284,15 @@ mod tests {
             assert!(crate::obs::json::validate(line), "bad JSON line: {line}");
         }
         assert!(lines[0].contains("\"deadlocked\":true"));
+        let turn = Turn::new(Direction::EAST, Direction::NORTH);
+        assert_eq!(
+            lines[2],
+            format!("{{\"event\":\"turn\",\"cycle\":2,\"packet\":0,\"at\":0,\"turn\":\"{turn}\"}}")
+        );
+        assert_eq!(
+            lines[5],
+            "{\"event\":\"advance\",\"cycle\":4,\"packet\":0,\"from\":4,\"to\":null,\"is_tail\":true}"
+        );
         assert!(lines[7].contains("deadlock_snapshot"));
     }
 }

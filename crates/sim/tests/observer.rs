@@ -1,14 +1,14 @@
-//! Observer hook contract: exact firing counts on tiny deterministic
+//! Observer event contract: exact firing counts on tiny deterministic
 //! runs, and the deadlock postmortem path end to end.
 
-use turnroute_model::{RoutingFunction, Turn, TurnSet};
+use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_routing::{mesh2d, RoutingMode};
-use turnroute_sim::obs::{json, DeadlockSnapshot, SimObserver, StallReason, Telemetry};
-use turnroute_sim::{PacketId, Sim, SimConfig};
+use turnroute_sim::obs::{json, Event, SimObserver, Telemetry};
+use turnroute_sim::{Sim, SimConfig};
 use turnroute_topology::{DirSet, Direction, Mesh, NodeId, Topology};
 use turnroute_traffic::{Permutation, Uniform};
 
-/// Counts every hook invocation.
+/// Counts the events of the kinds the tests below predict.
 #[derive(Debug, Default)]
 struct Counter {
     injects: usize,
@@ -24,40 +24,24 @@ struct Counter {
 }
 
 impl SimObserver for Counter {
-    fn on_inject(&mut self, _now: u64, _packet: PacketId, _src: NodeId, _dst: NodeId, _len: u32) {
-        self.injects += 1;
-    }
-    fn on_flit_advance(
-        &mut self,
-        _now: u64,
-        _from: usize,
-        to: Option<usize>,
-        _packet: PacketId,
-        is_tail: bool,
-    ) {
-        self.advances += 1;
-        if to.is_none() {
-            self.ejections += 1;
+    fn on_event(&mut self, _now: u64, ev: &Event<'_>) {
+        match *ev {
+            Event::Inject { .. } => self.injects += 1,
+            Event::FlitAdvance { to, is_tail, .. } => {
+                self.advances += 1;
+                self.ejections += usize::from(to.is_none());
+                self.tails += usize::from(is_tail);
+            }
+            Event::Turn { .. } => self.turns += 1,
+            Event::Misroute { .. } => self.misroutes += 1,
+            Event::Stall { .. } => self.stalls += 1,
+            Event::Deliver { hops, .. } => {
+                self.delivers += 1;
+                self.hops_delivered += hops;
+            }
+            Event::Deadlock(_) => self.deadlocks += 1,
+            _ => {}
         }
-        if is_tail {
-            self.tails += 1;
-        }
-    }
-    fn on_turn(&mut self, _now: u64, _packet: PacketId, _at: NodeId, _turn: Turn) {
-        self.turns += 1;
-    }
-    fn on_misroute(&mut self, _now: u64, _packet: PacketId, _at: NodeId, _dir: Direction) {
-        self.misroutes += 1;
-    }
-    fn on_stall(&mut self, _now: u64, _slot: usize, _packet: PacketId, _reason: StallReason) {
-        self.stalls += 1;
-    }
-    fn on_deliver(&mut self, _now: u64, _packet: PacketId, _latency: u64, hops: u32) {
-        self.delivers += 1;
-        self.hops_delivered += hops;
-    }
-    fn on_deadlock(&mut self, _now: u64, _snapshot: &DeadlockSnapshot) {
-        self.deadlocks += 1;
     }
 }
 
@@ -69,7 +53,7 @@ fn quiet() -> SimConfig {
 }
 
 /// One 3-flit packet crossing a 2×2 mesh corner to corner under xy:
-/// every hook count is exactly predictable.
+/// every event count is exactly predictable.
 #[test]
 fn hook_counts_on_a_single_packet() {
     let mesh = Mesh::new_2d(2, 2);
@@ -179,7 +163,7 @@ impl RoutingFunction for TurnLeft {
     }
 }
 
-/// A forced circular wait trips `on_deadlock` exactly once, the
+/// A forced circular wait fires `Event::Deadlock` exactly once, the
 /// captured snapshot names the cycle, and the telemetry postmortem is
 /// line-by-line parseable JSON.
 #[test]
@@ -228,7 +212,7 @@ fn deadlock_postmortem_is_captured_and_parseable() {
 }
 
 /// The same deterministic run reports identical results with and
-/// without an observer attached — hooks are strictly read-only.
+/// without an observer attached — observing is strictly read-only.
 #[test]
 fn observer_does_not_perturb_the_simulation() {
     let mesh = Mesh::new_2d(4, 4);
@@ -250,7 +234,7 @@ fn observer_does_not_perturb_the_simulation() {
     assert_eq!(report.avg_latency_cycles, plain.avg_latency_cycles);
     assert_eq!(report.p99_latency_cycles, plain.p99_latency_cycles);
     assert_eq!(report.total_stall_cycles, plain.total_stall_cycles);
-    // on_deliver fires for every packet, including warmup and drain
+    // `Deliver` fires for every packet, including warmup and drain
     // deliveries outside the measurement window.
     assert!(observed.observer().delivers as u64 >= report.delivered_packets);
 }

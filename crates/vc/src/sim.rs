@@ -22,11 +22,11 @@ pub type VcSimReport = SimReport;
 /// channels per physical direction: [`turnroute_sim::Engine`] over
 /// [`VcLanes`].
 ///
-/// Same [`SimConfig`](turnroute_sim::SimConfig), API, observer hooks and
+/// Same [`SimConfig`](turnroute_sim::SimConfig), API, observer events and
 /// snapshot type as the base simulator. Output selection takes the routing
 /// function's first offered virtual channel that is free (`output_policy`
 /// does not apply: the offer order *is* the function's preference). The
-/// turn-level hooks (`on_turn`, `on_misroute`) are specific to physical
+/// turn-level events (`Turn`, `Misroute`) are specific to physical
 /// directions and are not fired.
 pub type VcSim<'a, O = NoopObserver> = Engine<'a, VcLanes<'a>, O>;
 
