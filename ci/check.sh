@@ -208,6 +208,16 @@ cargo test -p turnroute-vc --offline --quiet fault
 cargo test -p turnroute-experiments --offline --quiet faults
 cargo test -p turnroute --offline --quiet --test fault_tolerance
 
+echo "==> route-memo group"
+# The engine's route memo, runnable in isolation: the exact-counter
+# identity (one route computation per hop) and the wipe points in the
+# sim crate, then the memoised engine against a memo-free one through
+# faults, quarantine/hold, restore, retries, the misroute budget and
+# the degenerate line. (In this debug build every memo hit of every
+# other test is also recomputed and compared.)
+cargo test -p turnroute-sim --offline --quiet memo
+cargo test -p turnroute --offline --quiet --test sim_properties memo
+
 if [[ $full -eq 1 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release --offline
@@ -238,6 +248,9 @@ if [[ $full -eq 1 ]]; then
     # fingerprints of the degraded-mode path: the engine's fault-aware
     # arbitration and every healing certificate run one function,
     # `model::degraded_route`, and these five files move if it does.
+    # `exp nonminimal` and `exp node-delay` fingerprint the misroute
+    # budget and `routing_delay`, the two paths the route memo sits
+    # next to.
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnprove -- \
         --out "$tmp/turnprove.json" > /dev/null
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnsynth -- \
@@ -250,8 +263,13 @@ if [[ $full -eq 1 ]]; then
         chaos --out "$tmp/full" > /dev/null 2>&1
     cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
         faults --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        nonminimal --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        node-delay --out "$tmp/full" > /dev/null 2>&1
     for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr \
-        full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json; do
+        full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json \
+        full/nonminimal.md full/node_delay.md; do
         cmp "$tmp/$artifact" "results/$(basename "$artifact")"
     done
 
@@ -264,7 +282,8 @@ if [[ $full -eq 1 ]]; then
     # fail (exit 1), or the gate is blind.
     bench=(cargo run --release --offline --quiet --manifest-path turnbench/Cargo.toml --)
     for workload in mesh_heavy mesh_light vc_heavy fig_sweep record_replay proof_matrix; do
-        "${bench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+        "${bench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+            > "$tmp/bench_$workload.json"
     done
     status=0
     "${bench[@]}" --workload mesh_light --seed 1 --seconds 1 --trace 0 --self-test \
@@ -273,6 +292,14 @@ if [[ $full -eq 1 ]]; then
         echo "turnbench --self-test exited $status, not 1; the golden check is blind" >&2
         exit 1
     fi
+    # Advisory, never a gate: one short run on a shared box says little,
+    # but a hot path that fell off a cliff shows even here.
+    now="$(tail -n 1 "$tmp/bench_mesh_heavy.json" |
+        sed -n 's/.*"sim_cycles_per_s":{"value":\([0-9.]*\).*/\1/p')"
+    base="$(awk '/"mesh_heavy": \{/ { w = 1 } w && /"sim_cycles_per_s"/ { print; exit }' \
+        turnbench/baseline.json | sed -n 's/.*"median": \([0-9.]*\).*/\1/p')"
+    echo "advisory: mesh_heavy sim_cycles_per_s ${now:-?} (seed 1, 1 s)" \
+        "vs turnbench/baseline.json median ${base:-?}"
 fi
 
 echo "OK"

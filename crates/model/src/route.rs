@@ -24,6 +24,8 @@ use turnroute_topology::{DirSet, Direction, NodeId, Topology};
 ///   function makes must use an allowed turn of that set — this is what
 ///   ties a concrete algorithm back to the turn model, and tests enforce
 ///   it.
+/// * `route` is a pure function of its arguments — the prover tabulates
+///   it and the engine memoises it.
 pub trait RoutingFunction {
     /// A short human-readable name, e.g. `"west-first"`.
     fn name(&self) -> &str;

@@ -7,7 +7,7 @@ use crate::obs::{
     ChannelLayout, DeadlockSnapshot, Event, NoopObserver, PacketBlame, SimObserver, StallReason,
     StreamingHistogram, WaitEdge,
 };
-use crate::profile::{Phase, PhaseProfiler};
+use crate::profile::{Phase, PhaseProfiler, Work};
 use crate::report::BlameTotals;
 use crate::{
     ChoiceScript, FaultTarget, InputPolicy, LengthDist, OutputPolicy, Packet, PacketId,
@@ -15,6 +15,7 @@ use crate::{
 };
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::time::Instant;
 use turnroute_model::Turn;
 use turnroute_rng::rngs::StdRng;
 use turnroute_rng::{Rng, SeedableRng};
@@ -23,6 +24,11 @@ use turnroute_traffic::TrafficPattern;
 
 /// Sentinel for "no packet" / "no channel".
 const NONE_U32: u32 = u32::MAX;
+
+/// Route-memo entry layout: the output slot in the low 31 bits, the
+/// productive bit on top. [`NONE_U32`] ends an offer shorter than the
+/// memo's stride.
+const MEMO_PRODUCTIVE: u32 = 1 << 31;
 
 /// Per-source stream state: the packet currently being pushed into the
 /// injection channel and how many of its flits have been emitted.
@@ -43,10 +49,17 @@ enum RouteDecision {
     Eject(usize),
     /// The input router is held by the healing driver; grant nothing.
     Hold,
-    /// The caller's candidate list now holds every output the adapter
-    /// offers — existing, healthy, and within the misroute budget —
-    /// before the free-channel filter.
-    Candidates,
+    /// The caller's candidate list now holds the adapter's raw offer for
+    /// this head — every existing, healthy output, in offer order —
+    /// before the misroute-budget and free-channel filters.
+    Offer {
+        /// Whether the offer was read back from the route memo instead
+        /// of computed.
+        memoised: bool,
+        /// Out of misroute budget: a nonminimal function's unproductive
+        /// offers are withdrawn while any productive one remains.
+        productive_only: bool,
+    },
 }
 
 /// Who resolves arbitration's two choice points — which waiting head a
@@ -81,12 +94,17 @@ impl Arbiter for ChoiceScript {
     }
 }
 
-/// Where the stepper's per-phase wall-clock spans go.
-trait SpanSink {
-    /// Run one engine phase, attributing its time to `phase`.
-    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R;
+/// Where the stepper's per-phase wall-clock spans and exact work counts
+/// go.
+trait SpanSink: Sized {
+    /// Run one engine phase, attributing its time to `phase`. The phase
+    /// is handed the sink back so it can [`count`](SpanSink::count).
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R;
     /// Count one completed cycle.
     fn add_cycle(&mut self);
+    /// Count `n` units of seed-determined `work`.
+    #[inline(always)]
+    fn count(&mut self, _work: Work, _n: u64) {}
 }
 
 /// No profiling: the phases run bare.
@@ -94,8 +112,8 @@ struct NoSpans;
 
 impl SpanSink for NoSpans {
     #[inline(always)]
-    fn time<R>(&mut self, _phase: Phase, f: impl FnOnce() -> R) -> R {
-        f()
+    fn time<R>(&mut self, _phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
+        f(self)
     }
 
     #[inline(always)]
@@ -103,13 +121,20 @@ impl SpanSink for NoSpans {
 }
 
 impl SpanSink for PhaseProfiler {
-    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let _span = self.span(phase);
-        f()
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
+        let start = Instant::now();
+        let result = f(self);
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.record_nanos(phase, nanos);
+        result
     }
 
     fn add_cycle(&mut self) {
         PhaseProfiler::add_cycle(self);
+    }
+
+    fn count(&mut self, work: Work, n: u64) {
+        self.add_work(work, n);
     }
 }
 
@@ -305,6 +330,19 @@ pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     /// only.
     total_stall_cycles: u64,
 
+    // --- route memo ---
+    /// Per input slot, the packet id + 1 of the head whose raw offer
+    /// `memo` holds there (0 = none). Empty, like `memo`, until the
+    /// first blocked head stores: construction pays nothing for it.
+    memo_key: Vec<u32>,
+    /// `memo_stride` entries per input slot: the adapter's offer for the
+    /// head named by `memo_key`, in offer order (see [`MEMO_PRODUCTIVE`]).
+    /// Derived state — recomputable from what a [`SimSnapshot`] holds —
+    /// so it is outside the snapshot and [`Engine::restore`] drops it.
+    memo: Vec<u32>,
+    /// The most output lanes any router has: no offer is longer.
+    memo_stride: usize,
+
     // scratch buffers reused across cycles
     scratch_heads: Vec<u32>,
     scratch_state: Vec<u8>,
@@ -370,8 +408,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             .collect();
         let mut exists = vec![false; num_channels];
         let mut input_router = vec![NONE_U32; num_channels];
+        let mut memo_stride = 0;
         for node in 0..num_nodes {
             let node_id = NodeId(node as u32);
+            let mut outputs = 0;
             for dir in Direction::all(topo.num_dims()) {
                 let Some(next) = topo.neighbor(node_id, dir) else {
                     continue;
@@ -381,9 +421,11 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     if carried[dir.index() * lanes_per_link + lane] {
                         exists[first + lane] = true;
                         input_router[first + lane] = next.0;
+                        outputs += 1;
                     }
                 }
             }
+            memo_stride = memo_stride.max(outputs);
             exists[inj_base + node] = true;
             input_router[inj_base + node] = node as u32;
             exists[ej_base + node] = true;
@@ -462,6 +504,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             deadlocked: false,
             occupied_buffers: 0,
             total_stall_cycles: 0,
+            memo_key: Vec::new(),
+            memo: Vec::new(),
+            memo_stride,
             scratch_heads: Vec::new(),
             scratch_state: Vec::new(),
             scratch_order: Vec::new(),
@@ -570,7 +615,11 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     ///
     /// Panics if the channel does not exist.
     pub fn set_fault(&mut self, node: NodeId, dir: Direction) {
-        self.faults_possible = true;
+        if !self.faults_possible {
+            // The adapter's degraded-mode discipline starts applying.
+            self.faults_possible = true;
+            self.wipe_memo();
+        }
         let any = self.shift_link(node, dir, true);
         assert!(any, "no channel at {node} {dir}");
     }
@@ -602,6 +651,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         );
         self.healing_possible = true;
         self.quarantined[slots].fill(on);
+        self.wipe_memo();
     }
 
     /// Whether the link leaving `node` in `dir` is quarantined.
@@ -722,16 +772,16 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// nothing); both are zero-cost type parameters, so the plain stepper
     /// carries neither an oracle check nor timing overhead.
     fn cycle<A: Arbiter, S: SpanSink>(&mut self, arb: &mut A, spans: &mut S) {
-        spans.time(Phase::Drain, || {
+        spans.time(Phase::Drain, |_| {
             self.apply_faults();
             self.expire_packets();
         });
-        spans.time(Phase::Injection, || self.generate());
-        spans.time(Phase::Routing, || self.collect_route_heads::<A>());
-        spans.time(Phase::Arbitration, || self.arbitrate_heads(arb));
-        spans.time(Phase::Traversal, || self.advance());
-        spans.time(Phase::Injection, || self.feed_injection());
-        spans.time(Phase::Drain, || self.detect_deadlock());
+        spans.time(Phase::Injection, |_| self.generate());
+        spans.time(Phase::Routing, |_| self.collect_route_heads::<A>());
+        spans.time(Phase::Arbitration, |spans| self.arbitrate_heads(arb, spans));
+        spans.time(Phase::Traversal, |_| self.advance());
+        spans.time(Phase::Injection, |_| self.feed_injection());
+        spans.time(Phase::Drain, |_| self.detect_deadlock());
         if O::ENABLED {
             self.fire(Event::CycleEnd);
         }
@@ -826,7 +876,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
 
     /// Whether no packet is queued, streaming, or in flight.
     pub fn is_idle(&self) -> bool {
-        self.buf.all_empty()
+        self.occupied_buffers == 0
             && self.queues.iter().all(VecDeque::is_empty)
             && self.emitting.iter().all(Option::is_none)
     }
@@ -969,8 +1019,11 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         }
         let is = self.fault_depth[slot] > 0;
         self.faulty[slot] = is;
-        if O::ENABLED && was != is {
-            self.fire(Event::Fault { slot, active: is });
+        if was != is {
+            self.wipe_memo();
+            if O::ENABLED {
+                self.fire(Event::Fault { slot, active: is });
+            }
         }
     }
 
@@ -1128,10 +1181,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.scratch_heads = heads;
     }
 
-    /// Phase A, second half: compute routes and grant output channels to
-    /// the collected heads — in order, or per router in an order the
-    /// scripted arbiter chooses.
-    fn arbitrate_heads<A: Arbiter>(&mut self, arb: &mut A) {
+    /// Phase A, second half: look up or compute routes and grant output
+    /// channels to the collected heads — in order, or per router in an
+    /// order the scripted arbiter chooses.
+    fn arbitrate_heads<A: Arbiter, S: SpanSink>(&mut self, arb: &mut A, spans: &mut S) {
         let heads = std::mem::take(&mut self.scratch_heads);
         if A::SCRIPTED {
             let mut i = 0;
@@ -1144,12 +1197,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 i += remaining.len();
                 while !remaining.is_empty() {
                     let c = remaining.remove(arb.decide(remaining.len()));
-                    self.try_assign(c as usize, arb);
+                    self.try_assign(c as usize, arb, spans);
                 }
             }
         } else {
             for &c in &heads {
-                self.try_assign(c as usize, arb);
+                self.try_assign(c as usize, arb, spans);
             }
         }
         self.scratch_heads = heads;
@@ -1166,10 +1219,17 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
 
     /// Everything arbitration knows about the head at input channel `c`
     /// before contention: ejection binding, healing hold, or the
-    /// adapter's candidate list (written to `candidates`). This is the
-    /// single copy of the routing semantics that
-    /// [`try_assign`](Engine::try_assign) and
+    /// adapter's offer (written to `candidates`) with the misroute-budget
+    /// verdict on it. This is the single copy of the routing semantics
+    /// that [`try_assign`](Engine::try_assign) and
     /// [`wanted_output`](Engine::wanted_output) both consume.
+    ///
+    /// Only the offer comes from the route memo: it is a pure function of
+    /// the input slot, the packet's destination, the fault / quarantine
+    /// masks and `faults_possible`, and the memo is wiped wherever one of
+    /// those changes. Everything that can change while a head waits — the
+    /// ejection test, the hold, the budget verdict, and all the caller
+    /// does with free channels, selection and the RNG — runs every time.
     fn route_decision(&self, c: usize, candidates: &mut Vec<Candidate>) -> RouteDecision {
         let flit = self.buf.front(c).expect("head present");
         let pkt = self.packets[flit.packet as usize];
@@ -1183,25 +1243,88 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         if self.healing_possible && self.held[v.index()] {
             return RouteDecision::Hold;
         }
-        let arrived = (!self.is_injection(c)).then_some(c);
         candidates.clear();
+        // Packet ids are never reused (except across `restore`, which
+        // wipes), and a packet that meets this slot again — a retry at
+        // its source, a nonminimal worm coming back — has the same
+        // destination, hence the same offer.
+        let memoised = self.memo_key.get(c) == Some(&(flit.packet + 1));
+        if memoised {
+            // Slots are link-major and a node's links direction-minor,
+            // so the output direction is arithmetic on the slot.
+            let lanes = self.lanes_per_link as u32;
+            let dirs = 2 * self.topo.num_dims() as u32;
+            let stride = self.memo_stride;
+            let entries = self.memo[c * stride..][..stride].iter();
+            candidates.extend(entries.take_while(|&&e| e != NONE_U32).map(|&e| {
+                let slot = e & !MEMO_PRODUCTIVE;
+                Candidate {
+                    dir: Direction::from_index((slot / lanes % dirs) as usize),
+                    slot: slot as usize,
+                    productive: e & MEMO_PRODUCTIVE != 0,
+                }
+            }));
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = Vec::new();
+                self.compute_offer(c, v, pkt.dst, &mut fresh);
+                assert_eq!(*candidates, fresh, "stale route memo at slot {c}");
+            }
+        } else {
+            self.compute_offer(c, v, pkt.dst, candidates);
+        }
+        let productive_only = !self.lanes.is_minimal()
+            && pkt.misroutes >= self.cfg.misroute_budget
+            && candidates.iter().any(|k| k.productive);
+        RouteDecision::Offer {
+            memoised,
+            productive_only,
+        }
+    }
+
+    /// Ask the adapter what the head at input channel `c` of router `v`,
+    /// bound for `dst`, may take: the computation the route memo saves.
+    fn compute_offer(&self, c: usize, v: NodeId, dst: NodeId, out: &mut Vec<Candidate>) {
+        let arrived = (!self.is_injection(c)).then_some(c);
         self.lanes.candidates(
             v,
-            pkt.dst,
+            dst,
             arrived,
             self.faults_possible,
             |slot| !self.unusable(slot),
-            candidates,
+            out,
         );
-        // Out of misroute budget: a nonminimal function's unproductive
-        // offers are withdrawn while any productive one remains.
-        if !self.lanes.is_minimal()
-            && pkt.misroutes >= self.cfg.misroute_budget
-            && candidates.iter().any(|k| k.productive)
-        {
-            candidates.retain(|k| k.productive);
+    }
+
+    /// Remember `offer` as what the adapter offers the head waiting at
+    /// input channel `c`.
+    fn store_memo(&mut self, c: usize, offer: &[Candidate]) {
+        let packet = self.buf.front(c).expect("head present").packet;
+        let stride = self.memo_stride;
+        if offer.len() > stride {
+            // An adapter repeating itself; nothing to gain from caching it.
+            return;
         }
-        RouteDecision::Candidates
+        if self.memo_key.is_empty() {
+            self.memo_key = vec![0; self.ej_base];
+            self.memo = vec![0; self.ej_base * stride];
+        }
+        let entries = &mut self.memo[c * stride..][..stride];
+        for (entry, k) in entries.iter_mut().zip(offer) {
+            *entry = k.slot as u32 | if k.productive { MEMO_PRODUCTIVE } else { 0 };
+        }
+        if let Some(end) = entries.get_mut(offer.len()) {
+            *end = NONE_U32;
+        }
+        self.memo_key[c] = packet + 1;
+    }
+
+    /// Forget every memoised offer. Called exactly where an input of
+    /// [`Lanes::candidates`] other than the head itself changes: a
+    /// `faulty[]` edge, a quarantine, `faults_possible` turning on, and
+    /// [`Engine::restore`] (packet ids start over).
+    fn wipe_memo(&mut self) {
+        self.memo_key.fill(0);
     }
 
     /// Commit one granted output: channel bindings, misroute marking,
@@ -1248,21 +1371,36 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
 
     /// Route the head at input channel `c` and grant it an output if one
     /// is free: the scripted arbiter's pick, or the adapter's selection
-    /// under `cfg.output_policy`.
-    fn try_assign<A: Arbiter>(&mut self, c: usize, arb: &mut A) {
+    /// under `cfg.output_policy`. A head that stays blocked leaves its
+    /// offer in the route memo, so each later attempt costs one `owner`
+    /// load per candidate instead of a routing call.
+    fn try_assign<A: Arbiter, S: SpanSink>(&mut self, c: usize, arb: &mut A, spans: &mut S) {
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         match self.route_decision(c, &mut candidates) {
             RouteDecision::Eject(ej) => self.try_eject(c, ej),
             RouteDecision::Hold => {}
-            RouteDecision::Candidates => {
-                // Free channels only, and misroute only when necessary: if
-                // any productive channel is free, unproductive ones are
-                // not taken.
-                candidates.retain(|k| self.owner[k.slot] == NONE_U32);
-                if candidates.iter().any(|k| k.productive) {
-                    candidates.retain(|k| k.productive);
-                }
-                if !candidates.is_empty() {
+            RouteDecision::Offer {
+                memoised,
+                productive_only,
+            } => {
+                spans.count(Work::HeadAttempts, 1);
+                let source = if memoised {
+                    Work::MemoHits
+                } else {
+                    Work::RouteComputations
+                };
+                spans.count(source, 1);
+                // Free channels within the misroute budget only.
+                let open = |k: &Candidate| {
+                    self.owner[k.slot] == NONE_U32 && (k.productive || !productive_only)
+                };
+                if candidates.iter().any(open) {
+                    candidates.retain(open);
+                    // Misroute only when necessary: if any productive
+                    // channel is free, unproductive ones are not taken.
+                    if candidates.iter().any(|k| k.productive) {
+                        candidates.retain(|k| k.productive);
+                    }
                     let pick = if A::SCRIPTED {
                         candidates[arb.decide(candidates.len())]
                     } else {
@@ -1272,6 +1410,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         }
                     };
                     self.commit_grant(c, pick);
+                } else if !memoised {
+                    // Blocked on its first attempt: heads granted at once
+                    // (nearly all, at light load) never touch the memo.
+                    self.store_memo(c, &candidates);
                 }
             }
         }
@@ -1608,6 +1750,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     pub fn deadlock_snapshot(&self) -> DeadlockSnapshot {
         let layout = self.channel_layout();
         let mut edges = Vec::new();
+        let mut candidates = Vec::new();
         for c in 0..self.num_channels {
             let Some(front) = self.buf.front(c) else {
                 continue;
@@ -1620,7 +1763,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 // Unrouted head: arbitration never bound it because every
                 // output it wants is held by another worm. Re-derive the
                 // wanted output — that is the true waits-for edge.
-                self.wanted_output(c)
+                self.wanted_output(c, &mut candidates)
             } else {
                 None
             };
@@ -1643,15 +1786,18 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// to acquire: [`Engine::try_assign`]'s candidate selection minus the
     /// free-channel filter. With several busy alternatives the adapter's
     /// preferred one is reported (`Random` falls back to `LowestDim` —
-    /// the snapshot cannot perturb the RNG).
-    fn wanted_output(&self, c: usize) -> Option<usize> {
+    /// the snapshot cannot perturb the RNG, nor, being `&self`, the
+    /// route memo: it reads a matching entry and stores nothing).
+    /// `candidates` is the caller's scratch list.
+    fn wanted_output(&self, c: usize, candidates: &mut Vec<Candidate>) -> Option<usize> {
         self.buf.front(c)?;
-        let mut candidates = Vec::new();
-        match self.route_decision(c, &mut candidates) {
+        match self.route_decision(c, candidates) {
             RouteDecision::Eject(ej) => Some(ej),
             // Arbitration paused: the head waits on the hold.
             RouteDecision::Hold => None,
-            RouteDecision::Candidates => {
+            // Preferring productive outputs whenever one is on offer
+            // already withdraws what `productive_only` would.
+            RouteDecision::Offer { .. } => {
                 if candidates.iter().any(|k| k.productive) {
                     candidates.retain(|k| k.productive);
                 }
@@ -1659,7 +1805,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     OutputPolicy::Random => OutputPolicy::LowestDim,
                     policy => policy,
                 };
-                self.lanes.select(&candidates, policy).map(|k| k.slot)
+                self.lanes.select(candidates, policy).map(|k| k.slot)
             }
         }
     }
@@ -1773,6 +1919,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.deadlocked = snap.deadlocked;
         self.occupied_buffers = snap.occupied_buffers;
         self.total_stall_cycles = snap.total_stall_cycles;
+        self.wipe_memo();
     }
 
     // ---- model-checker state views ----------------------------------
@@ -2424,6 +2571,133 @@ mod tests {
             sim.step();
         }
         assert_eq!(sim.report(), plain, "restored run diverged");
+    }
+
+    fn saturated_cfg(seed: u64) -> SimConfig {
+        SimConfig::builder()
+            .injection_rate(0.5)
+            .deadlock_threshold(5_000)
+            .seed(seed)
+            .build()
+    }
+
+    #[test]
+    fn is_idle_agrees_with_a_buffer_scan() {
+        // `is_idle` reads `occupied_buffers`; every push, pop and purge
+        // (timeouts clear whole worms) must keep that count equal to a
+        // scan of the buffers.
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder()
+            .injection_rate(0.4)
+            .packet_timeout(60)
+            .max_retries(1)
+            .deadlock_threshold(5_000)
+            .seed(9)
+            .build();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+        let occupied = |sim: &Sim| {
+            (0..sim.num_channels)
+                .filter(|&c| !sim.buf.is_empty(c))
+                .count()
+        };
+        for _ in 0..600 {
+            sim.step();
+            assert_eq!(sim.occupied_buffers, occupied(&sim), "cycle {}", sim.now());
+        }
+        assert!(sim.report().retries > 0, "no purge exercised");
+        // Stop the sources and let the network drain.
+        sim.cfg.injection_rate = 0.0;
+        assert!(sim.run_until_idle(5_000));
+        assert_eq!(occupied(&sim), 0);
+    }
+
+    #[test]
+    fn memo_counters_pin_one_route_computation_per_hop() {
+        // The complexity claim: a head's offer is computed once per hop
+        // however long it stays blocked. Without faults or timeouts every
+        // computation is either a granted hop or a head still waiting at
+        // the end, and every other attempt is a memo hit.
+        let mesh = Mesh::new_2d(8, 8);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, saturated_cfg(1));
+        let mut prof = PhaseProfiler::new();
+        for _ in 0..3_000 {
+            sim.step_profiled(&mut prof);
+        }
+        let hops: u64 = sim.packets().iter().map(|p| u64::from(p.hops)).sum();
+        // Heads the last cycle's arbitration tried and could not serve.
+        let last = sim.now() - 1;
+        let waiting = (0..sim.ej_base)
+            .filter(|&c| {
+                let Some(front) = sim.buf.front(c) else {
+                    return false;
+                };
+                front.is_head
+                    && sim.assigned_out[c] == NONE_U32
+                    && last > sim.head_since[c]
+                    && NodeId(sim.input_router[c]) != sim.packets[front.packet as usize].dst
+            })
+            .count() as u64;
+        assert!(waiting > 0, "not saturated");
+        assert_eq!(prof.work(Work::RouteComputations), hops + waiting);
+        assert_eq!(
+            prof.work(Work::HeadAttempts),
+            prof.work(Work::RouteComputations) + prof.work(Work::MemoHits)
+        );
+        assert!(
+            prof.work(Work::MemoHits) > 10 * prof.work(Work::RouteComputations),
+            "blocked heads should dominate: {}",
+            prof.render()
+        );
+    }
+
+    #[test]
+    fn memo_is_wiped_where_an_offer_can_change_and_only_there() {
+        let mesh = Mesh::new_2d(8, 8);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, saturated_cfg(2));
+        assert!(sim.memo_key.is_empty(), "construction pays nothing");
+        let warm = |sim: &Sim| sim.memo_key.iter().any(|&k| k != 0);
+        let rewarm = |sim: &mut Sim| {
+            for _ in 0..300 {
+                sim.step();
+            }
+            assert!(warm(sim), "no blocked head at saturation");
+        };
+        rewarm(&mut sim);
+        let node = mesh.node_at_coords(&[3, 3]);
+
+        // A hold changes no offer.
+        sim.set_hold(node, true);
+        sim.set_hold(node, false);
+        assert!(warm(&sim));
+        // The snapshot has no memo in it and taking one leaves it alone.
+        let snap = sim.snapshot();
+        let _ = sim.deadlock_snapshot();
+        assert!(warm(&sim));
+
+        sim.set_quarantine(node, Direction::EAST, true);
+        assert!(!warm(&sim), "quarantine on");
+        rewarm(&mut sim);
+        sim.set_quarantine(node, Direction::EAST, false);
+        assert!(!warm(&sim), "quarantine off");
+        rewarm(&mut sim);
+        // First fault: `faults_possible` flips and a `faulty[]` edge.
+        sim.set_fault(node, Direction::NORTH);
+        assert!(!warm(&sim), "fault");
+        rewarm(&mut sim);
+        // A second fault on the same link deepens the refcount: no edge,
+        // no change to any offer.
+        sim.set_fault(node, Direction::NORTH);
+        assert!(warm(&sim));
+        // Restore starts packet ids over.
+        sim.restore(&snap);
+        assert!(!warm(&sim), "restore");
+        assert_eq!(sim.snapshot(), snap);
     }
 
     #[test]

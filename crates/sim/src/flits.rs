@@ -48,11 +48,6 @@ impl FlitBuffers {
         self.len[c] == 0
     }
 
-    /// Whether every buffer is empty.
-    pub fn all_empty(&self) -> bool {
-        self.len.iter().all(|&n| n == 0)
-    }
-
     #[inline]
     pub fn front(&self, c: usize) -> Option<BufFlit> {
         (self.len[c] > 0).then(|| self.flits[c * self.depth])
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn fifo_order_per_channel_and_logical_equality() {
         let mut a = FlitBuffers::new(3, 2);
-        assert!(a.all_empty() && a.front(1).is_none());
+        assert!(a.is_empty(1) && a.front(1).is_none());
         a.push_back(1, flit(0));
         a.push_back(1, flit(1));
         a.push_back(2, flit(7));
@@ -135,7 +130,7 @@ mod tests {
         assert_eq!(a.queued(1), &[flit(0), flit(1)]);
         assert_eq!(a.pop_front(1), Some(flit(0)));
         assert_eq!(a.front(1), Some(flit(1)));
-        assert!(a.is_empty(0) && !a.all_empty());
+        assert!(a.is_empty(0) && !a.is_empty(2));
         // Same queued flits, different history: equal.
         let mut b = FlitBuffers::new(3, 2);
         b.push_back(1, flit(1));

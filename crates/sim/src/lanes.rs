@@ -80,6 +80,11 @@ pub trait Lanes<'a>: Sized {
     /// (`None` at injection). Only existing lanes for which `usable`
     /// holds are offered; `faults_possible` tells the adapter that lanes
     /// may be unusable, so any degraded-mode routing discipline applies.
+    ///
+    /// Pure in its arguments and the `usable` mask: the engine memoises
+    /// the offer per waiting head (slot and productive bit; `dir` must be
+    /// the physical direction of `slot`'s link) and asks again only after
+    /// the mask or `faults_possible` changed.
     fn candidates(
         &self,
         at: NodeId,

@@ -73,5 +73,5 @@ pub use obs::{
 };
 pub use packet::{Packet, PacketId};
 pub use policies::{InputPolicy, OutputPolicy};
-pub use profile::{Phase, PhaseProfiler};
+pub use profile::{Phase, PhaseProfiler, Work};
 pub use report::{BlameTotals, RunTermination, SimReport};

@@ -1,17 +1,16 @@
-//! Span-based engine phase profiler.
+//! Engine phase profiler.
 //!
-//! [`crate::Engine::step_profiled`] wraps each engine phase in a
-//! [`Span`] that accumulates wall-clock nanoseconds onto a
-//! [`PhaseProfiler`], answering "where does a simulated cycle's cost go?"
-//! without instrumenting the hot path of plain [`crate::Engine::step`] —
-//! both are the one stepper, whose span sink is a type parameter that is
-//! either this profiler or a no-op the compiler removes.
+//! [`crate::Engine::step_profiled`] times each engine phase onto a
+//! [`PhaseProfiler`] and counts the arbitration [`Work`] done in it,
+//! answering "where does a simulated cycle's cost go?" without
+//! instrumenting the hot path of plain [`crate::Engine::step`] — both are
+//! the one stepper, whose span sink is a type parameter that is either
+//! this profiler or a no-op the compiler removes.
 //!
 //! Wall-clock numbers are inherently nondeterministic; they belong in
 //! human-facing output (`turnstat profile`) and must never be embedded in
-//! byte-compared artifacts.
-
-use std::time::Instant;
+//! byte-compared artifacts. The work counts are exact: the same seed
+//! gives the same integers on any machine.
 
 /// One engine phase of a simulated cycle.
 ///
@@ -21,8 +20,8 @@ use std::time::Instant;
 ///   flits into injection buffers.
 /// * `Routing` — collecting routable header flits and ordering them under
 ///   the input-selection policy.
-/// * `Arbitration` — route computation and output-channel grants for the
-///   selected headers (winners turn, losers stall).
+/// * `Arbitration` — memo read or route computation, then grants, for
+///   the selected headers (winners turn, losers stall).
 /// * `Traversal` — the lockstep flit advance across all channels.
 /// * `Drain` — bookkeeping that brackets the cycle: fault application,
 ///   lifetime expiry, and deadlock detection.
@@ -32,7 +31,7 @@ pub enum Phase {
     Injection,
     /// Routable-header collection and input selection.
     Routing,
-    /// Route computation and output arbitration.
+    /// Memo read or route computation, then grants.
     Arbitration,
     /// Lockstep flit advance.
     Traversal,
@@ -72,11 +71,41 @@ impl Phase {
     }
 }
 
-/// Accumulated wall-clock cost per engine phase, plus the cycle count it
-/// covers.
+/// Seed-determined units of arbitration work, counted exactly.
+///
+/// `HeadAttempts == RouteComputations + MemoHits`: every attempt to
+/// route a waiting head past the ejection and hold tests gets its offer
+/// from one of the two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// Attempts to grant a waiting head an output channel.
+    HeadAttempts,
+    /// Attempts that asked the lane adapter (a routing-function call).
+    RouteComputations,
+    /// Attempts answered from the engine's route memo.
+    MemoHits,
+}
+
+impl Work {
+    /// Every counter, in reporting order.
+    pub const ALL: [Work; 3] = [Work::HeadAttempts, Work::RouteComputations, Work::MemoHits];
+
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Work::HeadAttempts => "head_attempts",
+            Work::RouteComputations => "route_computations",
+            Work::MemoHits => "memo_hits",
+        }
+    }
+}
+
+/// Accumulated wall-clock cost per engine phase and exact [`Work`]
+/// counts, plus the cycle count they cover.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfiler {
     nanos: [u64; 5],
+    work: [u64; 3],
     cycles: u64,
 }
 
@@ -86,18 +115,19 @@ impl PhaseProfiler {
         PhaseProfiler::default()
     }
 
-    /// Open a span attributing time to `phase` until it drops.
-    pub fn span(&mut self, phase: Phase) -> Span<'_> {
-        Span {
-            profiler: self,
-            phase,
-            start: Instant::now(),
-        }
-    }
-
     /// Attribute `nanos` to `phase` directly.
     pub fn record_nanos(&mut self, phase: Phase, nanos: u64) {
         self.nanos[phase.index()] += nanos;
+    }
+
+    /// Count `n` units of `work`.
+    pub fn add_work(&mut self, work: Work, n: u64) {
+        self.work[work as usize] += n;
+    }
+
+    /// Units of `work` counted.
+    pub fn work(&self, work: Work) -> u64 {
+        self.work[work as usize]
     }
 
     /// Count one completed cycle.
@@ -134,10 +164,14 @@ impl PhaseProfiler {
         for (a, b) in self.nanos.iter_mut().zip(other.nanos.iter()) {
             *a += b;
         }
+        for (a, b) in self.work.iter_mut().zip(other.work.iter()) {
+            *a += b;
+        }
         self.cycles += other.cycles;
     }
 
-    /// Human-readable table: per-phase total, share, and mean per cycle.
+    /// Human-readable table: per-phase total, share, and mean per cycle,
+    /// then the work counts.
     pub fn render(&self) -> String {
         let total = self.total_nanos().max(1);
         let mut out = format!(
@@ -156,6 +190,9 @@ impl PhaseProfiler {
                 self.mean_nanos_per_cycle(phase),
             ));
         }
+        for work in Work::ALL {
+            out.push_str(&format!("{}: {}\n", work.name(), self.work(work)));
+        }
         out
     }
 
@@ -173,27 +210,17 @@ impl PhaseProfiler {
                 self.nanos(phase)
             ));
         }
+        let work: Vec<String> = Work::ALL
+            .iter()
+            .map(|w| format!("\"{}\":{}", w.name(), self.work(*w)))
+            .collect();
         format!(
-            "{{\"cycles\":{},\"total_nanos\":{},\"phases\":[{}]}}",
+            "{{\"cycles\":{},\"total_nanos\":{},\"phases\":[{}],\"work\":{{{}}}}}",
             self.cycles,
             self.total_nanos(),
-            phases
+            phases,
+            work.join(",")
         )
-    }
-}
-
-/// RAII span: attributes the time between creation and drop to one phase.
-#[derive(Debug)]
-pub struct Span<'a> {
-    profiler: &'a mut PhaseProfiler,
-    phase: Phase,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.profiler.record_nanos(self.phase, nanos);
     }
 }
 
@@ -216,22 +243,12 @@ mod tests {
         let table = p.render();
         assert!(table.contains("routing"));
         assert!(table.contains("15.0%"));
+        p.add_work(Work::MemoHits, 3);
+        p.add_work(Work::MemoHits, 4);
+        assert_eq!(p.work(Work::MemoHits), 7);
+        assert!(p.render().contains("memo_hits: 7"));
+        assert!(p.to_json().contains("\"memo_hits\":7"));
         assert!(crate::obs::json::validate(&p.to_json()));
-    }
-
-    #[test]
-    fn real_spans_record_nonzero_time() {
-        let mut p = PhaseProfiler::new();
-        {
-            let _s = p.span(Phase::Arbitration);
-            // Do a little real work so even coarse clocks tick.
-            let mut x = 0u64;
-            for i in 0..10_000u64 {
-                x = x.wrapping_add(i * i);
-            }
-            std::hint::black_box(x);
-        }
-        assert!(p.nanos(Phase::Arbitration) > 0);
     }
 
     #[test]
@@ -242,8 +259,10 @@ mod tests {
         let mut b = PhaseProfiler::new();
         b.record_nanos(Phase::Drain, 5);
         b.record_nanos(Phase::Injection, 7);
+        b.add_work(Work::HeadAttempts, 2);
         b.add_cycle();
         a.merge(&b);
+        assert_eq!(a.work(Work::HeadAttempts), 2);
         assert_eq!(a.nanos(Phase::Drain), 15);
         assert_eq!(a.nanos(Phase::Injection), 7);
         assert_eq!(a.cycles(), 2);

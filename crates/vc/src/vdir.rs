@@ -126,6 +126,11 @@ impl std::fmt::Display for VirtualDirection {
 /// destination, only existing channels, and for minimal functions only
 /// distance-reducing physical moves. Unreachable `(arrived, dest)` states
 /// must return the empty set so dependency analysis stays exact.
+///
+/// # Contract
+///
+/// * `route` is a pure function of its arguments — the prover tabulates
+///   it and the engine memoises it.
 pub trait VcRoutingFunction {
     /// Short human-readable name.
     fn name(&self) -> &str;

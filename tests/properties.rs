@@ -4,8 +4,10 @@ use turnroute::model::adaptiveness::{
     count_minimal_paths, s_fully_adaptive, s_negative_first, s_north_last, s_west_first,
 };
 use turnroute::model::RoutingFunction;
+use turnroute::routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute::routing::{hypercube, mesh2d, ndmesh, RoutingMode};
-use turnroute::topology::{Direction, Hypercube, Mesh, NodeId, Topology};
+use turnroute::topology::{Direction, Hypercube, Mesh, NodeId, Topology, Torus};
+use turnroute::vc::{DoubleYAdaptive, VcRoutingFunction, VirtualDirection};
 use turnroute_rng::{Rng, RngCore, SeedableRng, StdRng};
 
 fn random_mesh2d(rng: &mut StdRng) -> Mesh {
@@ -178,6 +180,50 @@ fn nonminimal_walks_terminate_with_first_choice_policy() {
             arrived = Some(dir);
             hops += 1;
             assert!(hops <= 6 * mesh.num_nodes(), "nonminimal walk unbounded");
+        }
+    }
+}
+
+/// `route` is a pure function of its arguments: the prover tabulates it
+/// once and the engine memoises its answer for as long as a head waits.
+/// Every routing function of the turnprove matrix, every state.
+#[test]
+fn route_is_a_pure_function_of_its_arguments() {
+    fn twice(topo: &dyn Topology, alg: &dyn RoutingFunction) {
+        let arrivals = || std::iter::once(None).chain(Direction::all(topo.num_dims()).map(Some));
+        let nodes = || (0..topo.num_nodes() as u32).map(NodeId);
+        for at in nodes() {
+            for dst in nodes() {
+                for arrived in arrivals() {
+                    let first = alg.route(topo, at, dst, arrived);
+                    let again = alg.route(topo, at, dst, arrived);
+                    assert_eq!(first, again, "{} at {at} to {dst}", alg.name());
+                }
+            }
+        }
+    }
+    let mesh = Mesh::new_2d(4, 4);
+    for mode in [RoutingMode::Minimal, RoutingMode::Nonminimal] {
+        twice(&mesh, &mesh2d::west_first(mode));
+        twice(&mesh, &mesh2d::north_last(mode));
+        twice(&mesh, &mesh2d::negative_first(mode));
+        twice(&Hypercube::new(3), &hypercube::p_cube(3, mode));
+    }
+    twice(&mesh, &mesh2d::xy());
+    twice(&Hypercube::new(3), &hypercube::e_cube(3));
+    let torus = Torus::new(4, 2);
+    twice(&torus, &NegativeFirstTorus::new(2));
+    let west_first = mesh2d::west_first(RoutingMode::Minimal);
+    twice(&torus, &WrapOnFirstHop::new(west_first, &torus));
+
+    let double_y = DoubleYAdaptive::new();
+    let arrivals = || std::iter::once(None).chain(VirtualDirection::double_y_all().map(Some));
+    for at in (0..16).map(NodeId) {
+        for dst in (0..16).map(NodeId) {
+            for arrived in arrivals() {
+                let first = double_y.route(&mesh, at, dst, arrived);
+                assert_eq!(first, double_y.route(&mesh, at, dst, arrived));
+            }
         }
     }
 }
