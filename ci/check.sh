@@ -218,6 +218,19 @@ echo "==> route-memo group"
 cargo test -p turnroute-sim --offline --quiet memo
 cargo test -p turnroute --offline --quiet --test sim_properties memo
 
+echo "==> active-set group"
+# The engine's derived indices, runnable in isolation: the occupied-slot
+# set inside the flit buffers, the exact work counters that pin "pay per
+# flit, not per channel", the arrival calendar staying out of
+# construction and snapshots; then the indexed engine against one that
+# polls every source and rebuilds its calendar each cycle (restored from
+# its own snapshot), through restore from another history, a window
+# opened over a backlog, timeout re-queues, rate 0, held and faulty
+# sources and the smallest networks. (In this debug build every cycle of
+# every other test also checks all three indices against a full scan.)
+cargo test -p turnroute-sim --offline --quiet occupied
+cargo test -p turnroute --offline --quiet --test sim_properties active_set
+
 if [[ $full -eq 1 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release --offline
@@ -294,12 +307,14 @@ if [[ $full -eq 1 ]]; then
     fi
     # Advisory, never a gate: one short run on a shared box says little,
     # but a hot path that fell off a cliff shows even here.
-    now="$(tail -n 1 "$tmp/bench_mesh_heavy.json" |
-        sed -n 's/.*"sim_cycles_per_s":{"value":\([0-9.]*\).*/\1/p')"
-    base="$(awk '/"mesh_heavy": \{/ { w = 1 } w && /"sim_cycles_per_s"/ { print; exit }' \
-        turnbench/baseline.json | sed -n 's/.*"median": \([0-9.]*\).*/\1/p')"
-    echo "advisory: mesh_heavy sim_cycles_per_s ${now:-?} (seed 1, 1 s)" \
-        "vs turnbench/baseline.json median ${base:-?}"
+    for workload in mesh_heavy mesh_light; do
+        now="$(tail -n 1 "$tmp/bench_$workload.json" |
+            sed -n 's/.*"sim_cycles_per_s":{"value":\([0-9.]*\).*/\1/p')"
+        base="$(awk -v w="\"$workload\": {" 'index($0, w) { f = 1 } f && /"sim_cycles_per_s"/ { print; exit }' \
+            turnbench/baseline.json | sed -n 's/.*"median": \([0-9.]*\).*/\1/p')"
+        echo "advisory: $workload sim_cycles_per_s ${now:-?} (seed 1, 1 s)" \
+            "vs turnbench/baseline.json median ${base:-?}"
+    done
 fi
 
 echo "OK"

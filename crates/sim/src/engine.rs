@@ -1,7 +1,7 @@
 //! The simulation engine: wormhole mechanics, arbitration, and the
 //! measurement protocol — one core, instantiated per [`Lanes`] adapter.
 
-use crate::flits::{BufFlit, FlitBuffers};
+use crate::flits::{BufFlit, FlitBuffers, Ones, WORD_BITS};
 use crate::lanes::{Candidate, Lanes, SingleLane, MAX_LANES_PER_LINK};
 use crate::obs::{
     ChannelLayout, DeadlockSnapshot, Event, NoopObserver, PacketBlame, SimObserver, StallReason,
@@ -13,7 +13,8 @@ use crate::{
     ChoiceScript, FaultTarget, InputPolicy, LengthDist, OutputPolicy, Packet, PacketId,
     RunTermination, SimConfig, SimReport,
 };
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
 use turnroute_model::Turn;
@@ -29,6 +30,13 @@ const NONE_U32: u32 = u32::MAX;
 /// productive bit on top. [`NONE_U32`] ends an offer shorter than the
 /// memo's stride.
 const MEMO_PRODUCTIVE: u32 = 1 << 31;
+
+/// `advance`'s verdict on whether a channel's front flit moves this
+/// cycle: not asked yet, being asked (on the search stack), yes, no.
+const UNKNOWN: u8 = 0;
+const IN_PROGRESS: u8 = 1;
+const YES: u8 = 2;
+const NO: u8 = 3;
 
 /// Per-source stream state: the packet currently being pushed into the
 /// injection channel and how many of its flits have been emitted.
@@ -186,7 +194,6 @@ pub struct SimSnapshot {
     max_queue_len: usize,
     last_move: u64,
     deadlocked: bool,
-    occupied_buffers: usize,
     total_stall_cycles: u64,
 }
 
@@ -322,10 +329,6 @@ pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     max_queue_len: usize,
     last_move: u64,
     deadlocked: bool,
-    /// Channels whose input buffer currently holds at least one flit,
-    /// maintained incrementally at every push/pop so stall accounting
-    /// costs O(moved flits), not O(channels), per cycle.
-    occupied_buffers: usize,
     /// Occupied-channel cycles that advanced nothing, measurement window
     /// only.
     total_stall_cycles: u64,
@@ -342,6 +345,25 @@ pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     memo: Vec<u32>,
     /// The most output lanes any router has: no offer is longer.
     memo_stride: usize,
+
+    // --- derived indices ---
+    // What the per-cycle phases walk instead of every channel and node
+    // (the third, the occupied-slot set, lives in `buf`). Like the memo
+    // they are recomputable from what a [`SimSnapshot`] holds, so they
+    // are outside it; each is walked in ascending order, which is the
+    // order of the full scan it replaced.
+    /// The arrival calendar: per node, the first cycle `generate` must
+    /// visit it, `ceil(next_arrival)`, least first. Empty until the first
+    /// `generate` with a positive injection rate builds it, so
+    /// construction and rate-0 runs pay nothing for it.
+    arrivals: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The active-source set, one bit per node: a superset of the nodes
+    /// with a queued or emitting packet. Set where a source queue is
+    /// pushed, cleared by `feed_injection` when it finds the node idle.
+    /// Its few words are allocated by the first packet queued, not by
+    /// the constructor, where one more allocation, even this small,
+    /// measured +0.7 µs (4 %) on `Sim::new`.
+    active_sources: Vec<u32>,
 
     // scratch buffers reused across cycles
     scratch_heads: Vec<u32>,
@@ -502,11 +524,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             max_queue_len: 0,
             last_move: 0,
             deadlocked: false,
-            occupied_buffers: 0,
             total_stall_cycles: 0,
             memo_key: Vec::new(),
             memo: Vec::new(),
             memo_stride,
+            arrivals: BinaryHeap::new(),
+            active_sources: Vec::new(),
             scratch_heads: Vec::new(),
             scratch_state: Vec::new(),
             scratch_order: Vec::new(),
@@ -709,7 +732,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.progress_cycles.push(0);
         self.last_progress.push(u64::MAX);
         self.misroute_progress.push(0);
-        self.queues[src.index()].push_back(id);
+        self.enqueue(src.index(), id);
         if self.cfg.record_paths {
             self.paths.push(vec![src]);
         }
@@ -718,6 +741,37 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             self.generated_flits += u64::from(len);
         }
         id
+    }
+
+    /// Queue packet `pid` at its source `v`, which joins the
+    /// active-source set: the one place a source queue grows.
+    fn enqueue(&mut self, v: usize, pid: u32) {
+        self.queues[v].push_back(pid);
+        if self.active_sources.is_empty() {
+            self.active_sources = vec![0; self.num_nodes.div_ceil(WORD_BITS)];
+        }
+        self.active_sources[v / WORD_BITS] |= 1 << (v % WORD_BITS);
+    }
+
+    /// The active-source set, ascending.
+    fn active_sources(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.active_sources.iter().enumerate();
+        words.flat_map(|(w, &word)| Ones::of(w, word))
+    }
+
+    /// Put every node in the active-source set. A superset is all the
+    /// set promises, so this is how it is rebuilt in O(words) where the
+    /// queues were replaced wholesale; the next `feed_injection` drops
+    /// the nodes it finds idle.
+    fn activate_all_sources(&mut self) {
+        self.active_sources.clear();
+        let words = self.num_nodes.div_ceil(WORD_BITS);
+        self.active_sources.resize(words, u32::MAX);
+        let tail = self.num_nodes % WORD_BITS;
+        if tail != 0 {
+            let last = self.active_sources.last_mut().expect("at least two nodes");
+            *last = (1 << tail) - 1;
+        }
     }
 
     fn in_window(&self) -> bool {
@@ -776,17 +830,45 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             self.apply_faults();
             self.expire_packets();
         });
-        spans.time(Phase::Injection, |_| self.generate());
-        spans.time(Phase::Routing, |_| self.collect_route_heads::<A>());
+        spans.time(Phase::Injection, |spans| self.generate(spans));
+        spans.time(Phase::Routing, |spans| {
+            self.collect_route_heads::<A, S>(spans)
+        });
         spans.time(Phase::Arbitration, |spans| self.arbitrate_heads(arb, spans));
-        spans.time(Phase::Traversal, |_| self.advance());
-        spans.time(Phase::Injection, |_| self.feed_injection());
+        spans.time(Phase::Traversal, |spans| self.advance(spans));
+        spans.time(Phase::Injection, |spans| self.feed_injection(spans));
         spans.time(Phase::Drain, |_| self.detect_deadlock());
+        #[cfg(debug_assertions)]
+        self.assert_indices_cover_a_full_scan();
         if O::ENABLED {
             self.fire(Event::CycleEnd);
         }
         self.now += 1;
         spans.add_cycle();
+    }
+
+    /// The scans the derived indices replaced, as their cross-check:
+    /// the occupied-slot set is exactly the channels holding a flit and
+    /// no node outside the active-source set has a packet queued or
+    /// emitting. Debug builds run it once per cycle, which makes every
+    /// test a differential test of the indices; release builds carry
+    /// none of it.
+    #[cfg(debug_assertions)]
+    fn assert_indices_cover_a_full_scan(&self) {
+        self.buf.assert_occupied_set_is_exact();
+        let mut active = self.active_sources().peekable();
+        for v in 0..self.num_nodes {
+            if active.next_if_eq(&v).is_none() {
+                assert!(
+                    self.queues[v].is_empty() && self.emitting[v].is_none(),
+                    "node {v} has a packet but is not in the active-source set"
+                );
+            }
+        }
+        assert!(
+            active.next().is_none(),
+            "active-source bit past the last node"
+        );
     }
 
     /// Hand `ev`, which happened this cycle, to the observer. Call sites
@@ -876,9 +958,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
 
     /// Whether no packet is queued, streaming, or in flight.
     pub fn is_idle(&self) -> bool {
-        self.occupied_buffers == 0
-            && self.queues.iter().all(VecDeque::is_empty)
-            && self.emitting.iter().all(Option::is_none)
+        self.buf.occupied() == 0
+            && self
+                .active_sources()
+                .all(|v| self.queues[v].is_empty() && self.emitting[v].is_none())
     }
 
     /// Streaming histogram of total latencies (creation to tail
@@ -1066,7 +1149,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 self.progress_cycles[pid as usize] = 0;
                 self.last_progress[pid as usize] = u64::MAX;
                 self.misroute_progress[pid as usize] = 0;
-                self.queues[p.src.index()].push_back(pid);
+                let src = p.src.index();
+                self.enqueue(src, pid);
                 self.deadlines
                     .push_back((self.now + self.cfg.packet_timeout, pid));
             } else {
@@ -1109,22 +1193,44 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             if self.owner[slot] != pid {
                 continue;
             }
-            if !self.buf.is_empty(slot) {
-                debug_assert!(self.buf.queued(slot).iter().all(|f| f.packet == pid));
-                self.buf.clear(slot);
-                self.occupied_buffers -= 1;
-            }
+            debug_assert!(self.buf.queued(slot).iter().all(|f| f.packet == pid));
+            self.buf.clear(slot);
             self.owner[slot] = NONE_U32;
             self.assigned_out[slot] = NONE_U32;
         }
     }
 
-    fn generate(&mut self) {
+    /// Create the packets arriving this cycle. Only the nodes the
+    /// arrival calendar has due are visited — in node order, like the
+    /// scan of every node this replaces, so the RNG draws fall in the
+    /// same order: after any cycle's `generate` no node is left with
+    /// `next_arrival <= now`, hence every entry due at a later `now` is
+    /// due exactly then and (due, node) order is node order.
+    fn generate<S: SpanSink>(&mut self, spans: &mut S) {
         if self.cfg.injection_rate <= 0.0 {
             return;
         }
         let mean = self.mean_interarrival();
-        for v in 0..self.num_nodes {
+        // `t <= now` exactly when `due(t) <= now` (the cast saturates,
+        // which covers an infinite `t`).
+        let due = |t: f64| t.ceil() as u64;
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        if arrivals.len() != self.num_nodes {
+            // First use, or dropped by `restore`: heapify in one pass.
+            let mut entries = arrivals.into_vec();
+            entries.clear();
+            let times = self.next_arrival.iter().zip(0u32..);
+            entries.extend(times.map(|(&t, node)| Reverse((due(t), node))));
+            arrivals = entries.into();
+        }
+        let mut polled = 0;
+        while let Some(mut next) = arrivals.peek_mut() {
+            let Reverse((at, node)) = *next;
+            if at > self.now {
+                break;
+            }
+            polled += 1;
+            let v = node as usize;
             while self.next_arrival[v] <= self.now as f64 {
                 let step = self.sample_exp(mean);
                 self.next_arrival[v] += step;
@@ -1137,30 +1243,53 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 // Self-directed messages are consumed locally: no network
                 // traffic, no queueing.
             }
-            if self.in_window() {
-                self.max_queue_len = self.max_queue_len.max(self.queues[v].len());
+            *next = Reverse((due(self.next_arrival[v]), node));
+        }
+        self.arrivals = arrivals;
+        debug_assert!(
+            self.next_arrival.iter().all(|&t| t > self.now as f64),
+            "an arrival the calendar did not have due"
+        );
+        if self.in_window() {
+            // A node outside the set has an empty queue.
+            for w in 0..self.active_sources.len() {
+                for v in Ones::of(w, self.active_sources[w]) {
+                    polled += 1;
+                    self.max_queue_len = self.max_queue_len.max(self.queues[v].len());
+                }
             }
         }
+        spans.count(Work::SourcesPolled, polled);
     }
 
     /// Phase A, first half: collect input channels whose buffered flit
     /// is an unassigned head into `scratch_heads`, in service order — the
     /// input policy's, or grouped by router for a scripted arbiter.
-    fn collect_route_heads<A: Arbiter>(&mut self) {
+    fn collect_route_heads<A: Arbiter, S: SpanSink>(&mut self, spans: &mut S) {
         let mut heads = std::mem::take(&mut self.scratch_heads);
         heads.clear();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            // A header arriving at cycle t is normally routable at t+1;
-            // routing_delay postpones that by `delay` further cycles.
-            if matches!(self.buf.front(slot), Some(f) if f.is_head)
-                && self.now > self.head_since[slot] + self.cfg.routing_delay
-            {
-                heads.push(slot as u32);
+        let mut visited = 0;
+        // Only an occupied slot can hold a head, and the slots from
+        // `ej_base` up are ejection buffers, which are not routed.
+        let routed_words = self.ej_base.div_ceil(WORD_BITS);
+        for w in 0..routed_words {
+            for slot in self.buf.occupied_in(w).take_while(|&c| c < self.ej_base) {
+                visited += 1;
+                debug_assert!(self.exists[slot], "a flit in a channel that is not there");
+                if self.assigned_out[slot] != NONE_U32 {
+                    continue;
+                }
+                // A header arriving at cycle t is normally routable at
+                // t+1; routing_delay postpones that by `delay` further
+                // cycles.
+                if matches!(self.buf.front(slot), Some(f) if f.is_head)
+                    && self.now > self.head_since[slot] + self.cfg.routing_delay
+                {
+                    heads.push(slot as u32);
+                }
             }
         }
+        spans.count(Work::SlotsVisited, visited);
         if A::SCRIPTED {
             heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
         } else {
@@ -1420,15 +1549,92 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.scratch_candidates = candidates;
     }
 
+    /// Decide whether the flit at the front of occupied channel `start`
+    /// moves this cycle, and with it every undecided channel its move
+    /// waits on: a depth-first walk along output bindings that appends
+    /// the movers to `order` targets first.
+    fn plan_from(
+        &self,
+        start: usize,
+        state: &mut [u8],
+        order: &mut Vec<u32>,
+        stack: &mut Vec<u32>,
+    ) {
+        let depth = self.cfg.buffer_depth as usize;
+        stack.clear();
+        stack.push(start as u32);
+        while let Some(&c) = stack.last() {
+            let c = c as usize;
+            match state[c] {
+                UNKNOWN => {
+                    if self.buf.is_empty(c) {
+                        state[c] = NO;
+                        stack.pop();
+                        continue;
+                    }
+                    if self.is_ejection(c) {
+                        state[c] = YES;
+                        order.push(c as u32);
+                        stack.pop();
+                        continue;
+                    }
+                    let o = self.assigned_out[c];
+                    if o == NONE_U32 {
+                        state[c] = NO;
+                        stack.pop();
+                        continue;
+                    }
+                    let o = o as usize;
+                    if self.buf.len(o) < depth {
+                        state[c] = YES;
+                        order.push(c as u32);
+                        stack.pop();
+                        continue;
+                    }
+                    match state[o] {
+                        UNKNOWN => {
+                            state[c] = IN_PROGRESS;
+                            stack.push(o as u32);
+                        }
+                        IN_PROGRESS => {
+                            // Dependency cycle: blocked (this is a
+                            // wormhole deadlock in the making).
+                            state[c] = NO;
+                            stack.pop();
+                        }
+                        YES => {
+                            state[c] = YES;
+                            order.push(c as u32);
+                            stack.pop();
+                        }
+                        _ => {
+                            state[c] = NO;
+                            stack.pop();
+                        }
+                    }
+                }
+                IN_PROGRESS => {
+                    let o = self.assigned_out[c] as usize;
+                    if state[o] == YES {
+                        state[c] = YES;
+                        order.push(c as u32);
+                    } else {
+                        state[c] = NO;
+                    }
+                    stack.pop();
+                }
+                _ => {
+                    stack.pop();
+                }
+            }
+        }
+    }
+
     /// Phase B: advance flits in lockstep. A flit moves when its bound
     /// output buffer has room or is itself vacating this cycle; dependency
     /// cycles (deadlock) advance nothing. Where lanes share links, each
     /// physical link additionally carries at most one flit per cycle.
-    fn advance(&mut self) {
-        const UNKNOWN: u8 = 0;
-        const IN_PROGRESS: u8 = 1;
-        const YES: u8 = 2;
-        const NO: u8 = 3;
+    fn advance<S: SpanSink>(&mut self, spans: &mut S) {
         let mut state = std::mem::take(&mut self.scratch_state);
         let mut order = std::mem::take(&mut self.scratch_order);
         let mut stack = std::mem::take(&mut self.scratch_stack);
@@ -1436,80 +1642,21 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         state.resize(self.num_channels, UNKNOWN);
         order.clear();
 
-        let depth = self.cfg.buffer_depth as usize;
-        for start in 0..self.num_channels {
-            if state[start] != UNKNOWN || self.buf.is_empty(start) {
-                continue;
-            }
-            stack.clear();
-            stack.push(start as u32);
-            while let Some(&c) = stack.last() {
-                let c = c as usize;
-                match state[c] {
-                    UNKNOWN => {
-                        if self.buf.is_empty(c) {
-                            state[c] = NO;
-                            stack.pop();
-                            continue;
-                        }
-                        if self.is_ejection(c) {
-                            state[c] = YES;
-                            order.push(c as u32);
-                            stack.pop();
-                            continue;
-                        }
-                        let o = self.assigned_out[c];
-                        if o == NONE_U32 {
-                            state[c] = NO;
-                            stack.pop();
-                            continue;
-                        }
-                        let o = o as usize;
-                        if self.buf.len(o) < depth {
-                            state[c] = YES;
-                            order.push(c as u32);
-                            stack.pop();
-                            continue;
-                        }
-                        match state[o] {
-                            UNKNOWN => {
-                                state[c] = IN_PROGRESS;
-                                stack.push(o as u32);
-                            }
-                            IN_PROGRESS => {
-                                // Dependency cycle: blocked (this is a
-                                // wormhole deadlock in the making).
-                                state[c] = NO;
-                                stack.pop();
-                            }
-                            YES => {
-                                state[c] = YES;
-                                order.push(c as u32);
-                                stack.pop();
-                            }
-                            _ => {
-                                state[c] = NO;
-                                stack.pop();
-                            }
-                        }
-                    }
-                    IN_PROGRESS => {
-                        let o = self.assigned_out[c] as usize;
-                        if state[o] == YES {
-                            state[c] = YES;
-                            order.push(c as u32);
-                        } else {
-                            state[c] = NO;
-                        }
-                        stack.pop();
-                    }
-                    _ => {
-                        stack.pop();
-                    }
+        // Plan from the occupied channels only, in slot order: an empty
+        // one moves nothing, and the search reaches it anyway when a worm
+        // is bound to it.
+        let mut visited = 0;
+        for w in 0..self.buf.occupied_words() {
+            for start in self.buf.occupied_in(w) {
+                visited += 1;
+                if state[start] == UNKNOWN {
+                    self.plan_from(start, &mut state, &mut order, &mut stack);
                 }
             }
         }
+        spans.count(Work::SlotsVisited, visited);
 
+        let depth = self.cfg.buffer_depth as usize;
         // Shared links: one flit per physical link per cycle, granted in
         // plan order (targets first). A move is withdrawn if its link's
         // budget is spent or its full target did not actually vacate
@@ -1540,27 +1687,27 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         // this cycle (it is in `order`) or stalls in place.
         let in_window = self.in_window();
         if in_window {
-            self.total_stall_cycles += (self.occupied_buffers - order.len()) as u64;
+            self.total_stall_cycles += (self.buf.occupied() - order.len()) as u64;
         }
         if O::ENABLED {
-            for (c, &st) in state.iter().enumerate() {
-                if st == YES {
-                    continue;
+            for w in 0..self.buf.occupied_words() {
+                for c in self.buf.occupied_in(w) {
+                    if state[c] == YES {
+                        continue;
+                    }
+                    let front = self.buf.front(c).expect("occupied");
+                    let reason = if self.assigned_out[c] == NONE_U32 {
+                        StallReason::NotRouted
+                    } else {
+                        StallReason::Backpressure
+                    };
+                    let (slot, packet) = (c, PacketId(front.packet));
+                    self.fire(Event::Stall {
+                        slot,
+                        packet,
+                        reason,
+                    });
                 }
-                let Some(front) = self.buf.front(c) else {
-                    continue;
-                };
-                let reason = if self.assigned_out[c] == NONE_U32 {
-                    StallReason::NotRouted
-                } else {
-                    StallReason::Backpressure
-                };
-                let (slot, packet) = (c, PacketId(front.packet));
-                self.fire(Event::Stall {
-                    slot,
-                    packet,
-                    reason,
-                });
             }
         }
 
@@ -1568,9 +1715,6 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         for &c in &order {
             let c = c as usize;
             let flit = self.buf.pop_front(c).expect("flit scheduled to move");
-            if self.buf.is_empty(c) {
-                self.occupied_buffers -= 1;
-            }
             self.last_move = self.now;
             // Blame: this cycle made forward progress for the flit's
             // packet (stamp deduplicates several flits of one worm
@@ -1641,9 +1785,6 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         self.misroute_progress[pidx] += 1;
                     }
                 }
-                if self.buf.is_empty(o) {
-                    self.occupied_buffers += 1;
-                }
                 self.buf.push_back(o, flit);
                 if O::ENABLED {
                     self.fire(Event::FlitAdvance {
@@ -1666,72 +1807,84 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     }
 
     /// Feed the next flit of the current packet into each free injection
-    /// buffer (the processor side of the injection channel).
-    fn feed_injection(&mut self) {
-        let depth = self.cfg.buffer_depth as usize;
-        for v in 0..self.num_nodes {
-            let inj = self.inj_slot(v);
-            if (self.faults_possible && self.faulty[inj])
-                || (self.healing_possible && self.held[v])
-                || self.buf.len(inj) >= depth
-            {
-                continue;
+    /// buffer (the processor side of the injection channel). Only the
+    /// active sources are visited, in node order; one that cannot inject
+    /// now — its slot faulty or full, its router held — stays in the set.
+    fn feed_injection<S: SpanSink>(&mut self, spans: &mut S) {
+        let mut polled = 0;
+        for w in 0..self.active_sources.len() {
+            // A copy of the word: `feed_source` clears the bit it is on.
+            for v in Ones::of(w, self.active_sources[w]) {
+                polled += 1;
+                self.feed_source(v);
             }
-            if self.emitting[v].is_none() {
-                let Some(pid) = self.queues[v].pop_front() else {
-                    continue;
-                };
-                self.packets[pid as usize].injected = Some(self.now);
-                self.emitting[v] = Some(Emitting {
-                    packet: pid,
-                    sent: 0,
-                });
-                if O::ENABLED {
-                    let p = self.packets[pid as usize];
-                    self.fire(Event::Inject {
-                        packet: p.id,
-                        src: p.src,
-                        dst: p.dst,
-                        len: p.len,
-                    });
-                }
-            }
-            let Emitting { packet, sent } = self.emitting[v].expect("set above");
-            let len = self.packets[packet as usize].len;
-            let flit = BufFlit {
-                packet,
-                is_head: sent == 0,
-                is_tail: sent + 1 == len,
-            };
-            if flit.is_head {
-                self.head_since[inj] = self.now;
-                self.owner[inj] = packet;
-            }
-            if self.buf.is_empty(inj) {
-                self.occupied_buffers += 1;
-            }
-            if O::ENABLED {
-                self.fire(Event::FlitSource {
-                    slot: inj,
-                    packet: PacketId(packet),
-                    is_tail: flit.is_tail,
-                });
-            }
-            self.buf.push_back(inj, flit);
-            self.emitting[v] = if sent + 1 == len {
-                None
-            } else {
-                Some(Emitting {
-                    packet,
-                    sent: sent + 1,
-                })
-            };
         }
+        spans.count(Work::SourcesPolled, polled);
+    }
+
+    /// Node `v`'s turn in [`feed_injection`](Engine::feed_injection).
+    fn feed_source(&mut self, v: usize) {
+        let depth = self.cfg.buffer_depth as usize;
+        let inj = self.inj_slot(v);
+        if (self.faults_possible && self.faulty[inj])
+            || (self.healing_possible && self.held[v])
+            || self.buf.len(inj) >= depth
+        {
+            return;
+        }
+        if self.emitting[v].is_none() {
+            let Some(pid) = self.queues[v].pop_front() else {
+                // Nothing queued, nothing emitting: `v` leaves the set.
+                self.active_sources[v / WORD_BITS] &= !(1 << (v % WORD_BITS));
+                return;
+            };
+            self.packets[pid as usize].injected = Some(self.now);
+            self.emitting[v] = Some(Emitting {
+                packet: pid,
+                sent: 0,
+            });
+            if O::ENABLED {
+                let p = self.packets[pid as usize];
+                self.fire(Event::Inject {
+                    packet: p.id,
+                    src: p.src,
+                    dst: p.dst,
+                    len: p.len,
+                });
+            }
+        }
+        let Emitting { packet, sent } = self.emitting[v].expect("set above");
+        let len = self.packets[packet as usize].len;
+        let flit = BufFlit {
+            packet,
+            is_head: sent == 0,
+            is_tail: sent + 1 == len,
+        };
+        if flit.is_head {
+            self.head_since[inj] = self.now;
+            self.owner[inj] = packet;
+        }
+        if O::ENABLED {
+            self.fire(Event::FlitSource {
+                slot: inj,
+                packet: PacketId(packet),
+                is_tail: flit.is_tail,
+            });
+        }
+        self.buf.push_back(inj, flit);
+        self.emitting[v] = if sent + 1 == len {
+            None
+        } else {
+            Some(Emitting {
+                packet,
+                sent: sent + 1,
+            })
+        };
     }
 
     fn detect_deadlock(&mut self) {
         if self.now.saturating_sub(self.last_move) >= self.cfg.deadlock_threshold
-            && self.occupied_buffers > 0
+            && self.buf.occupied() > 0
         {
             self.deadlocked = true;
             if O::ENABLED {
@@ -1857,7 +2010,6 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             max_queue_len: self.max_queue_len,
             last_move: self.last_move,
             deadlocked: self.deadlocked,
-            occupied_buffers: self.occupied_buffers,
             total_stall_cycles: self.total_stall_cycles,
         }
     }
@@ -1917,9 +2069,13 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.max_queue_len = snap.max_queue_len;
         self.last_move = snap.last_move;
         self.deadlocked = snap.deadlocked;
-        self.occupied_buffers = snap.occupied_buffers;
         self.total_stall_cycles = snap.total_stall_cycles;
+        // Derived state is not in the snapshot: the memo and the arrival
+        // calendar are dropped (each is rebuilt by its first use) and the
+        // active-source set is widened to every node.
         self.wipe_memo();
+        self.arrivals.clear();
+        self.activate_all_sources();
     }
 
     // ---- model-checker state views ----------------------------------
@@ -2583,9 +2739,10 @@ mod tests {
 
     #[test]
     fn is_idle_agrees_with_a_buffer_scan() {
-        // `is_idle` reads `occupied_buffers`; every push, pop and purge
-        // (timeouts clear whole worms) must keep that count equal to a
-        // scan of the buffers.
+        // `is_idle` reads the occupied-slot set and the active-source
+        // set; every push, pop and purge (timeouts clear whole worms and
+        // re-queue at sources the set had dropped) must keep them in step
+        // with a scan of the buffers, queues and emitters.
         let mesh = Mesh::new_2d(4, 4);
         let routing = mesh2d::west_first(RoutingMode::Minimal);
         let pattern = Uniform::new();
@@ -2597,20 +2754,103 @@ mod tests {
             .seed(9)
             .build();
         let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
-        let occupied = |sim: &Sim| {
-            (0..sim.num_channels)
-                .filter(|&c| !sim.buf.is_empty(c))
-                .count()
+        let scanned_idle = |sim: &Sim| {
+            (0..sim.num_channels).all(|c| sim.buf.is_empty(c))
+                && sim.queues.iter().all(VecDeque::is_empty)
+                && sim.emitting.iter().all(Option::is_none)
         };
         for _ in 0..600 {
             sim.step();
-            assert_eq!(sim.occupied_buffers, occupied(&sim), "cycle {}", sim.now());
+            sim.buf.assert_occupied_set_is_exact();
+            let active: Vec<usize> = sim.active_sources().collect();
+            for v in 0..sim.num_nodes {
+                let busy = !sim.queues[v].is_empty() || sim.emitting[v].is_some();
+                assert!(
+                    !busy || active.contains(&v),
+                    "cycle {}: node {v}",
+                    sim.now()
+                );
+            }
+            assert_eq!(sim.is_idle(), scanned_idle(&sim), "cycle {}", sim.now());
         }
         assert!(sim.report().retries > 0, "no purge exercised");
         // Stop the sources and let the network drain.
         sim.cfg.injection_rate = 0.0;
         assert!(sim.run_until_idle(5_000));
-        assert_eq!(occupied(&sim), 0);
+        assert!(scanned_idle(&sim));
+        // Drained, the lazily cleared set empties within a cycle.
+        sim.step();
+        assert_eq!(sim.active_sources().count(), 0);
+    }
+
+    #[test]
+    fn occupied_set_work_counters_follow_the_flits_not_the_network() {
+        // The complexity claim: the per-cycle scans cost what is in
+        // flight. Head collection and the advance's planning loop each
+        // visit an occupied slot at most once per cycle; the full scans
+        // they replaced read every slot below `ej_base` and every slot.
+        let mesh = Mesh::new_2d(8, 8);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder().injection_rate(0.02).seed(4).build();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+        let mut prof = PhaseProfiler::new();
+        let (cycles, mut occupied_slot_cycles) = (4_000u64, 0u64);
+        for _ in 0..cycles {
+            // Nothing moves between the start of a cycle and `advance`.
+            occupied_slot_cycles += sim.buf.occupied() as u64;
+            sim.step_profiled(&mut prof);
+        }
+        let visited = prof.work(Work::SlotsVisited);
+        assert!(occupied_slot_cycles > cycles, "load too low to be a test");
+        assert!(visited > occupied_slot_cycles, "both scans count");
+        assert!(visited <= 2 * occupied_slot_cycles);
+        let full_scans = (sim.ej_base + sim.num_channels) as u64 * cycles;
+        assert!(20 * visited < full_scans, "{visited} of {full_scans}");
+        // Sources: a calendar visit per arrival, a feed per flit (and
+        // one more for the source to leave the set) and — the window is
+        // open throughout — a queue-length sample per active source; the
+        // scans they replaced polled every node twice a cycle.
+        let polled = prof.work(Work::SourcesPolled);
+        assert!(polled > sim.delivered_flits_in_window, "{polled}");
+        assert!(10 * polled < 2 * sim.num_nodes as u64 * cycles, "{polled}");
+    }
+
+    #[test]
+    fn occupied_set_and_calendar_cost_construction_and_snapshots_nothing() {
+        let mesh = Mesh::new_2d(8, 8);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder().injection_rate(0.05).seed(6).build();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+        // The calendar is built by the first `generate` and the source
+        // set by the first packet, not by `new`.
+        assert_eq!(sim.arrivals.capacity(), 0);
+        assert_eq!(sim.active_sources.capacity(), 0);
+        sim.step();
+        assert_eq!(sim.arrivals.len(), 64);
+        for _ in 0..200 {
+            sim.step();
+        }
+        // `restore` drops it, widens the source set to every node (the
+        // next cycle's feed narrows it again) and carries the slot set
+        // inside the buffers' one `len` allocation.
+        let snap = sim.snapshot();
+        let sources = sim.active_sources().count();
+        assert!(sim.buf.occupied() > 0 && sources < 64);
+        sim.restore(&snap);
+        assert!(sim.arrivals.is_empty());
+        assert_eq!(sim.active_sources().count(), 64);
+        sim.buf.assert_occupied_set_is_exact();
+        assert_eq!(sim.snapshot(), snap, "none of it is snapshot state");
+        sim.step();
+        assert_eq!(sim.arrivals.len(), 64);
+        assert!(sim.active_sources().count() <= sources + 2);
+        // A rate of zero — every model-checker run — never builds one.
+        let mut quiet = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+        quiet.inject_packet(NodeId(0), NodeId(63), 5);
+        assert!(quiet.run_until_idle(200));
+        assert_eq!(quiet.arrivals.capacity(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Engine phase profiler.
 //!
 //! [`crate::Engine::step_profiled`] times each engine phase onto a
-//! [`PhaseProfiler`] and counts the arbitration [`Work`] done in it,
+//! [`PhaseProfiler`] and counts the [`Work`] done in it,
 //! answering "where does a simulated cycle's cost go?" without
 //! instrumenting the hot path of plain [`crate::Engine::step`] — both are
 //! the one stepper, whose span sink is a type parameter that is either
@@ -16,13 +16,15 @@
 ///
 /// The mapping to engine internals:
 ///
-/// * `Injection` — message generation at the processors plus feeding
-///   flits into injection buffers.
-/// * `Routing` — collecting routable header flits and ordering them under
-///   the input-selection policy.
+/// * `Injection` — message generation at the nodes the arrival calendar
+///   has due, plus feeding flits into the injection buffers of the
+///   active sources.
+/// * `Routing` — collecting routable header flits from the occupied
+///   slots and ordering them under the input-selection policy.
 /// * `Arbitration` — memo read or route computation, then grants, for
 ///   the selected headers (winners turn, losers stall).
-/// * `Traversal` — the lockstep flit advance across all channels.
+/// * `Traversal` — the lockstep flit advance across the occupied
+///   channels.
 /// * `Drain` — bookkeeping that brackets the cycle: fault application,
 ///   lifetime expiry, and deadlock detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +73,13 @@ impl Phase {
     }
 }
 
-/// Seed-determined units of arbitration work, counted exactly.
+/// Seed-determined units of engine work, counted exactly.
 ///
 /// `HeadAttempts == RouteComputations + MemoHits`: every attempt to
 /// route a waiting head past the ejection and hold tests gets its offer
-/// from one of the two.
+/// from one of the two. `SlotsVisited` and `SourcesPolled` are what the
+/// per-cycle scans cost: they grow with the flits in flight and the
+/// packets waiting at sources, not with the size of the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Work {
     /// Attempts to grant a waiting head an output channel.
@@ -84,11 +88,22 @@ pub enum Work {
     RouteComputations,
     /// Attempts answered from the engine's route memo.
     MemoHits,
+    /// Channel slots examined by head collection and by the planning
+    /// loop of the flit advance.
+    SlotsVisited,
+    /// Nodes examined by message generation and by injection feeding.
+    SourcesPolled,
 }
 
 impl Work {
     /// Every counter, in reporting order.
-    pub const ALL: [Work; 3] = [Work::HeadAttempts, Work::RouteComputations, Work::MemoHits];
+    pub const ALL: [Work; 5] = [
+        Work::HeadAttempts,
+        Work::RouteComputations,
+        Work::MemoHits,
+        Work::SlotsVisited,
+        Work::SourcesPolled,
+    ];
 
     /// Stable lowercase name.
     pub fn name(self) -> &'static str {
@@ -96,6 +111,8 @@ impl Work {
             Work::HeadAttempts => "head_attempts",
             Work::RouteComputations => "route_computations",
             Work::MemoHits => "memo_hits",
+            Work::SlotsVisited => "slots_visited",
+            Work::SourcesPolled => "sources_polled",
         }
     }
 }
@@ -105,7 +122,7 @@ impl Work {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfiler {
     nanos: [u64; 5],
-    work: [u64; 3],
+    work: [u64; Work::ALL.len()],
     cycles: u64,
 }
 
@@ -248,6 +265,12 @@ mod tests {
         assert_eq!(p.work(Work::MemoHits), 7);
         assert!(p.render().contains("memo_hits: 7"));
         assert!(p.to_json().contains("\"memo_hits\":7"));
+        p.add_work(Work::SlotsVisited, 9);
+        p.add_work(Work::SourcesPolled, 2);
+        assert!(p.render().contains("slots_visited: 9\nsources_polled: 2\n"));
+        assert!(p
+            .to_json()
+            .contains("\"slots_visited\":9,\"sources_polled\":2"));
         assert!(crate::obs::json::validate(&p.to_json()));
     }
 

@@ -99,9 +99,11 @@ fn cfg_window_end(report: &turnroute::sim::SimReport) -> u64 {
 // reference the memoised engine must match state for state. (Debug
 // builds also recompute the offer on every memo hit and compare.)
 
-/// Step `warm` plainly and `cold` memo-free for `cycles` cycles, applying
-/// `poke` to each before every cycle, and demand identical outcomes.
-fn memo_changes_nothing<'a, L: Lanes<'a>>(
+/// Step `warm` plainly and `cold` restored from its own snapshot before
+/// each of `cycles` cycles — no memo, and (further down) every source
+/// polled — applying `poke` to each before every cycle, and demand
+/// identical outcomes.
+fn derived_state_changes_nothing<'a, L: Lanes<'a>>(
     mut warm: Engine<'a, L>,
     mut cold: Engine<'a, L>,
     cycles: u64,
@@ -146,12 +148,12 @@ fn memo_survives_a_link_failing_and_healing_beside_blocked_heads() {
 
     let wf = mesh2d::west_first(RoutingMode::Minimal);
     let sim = || Sim::new(&mesh, &wf, &pattern, cfg.clone());
-    let end = memo_changes_nothing(sim(), sim(), 600, |_| {});
+    let end = derived_state_changes_nothing(sim(), sim(), 600, |_| {});
     assert_eq!(end.applied_fault_events(), 8);
 
     let dy = DoubleYAdaptive::new();
     let vc = || VcSim::new(&mesh, &dy, &pattern, cfg.clone());
-    let end = memo_changes_nothing(vc(), vc(), 600, |_| {});
+    let end = derived_state_changes_nothing(vc(), vc(), 600, |_| {});
     assert_eq!(end.applied_fault_events(), 8);
 }
 
@@ -163,7 +165,7 @@ fn memo_survives_quarantine_and_hold_toggles() {
     let cfg = saturating(32).build();
     let hub = mesh.node_at_coords(&[2, 2]);
     let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
-    let end = memo_changes_nothing(sim(), sim(), 500, |sim| match sim.now() {
+    let end = derived_state_changes_nothing(sim(), sim(), 500, |sim| match sim.now() {
         120 => sim.set_quarantine(hub, Direction::NORTH, true),
         180 => sim.set_hold(hub, true),
         240 => sim.set_hold(hub, false),
@@ -224,7 +226,7 @@ fn memo_survives_timeouts_reinjecting_the_same_packet_id() {
     let pattern = Uniform::new();
     let cfg = saturating(35).packet_timeout(90).max_retries(3).build();
     let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
-    let end = memo_changes_nothing(sim(), sim(), 800, |_| {});
+    let end = derived_state_changes_nothing(sim(), sim(), 800, |_| {});
     assert!(end.report().retries > 0, "no packet was ever re-injected");
 }
 
@@ -238,7 +240,7 @@ fn memo_is_read_before_the_misroute_budget_filter() {
     let pattern = Uniform::new();
     let cfg = saturating(36).misroute_budget(1).build();
     let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
-    let end = memo_changes_nothing(sim(), sim(), 800, |_| {});
+    let end = derived_state_changes_nothing(sim(), sim(), 800, |_| {});
     let misrouted = end.packets().iter().filter(|p| p.misroutes == 1).count();
     assert!(misrouted > 0, "no head ever reached its budget");
     assert!(end.packets().iter().all(|p| p.misroutes <= 1));
@@ -254,7 +256,231 @@ fn memo_survives_a_line_of_single_flit_packets_in_deep_buffers() {
         .buffer_depth(4)
         .build();
     let sim = || Sim::new(&line, &routing, &pattern, cfg.clone());
-    let end = memo_changes_nothing(sim(), sim(), 600, |_| {});
+    let end = derived_state_changes_nothing(sim(), sim(), 600, |_| {});
     assert!(end.report().delivered_flits_in_window > 0);
     assert!(end.packets().iter().any(|p| p.src == NodeId(0)));
+}
+
+// ---- derived indices ----------------------------------------------------
+//
+// The engine walks an occupied-slot set, an arrival calendar and an
+// active-source set instead of every channel and node. `restore` drops
+// the calendar and widens the source set to every node, so the engine
+// restored from its own snapshot before every cycle — the memo-free one
+// above — is also the one that polls every source and rebuilds the
+// calendar from `next_arrival` each cycle: the full scans, as a
+// reference. (Debug builds also cross-check all three against a full
+// scan once per cycle.)
+
+#[test]
+fn active_set_is_rebuilt_by_restore_from_a_different_history() {
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::west_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    let cfg = SimConfig::builder()
+        .injection_rate(0.05)
+        .lengths(LengthDist::Fixed(6))
+        .seed(41)
+        .build();
+    let history = |cycles: u64| {
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim
+    };
+    // The fresh engine, stepped from cycle 0 throughout, with a backlog
+    // at every source.
+    let mut donor = history(300);
+    for v in 0..36 {
+        donor.inject_packet(NodeId(v), NodeId(35 - v), 9);
+        donor.inject_packet(NodeId(v), NodeId(35 - v), 9);
+    }
+    // Another engine's calendar and source set describe cycle 1,000 of a
+    // history without them: a handful of active sources, arrivals due
+    // 700 cycles late.
+    let mut reused = history(1_000);
+    reused.restore(&donor.snapshot());
+    for _ in 0..700 {
+        donor.step();
+        reused.step();
+    }
+    assert!(donor.report().delivered_packets > 100);
+    assert_eq!(reused.report(), donor.report());
+    assert_eq!(reused.snapshot(), donor.snapshot());
+}
+
+#[test]
+fn active_set_shows_a_window_opened_mid_run_its_backlog() {
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::xy();
+    let pattern = Uniform::new();
+    let cfg = saturating(42).build();
+    let (opens, closes) = (400, 900);
+    // The fresh engine knows its window from cycle 0; the other has none
+    // until the cycle it opens.
+    let mut fresh = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+    fresh.set_measure_window(opens, closes);
+    let mut late = Sim::new(&mesh, &routing, &pattern, cfg);
+    late.set_measure_window(u64::MAX, u64::MAX);
+    for _ in 0..opens {
+        fresh.step();
+        late.step();
+    }
+    assert_eq!(late.report().max_queue_len, 0, "no window yet");
+    let backlog = (0..mesh.num_nodes())
+        .map(|v| late.source_queue(v).count())
+        .max()
+        .unwrap();
+    assert!(backlog > 10, "not saturated: {backlog}");
+    late.set_measure_window(opens, closes);
+    // Most sources have no arrival this cycle; their queues count anyway.
+    fresh.step();
+    late.step();
+    assert!(late.report().max_queue_len >= backlog);
+    assert_eq!(late.report(), fresh.report());
+    for _ in opens + 1..closes + 100 {
+        fresh.step();
+        late.step();
+    }
+    assert_eq!(late.report(), fresh.report());
+}
+
+#[test]
+fn active_set_takes_back_a_source_when_a_timeout_requeues_its_packet() {
+    // A two-flit packet leaves its source whole, the source leaves the
+    // set, and the worm waits at a failed link until its lifetime ends:
+    // the retry is queued at a source that was no longer polled.
+    let mesh = Mesh::new_2d(4, 4);
+    let routing = mesh2d::xy();
+    let pattern = Uniform::new();
+    let at = |x, y| mesh.node_at_coords(&[x, y]);
+    let plan = FaultPlan::new().transient_link(at(2, 0), Direction::EAST, 0, 300);
+    let cfg = SimConfig::builder()
+        .injection_rate(0.0)
+        .packet_timeout(150)
+        .max_retries(5)
+        .deadlock_threshold(5_000)
+        .fault_plan(plan)
+        .build();
+    let sim = || {
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        sim.inject_packet(at(0, 0), at(3, 0), 2);
+        sim
+    };
+    let waiting_at_source =
+        |sim: &Sim| sim.source_queue(0).count() + sim.source_emitting(0).iter().count();
+    let end = derived_state_changes_nothing(sim(), sim(), 500, |sim| match sim.now() {
+        149 => {
+            assert!(sim.packets()[0].injected.is_some());
+            assert_eq!(waiting_at_source(sim), 0, "the whole packet left");
+        }
+        151 => assert_eq!(waiting_at_source(sim), 1, "the retry is not back"),
+        _ => {}
+    });
+    assert!(end.is_idle());
+    assert!(
+        end.packets()[0].delivered.is_some(),
+        "the retry was never fed"
+    );
+    assert_eq!(end.report().retries, 2);
+}
+
+#[test]
+fn active_set_leaves_max_queue_len_unsampled_at_rate_zero() {
+    // `max_queue_len` is sampled by message generation, which a rate of
+    // zero switches off whole — hand-injected packets queue unrecorded.
+    let mesh = Mesh::new_2d(4, 4);
+    let routing = mesh2d::xy();
+    let pattern = Uniform::new();
+    let cfg = SimConfig::builder().injection_rate(0.0).build();
+    let sim = || {
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        for _ in 0..3 {
+            sim.inject_packet(NodeId(0), NodeId(15), 4);
+            sim.inject_packet(NodeId(5), NodeId(10), 4);
+        }
+        sim
+    };
+    let end = derived_state_changes_nothing(sim(), sim(), 200, |_| {});
+    assert!(end.is_idle());
+    assert_eq!(end.report().delivered_packets, 6);
+    assert_eq!(end.report().max_queue_len, 0);
+}
+
+#[test]
+fn active_set_keeps_a_held_source_and_a_faulty_injection_slot() {
+    // Neither source can inject, both stay in the set, and each starts
+    // the cycle it is let go.
+    let mesh = Mesh::new_2d(4, 4);
+    let routing = mesh2d::west_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    let (held, down) = (NodeId(0), NodeId(10));
+    let plan = FaultPlan::new().transient_node(down, 0, 120);
+    let cfg = SimConfig::builder()
+        .injection_rate(0.0)
+        .deadlock_threshold(5_000)
+        .fault_plan(plan)
+        .build();
+    let sim = || {
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        sim.set_hold(held, true);
+        sim.inject_packet(held, NodeId(15), 5);
+        sim.inject_packet(down, NodeId(3), 5);
+        sim
+    };
+    let poke = |sim: &mut Sim| {
+        if sim.now() == 80 {
+            sim.set_hold(held, false);
+        }
+    };
+    let end = derived_state_changes_nothing(sim(), sim(), 300, poke);
+    assert!(end.is_idle());
+    assert_eq!(end.packets()[0].injected, Some(80));
+    assert_eq!(end.packets()[1].injected, Some(120));
+    assert_eq!(end.report().delivered_packets, 2);
+}
+
+#[test]
+fn active_set_on_the_smallest_and_thinnest_networks() {
+    // Two nodes, a line, a two-row mesh under the lane-sharing engine;
+    // single-flit packets, depth-4 buffers; light enough that most
+    // cycles most of each set is empty.
+    let pattern = Uniform::new();
+    let cfg = |seed: u64| {
+        SimConfig::builder()
+            .injection_rate(0.1)
+            .lengths(LengthDist::Fixed(1))
+            .buffer_depth(4)
+            .warmup_cycles(0)
+            .measure_cycles(10_000)
+            .seed(seed)
+            .build()
+    };
+    let routing = DimensionOrder::e_cube(1);
+    for (nodes, seed) in [(2, 43), (9, 44), (40, 45)] {
+        let line = Mesh::new(vec![nodes]);
+        let sim = || Sim::new(&line, &routing, &pattern, cfg(seed));
+        let end = derived_state_changes_nothing(sim(), sim(), 600, |_| {});
+        let report = end.report();
+        assert!(report.delivered_packets > 20, "{nodes} nodes: {report}");
+        assert!(!report.deadlocked);
+    }
+    let dy = DoubleYAdaptive::new();
+    for (rows, seed) in [(2, 46), (17, 47)] {
+        let mesh = Mesh::new_2d(2, rows);
+        let vc = || VcSim::new(&mesh, &dy, &pattern, cfg(seed));
+        let end = derived_state_changes_nothing(vc(), vc(), 600, |_| {});
+        let report = end.report();
+        assert!(report.delivered_packets > 20, "2x{rows}: {report}");
+        assert!(!report.deadlocked);
+    }
+}
+
+#[test]
+#[should_panic(expected = "radix >= 2")]
+fn active_set_has_no_one_by_one_network_to_index() {
+    // The 1×1 "network" is refused where it would be described, before
+    // any engine (and any word of any set) is sized for it.
+    let _ = Mesh::new_2d(1, 1);
 }
