@@ -231,6 +231,23 @@ echo "==> active-set group"
 cargo test -p turnroute-sim --offline --quiet occupied
 cargo test -p turnroute --offline --quiet --test sim_properties active_set
 
+echo "==> sleep-set group"
+# The engine's two sleep rules, runnable in isolation: a refused head is
+# not asked again until its router releases an output, a worm blocked
+# behind a waiting head is not planned again until that head is granted.
+# The sim crate pins the counters (attempts follow hops, not blocked
+# cycles), the release -> next-cycle grant latency and the scripted step
+# that still sees every head; then the sleeping engine against one that
+# asks every head and plans every slot each cycle (restored from its own
+# snapshot), through faults and heals, hold and quarantine releases,
+# restore from another history, timeouts, a misroute budget, routing
+# delay, deep buffers, every input policy, shared links and the
+# degenerate line. (In this debug build every sleeper of every other
+# test is also re-evaluated and every cycle's move list re-planned from
+# scratch.)
+cargo test -p turnroute-sim --offline --quiet sleep
+cargo test -p turnroute --offline --quiet --test sim_properties sleep
+
 if [[ $full -eq 1 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release --offline
@@ -251,6 +268,12 @@ if [[ $full -eq 1 ]]; then
     test -s "$tmp/metrics.json"
     test -s "$tmp/fig1_postmortem.jsonl"
     test -s "$tmp/faults.csv"
+
+    echo "==> sleep-set group, release"
+    # The same property tests where the debug cross-checks are compiled
+    # out: the engine restored from its own snapshot before every cycle
+    # is the only reference, as it is for every release-built user.
+    cargo test -p turnroute --release --offline --quiet --test sim_properties sleep
 
     echo "==> committed analysis artifacts reproduce"
     # The full matrices are deterministic, so the committed artifacts are

@@ -38,6 +38,76 @@ const IN_PROGRESS: u8 = 1;
 const YES: u8 = 2;
 const NO: u8 = 3;
 
+/// The channels `advance` need not plan from: those whose front flit
+/// cannot move until arbitration grants their worm's head an output. A
+/// slot is *frozen* when the planner finds its front flit unassigned, or
+/// bound to a full slot that is itself frozen — so the frozen slots of a
+/// worm are a suffix of it ending at its waiting head, and a grant there
+/// thaws them by walking `feeder` upstream while the bits are set.
+#[derive(Default)]
+struct Frozen {
+    /// One bit per channel; empty until the first freeze.
+    bits: Vec<u32>,
+    /// Per channel `o`, the slot that froze bound to it. Written only
+    /// then, so an entry may be stale: [`Frozen::thaw`] follows it only
+    /// while the engine's binding table agrees.
+    feeder: Vec<u32>,
+}
+
+impl Frozen {
+    /// The members among channels `w * WORD_BITS..`, as a mask.
+    #[inline]
+    fn word(&self, w: usize) -> u32 {
+        self.bits.get(w).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn contains(&self, c: usize) -> bool {
+        self.word(c / WORD_BITS) & (1 << (c % WORD_BITS)) != 0
+    }
+
+    /// Freeze `c`, one of `channels`, whose front flit is unassigned or
+    /// (`bound_to`) waits on that full, frozen slot.
+    fn freeze(&mut self, c: usize, bound_to: Option<usize>, channels: usize) {
+        if self.bits.is_empty() {
+            self.bits.resize(channels.div_ceil(WORD_BITS), 0);
+            self.feeder.resize(channels, NONE_U32);
+        }
+        self.bits[c / WORD_BITS] |= 1 << (c % WORD_BITS);
+        if let Some(o) = bound_to {
+            self.feeder[o] = c as u32;
+        }
+    }
+
+    /// Thaw `c` alone (its worm is being purged).
+    #[inline]
+    fn remove(&mut self, c: usize) {
+        if let Some(word) = self.bits.get_mut(c / WORD_BITS) {
+            *word &= !(1 << (c % WORD_BITS));
+        }
+    }
+
+    /// The head waiting at `c` was granted an output: thaw its worm, from
+    /// `c` upstream along the bindings in `assigned_out`, up to the first
+    /// slot that is not frozen.
+    #[inline]
+    fn thaw(&mut self, mut c: usize, assigned_out: &[u32]) {
+        while self.contains(c) {
+            self.remove(c);
+            let up = self.feeder[c] as usize;
+            if assigned_out.get(up) != Some(&(c as u32)) {
+                break;
+            }
+            c = up;
+        }
+    }
+
+    /// Thaw everything.
+    fn clear(&mut self) {
+        self.bits.clear();
+    }
+}
+
 /// Per-source stream state: the packet currently being pushed into the
 /// injection channel and how many of its flits have been emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,6 +294,8 @@ pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     // --- static network description ---
     num_nodes: usize,
     lanes_per_link: usize,
+    /// Network slots per node: its links' lanes, existing or not.
+    link_slots_per_node: usize,
     /// First injection slot; ejection slots follow.
     inj_base: usize,
     ej_base: usize,
@@ -365,6 +437,24 @@ pub struct Engine<'a, L: Lanes<'a>, O: SimObserver = NoopObserver> {
     /// measured +0.7 µs (4 %) on `Sim::new`.
     active_sources: Vec<u32>,
 
+    // --- sleep rules ---
+    // What the heavy-load phases no longer poll because it cannot have
+    // changed. Derived state again: outside the snapshot, allocated by
+    // the first refusal and the first freeze, dropped by `restore`.
+    /// Per input slot, the last cycle arbitration refused the head there
+    /// (0 = never; a head is not routable at cycle 0). The refusal is the
+    /// current head's exactly when it is newer than `head_since`, and
+    /// that head is *asleep* — not collected — while it is also newer
+    /// than its router's `freed_at`. Empty, like `freed_at`, until the
+    /// first refusal.
+    refused_at: Vec<u64>,
+    /// Per router, the last cycle one of its outputs was released or its
+    /// hold changed: the two things, short of a wake-all, that can turn a
+    /// refusal there into a grant.
+    freed_at: Vec<u64>,
+    /// The blocked worms `advance` skips.
+    frozen: Frozen,
+
     // scratch buffers reused across cycles
     scratch_heads: Vec<u32>,
     scratch_state: Vec<u8>,
@@ -481,6 +571,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             now: 0,
             num_nodes,
             lanes_per_link,
+            link_slots_per_node: inj_base / num_nodes,
             inj_base,
             ej_base,
             num_channels,
@@ -530,6 +621,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             memo_stride,
             arrivals: BinaryHeap::new(),
             active_sources: Vec::new(),
+            refused_at: Vec::new(),
+            freed_at: Vec::new(),
+            frozen: Frozen::default(),
             scratch_heads: Vec::new(),
             scratch_state: Vec::new(),
             scratch_order: Vec::new(),
@@ -655,6 +749,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     pub fn set_hold(&mut self, node: NodeId, on: bool) {
         self.healing_possible = true;
         self.held[node.index()] = on;
+        // A release changes every refusal the hold caused.
+        self.wake_router(node.index());
     }
 
     /// Quarantine (`on`) or release the link leaving `node` in `dir`
@@ -848,14 +944,17 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     }
 
     /// The scans the derived indices replaced, as their cross-check:
-    /// the occupied-slot set is exactly the channels holding a flit and
-    /// no node outside the active-source set has a packet queued or
-    /// emitting. Debug builds run it once per cycle, which makes every
-    /// test a differential test of the indices; release builds carry
-    /// none of it.
+    /// the occupied-slot set is exactly the channels holding a flit
+    /// (and only those are frozen) and no node outside the
+    /// active-source set has a packet queued or emitting. Debug builds
+    /// run it once per cycle, which makes every test a differential
+    /// test of the indices; release builds carry none of it.
     #[cfg(debug_assertions)]
     fn assert_indices_cover_a_full_scan(&self) {
         self.buf.assert_occupied_set_is_exact();
+        for c in (0..self.num_channels).filter(|&c| self.frozen.contains(c)) {
+            assert!(!self.buf.is_empty(c), "empty slot {c} is frozen");
+        }
         let mut active = self.active_sources().peekable();
         for v in 0..self.num_nodes {
             if active.next_if_eq(&v).is_none() {
@@ -1197,6 +1296,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             self.buf.clear(slot);
             self.owner[slot] = NONE_U32;
             self.assigned_out[slot] = NONE_U32;
+            self.frozen.remove(slot);
+            self.release_output(slot);
         }
     }
 
@@ -1265,10 +1366,19 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// Phase A, first half: collect input channels whose buffered flit
     /// is an unassigned head into `scratch_heads`, in service order — the
     /// input policy's, or grouped by router for a scripted arbiter.
+    ///
+    /// A head that is [`asleep`](Engine::asleep) would be refused again,
+    /// and a refusal has no side effect, so it is left out — where that
+    /// is invisible. Ordering a subset gives the subset of the order, so
+    /// `Fcfs` and `PortOrder` drop sleepers before sorting; `Random`
+    /// draws once per collected head, so it shuffles them all and drops
+    /// sleepers after; a scripted arbiter is asked to pick among all the
+    /// heads of a router, so it keeps them.
     fn collect_route_heads<A: Arbiter, S: SpanSink>(&mut self, spans: &mut S) {
         let mut heads = std::mem::take(&mut self.scratch_heads);
         heads.clear();
         let mut visited = 0;
+        let keep_sleepers = A::SCRIPTED || self.cfg.input_policy == InputPolicy::Random;
         // Only an occupied slot can hold a head, and the slots from
         // `ej_base` up are ejection buffers, which are not routed.
         let routed_words = self.ej_base.div_ceil(WORD_BITS);
@@ -1284,6 +1394,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 // cycles.
                 if matches!(self.buf.front(slot), Some(f) if f.is_head)
                     && self.now > self.head_since[slot] + self.cfg.routing_delay
+                    && (keep_sleepers || !self.asleep(slot))
                 {
                     heads.push(slot as u32);
                 }
@@ -1304,6 +1415,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         let j = self.rng.gen_range(0..=i);
                         heads.swap(i, j);
                     }
+                    heads.retain(|&c| !self.asleep(c as usize));
                 }
             }
         }
@@ -1344,6 +1456,63 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     fn unusable(&self, slot: usize) -> bool {
         (self.faults_possible && self.faulty[slot])
             || (self.healing_possible && self.quarantined[slot])
+    }
+
+    /// Whether the head at input channel `c` was refused and nothing that
+    /// could turn the refusal into a grant has happened since: no output
+    /// of its router released, no hold there changed, no wake-all. The
+    /// comparisons are strict: a release in cycle `t`'s `advance` follows
+    /// that cycle's refusals and wakes the head for `t + 1`. Debug builds
+    /// re-evaluate every sleeper, which makes every test a differential
+    /// test of the wake points; a spurious wake is only a wasted attempt.
+    fn asleep(&self, c: usize) -> bool {
+        let Some(&refused) = self.refused_at.get(c) else {
+            return false;
+        };
+        let asleep =
+            refused > self.head_since[c] && refused > self.freed_at[self.input_router[c] as usize];
+        #[cfg(debug_assertions)]
+        if asleep {
+            let mut offer = Vec::new();
+            let refused_again = match self.route_decision(c, &mut offer) {
+                RouteDecision::Eject(ej) => !self.grantable(ej),
+                RouteDecision::Hold => true,
+                RouteDecision::Offer {
+                    productive_only, ..
+                } => !offer.iter().any(|k| self.open(k, productive_only)),
+            };
+            assert!(refused_again, "the head asleep at slot {c} missed a wake");
+        }
+        asleep
+    }
+
+    /// Arbitration refused the head at input channel `c` this cycle.
+    fn refuse(&mut self, c: usize) {
+        if self.refused_at.is_empty() {
+            self.refused_at = vec![0; self.ej_base];
+            self.freed_at = vec![0; self.num_nodes];
+        }
+        self.refused_at[c] = self.now;
+    }
+
+    /// Wake the heads asleep at router `v`.
+    #[inline]
+    fn wake_router(&mut self, v: usize) {
+        if let Some(freed) = self.freed_at.get_mut(v) {
+            *freed = self.now;
+        }
+    }
+
+    /// Channel `slot` lost its owner: if it is an output of a router — a
+    /// link out of it (slots are link-major, so the router is arithmetic
+    /// on the slot) or its ejection channel — the heads asleep there wake.
+    #[inline]
+    fn release_output(&mut self, slot: usize) {
+        if slot < self.inj_base {
+            self.wake_router(slot / self.link_slots_per_node);
+        } else if slot >= self.ej_base {
+            self.wake_router(slot - self.ej_base);
+        }
     }
 
     /// Everything arbitration knows about the head at input channel `c`
@@ -1451,9 +1620,12 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// Forget every memoised offer. Called exactly where an input of
     /// [`Lanes::candidates`] other than the head itself changes: a
     /// `faulty[]` edge, a quarantine, `faults_possible` turning on, and
-    /// [`Engine::restore`] (packet ids start over).
+    /// [`Engine::restore`] (packet ids start over). A refusal made on an
+    /// old offer (or of an ejection channel since repaired) says nothing
+    /// about the new one, so every sleeping head wakes as well.
     fn wipe_memo(&mut self) {
         self.memo_key.fill(0);
+        self.refused_at.fill(0);
     }
 
     /// Commit one granted output: channel bindings, misroute marking,
@@ -1464,6 +1636,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.assigned_out[c] = pick.slot as u32;
         self.owner[pick.slot] = packet;
         self.misroute_assigned[c] = !pick.productive;
+        self.frozen.thaw(c, &self.assigned_out);
         if O::ENABLED {
             let (packet, at, dir) = (PacketId(packet), v, pick.dir);
             if !self.is_injection(c) {
@@ -1487,14 +1660,30 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         }
     }
 
+    /// Whether ejection slot `ej` can be bound to a new worm.
+    #[inline]
+    fn grantable(&self, ej: usize) -> bool {
+        self.owner[ej] == NONE_U32 && !self.unusable(ej)
+    }
+
+    /// Whether offered output `k` can be granted: free, and within the
+    /// misroute budget.
+    #[inline]
+    fn open(&self, k: &Candidate, productive_only: bool) -> bool {
+        self.owner[k.slot] == NONE_U32 && (k.productive || !productive_only)
+    }
+
     /// Bind the ejection slot for the worm at `c` if it is free (ejection
     /// is never a choice point).
     fn try_eject(&mut self, c: usize, ej: usize) {
         let packet = self.buf.front(c).expect("head present").packet;
-        if self.owner[ej] == NONE_U32 && !self.unusable(ej) {
+        if self.grantable(ej) {
             self.assigned_out[c] = ej as u32;
             self.owner[ej] = packet;
             self.misroute_assigned[c] = false;
+            self.frozen.thaw(c, &self.assigned_out);
+        } else {
+            self.refuse(c);
         }
     }
 
@@ -1502,12 +1691,13 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// is free: the scripted arbiter's pick, or the adapter's selection
     /// under `cfg.output_policy`. A head that stays blocked leaves its
     /// offer in the route memo, so each later attempt costs one `owner`
-    /// load per candidate instead of a routing call.
+    /// load per candidate instead of a routing call, and the stamp of its
+    /// refusal, so the next attempt waits for something to have changed.
     fn try_assign<A: Arbiter, S: SpanSink>(&mut self, c: usize, arb: &mut A, spans: &mut S) {
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         match self.route_decision(c, &mut candidates) {
             RouteDecision::Eject(ej) => self.try_eject(c, ej),
-            RouteDecision::Hold => {}
+            RouteDecision::Hold => self.refuse(c),
             RouteDecision::Offer {
                 memoised,
                 productive_only,
@@ -1519,10 +1709,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     Work::RouteComputations
                 };
                 spans.count(source, 1);
-                // Free channels within the misroute budget only.
-                let open = |k: &Candidate| {
-                    self.owner[k.slot] == NONE_U32 && (k.productive || !productive_only)
-                };
+                let open = |k: &Candidate| self.open(k, productive_only);
                 if candidates.iter().any(open) {
                     candidates.retain(open);
                     // Misroute only when necessary: if any productive
@@ -1539,10 +1726,14 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         }
                     };
                     self.commit_grant(c, pick);
-                } else if !memoised {
-                    // Blocked on its first attempt: heads granted at once
-                    // (nearly all, at light load) never touch the memo.
-                    self.store_memo(c, &candidates);
+                } else {
+                    if !memoised {
+                        // Blocked on its first attempt: heads granted at
+                        // once (nearly all, at light load) never touch
+                        // the memo.
+                        self.store_memo(c, &candidates);
+                    }
+                    self.refuse(c);
                 }
             }
         }
@@ -1553,12 +1744,19 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// moves this cycle, and with it every undecided channel its move
     /// waits on: a depth-first walk along output bindings that appends
     /// the movers to `order` targets first.
+    ///
+    /// A channel found `NO` for a reason that outlasts the cycle — its
+    /// front flit is unassigned, or bound to a full slot that is itself
+    /// frozen — is frozen, and a frozen slot reached through a binding
+    /// reads as `NO` without being decided (its `state` stays `UNKNOWN`,
+    /// which every later reader treats as "does not move").
     fn plan_from(
         &self,
         start: usize,
         state: &mut [u8],
         order: &mut Vec<u32>,
         stack: &mut Vec<u32>,
+        frozen: &mut Frozen,
     ) {
         let depth = self.cfg.buffer_depth as usize;
         stack.clear();
@@ -1580,7 +1778,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                     }
                     let o = self.assigned_out[c];
                     if o == NONE_U32 {
+                        // A head waiting for a grant, which thaws it.
                         state[c] = NO;
+                        frozen.freeze(c, None, self.num_channels);
                         stack.pop();
                         continue;
                     }
@@ -1592,23 +1792,24 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         continue;
                     }
                     match state[o] {
-                        UNKNOWN => {
+                        UNKNOWN if !frozen.contains(o) => {
                             state[c] = IN_PROGRESS;
                             stack.push(o as u32);
-                        }
-                        IN_PROGRESS => {
-                            // Dependency cycle: blocked (this is a
-                            // wormhole deadlock in the making).
-                            state[c] = NO;
-                            stack.pop();
                         }
                         YES => {
                             state[c] = YES;
                             order.push(c as u32);
                             stack.pop();
                         }
+                        // Full, and frozen — not moving until its worm's
+                        // head is granted, and nor is `c` — or on a
+                        // dependency cycle (`IN_PROGRESS`: a wormhole
+                        // deadlock in the making) or blocked behind one.
                         _ => {
                             state[c] = NO;
+                            if frozen.contains(o) {
+                                frozen.freeze(c, Some(o), self.num_channels);
+                            }
                             stack.pop();
                         }
                     }
@@ -1620,6 +1821,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         order.push(c as u32);
                     } else {
                         state[c] = NO;
+                        if frozen.contains(o) {
+                            frozen.freeze(c, Some(o), self.num_channels);
+                        }
                     }
                     stack.pop();
                 }
@@ -1630,6 +1834,32 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         }
     }
 
+    /// Plan the cycle's moves into `order`, targets first: from every
+    /// occupied channel that is not frozen, in slot order — an empty one
+    /// moves nothing, a frozen one cannot, and the search reaches either
+    /// anyway when a worm is bound to it. Returns the slots visited.
+    fn plan_moves(
+        &self,
+        state: &mut Vec<u8>,
+        order: &mut Vec<u32>,
+        stack: &mut Vec<u32>,
+        frozen: &mut Frozen,
+    ) -> u64 {
+        state.clear();
+        state.resize(self.num_channels, UNKNOWN);
+        order.clear();
+        let mut visited = 0;
+        for w in 0..self.buf.occupied_words() {
+            for start in self.buf.occupied_in(w).without(frozen.word(w)) {
+                visited += 1;
+                if state[start] == UNKNOWN {
+                    self.plan_from(start, state, order, stack, frozen);
+                }
+            }
+        }
+        visited
+    }
+
     /// Phase B: advance flits in lockstep. A flit moves when its bound
     /// output buffer has room or is itself vacating this cycle; dependency
     /// cycles (deadlock) advance nothing. Where lanes share links, each
@@ -1638,23 +1868,20 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         let mut state = std::mem::take(&mut self.scratch_state);
         let mut order = std::mem::take(&mut self.scratch_order);
         let mut stack = std::mem::take(&mut self.scratch_stack);
-        state.clear();
-        state.resize(self.num_channels, UNKNOWN);
-        order.clear();
-
-        // Plan from the occupied channels only, in slot order: an empty
-        // one moves nothing, and the search reaches it anyway when a worm
-        // is bound to it.
-        let mut visited = 0;
-        for w in 0..self.buf.occupied_words() {
-            for start in self.buf.occupied_in(w) {
-                visited += 1;
-                if state[start] == UNKNOWN {
-                    self.plan_from(start, &mut state, &mut order, &mut stack);
-                }
-            }
-        }
+        let mut frozen = std::mem::take(&mut self.frozen);
+        let visited = self.plan_moves(&mut state, &mut order, &mut stack, &mut frozen);
         spans.count(Work::SlotsVisited, visited);
+        // The plan from every occupied channel with nothing frozen, as
+        // the frozen set's cross-check: debug builds take the skips and
+        // then make every cycle of every test a differential test of
+        // them; release builds carry none of it.
+        #[cfg(debug_assertions)]
+        {
+            let (mut state, mut full, mut thawed) = (Vec::new(), Vec::new(), Frozen::default());
+            self.plan_moves(&mut state, &mut full, &mut stack, &mut thawed);
+            assert_eq!(order, full, "a frozen slot could have moved");
+        }
+        self.frozen = frozen;
 
         let depth = self.cfg.buffer_depth as usize;
         // Shared links: one flit per physical link per cycle, granted in
@@ -1738,6 +1965,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 }
                 if flit.is_tail {
                     self.owner[c] = NONE_U32;
+                    self.release_output(c);
                     let p = &mut self.packets[pidx];
                     p.delivered = Some(self.now);
                     let (id, created, hops) = (p.id, p.created, p.hops);
@@ -1797,6 +2025,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 if flit.is_tail {
                     self.owner[c] = NONE_U32;
                     self.assigned_out[c] = NONE_U32;
+                    self.release_output(c);
                 }
             }
         }
@@ -2071,9 +2300,13 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         self.deadlocked = snap.deadlocked;
         self.total_stall_cycles = snap.total_stall_cycles;
         // Derived state is not in the snapshot: the memo and the arrival
-        // calendar are dropped (each is rebuilt by its first use) and the
-        // active-source set is widened to every node.
+        // calendar are dropped (each is rebuilt by its first use), the
+        // active-source set is widened to every node, every head wakes
+        // and every worm thaws. `now` may have gone backwards, so no
+        // stamp may survive to be read as newer than it is.
         self.wipe_memo();
+        self.freed_at.fill(0);
+        self.frozen.clear();
         self.arrivals.clear();
         self.activate_all_sources();
     }
@@ -2253,7 +2486,10 @@ mod tests {
         // Same source: b cannot even start injecting until a's tail left
         // the injection channel.
         assert!(pb.injected.unwrap() >= pa.injected.unwrap() + 10);
-        assert!(pa.delivered.is_some() && pb.delivered.is_some());
+        // To the cycle: b's head, refused the channel a's tail is still
+        // in, sleeps, and is granted the cycle after the tail frees it —
+        // as when it asked every cycle.
+        assert_eq!((pa.delivered, pb.delivered), (Some(14), Some(24)));
     }
 
     #[test]
@@ -2783,28 +3019,51 @@ mod tests {
         assert_eq!(sim.active_sources().count(), 0);
     }
 
+    /// Step `sim` once, profiled. Returns the slots occupied during the
+    /// cycle and the most slots its two scans may visit: head collection
+    /// every occupied slot that is routed, the planning loop every
+    /// occupied slot that does not stay frozen through the cycle (in a
+    /// `Sim` without timeouts a slot thawed by a grant moves, so the ones
+    /// frozen before and after are the ones frozen when planning starts;
+    /// a few more are frozen by the search before the loop reaches them).
+    fn step_counting_slots(sim: &mut Sim, prof: &mut PhaseProfiler) -> (u64, u64) {
+        // Nothing moves between the start of a cycle and `advance`.
+        let occupied = sim.buf.occupied() as u64;
+        let routed = (0..sim.ej_base).filter(|&c| !sim.buf.is_empty(c)).count() as u64;
+        let before = sim.frozen.bits.clone();
+        sim.step_profiled(prof);
+        let frozen_throughout = before.iter().zip(&sim.frozen.bits);
+        let skipped: u32 = frozen_throughout.map(|(a, b)| (a & b).count_ones()).sum();
+        (occupied, routed + occupied - u64::from(skipped))
+    }
+
     #[test]
     fn occupied_set_work_counters_follow_the_flits_not_the_network() {
         // The complexity claim: the per-cycle scans cost what is in
-        // flight. Head collection and the advance's planning loop each
-        // visit an occupied slot at most once per cycle; the full scans
-        // they replaced read every slot below `ej_base` and every slot.
+        // flight. Head collection visits an occupied routed slot once per
+        // cycle and the advance's planning loop an occupied slot that is
+        // not frozen once; the full scans they replaced read every slot
+        // below `ej_base` and every slot.
         let mesh = Mesh::new_2d(8, 8);
         let routing = mesh2d::west_first(RoutingMode::Minimal);
         let pattern = Uniform::new();
         let cfg = SimConfig::builder().injection_rate(0.02).seed(4).build();
         let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
         let mut prof = PhaseProfiler::new();
-        let (cycles, mut occupied_slot_cycles) = (4_000u64, 0u64);
+        let (cycles, mut occupied_slot_cycles, mut to_visit) = (4_000u64, 0u64, 0u64);
         for _ in 0..cycles {
-            // Nothing moves between the start of a cycle and `advance`.
-            occupied_slot_cycles += sim.buf.occupied() as u64;
-            sim.step_profiled(&mut prof);
+            let (occupied, visits) = step_counting_slots(&mut sim, &mut prof);
+            occupied_slot_cycles += occupied;
+            to_visit += visits;
         }
         let visited = prof.work(Work::SlotsVisited);
         assert!(occupied_slot_cycles > cycles, "load too low to be a test");
+        assert!(visited <= to_visit, "{visited} of {to_visit}");
         assert!(visited > occupied_slot_cycles, "both scans count");
-        assert!(visited <= 2 * occupied_slot_cycles);
+        assert!(
+            visited < 2 * occupied_slot_cycles,
+            "ejection slots are not routed"
+        );
         let full_scans = (sim.ej_base + sim.num_channels) as u64 * cycles;
         assert!(20 * visited < full_scans, "{visited} of {full_scans}");
         // Sources: a calendar visit per arrival, a feed per flit (and
@@ -2827,6 +3086,15 @@ mod tests {
         // set by the first packet, not by `new`.
         assert_eq!(sim.arrivals.capacity(), 0);
         assert_eq!(sim.active_sources.capacity(), 0);
+        // Nor are the sleep stamps and the frozen set: the first refusal
+        // and the first freeze allocate them.
+        let sleep_state = |sim: &Sim| {
+            [
+                sim.refused_at.capacity() + sim.freed_at.capacity(),
+                sim.frozen.bits.capacity() + sim.frozen.feeder.capacity(),
+            ]
+        };
+        assert_eq!(sleep_state(&sim), [0, 0]);
         sim.step();
         assert_eq!(sim.arrivals.len(), 64);
         for _ in 0..200 {
@@ -2838,7 +3106,11 @@ mod tests {
         let snap = sim.snapshot();
         let sources = sim.active_sources().count();
         assert!(sim.buf.occupied() > 0 && sources < 64);
+        assert!(sleep_state(&sim).iter().all(|&allocated| allocated > 0));
         sim.restore(&snap);
+        // No stamp and no frozen bit outlives the `now` it was made in.
+        assert!(sim.refused_at.iter().chain(&sim.freed_at).all(|&t| t == 0));
+        assert!(sim.frozen.bits.is_empty());
         assert!(sim.arrivals.is_empty());
         assert_eq!(sim.active_sources().count(), 64);
         sim.buf.assert_occupied_set_is_exact();
@@ -2887,11 +3159,9 @@ mod tests {
             prof.work(Work::HeadAttempts),
             prof.work(Work::RouteComputations) + prof.work(Work::MemoHits)
         );
-        assert!(
-            prof.work(Work::MemoHits) > 10 * prof.work(Work::RouteComputations),
-            "blocked heads should dominate: {}",
-            prof.render()
-        );
+        // A head that stays blocked reads its offer back whenever a
+        // release at its router wakes it.
+        assert!(prof.work(Work::MemoHits) > 0, "{}", prof.render());
     }
 
     #[test]
@@ -2938,6 +3208,169 @@ mod tests {
         sim.restore(&snap);
         assert!(!warm(&sim), "restore");
         assert_eq!(sim.snapshot(), snap);
+    }
+
+    #[test]
+    fn sleep_counters_pin_attempts_to_hops_not_to_blocked_cycles() {
+        // The complexity claim: a blocked head is asked again only when
+        // an output of its router was released, so attempts follow the
+        // hops made, not the cycles spent waiting (188 attempts per route
+        // computation on this configuration when every head was polled
+        // every cycle). Route computations are what they were: one per
+        // hop, plus the heads still waiting.
+        let mesh = Mesh::new_2d(16, 16);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder().injection_rate(0.3).seed(1).build();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+        let mut prof = PhaseProfiler::new();
+        let (mut occupied_slot_cycles, mut to_visit) = (0u64, 0u64);
+        for _ in 0..3_000 {
+            let (occupied, visits) = step_counting_slots(&mut sim, &mut prof);
+            occupied_slot_cycles += occupied;
+            to_visit += visits;
+        }
+        let hops: u64 = sim.packets().iter().map(|p| u64::from(p.hops)).sum();
+        let computed = prof.work(Work::RouteComputations);
+        let attempts = prof.work(Work::HeadAttempts);
+        let asleep = (0..sim.ej_base).filter(|&c| sim.asleep(c)).count() as u64;
+        assert!(asleep > 100, "not saturated: {asleep} heads asleep");
+        assert!(hops < computed && computed <= hops + asleep + 16);
+        assert_eq!(attempts, computed + prof.work(Work::MemoHits));
+        assert!(attempts <= 3 * computed, "{}", prof.render());
+        // Traversal likewise: most occupied slots are frozen behind a
+        // waiting head, and the planning loop does not start from them.
+        let visited = prof.work(Work::SlotsVisited);
+        assert!(visited <= to_visit, "{visited} of {to_visit}");
+        assert!(
+            2 * visited < 3 * occupied_slot_cycles,
+            "{visited} of {occupied_slot_cycles}"
+        );
+    }
+
+    #[test]
+    fn sleep_ends_the_cycle_after_the_wanted_output_is_released() {
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::xy();
+        let pattern = Uniform::new();
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        let input = mesh.channel_slot(at(0, 0), Direction::EAST);
+        let wanted = mesh.channel_slot(at(1, 0), Direction::EAST);
+        // A long worm holds router (1,0)'s east output, and `delay` cycles
+        // later a head sets out to reach that router from the west and
+        // want it. Returns the engine the cycle the worm let go, and for
+        // how many cycles the head slept.
+        let until_released = |delay: u64| {
+            let mut sim = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+            sim.inject_packet(at(1, 0), at(3, 0), 12);
+            let mut slept = 0;
+            while sim.owner[wanted] != NONE_U32 || sim.now() < 3 {
+                if sim.now() == delay {
+                    sim.inject_packet(at(0, 0), at(3, 0), 2);
+                }
+                slept += u64::from(sim.asleep(input));
+                sim.step();
+                assert!(sim.now() < 40, "the worm never let go");
+            }
+            (sim, slept)
+        };
+        // Granted the cycle after the release, the latency it had when it
+        // asked every cycle.
+        let granted_next = |mut sim: Sim, released: u64| {
+            assert_eq!(sim.freed_at[at(1, 0).index()], released);
+            assert_eq!(sim.assigned_out[input], NONE_U32);
+            assert!(!sim.asleep(input));
+            sim.step();
+            assert_eq!(sim.assigned_out[input], wanted as u32);
+            assert!(sim.run_until_idle(100));
+            assert_eq!(sim.packets()[1].delivered, Some(released + 5));
+        };
+
+        // Refused on arrival, asleep for as long as the worm passes, and
+        // woken by the traversal that takes its tail out of the channel.
+        let (sim, slept) = until_released(0);
+        let released = sim.now() - 1;
+        assert_eq!(sim.refused_at[input], 2);
+        assert_eq!(slept, released - 2);
+        assert!(slept >= 8, "asleep for {slept} cycles only");
+        granted_next(sim, released);
+
+        // Arriving just in time to be refused by the arbitration of the
+        // very cycle whose traversal frees the channel: the two stamps
+        // are equal, and equal is awake.
+        let (sim, slept) = until_released(released - 2);
+        assert_eq!(sim.now() - 1, released);
+        assert_eq!(sim.refused_at[input], released);
+        assert_eq!(slept, 0);
+        granted_next(sim, released);
+    }
+
+    #[test]
+    fn sleep_thaws_a_granted_worm_and_no_other() {
+        let channels = 70;
+        let mut frozen = Frozen::default();
+        assert!(!frozen.contains(69), "nothing allocated, nothing frozen");
+        frozen.thaw(69, &[]);
+        let mut assigned_out = vec![NONE_U32; channels];
+        // A worm waits at 3 with two full slots behind it, 40 -> 7 -> 3,
+        // frozen in the order the planner finds them.
+        (assigned_out[7], assigned_out[40]) = (3, 7);
+        frozen.freeze(3, None, channels);
+        frozen.freeze(7, Some(3), channels);
+        frozen.freeze(40, Some(7), channels);
+        // Slot 9 once froze bound to 64 and has moved on since; now
+        // another worm's head waits in each.
+        frozen.freeze(9, Some(64), channels);
+        frozen.remove(9);
+        frozen.freeze(9, None, channels);
+        frozen.freeze(64, None, channels);
+        let members = |frozen: &Frozen| -> Vec<usize> {
+            (0..channels).filter(|&c| frozen.contains(c)).collect()
+        };
+        assert_eq!(members(&frozen), [3, 7, 9, 40, 64]);
+        // The grant at 64 follows no stale back-pointer into 9.
+        frozen.thaw(64, &assigned_out);
+        assert_eq!(members(&frozen), [3, 7, 9, 40]);
+        // The grant at 3 thaws its worm to the last frozen slot.
+        frozen.thaw(3, &assigned_out);
+        assert_eq!(members(&frozen), [9]);
+        // Dropped, the set allocates again on the next freeze.
+        frozen.clear();
+        assert!(members(&frozen).is_empty());
+        frozen.freeze(69, None, channels);
+        assert_eq!(members(&frozen), [69]);
+    }
+
+    #[test]
+    fn sleep_leaves_a_scripted_step_every_head_to_choose_from() {
+        // `decide(n)` counts the waiting heads of a router, so a scripted
+        // step is handed the sleepers too.
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::xy();
+        let pattern = Uniform::new();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        // A long worm holds router (1,0)'s north output; two heads come
+        // in from the west and the east wanting it.
+        sim.inject_packet(at(1, 0), at(1, 3), 30);
+        sim.inject_packet(at(0, 0), at(1, 2), 3);
+        sim.inject_packet(at(2, 0), at(1, 2), 3);
+        for _ in 0..6 {
+            sim.step();
+        }
+        let from_west = mesh.channel_slot(at(0, 0), Direction::EAST);
+        let from_east = mesh.channel_slot(at(2, 0), Direction::WEST);
+        assert!(sim.asleep(from_west) && sim.asleep(from_east));
+        // Policy-driven, neither is collected...
+        let mut prof = PhaseProfiler::new();
+        sim.step_profiled(&mut prof);
+        assert_eq!(prof.work(Work::HeadAttempts), 0);
+        // ...scripted, both are, and both are refused again.
+        let mut script = ChoiceScript::default();
+        sim.step_with_choices(&mut script);
+        assert_eq!(script.arities(), &[2]);
+        assert!(sim.asleep(from_west) && sim.asleep(from_east));
+        assert!(sim.run_until_idle(200));
     }
 
     #[test]

@@ -35,6 +35,15 @@ impl Ones {
             bits: word,
         }
     }
+
+    /// The same members less those in `mask`, a word of another set.
+    #[inline]
+    pub fn without(self, mask: u32) -> Ones {
+        Ones {
+            bits: self.bits & !mask,
+            ..self
+        }
+    }
 }
 
 impl Iterator for Ones {

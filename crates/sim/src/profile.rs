@@ -19,12 +19,14 @@
 /// * `Injection` — message generation at the nodes the arrival calendar
 ///   has due, plus feeding flits into the injection buffers of the
 ///   active sources.
-/// * `Routing` — collecting routable header flits from the occupied
-///   slots and ordering them under the input-selection policy.
+/// * `Routing` — collecting, from the occupied slots, the routable
+///   header flits that are awake (not refused since their router last
+///   released an output) and ordering them under the input-selection
+///   policy.
 /// * `Arbitration` — memo read or route computation, then grants, for
-///   the selected headers (winners turn, losers stall).
-/// * `Traversal` — the lockstep flit advance across the occupied
-///   channels.
+///   the selected headers (winners turn, losers stall and go to sleep).
+/// * `Traversal` — the lockstep flit advance, planned from the occupied
+///   channels that are not frozen behind a waiting header.
 /// * `Drain` — bookkeeping that brackets the cycle: fault application,
 ///   lifetime expiry, and deadlock detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +79,15 @@ impl Phase {
 ///
 /// `HeadAttempts == RouteComputations + MemoHits`: every attempt to
 /// route a waiting head past the ejection and hold tests gets its offer
-/// from one of the two. `SlotsVisited` and `SourcesPolled` are what the
-/// per-cycle scans cost: they grow with the flits in flight and the
-/// packets waiting at sources, not with the size of the network.
+/// from one of the two. A refused head is attempted again only after an
+/// output of its router was released, so attempts grow with the hops
+/// made, not with the cycles spent blocked. `SlotsVisited` and
+/// `SourcesPolled` are what the per-cycle scans cost: they grow with the
+/// flits in flight and the packets waiting at sources, not with the size
+/// of the network — head collection visits every occupied routed slot,
+/// the planning loop every occupied slot that is not frozen, so at most
+/// twice the occupied-slot-cycles together and, at saturation, little
+/// more than once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Work {
     /// Attempts to grant a waiting head an output channel.
@@ -89,7 +97,7 @@ pub enum Work {
     /// Attempts answered from the engine's route memo.
     MemoHits,
     /// Channel slots examined by head collection and by the planning
-    /// loop of the flit advance.
+    /// loop of the flit advance (the frozen ones it skips not counted).
     SlotsVisited,
     /// Nodes examined by message generation and by injection feeding.
     SourcesPolled,

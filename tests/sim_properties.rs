@@ -2,7 +2,11 @@
 //! (seeded, deterministic).
 
 use turnroute::routing::{mesh2d, DimensionOrder, RoutingMode};
-use turnroute::sim::{Engine, FaultPlan, Lanes, LengthDist, Sim, SimConfig, SimConfigBuilder};
+use turnroute::sim::obs::ChannelLayout;
+use turnroute::sim::{
+    Engine, FaultPlan, InputPolicy, InvariantObserver, Lanes, LengthDist, OutputPolicy, Sim,
+    SimConfig, SimConfigBuilder, SimObserver,
+};
 use turnroute::topology::{Direction, Mesh, NodeId, Topology};
 use turnroute::traffic::Uniform;
 use turnroute::vc::{DoubleYAdaptive, VcSim};
@@ -101,14 +105,25 @@ fn cfg_window_end(report: &turnroute::sim::SimReport) -> u64 {
 
 /// Step `warm` plainly and `cold` restored from its own snapshot before
 /// each of `cycles` cycles — no memo, and (further down) every source
-/// polled — applying `poke` to each before every cycle, and demand
-/// identical outcomes.
+/// polled, every head awake, no worm frozen — applying `poke` to each
+/// before every cycle, and demand identical outcomes.
 fn derived_state_changes_nothing<'a, L: Lanes<'a>>(
-    mut warm: Engine<'a, L>,
-    mut cold: Engine<'a, L>,
+    warm: Engine<'a, L>,
+    cold: Engine<'a, L>,
     cycles: u64,
     poke: impl Fn(&mut Engine<'a, L>),
 ) -> Engine<'a, L> {
+    beside_its_reference(warm, cold, cycles, poke).0
+}
+
+/// [`derived_state_changes_nothing`] under any observer, handing back
+/// both engines — the plain one first — for what they observed.
+fn beside_its_reference<'a, L: Lanes<'a>, O: SimObserver>(
+    mut warm: Engine<'a, L, O>,
+    mut cold: Engine<'a, L, O>,
+    cycles: u64,
+    poke: impl Fn(&mut Engine<'a, L, O>),
+) -> (Engine<'a, L, O>, Engine<'a, L, O>) {
     for _ in 0..cycles {
         poke(&mut warm);
         warm.step();
@@ -119,7 +134,7 @@ fn derived_state_changes_nothing<'a, L: Lanes<'a>>(
     }
     assert_eq!(warm.report(), cold.report());
     assert_eq!(warm.snapshot(), cold.snapshot());
-    warm
+    (warm, cold)
 }
 
 fn saturating(seed: u64) -> SimConfigBuilder {
@@ -483,4 +498,223 @@ fn active_set_has_no_one_by_one_network_to_index() {
     // The 1×1 "network" is refused where it would be described, before
     // any engine (and any word of any set) is sized for it.
     let _ = Mesh::new_2d(1, 1);
+}
+
+// ---- sleep rules --------------------------------------------------------
+//
+// A refused head is not collected again until its router releases an
+// output (or its hold changes, or every offer may have); a worm blocked
+// behind a waiting head is not planned again until that head is granted.
+// `restore` forgets every refusal and thaws every worm, so the engine
+// restored from its own snapshot before every cycle — the reference
+// above — is also the one that asks every waiting head and plans from
+// every occupied slot every cycle. A wake-up lost anywhere shows as a
+// grant or a move that comes late, or never. (Debug builds also
+// re-evaluate every sleeper and re-plan every cycle from scratch.)
+
+#[test]
+fn sleep_survives_links_and_a_node_failing_and_healing_beside_sleeping_heads() {
+    let mesh = Mesh::new_2d(6, 6);
+    // Every output of one central router goes down and comes back while
+    // its inputs are full of sleeping heads, and so does a whole
+    // neighbour — its ejection channel with it, which is what the heads
+    // that have arrived there sleep on.
+    let hub = mesh.node_at_coords(&[3, 3]);
+    let plan = Direction::all(2)
+        .enumerate()
+        .fold(FaultPlan::new(), |plan, (i, dir)| {
+            plan.transient_link(hub, dir, 100 + 60 * i as u64, 90)
+        })
+        .transient_node(mesh.node_at_coords(&[2, 3]), 150, 120);
+    let cfg = saturating(51).fault_plan(plan).build();
+    let pattern = Uniform::new();
+
+    let wf = mesh2d::west_first(RoutingMode::Minimal);
+    let sim = || Sim::new(&mesh, &wf, &pattern, cfg.clone());
+    let end = derived_state_changes_nothing(sim(), sim(), 700, |_| {});
+    assert_eq!(end.applied_fault_events(), 10);
+
+    let dy = DoubleYAdaptive::new();
+    let vc = || VcSim::new(&mesh, &dy, &pattern, cfg.clone());
+    let end = derived_state_changes_nothing(vc(), vc(), 700, |_| {});
+    assert_eq!(end.applied_fault_events(), 10);
+}
+
+#[test]
+fn sleep_ends_when_a_hold_or_a_quarantine_is_released() {
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::negative_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    let cfg = saturating(52).build();
+    let at = |x, y| mesh.node_at_coords(&[x, y]);
+    // A held router refuses every head at its inputs, and nothing it owns
+    // is released while they sleep: only the hold's release wakes them.
+    let held = [at(2, 2), at(3, 2), at(2, 3), at(3, 3)];
+    let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
+    let end = derived_state_changes_nothing(sim(), sim(), 700, |sim| match sim.now() {
+        120 => sim.set_quarantine(at(2, 2), Direction::NORTH, true),
+        180 => held.iter().for_each(|&v| sim.set_hold(v, true)),
+        330 => held.iter().for_each(|&v| sim.set_hold(v, false)),
+        400 => sim.set_quarantine(at(2, 2), Direction::NORTH, false),
+        _ => {}
+    });
+    let through_the_hold = |p: &turnroute::sim::Packet| {
+        held.contains(&p.src) && p.injected.is_some_and(|t| t >= 330) && p.delivered.is_some()
+    };
+    assert!(end.packets().iter().any(through_the_hold));
+}
+
+#[test]
+fn sleep_is_forgotten_by_restore_from_a_different_history() {
+    // `restore` takes `now` backwards: a refusal stamped at cycle 900
+    // would keep the head that meets that slot at cycle 150 asleep for
+    // 750 cycles, and a frozen bit would hold another worm's flits in
+    // place for good.
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::west_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    let cfg = saturating(53).build();
+    let history = |cycles: u64| {
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim
+    };
+    let mut donor = history(150);
+    let mut reused = history(900);
+    reused.restore(&donor.snapshot());
+    for _ in 0..600 {
+        donor.step();
+        reused.step();
+    }
+    assert!(donor.report().delivered_flits_in_window > 1_000);
+    assert_eq!(reused.report(), donor.report());
+    assert_eq!(reused.snapshot(), donor.snapshot());
+}
+
+#[test]
+fn sleep_ends_when_a_timeout_purges_the_worm_in_the_way() {
+    // A purge frees outputs that sleepers want without any tail having
+    // left them, and clears frozen slots whose next occupant must move.
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::west_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    for (seed, lifetime) in [(54, 60), (55, 150)] {
+        let cfg = saturating(seed)
+            .lengths(LengthDist::Fixed(20))
+            .packet_timeout(lifetime)
+            .max_retries(2)
+            .build();
+        let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        let end = derived_state_changes_nothing(sim(), sim(), 800, |_| {});
+        let report = end.report();
+        assert!(report.retries > 0 && report.dropped_packets > 0, "{report}");
+    }
+}
+
+#[test]
+fn sleep_under_a_misroute_budget_a_routing_delay_and_deep_buffers() {
+    let mesh = Mesh::new_2d(6, 6);
+    let pattern = Uniform::new();
+    let minimal = mesh2d::west_first(RoutingMode::Minimal);
+    let nonminimal = mesh2d::north_last(RoutingMode::Nonminimal);
+    let configs = [
+        // Out of budget a head's unproductive offers are withdrawn: what
+        // it sleeps on differs from what the memo holds for it.
+        saturating(56).misroute_budget(1).build(),
+        saturating(57).misroute_budget(3).buffer_depth(2).build(),
+        // A head is not asked for `routing_delay` cycles after arriving,
+        // refused or not; frozen all the while.
+        saturating(58).routing_delay(3).build(),
+        saturating(59).routing_delay(1).buffer_depth(3).build(),
+        // A frozen slot with room still takes flits from upstream.
+        saturating(60).buffer_depth(2).build(),
+        saturating(61).buffer_depth(4).build(),
+    ];
+    for (i, cfg) in configs.iter().enumerate() {
+        let routing = if i < 2 { &nonminimal } else { &minimal };
+        let sim = || Sim::new(&mesh, routing, &pattern, cfg.clone());
+        let end = derived_state_changes_nothing(sim(), sim(), 600, |_| {});
+        let report = end.report();
+        assert!(report.delivered_flits_in_window > 100, "{i}: {report}");
+        assert!(report.queued_at_end > 0, "{i}: not saturated");
+    }
+}
+
+#[test]
+fn sleep_under_every_input_policy() {
+    // `Random` draws once per collected head, sleepers included;
+    // `PortOrder` and `Fcfs` order the heads that are awake.
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::negative_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    let policies = [
+        (InputPolicy::Random, OutputPolicy::Random),
+        (InputPolicy::Random, OutputPolicy::LowestDim),
+        (InputPolicy::PortOrder, OutputPolicy::HighestDim),
+        (InputPolicy::Fcfs, OutputPolicy::Random),
+    ];
+    for (i, (input, output)) in policies.into_iter().enumerate() {
+        let cfg = saturating(62 + i as u64)
+            .input_policy(input)
+            .output_policy(output)
+            .build();
+        let sim = || Sim::new(&mesh, &routing, &pattern, cfg.clone());
+        let end = derived_state_changes_nothing(sim(), sim(), 600, |_| {});
+        assert!(end.report().queued_at_end > 0, "{input:?}: not saturated");
+    }
+}
+
+#[test]
+fn sleep_where_lanes_share_links_and_moves_are_withdrawn() {
+    // A move withdrawn because its link's one flit per cycle was spent
+    // is planned again next cycle: it must never be frozen.
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = DoubleYAdaptive::new();
+    let pattern = Uniform::new();
+    for (seed, depth) in [(66, 1), (67, 2), (68, 4)] {
+        let cfg = saturating(seed).buffer_depth(depth).build();
+        let vc = || VcSim::new(&mesh, &routing, &pattern, cfg.clone());
+        let end = derived_state_changes_nothing(vc(), vc(), 600, |_| {});
+        let report = end.report();
+        assert!(report.delivered_flits_in_window > 500, "{report}");
+        assert!(report.queued_at_end > 0, "depth {depth}: not saturated");
+    }
+}
+
+#[test]
+fn sleep_on_a_line_of_single_flit_packets_in_deep_buffers_under_the_sanitizer() {
+    // Every flit is a head and a tail, buffers are deeper than packets
+    // are long, a router has two outputs: every grant is a release. With
+    // an observer attached the stall scan reads the undecided state of
+    // every frozen slot, and the sanitizer's shadow buffers follow every
+    // move, so the two sanitizers must have seen the same stream. (They
+    // are not clean: an injection buffer deeper than a packet is long
+    // takes the next packet's head behind the last one's tail, which the
+    // sanitizer reports as an ownership violation — in both engines
+    // alike, and before this change.)
+    let pattern = Uniform::new();
+    let routing = DimensionOrder::e_cube(1);
+    for (nodes, seed) in [(2, 69), (9, 70), (33, 71)] {
+        let line = Mesh::new(vec![nodes]);
+        let cfg = saturating(seed)
+            .lengths(LengthDist::Fixed(1))
+            .buffer_depth(4)
+            .build();
+        let sim = || {
+            let sanitizer = InvariantObserver::new(ChannelLayout::for_topology(&line), 4);
+            Sim::with_observer(&line, &routing, &pattern, cfg.clone(), sanitizer)
+        };
+        let (warm, cold) = beside_its_reference(sim(), sim(), 600, |_| {});
+        let (seen, reference) = (warm.observer(), cold.observer());
+        assert_eq!(seen.summary(), reference.summary());
+        assert_eq!(seen.violations(), reference.violations());
+        let summary = seen.summary();
+        assert_eq!(
+            summary.sourced_flits,
+            summary.consumed_flits + summary.in_flight_flits
+        );
+        assert!(summary.consumed_flits > 100, "{nodes} nodes: {summary:?}");
+    }
 }
