@@ -208,45 +208,23 @@ cargo test -p turnroute-vc --offline --quiet fault
 cargo test -p turnroute-experiments --offline --quiet faults
 cargo test -p turnroute --offline --quiet --test fault_tolerance
 
-echo "==> route-memo group"
-# The engine's route memo, runnable in isolation: the exact-counter
-# identity (one route computation per hop) and the wipe points in the
-# sim crate, then the memoised engine against a memo-free one through
-# faults, quarantine/hold, restore, retries, the misroute budget and
-# the degenerate line. (In this debug build every memo hit of every
-# other test is also recomputed and compared.)
-cargo test -p turnroute-sim --offline --quiet memo
-cargo test -p turnroute --offline --quiet --test sim_properties memo
-
-echo "==> active-set group"
-# The engine's derived indices, runnable in isolation: the occupied-slot
-# set inside the flit buffers, the exact work counters that pin "pay per
-# flit, not per channel", the arrival calendar staying out of
-# construction and snapshots; then the indexed engine against one that
-# polls every source and rebuilds its calendar each cycle (restored from
-# its own snapshot), through restore from another history, a window
-# opened over a backlog, timeout re-queues, rate 0, held and faulty
-# sources and the smallest networks. (In this debug build every cycle of
-# every other test also checks all three indices against a full scan.)
-cargo test -p turnroute-sim --offline --quiet occupied
-cargo test -p turnroute --offline --quiet --test sim_properties active_set
-
-echo "==> sleep-set group"
-# The engine's two sleep rules, runnable in isolation: a refused head is
-# not asked again until its router releases an output, a worm blocked
-# behind a waiting head is not planned again until that head is granted.
-# The sim crate pins the counters (attempts follow hops, not blocked
-# cycles), the release -> next-cycle grant latency and the scripted step
-# that still sees every head; then the sleeping engine against one that
-# asks every head and plans every slot each cycle (restored from its own
-# snapshot), through faults and heals, hold and quarantine releases,
-# restore from another history, timeouts, a misroute budget, routing
-# delay, deep buffers, every input policy, shared links and the
-# degenerate line. (In this debug build every sleeper of every other
-# test is also re-evaluated and every cycle's move list re-planned from
-# scratch.)
-cargo test -p turnroute-sim --offline --quiet sleep
-cargo test -p turnroute --offline --quiet --test sim_properties sleep
+echo "==> derived-state group"
+# The engine's derived state, runnable in isolation: the unit tests of
+# `sim::engine::derived` (route memo, arrival calendar, active-source set,
+# sleep stamps, frozen worms: the exact work counters they pin, their
+# wake and thaw events, nothing allocated by construction, nothing kept
+# by restore) and of the occupied-slot set inside the flit buffers; then
+# the engine against one restored from its own snapshot before every
+# cycle (no memo, every source polled, every head awake, nothing frozen)
+# through faults and heals, quarantine and hold, restore from another
+# history, timeouts, the misroute budget, routing delay, deep buffers,
+# every input policy, shared links and the degenerate networks, and the
+# five work counters pinned on both adapters. (In this debug build every
+# cycle of every other test also checks each skip against the work it
+# saved.)
+cargo test -p turnroute-sim --lib --offline --quiet -- engine::derived flits::
+cargo test -p turnroute --offline --quiet --test sim_properties -- \
+    memo active_set sleep work_counters
 
 if [[ $full -eq 1 ]]; then
     echo "==> cargo build --release"
@@ -269,11 +247,12 @@ if [[ $full -eq 1 ]]; then
     test -s "$tmp/fig1_postmortem.jsonl"
     test -s "$tmp/faults.csv"
 
-    echo "==> sleep-set group, release"
+    echo "==> derived-state group, release"
     # The same property tests where the debug cross-checks are compiled
     # out: the engine restored from its own snapshot before every cycle
     # is the only reference, as it is for every release-built user.
-    cargo test -p turnroute --release --offline --quiet --test sim_properties sleep
+    cargo test -p turnroute --release --offline --quiet --test sim_properties -- \
+        memo active_set sleep work_counters
 
     echo "==> committed analysis artifacts reproduce"
     # The full matrices are deterministic, so the committed artifacts are

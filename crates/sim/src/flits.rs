@@ -60,33 +60,61 @@ impl Iterator for Ones {
     }
 }
 
-/// Every channel's input buffer: channel `c` queues `len[c]` flits, front
-/// first, at `flits[c * depth..]`. Popping shifts the rest down — depths
-/// are a handful of flits (the paper's routers use 1), so the shift is
-/// cheaper than ring indices — and construction is two allocations however
-/// many channels there are, which keeps building an engine cheap.
-///
-/// The buffers index themselves: the **occupied-slot set** has bit `c`
-/// set exactly while `len[c] > 0`, flipped by [`push_back`],
-/// [`pop_front`] and [`clear`] and by nothing else, so the engine's
-/// per-cycle scans walk the channels holding flits instead of all of
-/// them.
-///
-/// [`push_back`]: FlitBuffers::push_back
-/// [`pop_front`]: FlitBuffers::pop_front
-/// [`clear`]: FlitBuffers::clear
-#[derive(Debug, PartialEq)]
-pub(crate) struct FlitBuffers {
-    depth: usize,
-    channels: usize,
-    flits: Vec<BufFlit>,
-    /// The `channels` queue lengths, then the words of the occupied-slot
-    /// set: bit `c % WORD_BITS` of `len[channels + c / WORD_BITS]`. One
-    /// allocation, so that a snapshot's clone copies the set with the
-    /// lengths instead of allocating for it.
-    len: Vec<u32>,
-    /// Members of the occupied-slot set.
-    occupied: usize,
+/// Declares a struct whose `Clone` goes field by field, so that
+/// `clone_from` reuses every field's allocation: restoring a snapshot
+/// copies into the engine's buffers instead of allocating new ones, which
+/// the derived `clone_from` (`*self = source.clone()`) would do.
+macro_rules! field_wise_clone {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident { $($(#[$doc:meta])* $field:ident: $ty:ty,)* }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name { $($(#[$doc])* $field: $ty,)* }
+
+        impl Clone for $name {
+            fn clone(&self) -> $name {
+                $name { $($field: self.$field.clone(),)* }
+            }
+
+            fn clone_from(&mut self, source: &$name) {
+                $(self.$field.clone_from(&source.$field);)*
+            }
+        }
+    };
+}
+pub(crate) use field_wise_clone;
+
+field_wise_clone! {
+    /// Every channel's input buffer: channel `c` queues `len[c]` flits,
+    /// front first, at `flits[c * depth..]`. Popping shifts the rest down —
+    /// depths are a handful of flits (the paper's routers use 1), so the
+    /// shift is cheaper than ring indices — and construction is two
+    /// allocations however many channels there are, which keeps building
+    /// an engine cheap.
+    ///
+    /// The buffers index themselves: the **occupied-slot set** has bit `c`
+    /// set exactly while `len[c] > 0`, flipped by [`push_back`],
+    /// [`pop_front`] and [`clear`] and by nothing else, so the engine's
+    /// per-cycle scans walk the channels holding flits instead of all of
+    /// them.
+    ///
+    /// [`push_back`]: FlitBuffers::push_back
+    /// [`pop_front`]: FlitBuffers::pop_front
+    /// [`clear`]: FlitBuffers::clear
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct FlitBuffers {
+        depth: usize,
+        channels: usize,
+        flits: Vec<BufFlit>,
+        /// The `channels` queue lengths, then the words of the occupied-slot
+        /// set: bit `c % WORD_BITS` of `len[channels + c / WORD_BITS]`. One
+        /// allocation, so that a snapshot's clone copies the set with the
+        /// lengths instead of allocating for it.
+        len: Vec<u32>,
+        /// Members of the occupied-slot set.
+        occupied: usize,
+    }
 }
 
 impl FlitBuffers {
@@ -99,6 +127,11 @@ impl FlitBuffers {
             len: vec![0; channels + channels.div_ceil(WORD_BITS)],
             occupied: 0,
         }
+    }
+
+    /// Each buffer's capacity.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     #[inline]
@@ -199,28 +232,6 @@ impl FlitBuffers {
         let indexed = (0..self.occupied_words()).flat_map(|w| self.occupied_in(w));
         assert!(indexed.eq(scanned()), "occupied-slot set out of step");
         assert_eq!(self.occupied, scanned().count(), "occupied-slot count");
-    }
-}
-
-// Written out for `clone_from`: restoring a snapshot reuses the
-// allocations, which the derive's `*self = source.clone()` would not.
-impl Clone for FlitBuffers {
-    fn clone(&self) -> FlitBuffers {
-        FlitBuffers {
-            depth: self.depth,
-            channels: self.channels,
-            flits: self.flits.clone(),
-            len: self.len.clone(),
-            occupied: self.occupied,
-        }
-    }
-
-    fn clone_from(&mut self, source: &FlitBuffers) {
-        self.depth = source.depth;
-        self.channels = source.channels;
-        self.flits.clone_from(&source.flits);
-        self.len.clone_from(&source.len);
-        self.occupied = source.occupied;
     }
 }
 

@@ -4,8 +4,8 @@
 use turnroute::routing::{mesh2d, DimensionOrder, RoutingMode};
 use turnroute::sim::obs::ChannelLayout;
 use turnroute::sim::{
-    Engine, FaultPlan, InputPolicy, InvariantObserver, Lanes, LengthDist, OutputPolicy, Sim,
-    SimConfig, SimConfigBuilder, SimObserver,
+    Engine, FaultPlan, InputPolicy, InvariantObserver, Lanes, LengthDist, OutputPolicy,
+    PhaseProfiler, Sim, SimConfig, SimConfigBuilder, SimObserver, Work,
 };
 use turnroute::topology::{Direction, Mesh, NodeId, Topology};
 use turnroute::traffic::Uniform;
@@ -716,5 +716,59 @@ fn sleep_on_a_line_of_single_flit_packets_in_deep_buffers_under_the_sanitizer() 
             summary.consumed_flits + summary.in_flight_flits
         );
         assert!(summary.consumed_flits > 100, "{nodes} nodes: {summary:?}");
+    }
+}
+
+// ---- work counters ------------------------------------------------------
+//
+// The five `Work` counters are integers the seed determines, and they say
+// what the engine did, not only what it computed: a change that keeps
+// every report but makes the engine visit, poll or route more (a lost
+// skip, an extra wake, a wider scan) moves them. Pinned here, such a
+// change fails every build deterministically.
+
+/// The five counters, in `Work::ALL` order, over `cycles` profiled steps.
+fn work_of<'a, L: Lanes<'a>>(mut sim: Engine<'a, L>, cycles: u64) -> [u64; 5] {
+    let mut prof = PhaseProfiler::new();
+    for _ in 0..cycles {
+        sim.step_profiled(&mut prof);
+    }
+    Work::ALL.map(|work| prof.work(work))
+}
+
+#[test]
+fn work_counters_are_pinned_on_both_adapters_at_two_loads() {
+    let mesh = Mesh::new_2d(8, 8);
+    let pattern = Uniform::new();
+    let wf = mesh2d::west_first(RoutingMode::Minimal);
+    let dy = DoubleYAdaptive::new();
+    let cfg = |rate: f64, seed: u64| SimConfig::builder().injection_rate(rate).seed(seed).build();
+    // head_attempts, route_computations, memo_hits, slots_visited,
+    // sources_polled: `Sim` at 0.30 and 0.02, then `VcSim` at 0.30.
+    let pinned = [
+        (
+            1,
+            [
+                [1_529, 1_000, 529, 414_549, 163_202],
+                [150, 148, 2, 44_577, 6_063],
+                [1_541, 1_060, 481, 449_306, 159_958],
+            ],
+        ),
+        (
+            5,
+            [
+                [1_623, 1_047, 576, 420_047, 162_656],
+                [124, 122, 2, 31_330, 4_631],
+                [1_873, 1_240, 633, 472_537, 148_900],
+            ],
+        ),
+    ];
+    for (seed, work) in pinned {
+        let counted = [
+            work_of(Sim::new(&mesh, &wf, &pattern, cfg(0.30, seed)), 2_000),
+            work_of(Sim::new(&mesh, &wf, &pattern, cfg(0.02, seed)), 2_000),
+            work_of(VcSim::new(&mesh, &dy, &pattern, cfg(0.30, seed)), 2_000),
+        ];
+        assert_eq!(counted, work, "seed {seed}");
     }
 }
