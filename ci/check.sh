@@ -265,7 +265,9 @@ if [[ $full -eq 1 ]]; then
     # `model::degraded_route`, and these five files move if it does.
     # `exp nonminimal` and `exp node-delay` fingerprint the misroute
     # budget and `routing_delay`, the two paths the route memo sits
-    # next to.
+    # next to. `exp vc-ablation` and `exp synth` (about 20 s) fingerprint
+    # the virtual-channel adapter over double-y and over tabulated
+    # relations.
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnprove -- \
         --out "$tmp/turnprove.json" > /dev/null
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnsynth -- \
@@ -282,9 +284,13 @@ if [[ $full -eq 1 ]]; then
         nonminimal --out "$tmp/full" > /dev/null 2>&1
     cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
         node-delay --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        vc-ablation --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        synth --out "$tmp/full" > /dev/null 2>&1
     for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr \
         full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json \
-        full/nonminimal.md full/node_delay.md; do
+        full/nonminimal.md full/node_delay.md full/vc_ablation.md full/synth.md; do
         cmp "$tmp/$artifact" "results/$(basename "$artifact")"
     done
 

@@ -165,7 +165,7 @@ fn check_connectivity(spec: &GraphSpec, cert: &Certificate) -> Result<(), String
             }
         }
     }
-    if covered.len() != (n as usize) * (n as usize - 1) {
+    if covered.len() != (n as usize) * (n as usize).saturating_sub(1) {
         return Err("connectivity coverage names an invalid pair".into());
     }
     for p in &cert.paths {
@@ -301,6 +301,26 @@ mod tests {
         c.paths[0].path = vec![1]; // c1 is not offered at injection of node 0
         let err = check(&spec(), &c).unwrap_err();
         assert!(err.contains("not offered"), "{err}");
+    }
+
+    #[test]
+    fn zero_node_spec_is_answered_not_panicked_on() {
+        let empty = GraphSpec {
+            name: "empty".into(),
+            num_nodes: 0,
+            channels: vec![],
+            deps: vec![],
+            routes: vec![],
+        };
+        let mut c = Certificate {
+            verdict: Verdict::Acyclic { numbering: vec![] },
+            paths: vec![],
+            unreachable: vec![],
+        };
+        check(&empty, &c).expect("nothing to certify");
+        c.unreachable.push((0, 1));
+        let err = check(&empty, &c).unwrap_err();
+        assert!(err.contains("invalid pair"), "{err}");
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! (potential dependencies), a concrete [`RoutingFunction`] (induced
 //! dependencies, optionally degraded by a [`FaultSet`] through
 //! [`FaultMasked`], the rule the engine itself arbitrates by), or a
-//! [`VcRoutingFunction`] over the virtual channels of the double-y mesh.
+//! [`VcRoutingFunction`] over the virtual channels it declares.
 //! Dependency edges and route tables both come out of one walk of the
 //! relation (`turnroute_model::depgraph::lower`, behind [`Cdg`] and
-//! [`VcCdg`]), so a held-state route is a dependency edge by
-//! construction.
+//! [`VcCdg`]), and one helper turns that walk into a spec, so a
+//! held-state route is a dependency edge by construction.
 //!
 //! Extraction is the trusted computing base of the prover/checker split:
 //! the checker validates certificates against these specs, so a bug here
@@ -17,9 +17,10 @@
 
 use crate::certificate::{ChannelVertex, GraphSpec};
 use crate::routing::TurnSetRouting;
+use turnroute_model::depgraph::{LaneChannel, Lowering};
 use turnroute_model::{Cdg, FaultMasked, RoutingFunction, TurnSet};
-use turnroute_topology::{FaultSet, Mesh, NodeId, Topology};
-use turnroute_vc::{VcCdg, VcClass, VcRoutingFunction, VirtualDirection};
+use turnroute_topology::{Direction, FaultSet, NodeId, Topology};
+use turnroute_vc::{VcCdg, VcRoutingFunction, VirtualDirection};
 
 /// Lower a bare turn set: the routing relation is the maximal coherent
 /// minimal function the set permits ([`TurnSetRouting`]), and the
@@ -42,19 +43,9 @@ pub fn from_routing(
     topo: &dyn Topology,
     routing: &dyn RoutingFunction,
 ) -> GraphSpec {
-    let (cdg, routes) = Cdg::lower(topo, routing, true);
-    let label = |ch: &turnroute_topology::Channel| ChannelVertex {
-        src: ch.src().0,
-        dst: ch.dst().0,
-        label: ch.to_string(),
-    };
-    GraphSpec {
-        name: name.into(),
-        num_nodes: topo.num_nodes() as u32,
-        channels: cdg.channels().iter().map(label).collect(),
-        deps: cdg.graph().edges().collect(),
-        routes,
-    }
+    let lowered = Cdg::lower(topo, routing, true);
+    let channels = topo.channels();
+    spec_of(name.into(), topo, lowered, |id, _| channels[id].to_string())
 }
 
 /// Lower a routing function under a fault pattern, through
@@ -71,24 +62,38 @@ pub fn from_faulted_routing(
 }
 
 /// Lower a virtual-channel routing function over the channel set it
-/// declares on `mesh`: vertices are *virtual* channels.
+/// declares on `topo`: vertices are *virtual* channels.
 pub fn from_vc_routing(
     name: impl Into<String>,
-    mesh: &Mesh,
+    topo: &dyn Topology,
     routing: &dyn VcRoutingFunction,
 ) -> GraphSpec {
-    let (cdg, routes) = VcCdg::lower(mesh, routing, true);
-    let label = |ch: &turnroute_vc::VcChannel| ChannelVertex {
+    let lowered = VcCdg::lower(topo, routing, true);
+    spec_of(name.into(), topo, lowered, |id, ch| {
+        let vdir = VirtualDirection::of_lane(ch.dir, ch.lane);
+        format!("c{id} {} -> {} ({vdir})", ch.src, ch.dst)
+    })
+}
+
+/// A lowered relation as the prover's question, channel `id` labelled
+/// `label(id, channel)`.
+fn spec_of(
+    name: String,
+    topo: &dyn Topology,
+    lowered: Lowering,
+    label: impl Fn(usize, &LaneChannel) -> String,
+) -> GraphSpec {
+    let vertex = |(id, ch): (usize, &LaneChannel)| ChannelVertex {
         src: ch.src.0,
         dst: ch.dst.0,
-        label: format!("c{} {} -> {} ({})", ch.id, ch.src, ch.dst, ch.vdir),
+        label: label(id, ch),
     };
     GraphSpec {
-        name: name.into(),
-        num_nodes: mesh.num_nodes() as u32,
-        channels: cdg.channels().iter().map(label).collect(),
-        deps: cdg.graph().edges().collect(),
-        routes,
+        name,
+        num_nodes: topo.num_nodes() as u32,
+        channels: lowered.channels.iter().enumerate().map(vertex).collect(),
+        deps: lowered.graph.edges().collect(),
+        routes: lowered.routes,
     }
 }
 
@@ -263,32 +268,18 @@ impl VcRoutingFunction for PlantedCyclicVc {
 
     fn route(
         &self,
-        mesh: &Mesh,
+        topo: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         _arrived: Option<VirtualDirection>,
     ) -> Vec<VirtualDirection> {
-        use turnroute_topology::{Direction, Sign};
-        let (c, d) = (mesh.coord_of(current), mesh.coord_of(dest));
-        let mut out = Vec::new();
-        if d.get(0) != c.get(0) {
-            let sign = if d.get(0) > c.get(0) {
-                Sign::Plus
-            } else {
-                Sign::Minus
-            };
-            out.push(VirtualDirection::new(Direction::new(0, sign), VcClass::One));
-        }
-        if d.get(1) != c.get(1) {
-            let sign = if d.get(1) > c.get(1) {
-                Sign::Plus
-            } else {
-                Sign::Minus
-            };
-            out.push(VirtualDirection::new(Direction::new(1, sign), VcClass::One));
-            out.push(VirtualDirection::new(Direction::new(1, sign), VcClass::Two));
-        }
-        out
+        // Every productive move, a vertical one on both classes.
+        let lanes =
+            |dir: Direction| (0..1 + dir.dim()).map(move |l| VirtualDirection::of_lane(dir, l));
+        topo.productive_dirs(current, dest)
+            .iter()
+            .flat_map(lanes)
+            .collect()
     }
 
     fn is_minimal(&self) -> bool {
@@ -300,6 +291,7 @@ impl VcRoutingFunction for PlantedCyclicVc {
 mod tests {
     use super::*;
     use turnroute_model::presets;
+    use turnroute_topology::Mesh;
     use turnroute_vc::DoubleYAdaptive;
 
     #[test]

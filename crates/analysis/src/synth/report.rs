@@ -16,9 +16,9 @@ use turnroute_model::{Cdg, Turn, TurnSet};
 use turnroute_rng::{Rng, SeedableRng, StdRng};
 use turnroute_sim::obs::json;
 use turnroute_sim::SimConfig;
-use turnroute_topology::{Direction, HexMesh, Mesh, NodeId, Sign, Topology, Torus};
+use turnroute_topology::{HexMesh, Mesh, NodeId, Topology, Torus};
 use turnroute_traffic::Uniform;
-use turnroute_vc::{SpecSim, SpecView, TableVcRouting, VcClass, VcSim, VirtualDirection};
+use turnroute_vc::{SpecSim, SpecView, TableVcRouting, VcSim};
 
 /// Options controlling a synth run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,7 +81,7 @@ impl SynthEntry {
 }
 
 /// One live-engine confrontation of an unsplit/synthesized pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SynthCrossCheck {
     /// Configuration simulated.
     pub config: String,
@@ -355,26 +355,37 @@ fn entry(kind: &str, input: &GraphSpec) -> (SynthEntry, Option<SynthResult>) {
     (e, Some(result))
 }
 
-/// Run a seeded saturating [`SpecSim`] over a spec.
-fn spec_probe(
-    spec: &GraphSpec,
-    seed: u64,
-    per_node: usize,
-    max_cycles: u64,
-) -> turnroute_vc::SpecSimReport {
-    let chans: Vec<(u32, u32)> = spec.channels.iter().map(|c| (c.src, c.dst)).collect();
-    let view = SpecView {
-        num_nodes: spec.num_nodes as usize,
-        channels: &chans,
-        routes: &spec.routes,
+/// Confront an unsplit/synthesized pair with an engine over a seed
+/// sweep: the unsplit relation must deadlock for at least one seed
+/// (deadlock is *possible* without the split), and the synthesized
+/// relation must deliver every packet on *every* seed. `probe(split,
+/// seed)` runs one of the two and returns `(injected, delivered,
+/// deadlocked)`.
+fn confront(
+    config: String,
+    engine: &str,
+    seeds: std::ops::Range<u64>,
+    probe: impl Fn(bool, u64) -> (u64, u64, bool),
+) -> SynthCrossCheck {
+    let mut x = SynthCrossCheck {
+        config,
+        engine: engine.into(),
+        ..SynthCrossCheck::default()
     };
-    SpecSim::new(view, seed, per_node).run(200, max_cycles)
+    for seed in seeds {
+        if !x.unsplit_deadlocked {
+            x.unsplit_deadlocked = probe(false, seed).2;
+        }
+        let (injected, delivered, deadlocked) = probe(true, seed);
+        x.synth_injected += injected;
+        x.synth_delivered += delivered;
+        x.synth_deadlocked |= deadlocked;
+    }
+    x
 }
 
-/// Confront an unsplit/synthesized pair with the channel-graph resource
-/// model over a fixed seed sweep: the unsplit relation must deadlock for
-/// at least one seed (deadlock is *possible* without the split), and the
-/// synthesized relation must deliver every packet on *every* seed.
+/// [`confront`] with seeded saturating runs of the channel-graph resource
+/// model ([`SpecSim`]), which executes the specs themselves.
 fn spec_pair(
     family: &str,
     unsplit: &GraphSpec,
@@ -385,138 +396,41 @@ fn spec_pair(
 ) -> SynthCrossCheck {
     let tries = if quick { 16 } else { 48 };
     let max = if quick { 50_000 } else { 200_000 };
-    let mut unsplit_deadlocked = false;
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut synth_deadlocked = false;
-    for t in 0..tries {
-        let seed = base_seed + t;
-        if !unsplit_deadlocked {
-            unsplit_deadlocked = spec_probe(unsplit, seed, per_node, max).deadlocked;
-        }
-        let after = spec_probe(synth, seed, per_node, max);
-        injected += after.injected;
-        delivered += after.delivered;
-        synth_deadlocked |= after.deadlocked;
-    }
-    SynthCrossCheck {
-        config: format!("{family} saturating probe"),
-        engine: "specsim".into(),
-        unsplit_deadlocked,
-        synth_injected: injected,
-        synth_delivered: delivered,
-        synth_deadlocked,
-    }
-}
-
-/// The mesh direction of the physical channel `a -> b`.
-fn mesh_dir(mesh: &Mesh, a: u32, b: u32) -> Direction {
-    let (ca, cb) = (mesh.coord_of(NodeId(a)), mesh.coord_of(NodeId(b)));
-    for dim in 0..mesh.num_dims() {
-        if cb.get(dim) != ca.get(dim) {
-            let sign = if cb.get(dim) > ca.get(dim) {
-                Sign::Plus
-            } else {
-                Sign::Minus
-            };
-            return Direction::new(dim, sign);
-        }
-    }
-    panic!("channel {a} -> {b} is not a mesh link");
-}
-
-/// Tabulate a physical-channel spec as a 1-class [`TableVcRouting`].
-fn table_of_spec(name: &str, mesh: &Mesh, spec: &GraphSpec) -> TableVcRouting {
-    let n = spec.num_nodes as usize;
-    let vdir_of = |c: u32| {
-        let ch = &spec.channels[c as usize];
-        VirtualDirection::new(mesh_dir(mesh, ch.src, ch.dst), VcClass::One)
-    };
-    let mut table = TableVcRouting::builder(name, mesh, 1, false);
-    for dir in Direction::all(2) {
-        table.declare_channel(VirtualDirection::new(dir, VcClass::One));
-    }
-    for dest in 0..n {
-        for v in 0..n {
-            if v == dest {
-                continue;
-            }
-            let offered: Vec<VirtualDirection> =
-                spec.routes[dest][v].iter().map(|&m| vdir_of(m)).collect();
-            table.set_route(NodeId(dest as u32), NodeId(v as u32), None, offered);
-        }
-        for (c, ch) in spec.channels.iter().enumerate() {
-            if ch.dst == dest as u32 {
-                continue;
-            }
-            let offered: Vec<VirtualDirection> = spec.routes[dest][n + c]
-                .iter()
-                .map(|&m| vdir_of(m))
-                .collect();
-            table.set_route(
-                NodeId(dest as u32),
-                NodeId(ch.dst),
-                Some(vdir_of(c as u32)),
-                offered,
-            );
-        }
-    }
-    table
-}
-
-/// Tabulate a synthesized mesh assignment as a 2-class
-/// [`TableVcRouting`]: the adaptive class rides class One of each link,
-/// the escape class rides class Two.
-fn table_of_synth(name: &str, mesh: &Mesh, result: &SynthResult) -> TableVcRouting {
-    let spec = &result.spec;
-    let n = spec.num_nodes as usize;
-    let k = result.num_adaptive;
-    let vdir_of = |c: u32| {
-        let ch = &spec.channels[c as usize];
-        let class = if (c as usize) < k {
-            VcClass::One
-        } else {
-            VcClass::Two
+    let probe = |split, seed| {
+        let spec = if split { synth } else { unsplit };
+        let chans: Vec<(u32, u32)> = spec.channels.iter().map(|c| (c.src, c.dst)).collect();
+        let view = SpecView {
+            num_nodes: spec.num_nodes as usize,
+            channels: &chans,
+            routes: &spec.routes,
         };
-        VirtualDirection::new(mesh_dir(mesh, ch.src, ch.dst), class)
+        let run = SpecSim::new(view, seed, per_node).run(200, max);
+        (run.injected, run.delivered, run.deadlocked)
     };
-    let mut table = TableVcRouting::builder(name, mesh, 2, false);
-    for dir in Direction::all(2) {
-        table.declare_channel(VirtualDirection::new(dir, VcClass::One));
-        table.declare_channel(VirtualDirection::new(dir, VcClass::Two));
-    }
-    for dest in 0..n {
-        for v in 0..n {
-            if v == dest {
-                continue;
-            }
-            let offered: Vec<VirtualDirection> =
-                spec.routes[dest][v].iter().map(|&m| vdir_of(m)).collect();
-            table.set_route(NodeId(dest as u32), NodeId(v as u32), None, offered);
-        }
-        for (c, ch) in spec.channels.iter().enumerate() {
-            if ch.dst == dest as u32 {
-                continue;
-            }
-            let offered: Vec<VirtualDirection> = spec.routes[dest][n + c]
-                .iter()
-                .map(|&m| vdir_of(m))
-                .collect();
-            table.set_route(
-                NodeId(dest as u32),
-                NodeId(ch.dst),
-                Some(vdir_of(c as u32)),
-                offered,
-            );
-        }
-    }
-    table
+    let config = format!("{family} saturating probe");
+    confront(config, "specsim", base_seed..base_seed + tries, probe)
+}
+
+/// `spec` as a [`TableVcRouting`] on `topo` with `num_classes` lanes per
+/// link, channel `c` riding lane `lane(c)`: lane 0 throughout for an
+/// unsplit relation, 0 / 1 for a synthesized split's adaptive / escape
+/// ids.
+pub fn spec_table(
+    topo: &dyn Topology,
+    spec: &GraphSpec,
+    num_classes: usize,
+    lane: impl Fn(usize) -> usize,
+) -> TableVcRouting {
+    let channels = spec.channels.iter().enumerate();
+    let channels = channels.map(|(c, ch)| (NodeId(ch.src), NodeId(ch.dst), lane(c)));
+    let routes = spec.routes.clone();
+    TableVcRouting::new(&spec.name, topo, num_classes, false, channels, routes)
 }
 
 /// Drive the wormhole VC engine over a tabulated routing with a fixed
 /// seeded workload; returns `(injected, delivered, deadlocked)`.
-fn drive_vcsim(
-    mesh: &Mesh,
+pub fn drive_vcsim(
+    topo: &dyn Topology,
     table: &TableVcRouting,
     seed: u64,
     per_node: usize,
@@ -531,9 +445,9 @@ fn drive_vcsim(
         .deadlock_threshold(300)
         .seed(seed)
         .build();
-    let mut sim = VcSim::new(mesh, table, &pattern, cfg);
+    let mut sim = VcSim::new(topo, table, &pattern, cfg);
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = mesh.num_nodes();
+    let n = topo.num_nodes();
     let mut injected = 0u64;
     for v in 0..n {
         for _ in 0..per_node {
@@ -603,33 +517,18 @@ pub fn run(opts: &SynthOptions) -> SynthReport {
             8,
             opts.quick,
         ));
+        let k = result.num_adaptive;
+        let before = spec_table(&mesh4, &unrestricted, 1, |_| 0);
+        let after = spec_table(&mesh4, &result.spec, 2, |c| usize::from(c >= k));
+        let tries = if opts.quick { 8 } else { 16 };
         let max = if opts.quick { 20_000 } else { 60_000 };
-        let tries = if opts.quick { 8u64 } else { 16 };
-        let before = table_of_spec("mesh4x4/unrestricted (1 class)", &mesh4, &unrestricted);
-        let after = table_of_synth("mesh4x4/unrestricted synth (2 classes)", &mesh4, result);
-        let mut unsplit_deadlocked = false;
-        let mut injected = 0u64;
-        let mut delivered = 0u64;
-        let mut synth_deadlocked = false;
-        for t in 0..tries {
-            let seed = 0x5EED_0007 + t;
-            if !unsplit_deadlocked {
-                let (_, _, dead) = drive_vcsim(&mesh4, &before, seed, 8, max);
-                unsplit_deadlocked = dead;
-            }
-            let (inj, del, dead) = drive_vcsim(&mesh4, &after, seed, 8, max);
-            injected += inj;
-            delivered += del;
-            synth_deadlocked |= dead;
-        }
-        cross_checks.push(SynthCrossCheck {
-            config: "mesh4x4/unrestricted wormhole probe".into(),
-            engine: "vcsim".into(),
-            unsplit_deadlocked,
-            synth_injected: injected,
-            synth_delivered: delivered,
-            synth_deadlocked,
-        });
+        let probe = |split, seed| {
+            let table = if split { &after } else { &before };
+            drive_vcsim(&mesh4, table, seed, 8, max)
+        };
+        let config = "mesh4x4/unrestricted wormhole probe".to_string();
+        let seeds = 0x5EED_0007..0x5EED_0007 + tries;
+        cross_checks.push(confront(config, "vcsim", seeds, probe));
     }
 
     // Both torus radices unrestricted: the wraparound rings alone are

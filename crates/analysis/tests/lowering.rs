@@ -20,14 +20,14 @@ impl VcRoutingFunction for OneClass<'_> {
 
     fn route(
         &self,
-        mesh: &Mesh,
+        topo: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         arrived: Option<VirtualDirection>,
     ) -> Vec<VirtualDirection> {
         let dirs = self
             .0
-            .route(mesh, current, dest, arrived.map(|vd| vd.dir()));
+            .route(topo, current, dest, arrived.map(|vd| vd.dir()));
         dirs.iter()
             .map(|dir| VirtualDirection::new(dir, VcClass::One))
             .collect()

@@ -10,7 +10,7 @@
 //! [`RoutingFunction`] (only moves some destination actually induces) — and
 //! searches them for cycles.
 
-use crate::depgraph::{self, DepGraph};
+use crate::depgraph::{self, DepGraph, Lowering};
 use crate::{RoutingFunction, TurnSet};
 use turnroute_topology::{Channel, ChannelId, Topology};
 
@@ -79,38 +79,35 @@ impl Cdg {
     /// function, a packet holding `c1` must have found `c1` productive, so
     /// destinations that `c1` does not move toward are excluded.
     pub fn from_routing(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Cdg {
-        Self::lower(topo, routing, false).0
+        let graph = Self::lower(topo, routing, false).graph;
+        let channels = topo.channels();
+        debug_assert_eq!(channels.len(), graph.num_vertices());
+        Cdg { channels, graph }
     }
 
-    /// [`Cdg::from_routing`] and, if `with_routes`, the route table the
-    /// same walk produces (see [`crate::depgraph::Lowering::routes`]).
+    /// `routing` lowered onto the channels of `topo` by the one walk
+    /// ([`depgraph::lower`]), with the route table if `with_routes`; the
+    /// channels are exactly [`Topology::channels`]. A channel's
+    /// successors are the union of direction sets, so they are put in
+    /// direction order, which is channel-id order.
     pub fn lower(
         topo: &dyn Topology,
         routing: &dyn RoutingFunction,
         with_routes: bool,
-    ) -> (Cdg, Vec<Vec<Vec<u32>>>) {
-        let minimal = routing.is_minimal();
+    ) -> Lowering {
         let mut lowered = depgraph::lower(
             topo,
             1,
             |_, _| true,
-            minimal,
+            routing.is_minimal(),
             with_routes,
             |at, dest, held, out| {
                 let dirs = routing.route(topo, at, dest, held.map(|(dir, _)| dir));
                 out.extend(dirs.iter().map(|dir| (dir, 0)));
             },
         );
-        // A channel's successors are the union of direction sets, so they
-        // come in direction order, which is channel-id order.
         lowered.graph.sort_successors();
-        let channels = topo.channels();
-        debug_assert_eq!(channels.len(), lowered.channels.len());
-        let cdg = Cdg {
-            channels,
-            graph: lowered.graph,
-        };
-        (cdg, lowered.routes)
+        lowered
     }
 
     /// The channels (vertices) of the graph, indexed by channel id.

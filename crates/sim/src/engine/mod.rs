@@ -297,7 +297,7 @@ impl<'a, L: Lanes<'a>> Engine<'a, L> {
     ///
     /// Panics if the topology has fewer than 2 nodes.
     pub fn new(
-        topo: &'a L::Topo,
+        topo: &'a dyn Topology,
         routing: &'a L::Routing,
         pattern: &'a dyn TrafficPattern,
         cfg: SimConfig,
@@ -314,14 +314,13 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     ///
     /// Panics if the topology has fewer than 2 nodes.
     pub fn with_observer(
-        topo: &'a L::Topo,
+        topo: &'a dyn Topology,
         routing: &'a L::Routing,
         pattern: &'a dyn TrafficPattern,
         cfg: SimConfig,
         observer: O,
     ) -> Engine<'a, L, O> {
         let lanes = L::new(topo, routing);
-        let topo = lanes.topology();
         let num_nodes = topo.num_nodes();
         assert!(num_nodes >= 2, "need at least two nodes");
         let lanes_per_link = lanes.lanes_per_link();

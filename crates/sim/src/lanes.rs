@@ -43,23 +43,19 @@ pub const MAX_LANES_PER_LINK: usize = 256;
 /// The network description one engine instantiation runs over.
 ///
 /// `'a` is the lifetime of the borrowed topology and routing function;
-/// the adapter names their types so that one generic constructor serves
-/// every instantiation.
+/// the adapter names its routing function's type so that one generic
+/// constructor serves every instantiation.
 pub trait Lanes<'a>: Sized {
     /// Whether a link can carry more than one lane, so that lanes compete
     /// for the link's one flit per cycle. A compile-time fact of the
     /// adapter, not an option: the one-lane instantiation compiles the
     /// bandwidth arbiter (and its per-slot link table) away.
     const SHARED_LINKS: bool;
-    /// The topology the adapter is built over.
-    type Topo: ?Sized + 'a;
     /// The routing function the adapter consults.
     type Routing: ?Sized + 'a;
 
     /// Bind the adapter to its network.
-    fn new(topo: &'a Self::Topo, routing: &'a Self::Routing) -> Self;
-    /// The physical topology (nodes, neighbors, link numbering).
-    fn topology(&self) -> &'a dyn Topology;
+    fn new(topo: &'a dyn Topology, routing: &'a Self::Routing) -> Self;
     /// Name of the routing function, for `Debug` output.
     fn routing_name(&self) -> &str;
     /// Whether the routing function offers only shortest-path moves (the
@@ -115,19 +111,14 @@ pub struct SingleLane<'a> {
 
 impl<'a> Lanes<'a> for SingleLane<'a> {
     const SHARED_LINKS: bool = false;
-    type Topo = dyn Topology + 'a;
     type Routing = dyn RoutingFunction + 'a;
 
-    fn new(topo: &'a Self::Topo, routing: &'a Self::Routing) -> Self {
+    fn new(topo: &'a dyn Topology, routing: &'a Self::Routing) -> Self {
         SingleLane {
             topo,
             routing,
             turn_filter: routing.turn_set(topo.num_dims()),
         }
-    }
-
-    fn topology(&self) -> &'a dyn Topology {
-        self.topo
     }
 
     fn routing_name(&self) -> &str {

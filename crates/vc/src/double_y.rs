@@ -1,7 +1,7 @@
 //! The double-y fully adaptive routing algorithm.
 
 use crate::{VcClass, VcRoutingFunction, VirtualDirection};
-use turnroute_topology::{Direction, Mesh, NodeId, Sign, Topology};
+use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 
 /// Minimal fully adaptive deadlock-free routing on a 2D mesh whose
 /// vertical channels are doubled into classes `y1` and `y2`.
@@ -45,41 +45,23 @@ impl VcRoutingFunction for DoubleYAdaptive {
 
     fn route(
         &self,
-        mesh: &Mesh,
+        topo: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         arrived: Option<VirtualDirection>,
     ) -> Vec<VirtualDirection> {
-        if current == dest {
-            return Vec::new();
-        }
-        let (c, d) = (mesh.coord_of(current), mesh.coord_of(dest));
-        let needs_west = d.get(0) < c.get(0);
+        let productive = topo.productive_dirs(current, dest);
+        let needs_west = productive.contains(Direction::WEST);
         // Coherence: once on the {east, y2} side, {west, y1} is locked
         // out; a packet still needing west there is an unreachable state.
         if needs_west && matches!(arrived, Some(vd) if !Self::is_side_one(vd)) {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(2);
-        if needs_west {
-            out.push(VirtualDirection::new(Direction::WEST, VcClass::One));
-        } else if d.get(0) > c.get(0) {
-            out.push(VirtualDirection::new(Direction::EAST, VcClass::One));
-        }
-        if d.get(1) != c.get(1) {
-            let sign = if d.get(1) > c.get(1) {
-                Sign::Plus
-            } else {
-                Sign::Minus
-            };
-            let class = if needs_west {
-                VcClass::One
-            } else {
-                VcClass::Two
-            };
-            out.push(VirtualDirection::new(Direction::new(1, sign), class));
-        }
-        out
+        // Every productive move, a vertical one on y1 while westward hops
+        // remain and on y2 after (x links carry class One only).
+        let class = |dir: Direction| VcClass::new(u8::from(dir.dim() == 1 && !needs_west));
+        let vdir = |dir| VirtualDirection::new(dir, class(dir));
+        productive.iter().map(vdir).collect()
     }
 
     fn is_minimal(&self) -> bool {

@@ -1,10 +1,10 @@
 //! Channel dependency graphs over virtual channels.
 
-use crate::{VcClass, VcRoutingFunction, VirtualDirection};
-use turnroute_model::depgraph::{self, DepGraph, LaneChannel, Offer};
-use turnroute_topology::{Mesh, NodeId};
+use crate::{VcRoutingFunction, VirtualDirection};
+use turnroute_model::depgraph::{self, DepGraph, LaneChannel, Lowering};
+use turnroute_topology::{NodeId, Topology};
 
-/// One virtual channel of the double-y mesh.
+/// One virtual channel of a lowered network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VcChannel {
     /// Dense id.
@@ -27,7 +27,7 @@ pub struct VcCdg {
 }
 
 impl VcCdg {
-    /// Build the dependency graph induced by `routing` on `mesh`,
+    /// Build the dependency graph induced by `routing` on `topo`,
     /// quantifying only reachable `(incoming channel, destination)` states
     /// for minimal functions. The routing function declares its class
     /// count and which virtual channels exist; channels are enumerated
@@ -37,41 +37,42 @@ impl VcCdg {
     ///
     /// Panics if `routing` offers a virtual channel it declares
     /// nonexistent.
-    pub fn from_routing(mesh: &Mesh, routing: &dyn VcRoutingFunction) -> VcCdg {
-        Self::lower(mesh, routing, false).0
-    }
-
-    /// [`VcCdg::from_routing`] and, if `with_routes`, the route table the
-    /// same walk produces (see
-    /// [`turnroute_model::depgraph::Lowering::routes`]).
-    pub fn lower(
-        mesh: &Mesh,
-        routing: &dyn VcRoutingFunction,
-        with_routes: bool,
-    ) -> (VcCdg, Vec<Vec<Vec<u32>>>) {
-        let vdir = |(dir, lane): Offer| VirtualDirection::new(dir, VcClass::new(lane as u8));
-        let lowered = depgraph::lower(
-            mesh,
-            routing.num_classes(),
-            |dir, lane| routing.channel_exists(vdir((dir, lane))),
-            routing.is_minimal(),
-            with_routes,
-            |at, dest, held, out| {
-                let offered = routing.route(mesh, at, dest, held.map(vdir));
-                out.extend(offered.iter().map(|vd| (vd.dir(), vd.class().index())));
-            },
-        );
+    pub fn from_routing(topo: &dyn Topology, routing: &dyn VcRoutingFunction) -> VcCdg {
+        let lowered = Self::lower(topo, routing, false);
         let channel = |(id, ch): (usize, &LaneChannel)| VcChannel {
             id: id as u32,
             src: ch.src,
             dst: ch.dst,
-            vdir: vdir((ch.dir, ch.lane)),
+            vdir: VirtualDirection::of_lane(ch.dir, ch.lane),
         };
-        let cdg = VcCdg {
+        VcCdg {
             channels: lowered.channels.iter().enumerate().map(channel).collect(),
             graph: lowered.graph,
-        };
-        (cdg, lowered.routes)
+        }
+    }
+
+    /// `routing` lowered onto the virtual channels it declares on `topo`
+    /// by the one walk ([`depgraph::lower`]), with the route table if
+    /// `with_routes`: what [`VcCdg::from_routing`],
+    /// [`TableVcRouting::from_function`](crate::TableVcRouting::from_function)
+    /// and the prover's extraction are views of.
+    pub fn lower(
+        topo: &dyn Topology,
+        routing: &dyn VcRoutingFunction,
+        with_routes: bool,
+    ) -> Lowering {
+        depgraph::lower(
+            topo,
+            routing.num_classes(),
+            |dir, lane| routing.channel_exists(VirtualDirection::of_lane(dir, lane)),
+            routing.is_minimal(),
+            with_routes,
+            |at, dest, held, out| {
+                let held = held.map(|(dir, lane)| VirtualDirection::of_lane(dir, lane));
+                let offered = routing.route(topo, at, dest, held);
+                out.extend(offered.iter().map(|vd| (vd.dir(), vd.class().index())));
+            },
+        )
     }
 
     /// The virtual channels (vertices).
@@ -109,7 +110,7 @@ impl VcCdg {
 mod tests {
     use super::*;
     use crate::DoubleYAdaptive;
-    use turnroute_topology::{Direction, Sign, Topology};
+    use turnroute_topology::{Direction, Mesh, Sign};
 
     #[test]
     fn double_y_is_acyclic_on_assorted_meshes() {
@@ -140,13 +141,13 @@ mod tests {
 
         fn route(
             &self,
-            mesh: &Mesh,
+            topo: &dyn Topology,
             current: NodeId,
             dest: NodeId,
             _arrived: Option<VirtualDirection>,
         ) -> Vec<VirtualDirection> {
             let mut out = Vec::new();
-            let (c, d) = (mesh.coord_of(current), mesh.coord_of(dest));
+            let (c, d) = (topo.coord_of(current), topo.coord_of(dest));
             if d.get(0) != c.get(0) {
                 let sign = if d.get(0) > c.get(0) {
                     Sign::Plus

@@ -24,6 +24,11 @@
 //!   private buffers but **share the physical link's bandwidth** (one
 //!   flit per physical link per cycle).
 //!
+//! Only [`DoubleYAdaptive`] is specific to the 2D mesh. [`VcCdg`] and
+//! [`VcSim`] take any topology, and [`TableVcRouting`] is the one
+//! tabulated form of a relation — the lowering's route table — so a
+//! synthesized escape/adaptive split runs on a torus as it does on a mesh.
+//!
 //! # Example
 //!
 //! ```

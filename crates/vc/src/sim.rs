@@ -1,6 +1,6 @@
 //! Virtual-channel wormhole simulator: the lane adapter that instantiates
-//! the one wormhole core of [`turnroute_sim`] over a mesh whose physical
-//! links carry several virtual channels.
+//! the one wormhole core of [`turnroute_sim`] over a network whose
+//! physical links carry several virtual channels.
 //!
 //! The mechanics (buffers, header reservation, tail release, input
 //! selection, faults, healing, snapshots, profiling) are the core's own;
@@ -10,16 +10,16 @@
 //! channels the paper points out ("it also reduces the bandwidths of the
 //! virtual channels already sharing the physical channel").
 
-use crate::{VcClass, VcRoutingFunction, VirtualDirection};
+use crate::{VcRoutingFunction, VirtualDirection};
 use turnroute_sim::{Candidate, Engine, Lanes, NoopObserver, OutputPolicy, SimReport};
-use turnroute_topology::{Direction, Mesh, NodeId, Topology};
+use turnroute_topology::{Direction, NodeId, Topology};
 
 /// Results of a virtual-channel simulation (same shape as the base
 /// simulator's report).
 pub type VcSimReport = SimReport;
 
-/// A wormhole simulation over a 2D mesh with `num_classes` virtual
-/// channels per physical direction: [`turnroute_sim::Engine`] over
+/// A wormhole simulation over any topology with `num_classes` virtual
+/// channels per physical link: [`turnroute_sim::Engine`] over
 /// [`VcLanes`].
 ///
 /// Same [`SimConfig`](turnroute_sim::SimConfig), API, observer events and
@@ -30,41 +30,40 @@ pub type VcSimReport = SimReport;
 /// directions and are not fired.
 pub type VcSim<'a, O = NoopObserver> = Engine<'a, VcLanes<'a>, O>;
 
-/// The lane adapter of a virtual-channel 2D mesh: `num_classes` lanes per
-/// physical link, slot `node * 4 * num_classes + vdir.index_in(num_classes)`.
+/// The lane adapter of a virtual-channel network: `num_classes` lanes per
+/// physical link, link-major — lane `l` of the link leaving `node` in `dir`
+/// is slot `topo.channel_slot(node, dir) * num_classes + l`, which is
+/// `node * per_node + vd.index_in(num_classes)`.
 pub struct VcLanes<'a> {
-    mesh: &'a Mesh,
+    topo: &'a dyn Topology,
     routing: &'a dyn VcRoutingFunction,
     num_classes: usize,
+    /// Slots per router, `2 · dims · num_classes`, cached so that a slot
+    /// is arithmetic rather than a call into the topology.
+    per_node: usize,
 }
 
 impl VcLanes<'_> {
     fn vdir_of_slot(&self, slot: usize) -> VirtualDirection {
-        let vidx = slot % (4 * self.num_classes);
+        let vidx = slot % self.per_node;
         let dir = Direction::from_index(vidx / self.num_classes);
-        let class = VcClass::new((vidx % self.num_classes) as u8);
-        VirtualDirection::new(dir, class)
+        VirtualDirection::of_lane(dir, vidx % self.num_classes)
     }
 }
 
 impl<'a> Lanes<'a> for VcLanes<'a> {
     const SHARED_LINKS: bool = true;
-    type Topo = Mesh;
     type Routing = dyn VcRoutingFunction + 'a;
 
-    fn new(mesh: &'a Mesh, routing: &'a Self::Routing) -> Self {
-        assert_eq!(mesh.num_dims(), 2, "VC engine is for 2D meshes");
+    fn new(topo: &'a dyn Topology, routing: &'a Self::Routing) -> Self {
         let num_classes = routing.num_classes();
         assert!(num_classes >= 1, "need at least one VC class");
         VcLanes {
-            mesh,
+            topo,
             routing,
             num_classes,
+            per_node: 2 * topo.num_dims() * num_classes,
         }
-    }
-
-    fn topology(&self) -> &'a dyn Topology {
-        self.mesh
     }
 
     fn routing_name(&self) -> &str {
@@ -80,8 +79,8 @@ impl<'a> Lanes<'a> for VcLanes<'a> {
     }
 
     fn lane_exists(&self, dir: Direction, lane: usize) -> bool {
-        let vd = VirtualDirection::new(dir, VcClass::new(lane as u8));
-        self.routing.channel_exists(vd)
+        self.routing
+            .channel_exists(VirtualDirection::of_lane(dir, lane))
     }
 
     fn turn_dir(&self, _slot: usize) -> Option<Direction> {
@@ -102,12 +101,16 @@ impl<'a> Lanes<'a> for VcLanes<'a> {
         out: &mut Vec<Candidate>,
     ) {
         let arrived = arrived.map(|slot| self.vdir_of_slot(slot));
-        for vd in self.routing.route(self.mesh, at, dst, arrived) {
+        for vd in self.routing.route(self.topo, at, dst, arrived) {
             debug_assert!(
-                self.routing.channel_exists(vd) && self.mesh.neighbor(at, vd.dir()).is_some(),
+                self.routing.channel_exists(vd) && self.topo.neighbor(at, vd.dir()).is_some(),
                 "offered channel must exist"
             );
-            let slot = at.index() * 4 * self.num_classes + vd.index_in(self.num_classes);
+            let slot = at.index() * self.per_node + vd.index_in(self.num_classes);
+            debug_assert_eq!(
+                slot,
+                self.topo.channel_slot(at, vd.dir()) * self.num_classes + vd.class().index()
+            );
             if usable(slot) {
                 out.push(Candidate {
                     dir: vd.dir(),
@@ -127,12 +130,13 @@ impl<'a> Lanes<'a> for VcLanes<'a> {
 mod tests {
     use super::*;
     use crate::{DoubleYAdaptive, TableVcRouting};
-    use turnroute_model::RoutingFunction;
+    use turnroute_model::{Cdg, RoutingFunction};
     use turnroute_routing::{mesh2d, RoutingMode};
     use turnroute_sim::obs::ChannelLayout;
     use turnroute_sim::{
         ChoiceScript, InputPolicy, LengthDist, Phase, PhaseProfiler, RunTermination, Sim, SimConfig,
     };
+    use turnroute_topology::Mesh;
     use turnroute_traffic::{MeshTranspose, Uniform};
 
     fn quiet_cfg() -> SimConfig {
@@ -514,33 +518,14 @@ mod tests {
         }
     }
 
-    /// `routing` tabulated as a one-class VC function offering the same
-    /// physical directions in `DirSet` (ascending index) order.
+    /// `routing` tabulated as a one-class VC function: its lowering, each
+    /// state offering the same physical directions in `DirSet` (ascending
+    /// index) order.
     fn one_class_table(mesh: &Mesh, routing: &dyn RoutingFunction) -> TableVcRouting {
-        let lane = |dir| VirtualDirection::new(dir, VcClass::One);
-        let mut table = TableVcRouting::builder(routing.name(), mesh, 1, routing.is_minimal());
-        for dir in Direction::all(2) {
-            table.declare_channel(lane(dir));
-        }
-        let nodes = || (0..mesh.num_nodes() as u32).map(NodeId);
-        for (dest, node) in nodes().flat_map(|d| nodes().map(move |v| (d, v))) {
-            if dest == node {
-                continue;
-            }
-            let arrivals = Direction::all(2)
-                .filter(|d| mesh.neighbor(node, d.opposite()).is_some())
-                .map(Some);
-            for arrived in std::iter::once(None).chain(arrivals) {
-                let offered = routing.route(mesh, node, dest, arrived);
-                table.set_route(
-                    dest,
-                    node,
-                    arrived.map(lane),
-                    offered.iter().map(lane).collect(),
-                );
-            }
-        }
-        table
+        let lowered = Cdg::lower(mesh, routing, true);
+        let channels = lowered.channels.iter().map(|ch| (ch.src, ch.dst, 0));
+        let (name, minimal) = (routing.name(), routing.is_minimal());
+        TableVcRouting::new(name, mesh, 1, minimal, channels, lowered.routes)
     }
 
     #[test]
@@ -573,6 +558,37 @@ mod tests {
                     assert_eq!(base.packets(), vc.packets(), "{what}");
                     assert!(base.packets().len() > 20, "{what}: no load");
                 }
+            }
+        }
+    }
+
+    /// The lowered table answers only the states the dependency analysis
+    /// walks (every injection, every productive arrival): a minimal
+    /// relation's packets reach no others, so the engine runs the table
+    /// exactly as it runs the function. This is what lets
+    /// `table::tests::snapshot_routes_identically_to_double_y` compare
+    /// those states only.
+    #[test]
+    fn the_engine_cannot_tell_double_y_from_its_table() {
+        let mesh = Mesh::new_2d(8, 8);
+        let pattern = Uniform::new();
+        let dy = DoubleYAdaptive::new();
+        let table = TableVcRouting::from_function(&mesh, &dy);
+        for rate in [0.05, 0.30] {
+            for seed in [1u64, 2, 3] {
+                let cfg = SimConfig::builder()
+                    .injection_rate(rate)
+                    .warmup_cycles(200)
+                    .measure_cycles(1_000)
+                    .drain_cycles(500)
+                    .seed(seed)
+                    .build();
+                let mut direct = VcSim::new(&mesh, &dy, &pattern, cfg.clone());
+                let mut tabulated = VcSim::new(&mesh, &table, &pattern, cfg);
+                let what = format!("rate {rate} seed {seed}");
+                assert_eq!(direct.run(), tabulated.run(), "{what}");
+                assert_eq!(direct.packets(), tabulated.packets(), "{what}");
+                assert!(direct.packets().len() > 20, "{what}: no load");
             }
         }
     }

@@ -1,128 +1,118 @@
-//! Table-backed virtual-channel routing functions.
+//! The tabulated virtual-channel routing relation.
 //!
-//! A [`TableVcRouting`] stores the full `(destination, current node,
-//! arrived virtual direction) -> offered virtual channels` relation of a
-//! 2D mesh explicitly. Two constructors feed it:
-//!
-//! * [`TableVcRouting::from_function`] snapshots any
-//!   [`VcRoutingFunction`] point by point — the generalized engines and
-//!   lowering paths must treat the snapshot identically to the original
-//!   function, which pins the N-class generalization to the hand-coded
-//!   double-y case;
-//! * [`TableVcRouting::builder`] assembles a table from explicit entries —
-//!   the form synthesized escape/adaptive assignments arrive in.
+//! A [`TableVcRouting`] is a routing relation in the one form the
+//! workspace tabulates relations in, the output of
+//! [`turnroute_model::depgraph::lower`]: a channel list, and per
+//! destination the channel ids offered in each state. It has no walk of
+//! its own. [`TableVcRouting::from_function`] is the lowering of any
+//! [`VcRoutingFunction`]; [`TableVcRouting::new`] takes a relation that is
+//! already a table, such as a certified `GraphSpec`'s routes with one lane
+//! per class, on any topology.
 
-use crate::{VcRoutingFunction, VirtualDirection};
-use turnroute_topology::{Mesh, NodeId, Topology};
+use crate::{VcCdg, VcRoutingFunction, VirtualDirection};
+use turnroute_model::depgraph::LaneChannel;
+use turnroute_topology::{Direction, NodeId, Topology};
 
-/// A fully tabulated [`VcRoutingFunction`] over a 2D mesh.
+/// A routing relation over virtual channels, stored as its table.
 #[derive(Debug, Clone)]
 pub struct TableVcRouting {
     name: String,
     minimal: bool,
     num_classes: usize,
-    num_nodes: usize,
-    /// Existence bitmap indexed by `vd.index_in(num_classes)`.
+    /// Virtual directions per router, `2 · dims · num_classes`.
+    per_node: usize,
+    /// The channels; the position is the channel id.
+    channels: Vec<LaneChannel>,
+    /// Whether some channel is lane `vd.class()` of a link in `vd.dir()`,
+    /// indexed by `vd.index_in(num_classes)`.
     exists: Vec<bool>,
-    /// `moves[dest][node * (1 + 4 * classes) + arrived_code]`, where
-    /// `arrived_code` is `0` at injection and `1 + vd.index_in(classes)`
-    /// after arriving on `vd`.
-    moves: Vec<Vec<Vec<VirtualDirection>>>,
+    /// `routes[dest][state]`: the channel ids offered to a packet bound
+    /// for `dest`, in offer order. States `0..num_nodes` are injection at
+    /// that node, state `num_nodes + id` is holding channel `id`
+    /// ([`turnroute_model::depgraph::Lowering::routes`]).
+    routes: Vec<Vec<Vec<u32>>>,
+    /// `arrived[v * per_node + vd.index_in(num_classes)]`: the state of a
+    /// packet that entered router `v` on virtual direction `vd`, that is
+    /// `num_nodes` plus the id of the channel it came by; `u32::MAX` where
+    /// no channel enters.
+    arrived: Vec<u32>,
 }
 
 impl TableVcRouting {
-    fn arrived_codes(num_classes: usize) -> usize {
-        1 + 4 * num_classes
+    /// The table of `routing` on `topo`: its lowering ([`VcCdg::lower`]),
+    /// so it holds exactly the states the dependency analysis asks about
+    /// (every injection, and for a minimal relation every productive
+    /// arrival) and routes identically to `routing` on them.
+    pub fn from_function(topo: &dyn Topology, routing: &dyn VcRoutingFunction) -> TableVcRouting {
+        let lowered = VcCdg::lower(topo, routing, true);
+        let channels = lowered.channels.iter().map(|ch| (ch.src, ch.dst, ch.lane));
+        TableVcRouting::new(
+            format!("{} (tabulated)", routing.name()),
+            topo,
+            routing.num_classes(),
+            routing.is_minimal(),
+            channels,
+            lowered.routes,
+        )
     }
 
-    /// Snapshot `routing` on `mesh` into an explicit table. Every state
-    /// the dependency analysis or an engine can query — all
-    /// `(dest, node, arrived)` combinations, including unreachable ones —
-    /// is recorded verbatim, so the snapshot routes identically to the
-    /// original function.
-    pub fn from_function(mesh: &Mesh, routing: &dyn VcRoutingFunction) -> TableVcRouting {
-        assert_eq!(mesh.num_dims(), 2, "table routing is for 2D meshes");
-        let num_classes = routing.num_classes();
-        let num_nodes = mesh.num_nodes();
-        let codes = Self::arrived_codes(num_classes);
-        let all: Vec<VirtualDirection> = VirtualDirection::all_classes(2, num_classes);
-        let exists = all.iter().map(|&vd| routing.channel_exists(vd)).collect();
-        let mut moves = Vec::with_capacity(num_nodes);
-        for dest in 0..num_nodes {
-            let dest = NodeId(dest as u32);
-            let mut table = vec![Vec::new(); num_nodes * codes];
-            for node in 0..num_nodes {
-                let node_id = NodeId(node as u32);
-                if node_id == dest {
-                    continue;
-                }
-                table[node * codes] = routing.route(mesh, node_id, dest, None);
-                for &vd in &all {
-                    if !routing.channel_exists(vd) {
-                        continue;
-                    }
-                    // Only states whose incoming channel exists on the
-                    // mesh can be queried; record the rest as empty.
-                    if mesh.neighbor(node_id, vd.dir().opposite()).is_none() {
-                        continue;
-                    }
-                    table[node * codes + 1 + vd.index_in(num_classes)] =
-                        routing.route(mesh, node_id, dest, Some(vd));
-                }
-            }
-            moves.push(table);
-        }
-        TableVcRouting {
-            name: format!("{} (tabulated)", routing.name()),
-            minimal: routing.is_minimal(),
-            num_classes,
-            num_nodes,
-            exists,
-            moves,
-        }
-    }
-
-    /// Start an empty table (every state routes to the empty set).
-    pub fn builder(
+    /// The relation `routes` (indexed as [`Lowering::routes`]) over
+    /// `channels`, each given as `(src, dst, lane)` and numbered by
+    /// position. A channel's direction is the one whose link from `src`
+    /// reaches `dst`, so wraparound links need no special case.
+    ///
+    /// [`Lowering::routes`]: turnroute_model::depgraph::Lowering::routes
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is no link of `topo` or is given twice, a lane
+    /// is not below `num_classes`, or `routes` is not one table of
+    /// `num_nodes + channels` states per destination.
+    pub fn new(
         name: impl Into<String>,
-        mesh: &Mesh,
+        topo: &dyn Topology,
         num_classes: usize,
         minimal: bool,
+        channels: impl IntoIterator<Item = (NodeId, NodeId, usize)>,
+        routes: Vec<Vec<Vec<u32>>>,
     ) -> TableVcRouting {
-        assert_eq!(mesh.num_dims(), 2, "table routing is for 2D meshes");
-        let num_nodes = mesh.num_nodes();
-        let codes = Self::arrived_codes(num_classes);
+        let num_nodes = topo.num_nodes();
+        let per_node = 2 * topo.num_dims() * num_classes;
+        let mut exists = vec![false; per_node];
+        let mut arrived = vec![u32::MAX; num_nodes * per_node];
+        let mut lane_channels = Vec::new();
+        for (src, dst, lane) in channels {
+            assert!(lane < num_classes, "lane {lane} of {num_classes} classes");
+            let dir = Direction::all(topo.num_dims())
+                .find(|&d| topo.neighbor(src, d) == Some(dst))
+                .unwrap_or_else(|| panic!("channel {src} -> {dst} is not a link"));
+            let vidx = dir.index() * num_classes + lane;
+            let state = &mut arrived[dst.index() * per_node + vidx];
+            assert_eq!(*state, u32::MAX, "channel {src} -> {dst} given twice");
+            *state = (num_nodes + lane_channels.len()) as u32;
+            exists[vidx] = true;
+            lane_channels.push(LaneChannel {
+                src,
+                dst,
+                dir,
+                lane,
+            });
+        }
+        let states = num_nodes + lane_channels.len();
+        assert!(
+            routes.len() == num_nodes && routes.iter().all(|t| t.len() == states),
+            "routes must hold {states} states for each of {num_nodes} destinations"
+        );
         TableVcRouting {
             name: name.into(),
             minimal,
             num_classes,
-            num_nodes,
-            exists: vec![false; 4 * num_classes],
-            moves: vec![vec![Vec::new(); num_nodes * codes]; num_nodes],
+            per_node,
+            channels: lane_channels,
+            exists,
+            routes,
+            arrived,
         }
-    }
-
-    /// Declare that the virtual channel `vd` exists on links carrying its
-    /// physical direction.
-    pub fn declare_channel(&mut self, vd: VirtualDirection) {
-        self.exists[vd.index_in(self.num_classes)] = true;
-    }
-
-    /// Record the offered virtual channels for a packet at `node` bound
-    /// for `dest` having arrived on `arrived` (`None` at injection).
-    pub fn set_route(
-        &mut self,
-        dest: NodeId,
-        node: NodeId,
-        arrived: Option<VirtualDirection>,
-        offered: Vec<VirtualDirection>,
-    ) {
-        let codes = Self::arrived_codes(self.num_classes);
-        let code = match arrived {
-            None => 0,
-            Some(vd) => 1 + vd.index_in(self.num_classes),
-        };
-        self.moves[dest.index()][node.index() * codes + code] = offered;
     }
 }
 
@@ -133,7 +123,7 @@ impl VcRoutingFunction for TableVcRouting {
 
     fn route(
         &self,
-        _mesh: &Mesh,
+        _topo: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         arrived: Option<VirtualDirection>,
@@ -141,13 +131,21 @@ impl VcRoutingFunction for TableVcRouting {
         if current == dest {
             return Vec::new();
         }
-        let codes = Self::arrived_codes(self.num_classes);
-        let code = match arrived {
-            None => 0,
-            Some(vd) => 1 + vd.index_in(self.num_classes),
+        let at = current.index() * self.per_node;
+        let state = match arrived {
+            None => current.index(),
+            Some(vd) => self.arrived[at + vd.index_in(self.num_classes)] as usize,
         };
-        debug_assert!(current.index() < self.num_nodes);
-        self.moves[dest.index()][current.index() * codes + code].clone()
+        // An arrival no channel makes (`u32::MAX`, past every state) is
+        // offered nothing.
+        let Some(offered) = self.routes[dest.index()].get(state) else {
+            return Vec::new();
+        };
+        let vdir = |&id: &u32| {
+            let ch = &self.channels[id as usize];
+            VirtualDirection::of_lane(ch.dir, ch.lane)
+        };
+        offered.iter().map(vdir).collect()
     }
 
     fn is_minimal(&self) -> bool {
@@ -166,8 +164,14 @@ impl VcRoutingFunction for TableVcRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DoubleYAdaptive, VcCdg};
+    use crate::DoubleYAdaptive;
+    use turnroute_topology::Mesh;
 
+    /// The table answers every state the lowering walks — injection, and
+    /// for a minimal relation each productive arrival — as double-y does.
+    /// The other arrivals the engine never reaches, which
+    /// `sim::tests::the_engine_cannot_tell_double_y_from_its_table` pins by
+    /// running both.
     #[test]
     fn snapshot_routes_identically_to_double_y() {
         let mesh = Mesh::new_2d(4, 4);
@@ -183,10 +187,12 @@ mod tests {
                     "injection state {node} -> {dest}"
                 );
                 for vd in VirtualDirection::all_classes(2, 2) {
-                    if !dy.channel_exists(vd) {
+                    let Some(prev) = mesh.neighbor(node, vd.dir().opposite()) else {
                         continue;
-                    }
-                    if mesh.neighbor(node, vd.dir().opposite()).is_none() {
+                    };
+                    if !dy.channel_exists(vd)
+                        || mesh.min_hops(node, dest) >= mesh.min_hops(prev, dest)
+                    {
                         continue;
                     }
                     assert_eq!(

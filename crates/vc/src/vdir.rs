@@ -49,6 +49,13 @@ impl VirtualDirection {
         VirtualDirection { dir, class }
     }
 
+    /// Lane `lane` of the links in `dir`: the form a lowered channel or
+    /// offer ([`turnroute_model::depgraph::Offer`]) names it in.
+    #[inline]
+    pub fn of_lane(dir: Direction, lane: usize) -> VirtualDirection {
+        VirtualDirection::new(dir, VcClass::new(lane as u8))
+    }
+
     /// The underlying physical direction.
     #[inline]
     pub fn dir(self) -> Direction {
@@ -119,7 +126,7 @@ impl std::fmt::Display for VirtualDirection {
     }
 }
 
-/// A routing function over virtual channels of a 2D mesh.
+/// A routing function over the virtual channels of a topology.
 ///
 /// The contract mirrors
 /// [`turnroute_model::RoutingFunction`]: empty output exactly at the
@@ -139,7 +146,7 @@ pub trait VcRoutingFunction {
     /// `dest`, having arrived on `arrived` (`None` at injection).
     fn route(
         &self,
-        mesh: &Mesh,
+        topo: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         arrived: Option<VirtualDirection>,
