@@ -226,6 +226,21 @@ cargo test -p turnroute-sim --lib --offline --quiet -- engine::derived flits::
 cargo test -p turnroute --offline --quiet --test sim_properties -- \
     memo active_set sleep work_counters
 
+echo "==> verdict group"
+# Deadlock freedom and connectivity have one answer, the checked
+# certificate, runnable in isolation: the unit tests of `analysis::verify`
+# (xy all green, fully adaptive failing only on its witness cycle, x-only
+# failing connectivity, fault-masked relations healthy, cut by one link,
+# partitioned by one node); `check_fuzz`, which feeds the checker that
+# verdict trusts seeded mutations of real certificates (every breaking
+# one rejected, none a panic, the unmutated ones accepted); the lint
+# unit tests (the matrix and claims that read the verdict); then the
+# facade's one-call verification of every shipped algorithm, degenerate
+# networks included, and deadlock freedom under random fault patterns.
+cargo test -p turnroute-analysis --lib --offline --quiet -- verify:: lint::
+cargo test -p turnroute-analysis --offline --quiet --test check_fuzz
+cargo test -p turnroute --offline --quiet --test verifier_all --test fault_tolerance
+
 if [[ $full -eq 1 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release --offline

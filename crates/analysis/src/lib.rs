@@ -14,6 +14,12 @@
 //!   maximally adaptive minimal routing function it permits, so static
 //!   CDG verdicts can be cross-validated against live simulations, and
 //!   [`find_dead_end`] proves the relation never strands a packet.
+//! * [`verify()`] — the one-call verdict on a routing function: deadlock
+//!   freedom and connectivity read from a checker-validated certificate
+//!   (below), plus the checks a certificate does not make — minimality,
+//!   channel existence, turn-set conformance, bounded-misroute progress
+//!   and [`find_dead_end`]. Under faults, verify the
+//!   [`turnroute_model::FaultMasked`] relation.
 //! * [`lint`] — the driver behind the `turnlint` binary: enumeration
 //!   claims, the algorithm × topology verification matrix (including the
 //!   bounded-misroute progress check and fault-masked verification),
@@ -75,6 +81,7 @@ pub mod mc;
 pub mod prove;
 pub mod routing;
 pub mod synth;
+pub mod verify;
 
 pub use certificate::{Certificate, ChannelVertex, GraphSpec, PathCert, Verdict};
 pub use claim::{witness_cycle, Claim};
@@ -84,3 +91,4 @@ pub use mc::{McEntry, McOptions, McReport};
 pub use prove::{ProveOptions, ProveReport};
 pub use routing::{find_dead_end, TurnSetRouting};
 pub use synth::{SynthEntry, SynthOptions, SynthReport, SynthResult};
+pub use verify::{verify, VerificationReport};

@@ -167,10 +167,10 @@ impl RoutingFunction for TurnSetRouting {
 /// offers no direction at all.
 ///
 /// Returns a description of the first dead end found, or `None` when
-/// every adversarially reachable state keeps moving. Unlike the
-/// verifier's greedy connectivity walk (which follows one policy), this
-/// explores *every* offered branch, so `None` here plus an acyclic CDG
-/// guarantees the simulator delivers under any arbitration.
+/// every adversarially reachable state keeps moving. Unlike a certified
+/// path (one legal route per pair), this explores *every* offered
+/// branch, so `None` here plus an acyclic CDG guarantees the simulator
+/// delivers under any arbitration.
 pub fn find_dead_end(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Option<String> {
     let n = topo.num_nodes();
     let num_arr = 2 * topo.num_dims() + 1;
@@ -198,7 +198,7 @@ pub fn find_dead_end(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Opti
             }
             for dir in offered.iter() {
                 let Some(u) = topo.neighbor(v, dir) else {
-                    continue; // flagged by the verifier's channels check
+                    continue; // flagged by `check_channels`
                 };
                 if u == dest {
                     continue;
@@ -217,7 +217,7 @@ pub fn find_dead_end(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turnroute_model::verifier::verify;
+    use crate::verify::verify;
     use turnroute_model::{presets, Cdg};
     use turnroute_topology::Mesh;
 

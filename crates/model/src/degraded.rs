@@ -6,7 +6,7 @@
 //! dependency graph stays a subgraph of the turn set's acyclic graph.
 //! [`degraded_route`] is that rule. The simulator's arbitration calls it
 //! for every head it routes once faults are possible, and [`FaultMasked`]
-//! freezes it over a static [`FaultSet`] so the verifier, the `turnprove`
+//! freezes it over a static [`FaultSet`] so `verify`, the `turnprove`
 //! extraction and the healing driver certify the very relation the engine
 //! runs.
 
@@ -54,8 +54,8 @@ pub fn degraded_route(
 /// Every direction offered, primary or fallback, is legal under the
 /// wrapped algorithm's declared turn set, so the induced CDG is a subgraph
 /// of the turn set's CDG and inherits its acyclicity for any fault
-/// pattern; [`crate::verifier::verify_under_faults`] checks that
-/// mechanically per pattern. States no packet can be in — at a failed
+/// pattern; `turnroute_analysis::verify` over a `FaultMasked` checks
+/// that mechanically per pattern. States no packet can be in — at a failed
 /// router, or having arrived over a failed channel — offer nothing, which
 /// keeps their vacuous dependencies out of the graph.
 ///

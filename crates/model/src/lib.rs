@@ -24,8 +24,10 @@
 //! * [`adaptiveness`] — the closed-form path counts of Sections 3.4 and 5
 //!   plus exhaustive path enumeration to validate them;
 //! * [`RoutingFunction`] — the interface concrete algorithms implement;
-//! * [`verifier`] — a one-call bundle of every check, for validating
-//!   custom routing functions before trusting them with a network.
+//! * [`verifier`] — the per-move checks of a routing function (minimal,
+//!   over existing channels, inside its turn set); deadlock freedom and
+//!   connectivity come from the checked certificate behind
+//!   `turnroute_analysis::verify`.
 //!
 //! # Example: verifying west-first is deadlock free
 //!

@@ -68,8 +68,8 @@ const BLACK: u8 = 2;
 ///
 /// Explores, per destination, every state `(node, arrival)` reachable
 /// under adversarial choices among the offered directions. Runtime is
-/// `O(nodes^2 · directions^2)` — the same ballpark as the verifier's
-/// connectivity walk.
+/// `O(nodes^2 · directions^2)` — the same ballpark as lowering the
+/// relation onto its channel dependency graph.
 pub fn check_progress(topo: &dyn Topology, routing: &dyn RoutingFunction) -> ProgressReport {
     let n = topo.num_nodes();
     let num_arr = 2 * topo.num_dims() + 1;

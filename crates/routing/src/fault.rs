@@ -15,8 +15,9 @@
 //! wrapped algorithm's declared turn set. The channel dependency graph of
 //! the wrapper is therefore a subgraph of the turn set's CDG, which the
 //! turn model proves acyclic — so wrapping cannot introduce deadlock, for
-//! any fault pattern. `turnroute_model::verifier::verify_under_faults`
-//! checks the same property mechanically per pattern, on this same type.
+//! any fault pattern. `turnroute_analysis::verify` over the same
+//! relation ([`turnroute_model::FaultMasked`]) checks the property
+//! mechanically per pattern, from a checker-validated certificate.
 
 use turnroute_model::FaultMasked;
 use turnroute_topology::FaultSet;
@@ -94,7 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_walk_delivers_around_single_fault() {
+    fn productive_first_walk_delivers_around_single_fault() {
         // A single failed eastward link: every pair must still deliver
         // within a generous hop bound when we walk preferring productive
         // moves.

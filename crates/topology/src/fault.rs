@@ -3,8 +3,8 @@
 //! A [`FaultSet`] is a snapshot of which unidirectional channels and which
 //! nodes are out of service. It is the vocabulary shared by the fault-aware
 //! routing adapters (which filter their offered directions against it), the
-//! model-layer verifier (which checks that the surviving turn set stays
-//! deadlock free), and the simulator's fault-injection schedules (which
+//! analysis layer's certificates (which check that the surviving relation
+//! stays deadlock free), and the simulator's fault-injection schedules (which
 //! produce one effective `FaultSet` per cycle).
 //!
 //! Failing a node fails every channel touching it: all channels leaving it,

@@ -5,7 +5,7 @@
 //! cargo run --release --example hexagonal
 //! ```
 
-use turnroute::model::verifier::verify;
+use turnroute::analysis::verify;
 use turnroute::model::{Cdg, RoutingFunction};
 use turnroute::routing::hex::negative_first_hex;
 use turnroute::routing::{FullyAdaptive, RoutingMode};

@@ -8,8 +8,8 @@
 //! many random fault patterns, through the static [`FaultAware`] wrapper,
 //! and through a full simulator run.
 
-use turnroute::model::verifier::verify_under_faults;
-use turnroute::model::RoutingFunction;
+use turnroute::analysis::verify;
+use turnroute::model::{FaultMasked, RoutingFunction};
 use turnroute::routing::{mesh2d, FaultAware, RoutingMode};
 use turnroute::sim::{FaultPlan, RunTermination, Sim, SimConfig};
 use turnroute::topology::{Direction, FaultSet, Mesh, NodeId, Topology};
@@ -50,15 +50,15 @@ fn turn_sets_stay_deadlock_free_under_random_fault_patterns() {
         let link_p = 0.05 + 0.015 * seed as f64;
         let faults = random_pattern(&mesh, seed, link_p);
         for alg in mesh_algorithms() {
-            let v = verify_under_faults(&mesh, alg.as_ref(), &faults);
+            // A checker-validated certificate: besides the verdict, the
+            // checker has seen every ordered pair covered exactly once.
+            let v = verify(&mesh, &FaultMasked::new(alg.as_ref(), &mesh, &faults));
             assert!(
-                v.all_ok(),
+                v.deadlock_free.is_ok() && v.progress.is_ok(),
                 "seed {seed} ({} links, {} nodes failed): {v}",
-                v.failed_links,
-                v.failed_nodes
+                faults.failed_link_count(),
+                faults.failed_node_count()
             );
-            let pairs = mesh.num_nodes() * (mesh.num_nodes() - 1);
-            assert_eq!(v.reachable_pairs + v.unreachable_pairs, pairs);
         }
     }
 }
@@ -72,8 +72,12 @@ fn heavy_damage_partitions_but_never_cycles() {
     for seed in 100..105u64 {
         let faults = random_pattern(&mesh, seed, 0.5);
         for alg in mesh_algorithms() {
-            let v = verify_under_faults(&mesh, alg.as_ref(), &faults);
-            assert!(v.all_ok(), "seed {seed}: {v}");
+            let v = verify(&mesh, &FaultMasked::new(alg.as_ref(), &mesh, &faults));
+            assert!(
+                v.deadlock_free.is_ok() && v.progress.is_ok(),
+                "seed {seed}: {v}"
+            );
+            assert!(!v.connected.is_ok(), "seed {seed}: {v}");
         }
     }
 }
@@ -89,8 +93,8 @@ fn fault_aware_wrapper_routes_around_a_failed_link() {
     let dead_slot = mesh.channel_slot(mesh.node_at_coords(&[2, 2]), Direction::EAST);
 
     let routed = FaultAware::new(mesh2d::west_first(RoutingMode::Minimal), &mesh, faults);
-    // Greedy walk: always take the last offered direction, as the
-    // verifier's worst-case census does.
+    // Walk the last offered direction at every hop: one arbitration
+    // policy's path, which must still avoid the failed link.
     let mut cur = src;
     let mut arrived = None;
     let mut hops = 0;

@@ -1,7 +1,8 @@
 //! Integration: the one-call verifier signs off on every shipped
 //! algorithm and rejects the known-broken ones.
 
-use turnroute::model::verifier::{verify, Check};
+use turnroute::analysis::verify;
+use turnroute::model::verifier::Check;
 use turnroute::model::RoutingFunction;
 use turnroute::routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute::routing::{hypercube, mesh2d, ndmesh, FullyAdaptive, RoutingMode};
@@ -84,4 +85,34 @@ fn nonminimal_modes_verify_deadlock_freedom() {
         assert!(report.turns_consistent.is_ok(), "{report}");
         assert_eq!(report.minimal, Check::Skipped);
     }
+}
+
+#[test]
+fn the_verdict_is_boring_on_degenerate_networks() {
+    // The smallest meshes each constructor accepts, thin in either
+    // dimension, and the smallest cubes and torus.
+    for (x, y) in [(2, 2), (2, 5), (5, 2)] {
+        let mesh = Mesh::new_2d(x, y);
+        let algorithms: [Box<dyn RoutingFunction>; 4] = [
+            Box::new(mesh2d::xy()),
+            Box::new(mesh2d::west_first(RoutingMode::Minimal)),
+            Box::new(mesh2d::north_last(RoutingMode::Minimal)),
+            Box::new(mesh2d::negative_first(RoutingMode::Minimal)),
+        ];
+        for alg in &algorithms {
+            let report = verify(&mesh, alg);
+            assert!(report.all_ok(), "mesh {x}x{y}: {report}");
+        }
+    }
+    for dims in [1, 2] {
+        let report = verify(&Hypercube::new(dims), &hypercube::e_cube(dims));
+        assert!(report.all_ok(), "{dims}-cube: {report}");
+    }
+    let report = verify(
+        &Hypercube::new(2),
+        &hypercube::p_cube(2, RoutingMode::Minimal),
+    );
+    assert!(report.all_ok(), "2-cube: {report}");
+    let report = verify(&Torus::new(3, 2), &NegativeFirstTorus::new(2));
+    assert!(report.all_ok(), "3-ary 2-cube: {report}");
 }
