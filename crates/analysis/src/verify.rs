@@ -126,8 +126,9 @@ pub fn verify(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Verificatio
 mod tests {
     use super::*;
     use turnroute_model::FaultMasked;
+    use turnroute_routing::hex::negative_first_hex;
     use turnroute_routing::{mesh2d, FullyAdaptive, RoutingMode};
-    use turnroute_topology::{DirSet, Direction, FaultSet, Mesh, Sign};
+    use turnroute_topology::{DirSet, Direction, FaultSet, HexMesh, Mesh, Sign};
 
     /// A broken function: routes straight toward dest in x only, so pairs
     /// differing in y are undeliverable.
@@ -232,8 +233,6 @@ mod tests {
 
     #[test]
     fn hex_negative_first_verifies_on_assorted_meshes() {
-        use turnroute_routing::hex::negative_first_hex;
-        use turnroute_topology::HexMesh;
         for (q, r) in [(3u16, 3u16), (4, 4), (5, 3), (3, 6)] {
             let hex = HexMesh::new(q, r);
             let report = verify(&hex, &negative_first_hex(RoutingMode::Minimal));
