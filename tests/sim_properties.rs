@@ -493,6 +493,39 @@ fn active_set_on_the_smallest_and_thinnest_networks() {
 }
 
 #[test]
+fn injection_takes_a_head_only_into_an_empty_buffer() {
+    // Deep buffers, long packets and short lifetimes: a source's next head
+    // must wait for the last packet's tail to leave its injection buffer,
+    // the rule every network channel obeys. Were it let in behind that
+    // tail it would take over the channel's owner while the tail is still
+    // there, and the purges that follow would clear the wrong flits until
+    // a push finds a full buffer.
+    let mesh = Mesh::new_2d(6, 6);
+    let routing = mesh2d::west_first(RoutingMode::Minimal);
+    let pattern = Uniform::new();
+    for seed in 1..=5 {
+        let cfg = SimConfig::builder()
+            .injection_rate(0.9)
+            .lengths(LengthDist::Fixed(20))
+            .buffer_depth(2)
+            .packet_timeout(60)
+            .deadlock_threshold(5_000)
+            .seed(seed)
+            .build();
+        let sanitizer = InvariantObserver::new(ChannelLayout::for_topology(&mesh), 2);
+        let mut sim = Sim::with_observer(&mesh, &routing, &pattern, cfg, sanitizer);
+        for _ in 0..800 {
+            sim.step();
+        }
+        let report = sim.report();
+        assert!(report.dropped_packets > 0, "seed {seed}: {report}");
+        assert!(report.delivered_packets > 0, "seed {seed}: {report}");
+        let violations = sim.observer().violations();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "radix >= 2")]
 fn active_set_has_no_one_by_one_network_to_index() {
     // The 1×1 "network" is refused where it would be described, before
