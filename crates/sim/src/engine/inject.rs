@@ -152,11 +152,17 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             return;
         }
         if s.emitting[v].is_none() {
-            let Some(pid) = s.queues[v].pop_front() else {
+            if s.queues[v].is_empty() {
                 // Nothing queued, nothing emitting: `v` leaves the set.
                 self.derived.source_drained(v);
                 return;
-            };
+            }
+            // A head enters only an empty buffer, as on every network
+            // channel: the last packet's tail still owns this one.
+            if !s.buf.is_empty(inj) {
+                return;
+            }
+            let pid = s.queues[v].pop_front().expect("queued");
             s.packets[pid as usize].injected = Some(s.now);
             s.emitting[v] = Some(Emitting {
                 packet: pid,
