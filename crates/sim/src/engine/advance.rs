@@ -215,6 +215,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             let s = &mut self.state;
             let now = s.now;
             let flit = s.buf.pop_front(c).expect("flit scheduled to move");
+            if (self.inj_base..self.ej_base).contains(&c) {
+                self.derived.injection_left(c - self.inj_base);
+            }
             s.last_move = now;
             // Blame: this cycle made forward progress for the flit's
             // packet (stamp deduplicates several flits of one worm
@@ -232,6 +235,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                 }
                 if flit.is_head {
                     s.head_since[o] = now;
+                    self.derived.head_arrived(o);
                     // The header crossing a non-productively granted
                     // channel marks this progress cycle as misroute
                     // penalty (the head moves at most once per cycle, so
@@ -259,7 +263,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             let s = &mut self.state;
             s.owner[c] = NONE_U32;
             s.assigned_out[c] = NONE_U32;
-            self.derived.output_released(c, now);
+            self.derived.output_released(c);
             if to.is_some() {
                 continue;
             }

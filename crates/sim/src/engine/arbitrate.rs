@@ -3,7 +3,6 @@
 //! statement of the routing semantics), and grant outputs.
 
 use super::{Arbiter, Engine, SpanSink, NONE_U32};
-use crate::flits::WORD_BITS;
 use crate::lanes::{Candidate, Lanes};
 use crate::obs::{Event, SimObserver};
 use crate::profile::Work;
@@ -45,35 +44,22 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// A head that is [`asleep`](Engine::asleep) would be refused again,
     /// and a refusal has no side effect, so it is left out — where that
     /// is invisible. Ordering a subset gives the subset of the order, so
-    /// `Fcfs` and `PortOrder` drop sleepers before sorting; `Random`
-    /// draws once per collected head, so it shuffles them all and drops
-    /// sleepers after; a scripted arbiter is asked to pick among all the
-    /// heads of a router, so it keeps them.
+    /// `Fcfs` and `PortOrder` walk only the awake heads; `Random` draws
+    /// once per collected head, so it shuffles every waiting head and
+    /// drops sleepers after; a scripted arbiter is asked to pick among
+    /// all the heads of a router, so it keeps them.
     pub(super) fn collect_route_heads<A: Arbiter, S: SpanSink>(&mut self, spans: &mut S) {
+        self.scan_waiting_heads();
         let mut heads = std::mem::take(&mut self.scratch_heads);
         heads.clear();
-        let mut visited = 0;
         let keep_sleepers = A::SCRIPTED || self.cfg.input_policy == InputPolicy::Random;
-        let s = &self.state;
-        // Only an occupied slot can hold a head, and the slots from
-        // `ej_base` up are ejection buffers, which are not routed.
-        let routed_words = self.ej_base.div_ceil(WORD_BITS);
-        for w in 0..routed_words {
-            for slot in s.buf.occupied_in(w).take_while(|&c| c < self.ej_base) {
-                visited += 1;
-                debug_assert!(self.exists[slot], "a flit in a channel that is not there");
-                if s.assigned_out[slot] != NONE_U32 {
-                    continue;
-                }
-                // A header arriving at cycle t is normally routable at
-                // t+1; routing_delay postpones that by `delay` further
-                // cycles.
-                if matches!(s.buf.front(slot), Some(f) if f.is_head)
-                    && s.now > s.head_since[slot] + self.cfg.routing_delay
-                    && (keep_sleepers || !self.asleep(slot))
-                {
-                    heads.push(slot as u32);
-                }
+        let (s, mut visited) = (&self.state, 0);
+        for slot in self.derived.waiting_heads(keep_sleepers) {
+            visited += 1;
+            // A header arriving at cycle t is normally routable at t+1;
+            // routing_delay postpones that by `delay` further cycles.
+            if s.now > s.head_since[slot] + self.cfg.routing_delay {
+                heads.push(slot as u32);
             }
         }
         spans.count(Work::SlotsVisited, visited);
@@ -237,8 +223,8 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     /// is free: the scripted arbiter's pick, or the adapter's selection
     /// under `cfg.output_policy`. A head that stays blocked leaves its
     /// offer in the route memo, so each later attempt costs one `owner`
-    /// load per candidate instead of a routing call, and the stamp of its
-    /// refusal, so the next attempt waits for something to have changed.
+    /// load per candidate instead of a routing call, and goes to sleep, so
+    /// the next attempt waits for something to have changed.
     fn try_assign<A: Arbiter, S: SpanSink>(&mut self, c: usize, arb: &mut A, spans: &mut S) {
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         match self.route_decision(c, &mut candidates) {
@@ -246,9 +232,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             RouteDecision::Eject(ej) if self.grantable(ej) => {
                 self.bind(c, ej, false);
             }
-            RouteDecision::Eject(_) | RouteDecision::Hold => {
-                self.derived.refused(c, self.state.now)
-            }
+            RouteDecision::Eject(_) | RouteDecision::Hold => self.derived.refused(c),
             RouteDecision::Offer {
                 memoised,
                 productive_only,
@@ -285,7 +269,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
                         let packet = self.state.buf.front(c).expect("head present").packet;
                         self.derived.store_memo(c, packet, &candidates);
                     }
-                    self.derived.refused(c, self.state.now);
+                    self.derived.refused(c);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The engine's derived state: what the per-cycle phases walk and skip
 //! by instead of the whole network, all of it recomputable from the
-//! [`SimSnapshot`](super::SimSnapshot) beside it. Five structures, each
+//! [`SimSnapshot`](super::SimSnapshot) beside it. Six structures, each
 //! with its invariant where it is declared; the occupied-slot set is the
 //! flit buffers' own. The engine reads them through the queries below and
 //! keeps them true by raising an event wherever one of their inputs
@@ -8,12 +8,15 @@
 //!
 //! | event | raised where | effect |
 //! |---|---|---|
-//! | `offer_inputs_changed` | a channel failing or healing, a quarantine | memo wiped, every head wakes |
-//! | `output_released` | a tail leaves a channel | the heads at its router wake |
-//! | `hold_changed` | `set_hold` | the heads at that router wake |
-//! | `granted` | a head is granted an output | its worm thaws |
-//! | `purged` | a purge empties a channel | it thaws, its router's heads wake |
-//! | `enqueued` | a packet is queued at a source | the source joins the active set |
+//! | `offer_inputs_changed` | a channel failing or healing, a quarantine | memo wiped, every waiting head wakes |
+//! | `output_released` | a tail leaves a channel | the heads waiting at its router wake |
+//! | `hold_changed` | `set_hold` | the heads waiting at that router wake |
+//! | `head_arrived` | a head enters a routed slot | it waits, awake |
+//! | `refused` | arbitration refuses a head | it sleeps |
+//! | `granted` | a head is granted an output | it stops waiting, its worm thaws |
+//! | `purged` | a purge empties a channel | as a grant and a release; an injection slot's source rejoins |
+//! | `injection_left` | a flit leaves an injection slot | its source rejoins the active set |
+//! | `enqueued` | a packet is queued at a source | the source joins the active set and the queue sample |
 //! | `rewound` | `restore` | all dropped, each rebuilt by its first use |
 //!
 //! Nothing is allocated before its first use. Debug builds take every
@@ -41,7 +44,13 @@ fn due(t: f64) -> u64 {
     t.ceil() as u64
 }
 
-/// The five structures, and the slot arithmetic they need.
+/// The word and the mask of member `i` of a bit set.
+#[inline]
+fn bit(i: usize) -> (usize, u32) {
+    (i / WORD_BITS, 1 << (i % WORD_BITS))
+}
+
+/// The six structures, and the slot arithmetic they need.
 #[derive(Default)]
 pub(super) struct Derived {
     nodes: usize,
@@ -68,19 +77,29 @@ pub(super) struct Derived {
     /// now`, so every entry due later is due exactly then, and `(due,
     /// node)` order is node order.
     arrivals: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Active-source set, a bit per node: a superset of the nodes with a
-    /// queued or emitting packet. The feeding walk drops a node it finds
-    /// idle; one that merely cannot inject now stays in.
+    /// Active-source set, a bit per node: a superset of the nodes whose
+    /// injection buffer can take their next flit. The feeding walk drops
+    /// a node it finds idle or blocked by its own buffer; a held node or
+    /// one whose injection slot is faulty stays in.
     active_sources: Vec<u32>,
-    /// Sleep stamps: per input slot, the last cycle arbitration refused
-    /// the head there (0 = never; nothing is routable at cycle 0). It is
-    /// the current head's refusal exactly when newer than `head_since`,
-    /// and that head is asleep while the stamp is also newer than its
-    /// router's `freed_at`: the last cycle an output there was released
-    /// or the hold changed, which are the only things short of a wake-all
-    /// that can turn a refusal into a grant.
-    refused_at: Vec<u64>,
-    freed_at: Vec<u64>,
+    /// Queue-sample set, a bit per node (sized with the active-source
+    /// set): the nodes whose queue grew since `max_queue_len` last read
+    /// it. Between two reads a queue only shrinks, so no other node can
+    /// raise the maximum.
+    grown: Vec<u32>,
+    /// Waiting heads, a bit per routed slot: those whose front flit is a
+    /// head with no output bound. Empty until the first head collection
+    /// after construction or a rewind builds it from a scan.
+    waiting: Vec<u32>,
+    /// The waiting heads that are awake: not refused since they arrived
+    /// or since their router last released an output or changed its
+    /// hold, which are the only things short of a wake-all that can turn
+    /// a refusal into a grant. The others are asleep.
+    awake: Vec<u32>,
+    /// The routed slots whose input router is `v`, at
+    /// `inputs[input_start[v]..input_start[v + 1]]`; built with `waiting`.
+    inputs: Vec<u32>,
+    input_start: Vec<u32>,
     /// The blocked worms the planner freezes and the events thaw.
     pub(super) frozen: Frozen,
 }
@@ -105,35 +124,69 @@ impl Derived {
     /// repaired) says nothing about the new one, so every head wakes.
     pub(super) fn offer_inputs_changed(&mut self) {
         self.memo_key.fill(0);
-        self.refused_at.fill(0);
+        self.awake.clone_from(&self.waiting);
     }
 
-    /// Channel `slot` lost its owner at cycle `now`. A link slot is an
-    /// output of the router it leaves and an ejection slot of its node's;
-    /// an injection slot is no router's output.
+    /// Channel `slot` lost its owner. A link slot is an output of the
+    /// router it leaves and an ejection slot of its node's; an injection
+    /// slot is no router's output.
     #[inline]
-    pub(super) fn output_released(&mut self, slot: usize, now: u64) {
+    pub(super) fn output_released(&mut self, slot: usize) {
         if slot < self.inj_base {
-            self.hold_changed(slot / self.link_slots, now);
+            self.hold_changed(slot / self.link_slots);
         } else if slot >= self.ej_base {
-            self.hold_changed(slot - self.ej_base, now);
+            self.hold_changed(slot - self.ej_base);
         }
     }
 
     /// Router `v`'s hold was set or lifted, or one of its outputs was
-    /// released, at `now`: the heads asleep there wake.
+    /// released: the heads asleep there wake.
     #[inline]
-    pub(super) fn hold_changed(&mut self, v: usize, now: u64) {
-        if let Some(freed) = self.freed_at.get_mut(v) {
-            *freed = now;
+    pub(super) fn hold_changed(&mut self, v: usize) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        let inputs = self.input_start[v] as usize..self.input_start[v + 1] as usize;
+        for &c in &self.inputs[inputs] {
+            let (w, m) = bit(c as usize);
+            self.awake[w] |= self.waiting[w] & m;
+        }
+    }
+
+    /// A head entered channel `c`, empty until then: at a routed slot it
+    /// waits for an output, awake.
+    #[inline]
+    pub(super) fn head_arrived(&mut self, c: usize) {
+        if c < self.ej_base && !self.waiting.is_empty() {
+            let (w, m) = bit(c);
+            self.waiting[w] |= m;
+            self.awake[w] |= m;
+        }
+    }
+
+    /// Arbitration refused the head at input channel `c`: it sleeps.
+    #[inline]
+    pub(super) fn refused(&mut self, c: usize) {
+        let (w, m) = bit(c);
+        self.awake[w] &= !m;
+    }
+
+    /// The head at channel `c` has gone: granted, or purged.
+    #[inline]
+    fn stops_waiting(&mut self, c: usize) {
+        let (w, m) = bit(c);
+        if let Some(word) = self.waiting.get_mut(w) {
+            *word &= !m;
+            self.awake[w] &= !m;
         }
     }
 
     /// The head at input channel `c` was granted an output, now bound in
-    /// `assigned_out`: its worm thaws, upstream along the bindings up to
-    /// the first slot not frozen.
+    /// `assigned_out`: it stops waiting, and its worm thaws, upstream
+    /// along the bindings up to the first slot not frozen.
     #[inline]
     pub(super) fn granted(&mut self, mut c: usize, assigned_out: &[u32]) {
+        self.stops_waiting(c);
         while self.frozen.contains(c) {
             self.frozen.remove(c);
             let up = self.frozen.feeder[c] as usize;
@@ -144,36 +197,60 @@ impl Derived {
         }
     }
 
-    /// A purge emptied channel `slot` at `now`.
+    /// A purge emptied channel `slot`.
     #[inline]
-    pub(super) fn purged(&mut self, slot: usize, now: u64) {
+    pub(super) fn purged(&mut self, slot: usize) {
         self.frozen.remove(slot);
-        self.output_released(slot, now);
+        self.stops_waiting(slot);
+        self.output_released(slot);
+        if (self.inj_base..self.ej_base).contains(&slot) {
+            self.injection_left(slot - self.inj_base);
+        }
     }
 
     /// A packet was queued at node `v`.
     #[inline]
     pub(super) fn enqueued(&mut self, v: usize) {
+        let (w, m) = self.source_joins(v);
+        self.grown[w] |= m;
+    }
+
+    /// A flit left node `v`'s injection buffer: its source may feed
+    /// again.
+    #[inline]
+    pub(super) fn injection_left(&mut self, v: usize) {
+        self.source_joins(v);
+    }
+
+    /// Put node `v` in the active-source set; returns its bit.
+    #[inline]
+    fn source_joins(&mut self, v: usize) -> (usize, u32) {
         if self.active_sources.is_empty() {
             self.active_sources = vec![0; self.nodes.div_ceil(WORD_BITS)];
+            self.grown = vec![0; self.nodes.div_ceil(WORD_BITS)];
         }
-        self.active_sources[v / WORD_BITS] |= 1 << (v % WORD_BITS);
+        let (w, m) = bit(v);
+        self.active_sources[w] |= m;
+        (w, m)
     }
 
     /// The simulation state was replaced wholesale: packet ids mean other
-    /// packets and `now` may have gone backwards. The active-source set
-    /// becomes every node, the superset the next feeding walk narrows.
+    /// packets and `now` may have gone backwards. The active-source and
+    /// queue-sample sets become every node, the supersets the next feed
+    /// and the next sample narrow.
     pub(super) fn rewound(&mut self) {
-        self.offer_inputs_changed();
-        self.freed_at.fill(0);
+        self.memo_key.fill(0);
+        self.waiting.clear();
+        self.awake.clear();
         self.frozen.bits.clear();
         self.arrivals.clear();
-        self.active_sources.clear();
-        let words = self.nodes.div_ceil(WORD_BITS);
-        self.active_sources.resize(words, u32::MAX);
-        let tail = self.nodes % WORD_BITS;
-        if tail != 0 {
-            self.active_sources[words - 1] = (1 << tail) - 1;
+        let (words, tail) = (self.nodes.div_ceil(WORD_BITS), self.nodes % WORD_BITS);
+        for set in [&mut self.active_sources, &mut self.grown] {
+            set.clear();
+            set.resize(words, u32::MAX);
+            if tail != 0 {
+                set[words - 1] = (1 << tail) - 1;
+            }
         }
     }
 
@@ -199,16 +276,6 @@ impl Derived {
         self.memo_key[c] = packet + 1;
     }
 
-    /// Arbitration refused the head at input channel `c` at cycle `now`.
-    #[inline]
-    pub(super) fn refused(&mut self, c: usize, now: u64) {
-        if self.refused_at.is_empty() {
-            self.refused_at = vec![0; self.ej_base];
-            self.freed_at = vec![0; self.nodes];
-        }
-        self.refused_at[c] = now;
-    }
-
     /// The least node with an arrival due at `now`, if any; it must be
     /// [`rescheduled`](Derived::rescheduled) before the next call. The
     /// first call after construction or a rewind builds the calendar.
@@ -232,7 +299,7 @@ impl Derived {
         top.0 .0 = due(next);
     }
 
-    /// Words in the active-source set.
+    /// Words in the active-source set and in the queue-sample set.
     #[inline]
     pub(super) fn source_words(&self) -> usize {
         self.active_sources.len()
@@ -250,10 +317,28 @@ impl Derived {
         (0..self.source_words()).flat_map(|w| self.sources_in(w))
     }
 
-    /// The feeding walk found node `v` with nothing queued or emitting.
+    /// The feeding walk found node `v` idle, or its injection buffer
+    /// unable to take its next flit.
     #[inline]
-    pub(super) fn source_drained(&mut self, v: usize) {
-        self.active_sources[v / WORD_BITS] &= !(1 << (v % WORD_BITS));
+    pub(super) fn source_parked(&mut self, v: usize) {
+        let (w, m) = bit(v);
+        self.active_sources[w] &= !m;
+    }
+
+    /// The nodes among `w * WORD_BITS..` whose queue grew since the last
+    /// sample, ascending; they leave the set.
+    #[inline]
+    pub(super) fn take_grown(&mut self, w: usize) -> Ones {
+        Ones::of(w, std::mem::take(&mut self.grown[w]))
+    }
+
+    /// The waiting heads, ascending: the awake ones, or every one if
+    /// `sleepers`.
+    pub(super) fn waiting_heads(&self, sleepers: bool) -> impl Iterator<Item = usize> + '_ {
+        let set = if sleepers { &self.waiting } else { &self.awake };
+        set.iter()
+            .enumerate()
+            .flat_map(|(w, &word)| Ones::of(w, word))
     }
 }
 
@@ -309,18 +394,42 @@ impl Frozen {
 }
 
 impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
-    /// Whether the head at input channel `c` is asleep: refused, with
-    /// nothing since that could turn the refusal into a grant. A refusal
-    /// has no side effect, so leaving a sleeper out is invisible. Debug
-    /// builds re-evaluate every sleeper: one that would be granted missed
-    /// a wake.
+    /// Unless they are built, build the waiting-head sets from a scan of
+    /// the occupied routed slots, every head awake: the first head
+    /// collection after construction or a rewind. The first build also
+    /// tabulates each router's inputs (slots that are not there sort past
+    /// every router).
+    pub(super) fn scan_waiting_heads(&mut self) {
+        let (d, s) = (&mut self.derived, &self.state);
+        if !d.waiting.is_empty() {
+            return;
+        }
+        if d.inputs.is_empty() {
+            let router = &self.input_router;
+            d.inputs = (0..self.ej_base as u32).collect();
+            d.inputs.sort_by_key(|&c| router[c as usize]);
+            let start = |v| d.inputs.partition_point(|&c| router[c as usize] < v) as u32;
+            d.input_start = (0..=d.nodes as u32).map(start).collect();
+        }
+        d.waiting.resize(self.ej_base.div_ceil(WORD_BITS), 0);
+        for w in 0..d.waiting.len() {
+            for c in s.buf.occupied_in(w).take_while(|&c| c < self.ej_base) {
+                if s.assigned_out[c] == NONE_U32 && s.buf.front(c).is_some_and(|f| f.is_head) {
+                    d.waiting[w] |= bit(c).1;
+                }
+            }
+        }
+        d.awake.clone_from(&d.waiting);
+    }
+
+    /// Whether the head at input channel `c` is asleep: waiting, and not
+    /// awake. A refusal has no side effect, so leaving a sleeper out is
+    /// invisible. Debug builds re-evaluate every sleeper: one that would be
+    /// granted missed a wake.
     pub(super) fn asleep(&self, c: usize) -> bool {
         let d = &self.derived;
-        let Some(&refused) = d.refused_at.get(c) else {
-            return false;
-        };
-        let router = self.input_router[c] as usize;
-        let asleep = refused > self.state.head_since[c] && refused > d.freed_at[router];
+        let (w, m) = bit(c);
+        let asleep = d.waiting.get(w).is_some_and(|&x| x & !d.awake[w] & m != 0);
         #[cfg(debug_assertions)]
         if asleep {
             use super::arbitrate::RouteDecision;
@@ -378,8 +487,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
 
     /// The full scans the indices replaced, as their check at the end of
     /// every debug-build cycle: the occupied-slot set is exactly the
-    /// channels holding a flit, only those are frozen, every busy source
-    /// is active, and no arrival is left due.
+    /// channels holding a flit, only those are frozen, the waiting-head
+    /// set is exactly the unbound heads and every sleeper would be refused
+    /// again, every source that could feed is active, and no arrival is
+    /// left due.
     #[cfg(debug_assertions)]
     pub(super) fn check_derived_state(&self) {
         let (d, s) = (&self.derived, &self.state);
@@ -387,11 +498,18 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         for c in (0..self.num_channels).filter(|&c| d.frozen.contains(c)) {
             assert!(!s.buf.is_empty(c), "empty slot {c} is frozen");
         }
+        for c in (0..self.ej_base).filter(|_| !d.waiting.is_empty()) {
+            let (w, m) = bit(c);
+            let head = s.buf.front(c).is_some_and(|f| f.is_head);
+            let unbound = head && s.assigned_out[c] == NONE_U32;
+            assert_eq!(d.waiting[w] & m != 0, unbound, "waiting at {c}");
+            assert!(d.awake[w] & !d.waiting[w] == 0, "awake, not waiting");
+            self.asleep(c);
+        }
         let mut active = d.sources().peekable();
         for v in 0..self.num_nodes {
             if active.next_if_eq(&v).is_none() {
-                let busy = !s.queues[v].is_empty() || s.emitting[v].is_some();
-                assert!(!busy, "node {v} has a packet but is not an active source");
+                assert!(!self.can_feed(v), "node {v} can feed, not active");
             }
         }
         assert!(
@@ -429,7 +547,8 @@ mod tests {
         // `is_idle` reads the occupied-slot set and the active-source
         // set; every push, pop and purge (timeouts clear whole worms and
         // re-queue at sources the set had dropped) must keep them in step
-        // with a scan of the buffers, queues and emitters.
+        // with a scan of the buffers, queues and emitters. A source left
+        // out cannot feed, so its buffer holds a flit.
         let mesh = Mesh::new_2d(4, 4);
         let routing = mesh2d::west_first(RoutingMode::Minimal);
         let pattern = Uniform::new();
@@ -451,9 +570,8 @@ mod tests {
             sim.state.buf.assert_occupied_set_is_exact();
             let active: Vec<usize> = sim.derived.sources().collect();
             for v in 0..sim.num_nodes {
-                let busy = !sim.state.queues[v].is_empty() || sim.state.emitting[v].is_some();
                 assert!(
-                    !busy || active.contains(&v),
+                    !sim.can_feed(v) || active.contains(&v),
                     "cycle {}: node {v}",
                     sim.now()
                 );
@@ -471,61 +589,101 @@ mod tests {
     }
 
     /// Step `sim` once, profiled. Returns the slots occupied during the
-    /// cycle and the most slots its two scans may visit: head collection
-    /// every occupied slot that is routed, the planning loop every
-    /// occupied slot that does not stay frozen through the cycle (in a
-    /// `Sim` without timeouts a slot thawed by a grant moves, so the ones
-    /// frozen before and after are the ones frozen when planning starts;
-    /// a few more are frozen by the search before the loop reaches them).
-    fn step_counting_slots(sim: &mut Sim, prof: &mut PhaseProfiler) -> (u64, u64) {
+    /// cycle, the heads awake at its start, and the most slots the
+    /// planning loop may visit: every occupied slot that does not stay
+    /// frozen through the cycle (in a `Sim` without timeouts a slot thawed
+    /// by a grant moves, so the ones frozen before and after are the ones
+    /// frozen when planning starts; a few more are frozen by the search
+    /// before the loop reaches them). Head collection visits exactly the
+    /// awake heads, under the default `Fcfs`.
+    fn step_counting_slots(sim: &mut Sim, prof: &mut PhaseProfiler) -> [u64; 3] {
         // Nothing moves between the start of a cycle and `advance`.
         let occupied = sim.state.buf.occupied() as u64;
-        let routed = (0..sim.ej_base)
-            .filter(|&c| !sim.state.buf.is_empty(c))
+        let awake = (0..sim.ej_base)
+            .filter(|&c| {
+                let head = matches!(sim.state.buf.front(c), Some(f) if f.is_head);
+                head && sim.state.assigned_out[c] == NONE_U32 && !sim.asleep(c)
+            })
             .count() as u64;
         let before = sim.derived.frozen.bits.clone();
         sim.step_profiled(prof);
         let frozen_throughout = before.iter().zip(&sim.derived.frozen.bits);
         let skipped: u32 = frozen_throughout.map(|(a, b)| (a & b).count_ones()).sum();
-        (occupied, routed + occupied - u64::from(skipped))
+        [occupied, awake, occupied - u64::from(skipped)]
     }
 
     #[test]
     fn occupied_set_work_counters_follow_the_flits_not_the_network() {
         // The complexity claim: the per-cycle scans cost what is in
-        // flight. Head collection visits an occupied routed slot once per
-        // cycle and the advance's planning loop an occupied slot that is
-        // not frozen once; the full scans they replaced read every slot
-        // below `ej_base` and every slot.
+        // flight. Head collection visits an awake head once per cycle,
+        // and the advance's planning loop an occupied slot that is not
+        // frozen once; the full scans they replaced read every slot below
+        // `ej_base` and every slot.
         let mesh = Mesh::new_2d(8, 8);
         let routing = mesh2d::west_first(RoutingMode::Minimal);
         let pattern = Uniform::new();
         let cfg = SimConfig::builder().injection_rate(0.02).seed(4).build();
         let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
         let mut prof = PhaseProfiler::new();
-        let (cycles, mut occupied_slot_cycles, mut to_visit) = (4_000u64, 0u64, 0u64);
+        let cycles = 4_000u64;
+        let mut totals = [0u64; 3];
         for _ in 0..cycles {
-            let (occupied, visits) = step_counting_slots(&mut sim, &mut prof);
-            occupied_slot_cycles += occupied;
-            to_visit += visits;
+            let counts = step_counting_slots(&mut sim, &mut prof);
+            totals.iter_mut().zip(counts).for_each(|(t, n)| *t += n);
         }
+        let [occupied_slot_cycles, awake, plannable] = totals;
         let visited = prof.work(Work::SlotsVisited);
         assert!(occupied_slot_cycles > cycles, "load too low to be a test");
-        assert!(visited <= to_visit, "{visited} of {to_visit}");
-        assert!(visited > occupied_slot_cycles, "both scans count");
         assert!(
-            visited < 2 * occupied_slot_cycles,
-            "ejection slots are not routed"
+            visited <= awake + plannable,
+            "{visited} of {awake} + {plannable}"
         );
+        assert!(visited > plannable, "both scans count");
+        // A head is awake for the cycle after it arrives, and after a
+        // wake: collection visits heads, not the worms behind them.
+        assert!(50 * awake < occupied_slot_cycles, "{awake} heads");
         let full_scans = (sim.ej_base + sim.num_channels) as u64 * cycles;
         assert!(20 * visited < full_scans, "{visited} of {full_scans}");
-        // Sources: a calendar visit per arrival, a feed per flit (and
-        // one more for the source to leave the set) and — the window is
-        // open throughout — a queue-length sample per active source; the
-        // scans they replaced polled every node twice a cycle.
+        // Sources: a calendar visit per arrival, a feed per flit (and at
+        // most one more per packet, when its tail leaves a source with
+        // nothing queued) and — the window is open throughout — a
+        // queue-length sample per packet queued; the scans they replaced
+        // polled every node twice a cycle.
         let polled = prof.work(Work::SourcesPolled);
+        let (flits, packets) = (sim.state.generated_flits, sim.state.generated_packets);
         assert!(polled > sim.state.delivered_flits_in_window, "{polled}");
+        assert!(polled <= flits + 3 * packets, "{polled}");
         assert!(10 * polled < 2 * sim.num_nodes as u64 * cycles, "{polled}");
+    }
+
+    #[test]
+    fn active_set_parks_a_source_with_a_full_buffer_until_a_flit_leaves() {
+        // A long worm holds router (1,0)'s east output, and a second one
+        // from (0,0) waits behind it, backed up into its source's full
+        // injection buffer. Each source is polled once per flit it feeds,
+        // and once more when its tail leaves with nothing queued behind
+        // it; not at all while the worm waits.
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::xy();
+        let pattern = Uniform::new();
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        let mut sim = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+        sim.inject_packet(at(1, 0), at(3, 0), 30);
+        sim.inject_packet(at(0, 0), at(3, 0), 10);
+        let source = at(0, 0).index();
+        let mut prof = PhaseProfiler::new();
+        let mut parked_while_full = 0;
+        while !sim.is_idle() {
+            let full = sim.state.buf.len(sim.inj_base + source) == 1;
+            if full && sim.state.emitting[source].is_some() {
+                assert!(!sim.derived.sources().any(|v| v == source));
+                parked_while_full += 1;
+            }
+            sim.step_profiled(&mut prof);
+            assert!(sim.now() < 100, "never drained");
+        }
+        assert!(parked_while_full > 20, "{parked_while_full} cycles");
+        assert_eq!(prof.work(Work::SourcesPolled), 30 + 10 + 2);
     }
 
     #[test]
@@ -539,12 +697,13 @@ mod tests {
         // set by the first packet, not by `new`.
         assert_eq!(sim.derived.arrivals.capacity(), 0);
         assert_eq!(sim.derived.active_sources.capacity(), 0);
-        // Nor are the sleep stamps and the frozen set: the first refusal
-        // and the first freeze allocate them.
+        // Nor are the waiting-head sets and the frozen set: the first
+        // head collection and the first freeze allocate them.
         let sleep_state = |sim: &Sim| {
+            let d = &sim.derived;
             [
-                sim.derived.refused_at.capacity() + sim.derived.freed_at.capacity(),
-                sim.derived.frozen.bits.capacity() + sim.derived.frozen.feeder.capacity(),
+                d.waiting.capacity() + d.awake.capacity() + d.inputs.capacity(),
+                d.frozen.bits.capacity() + d.frozen.feeder.capacity(),
             ]
         };
         assert_eq!(sleep_state(&sim), [0, 0]);
@@ -561,14 +720,11 @@ mod tests {
         assert!(sim.state.buf.occupied() > 0 && sources < 64);
         assert!(sleep_state(&sim).iter().all(|&allocated| allocated > 0));
         sim.restore(&snap);
-        // No stamp and no frozen bit outlives the `now` it was made in.
-        assert!(sim
-            .derived
-            .refused_at
-            .iter()
-            .chain(&sim.derived.freed_at)
-            .all(|&t| t == 0));
+        // No head set and no frozen bit outlives the history it was made
+        // in, and the next sample reads every queue.
+        assert!(sim.derived.waiting.is_empty() && sim.derived.awake.is_empty());
         assert!(sim.derived.frozen.bits.is_empty());
+        assert_eq!(sim.derived.grown, sim.derived.active_sources);
         assert!(sim.derived.arrivals.is_empty());
         assert_eq!(sim.derived.sources().count(), 64);
         sim.state.buf.assert_occupied_set_is_exact();
@@ -682,12 +838,12 @@ mod tests {
         let cfg = SimConfig::builder().injection_rate(0.3).seed(1).build();
         let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
         let mut prof = PhaseProfiler::new();
-        let (mut occupied_slot_cycles, mut to_visit) = (0u64, 0u64);
+        let mut totals = [0u64; 3];
         for _ in 0..3_000 {
-            let (occupied, visits) = step_counting_slots(&mut sim, &mut prof);
-            occupied_slot_cycles += occupied;
-            to_visit += visits;
+            let counts = step_counting_slots(&mut sim, &mut prof);
+            totals.iter_mut().zip(counts).for_each(|(t, n)| *t += n);
         }
+        let [occupied_slot_cycles, awake, plannable] = totals;
         let hops: u64 = sim.packets().iter().map(|p| u64::from(p.hops)).sum();
         let computed = prof.work(Work::RouteComputations);
         let attempts = prof.work(Work::HeadAttempts);
@@ -696,12 +852,18 @@ mod tests {
         assert!(hops < computed && computed <= hops + asleep + 16);
         assert_eq!(attempts, computed + prof.work(Work::MemoHits));
         assert!(attempts <= 3 * computed, "{}", prof.render());
-        // Traversal likewise: most occupied slots are frozen behind a
-        // waiting head, and the planning loop does not start from them.
+        // Head collection likewise visits only the awake heads, about
+        // three a cycle here where some 250 wait; and most occupied slots
+        // are frozen behind a waiting head, which the planning loop does
+        // not start from.
         let visited = prof.work(Work::SlotsVisited);
-        assert!(visited <= to_visit, "{visited} of {to_visit}");
         assert!(
-            2 * visited < 3 * occupied_slot_cycles,
+            visited <= awake + plannable,
+            "{visited} of {awake} + {plannable}"
+        );
+        assert!(awake < 3 * 3_000, "{awake} heads collected");
+        assert!(
+            4 * visited < occupied_slot_cycles,
             "{visited} of {occupied_slot_cycles}"
         );
     }
@@ -735,7 +897,6 @@ mod tests {
         // Granted the cycle after the release, the latency it had when it
         // asked every cycle.
         let granted_next = |mut sim: Sim, released: u64| {
-            assert_eq!(sim.derived.freed_at[at(1, 0).index()], released);
             assert_eq!(sim.state.assigned_out[input], NONE_U32);
             assert!(!sim.asleep(input));
             sim.step();
@@ -744,21 +905,20 @@ mod tests {
             assert_eq!(sim.packets()[1].delivered, Some(released + 5));
         };
 
-        // Refused on arrival, asleep for as long as the worm passes, and
-        // woken by the traversal that takes its tail out of the channel.
+        // Refused on arrival (cycle 2), asleep from the next cycle for as
+        // long as the worm passes, and woken by the traversal that takes
+        // its tail out of the channel.
         let (sim, slept) = until_released(0);
         let released = sim.now() - 1;
-        assert_eq!(sim.derived.refused_at[input], 2);
         assert_eq!(slept, released - 2);
         assert!(slept >= 8, "asleep for {slept} cycles only");
         granted_next(sim, released);
 
         // Arriving just in time to be refused by the arbitration of the
-        // very cycle whose traversal frees the channel: the two stamps
-        // are equal, and equal is awake.
+        // very cycle whose traversal frees the channel: the release comes
+        // after the refusal, and wakes it.
         let (sim, slept) = until_released(released - 2);
         assert_eq!(sim.now() - 1, released);
-        assert_eq!(sim.derived.refused_at[input], released);
         assert_eq!(slept, 0);
         granted_next(sim, released);
     }
@@ -783,7 +943,7 @@ mod tests {
         // Slot 9 once froze bound to 64 and has moved on since (a purge);
         // now another worm's head waits in each.
         frozen.freeze(9, Some(64), channels);
-        derived.purged(9, 0);
+        derived.purged(9);
         derived.frozen.freeze(9, None, channels);
         derived.frozen.freeze(64, None, channels);
         let members = |derived: &Derived| -> Vec<usize> {
@@ -807,8 +967,8 @@ mod tests {
 
     #[test]
     fn sleep_takes_a_head_refused_by_a_hold_until_the_hold_lifts() {
-        // A hold refuses before any attempt is counted, so only the stamp
-        // keeps a held head from being collected every cycle.
+        // A hold refuses before any attempt is counted, so only the awake
+        // set keeps a held head from being collected every cycle.
         let mesh = Mesh::new_2d(4, 4);
         let routing = mesh2d::xy();
         let pattern = Uniform::new();

@@ -34,7 +34,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
     pub fn set_hold(&mut self, node: NodeId, on: bool) {
         self.state.healing_possible = true;
         self.state.held[node.index()] = on;
-        self.derived.hold_changed(node.index(), self.state.now);
+        self.derived.hold_changed(node.index());
     }
 
     /// Quarantine (`on`) or release the link leaving `node` in `dir`
@@ -222,7 +222,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             s.buf.clear(slot);
             s.owner[slot] = NONE_U32;
             s.assigned_out[slot] = NONE_U32;
-            self.derived.purged(slot, s.now);
+            self.derived.purged(slot);
         }
     }
 

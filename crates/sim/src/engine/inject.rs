@@ -112,9 +112,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
             self.derived.rescheduled(self.state.next_arrival[v]);
         }
         if self.state.in_window(now) {
-            // A node outside the set has an empty queue.
+            // A queue grows only at `enqueue`, which marks it: the others
+            // are no longer than when last sampled.
             for w in 0..self.derived.source_words() {
-                for v in self.derived.sources_in(w) {
+                for v in self.derived.take_grown(w) {
                     polled += 1;
                     let s = &mut self.state;
                     s.max_queue_len = s.max_queue_len.max(s.queues[v].len());
@@ -124,10 +125,9 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         spans.count(Work::SourcesPolled, polled);
     }
 
-    /// Feed the next flit of the current packet into each free injection
-    /// buffer (the processor side of the injection channel). Only the
-    /// active sources are visited, in node order; one that cannot inject
-    /// now — its slot faulty or full, its router held — stays in the set.
+    /// Feed the next flit of the current packet into each injection
+    /// buffer that can take it (the processor side of the injection
+    /// channel). Only the active sources are visited, in node order.
     pub(super) fn feed_injection<S: SpanSink>(&mut self, spans: &mut S) {
         let mut polled = 0;
         for w in 0..self.derived.source_words() {
@@ -140,28 +140,34 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         spans.count(Work::SourcesPolled, polled);
     }
 
-    /// Node `v`'s turn in [`feed_injection`](Engine::feed_injection).
+    /// Whether node `v`'s injection buffer can take its next flit: a body
+    /// flit needs room; a head needs a packet queued and an empty buffer,
+    /// the rule of every network channel, which is the last packet's
+    /// until its tail has left.
+    pub(super) fn can_feed(&self, v: usize) -> bool {
+        let (s, inj) = (&self.state, self.inj_base + v);
+        match s.emitting[v] {
+            Some(_) => s.buf.len(inj) < self.cfg.buffer_depth as usize,
+            None => !s.queues[v].is_empty() && s.buf.is_empty(inj),
+        }
+    }
+
+    /// Node `v`'s turn in [`feed_injection`](Engine::feed_injection). A
+    /// node that cannot feed leaves the set until a packet is queued or a
+    /// flit leaves its buffer; a held one, or one whose injection slot is
+    /// faulty, stays in.
     fn feed_source(&mut self, v: usize) {
-        let depth = self.cfg.buffer_depth as usize;
         let inj = self.inj_base + v;
-        let s = &mut self.state;
-        if (s.faults_possible && s.fault_depth[inj] > 0)
-            || (s.healing_possible && s.held[v])
-            || s.buf.len(inj) >= depth
-        {
+        let s = &self.state;
+        if (s.faults_possible && s.fault_depth[inj] > 0) || (s.healing_possible && s.held[v]) {
             return;
         }
+        if !self.can_feed(v) {
+            self.derived.source_parked(v);
+            return;
+        }
+        let s = &mut self.state;
         if s.emitting[v].is_none() {
-            if s.queues[v].is_empty() {
-                // Nothing queued, nothing emitting: `v` leaves the set.
-                self.derived.source_drained(v);
-                return;
-            }
-            // A head enters only an empty buffer, as on every network
-            // channel: the last packet's tail still owns this one.
-            if !s.buf.is_empty(inj) {
-                return;
-            }
             let pid = s.queues[v].pop_front().expect("queued");
             s.packets[pid as usize].injected = Some(s.now);
             s.emitting[v] = Some(Emitting {
@@ -175,6 +181,7 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         if is_head {
             s.head_since[inj] = s.now;
             s.owner[inj] = packet;
+            self.derived.head_arrived(inj);
         }
         let flit = BufFlit {
             packet,
@@ -184,6 +191,10 @@ impl<'a, L: Lanes<'a>, O: SimObserver> Engine<'a, L, O> {
         s.buf.push_back(inj, flit);
         let sent = sent + 1;
         s.emitting[v] = (!is_tail).then_some(Emitting { packet, sent });
+        if !self.can_feed(v) {
+            // Until this flit leaves or a packet is queued.
+            self.derived.source_parked(v);
+        }
         if O::ENABLED {
             let p = self.state.packets[packet as usize];
             if is_head {

@@ -782,17 +782,17 @@ fn work_counters_are_pinned_on_both_adapters_at_two_loads() {
         (
             1,
             [
-                [1_529, 1_000, 529, 414_549, 163_202],
-                [150, 148, 2, 44_577, 6_063],
-                [1_541, 1_060, 481, 449_306, 159_958],
+                [1_529, 1_000, 529, 128_228, 18_670],
+                [150, 148, 2, 23_741, 3_002],
+                [1_541, 1_060, 481, 134_566, 18_406],
             ],
         ),
         (
             5,
             [
-                [1_623, 1_047, 576, 420_047, 162_656],
-                [124, 122, 2, 31_330, 4_631],
-                [1_873, 1_240, 633, 472_537, 148_900],
+                [1_623, 1_047, 576, 128_800, 19_080],
+                [124, 122, 2, 16_653, 2_197],
+                [1_873, 1_240, 633, 156_507, 21_455],
             ],
         ),
     ];
