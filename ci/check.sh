@@ -210,21 +210,23 @@ cargo test -p turnroute --offline --quiet --test fault_tolerance
 
 echo "==> derived-state group"
 # The engine's derived state, runnable in isolation: the unit tests of
-# `sim::engine::derived` (route memo, arrival calendar, active-source set,
-# sleep stamps, frozen worms: the exact work counters they pin, their
-# wake and thaw events, nothing allocated by construction, nothing kept
-# by restore) and of the occupied-slot set inside the flit buffers; then
-# the engine against one restored from its own snapshot before every
-# cycle (no memo, every source polled, every head awake, nothing frozen)
-# through faults and heals, quarantine and hold, restore from another
-# history, timeouts, the misroute budget, routing delay, deep buffers,
-# every input policy, shared links and the degenerate networks, and the
-# five work counters pinned on both adapters. (In this debug build every
-# cycle of every other test also checks each skip against the work it
-# saved.)
+# `sim::engine::derived` (route memo, arrival calendar, active-source set
+# with its parked sources, queue-sample set, waiting/awake head sets,
+# frozen worms: the exact work counters they pin, their wake and thaw
+# events, nothing allocated by construction, nothing kept by restore) and
+# of the occupied-slot set inside the flit buffers; then the engine
+# against one restored from its own snapshot before every cycle (no memo,
+# every source polled, every queue sampled, every head awake, nothing
+# frozen) through faults and heals, quarantine and hold, restore from
+# another history, timeouts in deep buffers, windows opened late, the
+# misroute budget, routing delay, every input policy, shared links and
+# the degenerate networks; the injection-buffer regression (a head enters
+# only an empty injection buffer); and the five work counters pinned on
+# both adapters. (In this debug build every cycle of every other test
+# also checks each skip against the work it saved.)
 cargo test -p turnroute-sim --lib --offline --quiet -- engine::derived flits::
 cargo test -p turnroute --offline --quiet --test sim_properties -- \
-    memo active_set sleep work_counters
+    memo active_set queue_sample sleep injection_takes work_counters
 
 echo "==> verdict group"
 # Deadlock freedom and connectivity have one answer, the checked
@@ -267,7 +269,7 @@ if [[ $full -eq 1 ]]; then
     # out: the engine restored from its own snapshot before every cycle
     # is the only reference, as it is for every release-built user.
     cargo test -p turnroute --release --offline --quiet --test sim_properties -- \
-        memo active_set sleep work_counters
+        memo active_set queue_sample sleep injection_takes work_counters
 
     echo "==> committed analysis artifacts reproduce"
     # The full matrices are deterministic, so the committed artifacts are
