@@ -17,9 +17,9 @@
 /// The mapping to engine internals:
 ///
 /// * `Injection` — message generation at the nodes the arrival calendar
-///   has due, plus feeding flits into the injection buffers of the
-///   active sources.
-/// * `Routing` — collecting, from the occupied slots, the routable
+///   has due and the queue-length sample at the nodes whose queue grew,
+///   plus feeding flits into the injection buffers of the active sources.
+/// * `Routing` — collecting, from the waiting-head set, the routable
 ///   header flits that are awake (not refused since their router last
 ///   released an output) and ordering them under the input-selection
 ///   policy.
@@ -82,12 +82,12 @@ impl Phase {
 /// from one of the two. A refused head is attempted again only after an
 /// output of its router was released, so attempts grow with the hops
 /// made, not with the cycles spent blocked. `SlotsVisited` and
-/// `SourcesPolled` are what the per-cycle scans cost: they grow with the
-/// flits in flight and the packets waiting at sources, not with the size
-/// of the network — head collection visits every occupied routed slot,
-/// the planning loop every occupied slot that is not frozen, so at most
-/// twice the occupied-slot-cycles together and, at saturation, little
-/// more than once.
+/// `SourcesPolled` are what the per-cycle scans cost: they grow with what
+/// changed, not with the size of the network or with what waits — head
+/// collection visits the awake heads (every waiting head under `Random`
+/// or a scripted arbiter), the planning loop every occupied slot that is
+/// not frozen; generation visits the nodes with an arrival due and the
+/// queues that grew, and feeding the sources that can take a flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Work {
     /// Attempts to grant a waiting head an output channel.
@@ -96,10 +96,12 @@ pub enum Work {
     RouteComputations,
     /// Attempts answered from the engine's route memo.
     MemoHits,
-    /// Channel slots examined by head collection and by the planning
-    /// loop of the flit advance (the frozen ones it skips not counted).
+    /// Channel slots examined by head collection (the waiting heads it
+    /// walks) and by the planning loop of the flit advance (the frozen
+    /// ones it skips not counted).
     SlotsVisited,
-    /// Nodes examined by message generation and by injection feeding.
+    /// Nodes examined by message generation (arrivals due, queues
+    /// sampled) and by injection feeding.
     SourcesPolled,
 }
 
