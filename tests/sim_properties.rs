@@ -589,6 +589,13 @@ fn hand_fed(seed: u64) -> SimConfigBuilder {
         .seed(seed)
 }
 
+/// Queue twelve eight-flit packets at node 0 of a 6×6 mesh.
+fn queue_a_burst(sim: &mut Sim<'_>) {
+    for _ in 0..12 {
+        sim.inject_packet(NodeId(0), NodeId(35), 8);
+    }
+}
+
 #[test]
 fn queue_sample_equals_the_full_one_in_a_window_opened_after_warm_up() {
     // A burst queued between two windows, at a source that queues
@@ -603,8 +610,10 @@ fn queue_sample_equals_the_full_one_in_a_window_opened_after_warm_up() {
         sim
     };
     let end = derived_state_changes_nothing(sim(), sim(), 600, |sim| match sim.now() {
-        150 => drop(sim.inject_packet(NodeId(7), NodeId(28), 6)),
-        250 => (0..12).for_each(|_| drop(sim.inject_packet(NodeId(0), NodeId(35), 8))),
+        150 => {
+            sim.inject_packet(NodeId(7), NodeId(28), 6);
+        }
+        250 => queue_a_burst(sim),
         300 => sim.set_measure_window(300, 500),
         _ => {}
     });
@@ -625,13 +634,13 @@ fn queue_sample_reads_every_queue_after_a_restore_from_another_history() {
     donor.set_measure_window(300, 600);
     for _ in 0..280 {
         if donor.now() == 250 {
-            (0..12).for_each(|_| drop(donor.inject_packet(NodeId(0), NodeId(35), 8)));
+            queue_a_burst(&mut donor);
         }
         donor.step();
     }
     let mut reused = Sim::new(&mesh, &routing, &pattern, cfg);
     for _ in 0..500 {
-        if reused.now() % 50 == 0 {
+        if reused.now().is_multiple_of(50) {
             reused.inject_packet(NodeId(9), NodeId(20), 4);
         }
         reused.step();
