@@ -83,9 +83,9 @@ pub(super) struct Derived {
     /// one whose injection slot is faulty stays in.
     active_sources: Vec<u32>,
     /// Queue-sample set, a bit per node (sized with the active-source
-    /// set): the nodes whose queue grew since `max_queue_len` last read
-    /// it. Between two reads a queue only shrinks, so no other node can
-    /// raise the maximum.
+    /// set): a superset of the nodes whose queue grew since
+    /// `max_queue_len` last read it. Any other queue is no longer than it
+    /// was then, so it cannot raise the maximum.
     grown: Vec<u32>,
     /// Waiting heads, a bit per routed slot: those whose front flit is a
     /// head with no output bound. Empty until the first head collection
