@@ -254,13 +254,16 @@ impl<'b> Reader<'b> {
         Ok(b)
     }
 
-    /// The next LEB128 varint.
+    /// The next LEB128 varint. One whose value does not fit a `u64` is
+    /// [`LogError::Truncated`], like one the stream cuts short.
     pub fn varint(&mut self) -> Result<u64, LogError> {
         let mut out = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
-            if shift >= 64 {
+            // The tenth byte holds bit 63 alone; anything above it
+            // would be silently dropped by the shift.
+            if shift >= 64 || (shift == 63 && b & 0x7e != 0) {
                 return Err(LogError::Truncated);
             }
             out |= u64::from(b & 0x7f) << shift;

@@ -71,7 +71,9 @@ impl Reader<'_> {
                 .get(self.pos)
                 .ok_or_else(|| "frame payload ends mid-varint".to_string())?;
             self.pos += 1;
-            if shift >= 64 {
+            // The tenth byte holds bit 63 alone; anything above it
+            // would be silently dropped by the shift.
+            if shift >= 64 || (shift == 63 && b & 0x7e != 0) {
                 return Err("frame payload varint overflows u64".to_string());
             }
             out |= u64::from(b & 0x7f) << shift;
@@ -207,6 +209,29 @@ mod tests {
         assert!(decode_frame_payload(&long)
             .unwrap_err()
             .contains("length mismatch"));
+    }
+
+    #[test]
+    fn a_varint_past_u64_is_rejected() {
+        // `seq` = 5 in ten bytes, with bits the tenth byte would carry
+        // past 2^64: `0x7e << 63` shifts them out of a u64.
+        let f = TelemetryFrame { seq: 5, ..sample() };
+        let p = encode_frame_payload(&f);
+        assert_eq!(p[1], 5, "a one-byte seq follows the version");
+        let wide = [0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7e];
+        let mut bad = p[..1].to_vec();
+        bad.extend_from_slice(&wide);
+        bad.extend_from_slice(&p[2..]);
+        assert!(decode_frame_payload(&bad)
+            .unwrap_err()
+            .contains("overflows u64"));
+        // Bit 63 itself still fits: u64::MAX round-trips.
+        let max = TelemetryFrame {
+            seq: u64::MAX,
+            ..sample()
+        };
+        let back = decode_frame_payload(&encode_frame_payload(&max)).expect("decodes");
+        assert_eq!(back.seq, u64::MAX);
     }
 
     #[test]

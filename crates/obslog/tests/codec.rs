@@ -7,6 +7,7 @@
 use std::process::Command;
 use turnroute_model::Turn;
 use turnroute_obslog::codec::{decode, encode, tag, Reader, KINDS};
+use turnroute_obslog::frame_codec::{decode_frame_payload, encode_frame_payload};
 use turnroute_obslog::log::{fnv1a64, write_varint};
 use turnroute_obslog::{
     replay, scenario, summarize, verify_bytes, FrameScope, LogError, LogHeader, LogObserver,
@@ -617,4 +618,58 @@ fn ten_thousand_resealed_mutations_never_panic() {
     let outcomes = [accepted, out_of_range, other];
     assert!(outcomes.iter().all(|&n| n > 500), "{outcomes:?}");
     assert_eq!(outcomes.iter().sum::<u32>(), 10_000);
+}
+
+/// A tenth varint byte may carry bit 63 and nothing above it: the reader
+/// used to drop the excess and return the low bits.
+#[test]
+fn a_varint_past_u64_is_rejected() {
+    let wide = [0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7e];
+    let mut r = Reader::new(&wide, 0, &header()).expect("header is in range");
+    assert_eq!(r.varint(), Err(LogError::Truncated));
+    let mut max = Vec::new();
+    write_varint(&mut max, u64::MAX);
+    let mut r = Reader::new(&max, 0, &header()).expect("header is in range");
+    assert_eq!(r.varint(), Ok(u64::MAX));
+    assert!(r.at_end());
+}
+
+/// ROADMAP aim 1(c) for the frame codec on its own: mangle real frame
+/// payloads, outside any log, ten thousand ways. Every outcome is an
+/// accept or the codec's error; a panic (this is a debug build: overflow
+/// and bounds checks are on) fails the test. An accepted payload's frame
+/// must re-encode to a payload that decodes and re-encodes to itself.
+#[test]
+fn ten_thousand_mutated_frame_payloads_never_panic() {
+    let mut rng = StdRng::seed_from_u64(0xf4a3);
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for _ in 0..10_000 {
+        let mut bytes = encode_frame_payload(&random_frame(&mut rng));
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0..6u32) {
+                0 => bytes[at] = rng.next_u64() as u8,
+                1 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                // Splice varints together, or cut one short.
+                2 => bytes[at] ^= 0x80,
+                3 => bytes[at] = 0xff,
+                4 => bytes.truncate(at.max(1)),
+                _ => bytes.insert(at, rng.next_u64() as u8),
+            }
+        }
+        match decode_frame_payload(&bytes) {
+            Ok(frame) => {
+                accepted += 1;
+                let canonical = encode_frame_payload(&frame);
+                let again = decode_frame_payload(&canonical).expect("a re-encoded frame decodes");
+                assert_eq!(encode_frame_payload(&again), canonical);
+            }
+            Err(why) => {
+                rejected += 1;
+                assert!(!why.is_empty());
+            }
+        }
+    }
+    // The fuzz reached both outcomes, not just the first check.
+    assert!(accepted > 500 && rejected > 500, "{accepted} / {rejected}");
 }
