@@ -9,11 +9,19 @@
 //! (the [`ChoiceScript`] odometer). Every transition the explorer takes
 //! is one real `step_with_choices` of the production engine.
 //!
+//! A transition reuses buffers held across the whole search: the
+//! packet relabeling `order` (its suffix past the parent's is the
+//! injected set), the canonical encoding, and the encoder's scratch. The
+//! successor is looked up in the visited set by slice, and only a new
+//! state allocates: its visited key, its snapshot, and its frontier and
+//! trace entries. (The engine's [`ChoiceScript`] odometer still
+//! allocates its digit strings.)
+//!
 //! Soundness notes, mirrored in DESIGN.md §13:
 //!
 //! * The visited set keys on the **full canonical encoding**, not a
-//!   hash — FNV only buckets; collisions can never merge distinct
-//!   states and silently prune reachable space.
+//!   hash — the hasher only buckets; collisions can never merge
+//!   distinct states and silently prune reachable space.
 //! * A state counts as **stuck** (deadlocked) only when nothing remains
 //!   to inject, flits are still in flight, and *every* (injection,
 //!   script) successor re-encodes to the state itself. With packets
@@ -25,7 +33,7 @@
 //!   routing delay), so merging states that differ only there is sound.
 
 use super::driver::deadlock_cycle;
-use super::encode::{canonical, extract_view, EncodeCtx, FnvBuild};
+use super::encode::{encode, EncodeCtx, FnvBuild};
 use super::front::FrontPacket;
 use std::collections::{HashSet, VecDeque};
 use turnroute_sim::{ChoiceScript, Engine, Lanes, SimSnapshot};
@@ -103,7 +111,7 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
     ctx: &EncodeCtx,
     params: &ExploreParams,
 ) -> ExploreOutcome {
-    assert!(front.len() <= 32, "front indices are a u32 bitmask");
+    assert_eq!(front.len(), ctx.front_len(), "the context's front");
     let mut visited: HashSet<Vec<u8>, FnvBuild> = HashSet::with_hasher(FnvBuild);
     let mut metas: Vec<Meta> = Vec::new();
     let mut queue: VecDeque<Rec> = VecDeque::new();
@@ -121,8 +129,12 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
     } else {
         (1u32 << front.len()) - 1
     };
-    let root_canon = canonical(&extract_view(engine, &[], root_pending, ctx), ctx);
-    visited.insert(root_canon.clone());
+    // Per-transition buffers, reused across the search.
+    let mut canon = Vec::new();
+    let mut scratch = Vec::new();
+    let mut order: Vec<u32> = Vec::with_capacity(front.len());
+    encode(engine, &order, root_pending, ctx, &mut canon, &mut scratch);
+    visited.insert(canon.clone());
     metas.push(Meta {
         parent: u32::MAX,
         action: Action {
@@ -135,7 +147,7 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
         snap: engine.snapshot(),
         order: Vec::new(),
         pending: root_pending,
-        canon: root_canon,
+        canon: canon.clone(),
     });
     out.states = 1;
 
@@ -150,51 +162,38 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
         }
 
         // Injection subsets, largest first so the all-at-once successor
-        // (the one refutation mode uses exclusively) is expanded first.
-        let masks: Vec<u32> = if params.enumerate_injection {
-            let mut ms = Vec::new();
-            let mut m = rec.pending;
-            loop {
-                ms.push(m);
-                if m == 0 {
-                    break;
-                }
-                m = (m - 1) & rec.pending;
-            }
-            ms
-        } else {
-            vec![rec.pending]
-        };
-
+        // (the one refutation mode uses exclusively) is expanded first:
+        // the submask walk from `pending` down to the empty set.
         let mut any_progress = false;
-        for mask in masks {
+        let mut mask = rec.pending;
+        loop {
+            let pending = rec.pending & !mask;
             let mut script = ChoiceScript::new(Vec::new());
             loop {
                 engine.restore(&rec.snap);
-                let mut order = rec.order.clone();
-                let mut injected = Vec::new();
+                order.clear();
+                order.extend_from_slice(&rec.order);
                 for (i, p) in front.iter().enumerate() {
                     if mask & (1 << i) != 0 {
                         engine.inject_packet(p.src, p.dst, p.len);
                         order.push(i as u32);
-                        injected.push(i as u32);
                     }
                 }
                 engine.step_with_choices(&mut script);
                 out.transitions += 1;
-                let pending = rec.pending & !mask;
-                let canon = canonical(&extract_view(engine, &order, pending, ctx), ctx);
+                encode(engine, &order, pending, ctx, &mut canon, &mut scratch);
                 for p in &engine.packets()[..order.len()] {
                     out.max_misroutes = out.max_misroutes.max(p.misroutes);
                 }
                 if canon != rec.canon {
                     any_progress = true;
-                    if visited.insert(canon.clone()) {
+                    if !visited.contains(canon.as_slice()) {
+                        visited.insert(canon.clone());
                         let id = metas.len() as u32;
                         metas.push(Meta {
                             parent: rec.id,
                             action: Action {
-                                inject: injected.clone(),
+                                inject: order[rec.order.len()..].to_vec(),
                                 digits: script.digits().to_vec(),
                             },
                         });
@@ -202,9 +201,9 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
                         queue.push_back(Rec {
                             id,
                             snap: engine.snapshot(),
-                            order,
+                            order: order.clone(),
                             pending,
-                            canon,
+                            canon: canon.clone(),
                         });
                     }
                 }
@@ -213,6 +212,10 @@ pub(crate) fn explore<'a, L: Lanes<'a>>(
                     None => break,
                 }
             }
+            if !params.enumerate_injection || mask == 0 {
+                break;
+            }
+            mask = (mask - 1) & rec.pending;
         }
 
         if rec.pending == 0 && !any_progress {

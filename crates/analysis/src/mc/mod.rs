@@ -272,9 +272,10 @@ pub fn certify_set(side: u16, set: &TurnSet) -> McEntry {
     let mesh = Mesh::new_2d(side, side);
     let routing = TurnSetRouting::new(set_label(set), set.clone(), &mesh);
     let front = corner_exchange(&mesh, 2);
-    let ctx = EncodeCtx::mesh_stabilizer(&mesh, set, &front);
+    let cfg = mc_config(1, 0);
+    let ctx = EncodeCtx::mesh_stabilizer(&mesh, set, &front, cfg.buffer_depth);
     let pattern = Uniform::new();
-    let mut sim = Sim::new(&mesh, &routing, &pattern, mc_config(1, 0));
+    let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
     let outcome = explore(
         &mut sim,
         &front,
@@ -307,8 +308,8 @@ fn refute_set(side: u16, set: &TurnSet, ttr: &mut Option<Vec<u8>>) -> McEntry {
     let (front, witness) =
         witness_front(&mesh, set, 1).expect("census-unsafe sets have a proof cycle");
     let routing = TurnSetRouting::new(set_label(set), set.clone(), &mesh);
-    let ctx = EncodeCtx::mesh_stabilizer(&mesh, set, &front);
     let cfg = mc_config(1, 0);
+    let ctx = EncodeCtx::mesh_stabilizer(&mesh, set, &front, cfg.buffer_depth);
     let pattern = Uniform::new();
     let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
     let outcome = explore(
@@ -402,9 +403,10 @@ fn certify_plain<'a, L: Lanes<'a>>(
     engine: &mut Engine<'a, L>,
     front: &[FrontPacket],
     num_nodes: usize,
+    buffer_depth: u32,
     misroute_bound: u32,
 ) -> McEntry {
-    let ctx = EncodeCtx::identity(engine.num_slots(), num_nodes, front.len());
+    let ctx = EncodeCtx::identity(engine.num_slots(), num_nodes, front, buffer_depth);
     let outcome = explore(
         engine,
         front,
@@ -463,13 +465,15 @@ pub fn run(opts: &McOptions) -> McReport {
         let routing = NegativeFirstTorus::new(1);
         let front = antipodal_exchange(&ring, 2);
         let pattern = Uniform::new();
-        let mut sim = Sim::new(&ring, &routing, &pattern, mc_config(1, 0));
+        let cfg = mc_config(1, 0);
+        let mut sim = Sim::new(&ring, &routing, &pattern, cfg.clone());
         entries.push(certify_plain(
             "ring4 negative-first-torus".to_string(),
             "sim",
             &mut sim,
             &front,
             4,
+            cfg.buffer_depth,
             0,
         ));
     }
@@ -480,13 +484,15 @@ pub fn run(opts: &McOptions) -> McReport {
         let routing = e_cube(2);
         let front = antipodal_exchange(&cube, 2);
         let pattern = Uniform::new();
-        let mut sim = Sim::new(&cube, &routing, &pattern, mc_config(1, 0));
+        let cfg = mc_config(1, 0);
+        let mut sim = Sim::new(&cube, &routing, &pattern, cfg.clone());
         entries.push(certify_plain(
             "hypercube2 e-cube".to_string(),
             "sim",
             &mut sim,
             &front,
             4,
+            cfg.buffer_depth,
             0,
         ));
     }
@@ -497,13 +503,15 @@ pub fn run(opts: &McOptions) -> McReport {
         let routing = DoubleYAdaptive::new();
         let front = corner_exchange(&mesh, 2);
         let pattern = Uniform::new();
-        let mut sim = VcSim::new(&mesh, &routing, &pattern, mc_config(1, 0));
+        let cfg = mc_config(1, 0);
+        let mut sim = VcSim::new(&mesh, &routing, &pattern, cfg.clone());
         entries.push(certify_plain(
             "mesh2 double-y adaptive".to_string(),
             "vc",
             &mut sim,
             &front,
             4,
+            cfg.buffer_depth,
             0,
         ));
     }
@@ -518,13 +526,15 @@ pub fn run(opts: &McOptions) -> McReport {
         let routing = TurnSetRouting::new("west-first".to_string(), set, &mesh);
         let front = corner_exchange(&mesh, 2);
         let pattern = Uniform::new();
-        let mut sim = Sim::new(&mesh, &routing, &pattern, mc_config(2, 0));
+        let cfg = mc_config(2, 0);
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
         entries.push(certify_plain(
             "mesh2 west-first buffers=2".to_string(),
             "sim",
             &mut sim,
             &front,
             4,
+            cfg.buffer_depth,
             0,
         ));
     }
@@ -541,13 +551,15 @@ pub fn run(opts: &McOptions) -> McReport {
         let bounded = matches!(progress.bounded, Check::Passed);
         let front = corner_exchange(&mesh, 2);
         let pattern = Uniform::new();
-        let mut sim = Sim::new(&mesh, &routing, &pattern, mc_config(1, bound + 2));
+        let cfg = mc_config(1, bound + 2);
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
         let mut e = certify_plain(
             format!("mesh2 west-first nonminimal (bound {bound})"),
             "sim",
             &mut sim,
             &front,
             4,
+            cfg.buffer_depth,
             bound,
         );
         // A failed progress proof would make the bound meaningless.
@@ -574,8 +586,10 @@ fn inject_bad_entry() -> McEntry {
     let routing = BuggyRouter::new(inner, NodeId(1));
     let front = corner_exchange(&mesh, 2);
     let pattern = Uniform::new();
-    let mut sim = Sim::new(&mesh, &routing, &pattern, mc_config(1, 0));
-    let ctx = EncodeCtx::identity(sim.num_slots(), 4, front.len());
+    let cfg = mc_config(1, 0);
+    let buffer_depth = cfg.buffer_depth;
+    let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+    let ctx = EncodeCtx::identity(sim.num_slots(), 4, &front, buffer_depth);
     let outcome = explore(
         &mut sim,
         &front,
@@ -611,6 +625,39 @@ mod tests {
         // fairness entries.
         assert_eq!(report.entries.len(), 12 + 4 + 5);
         assert!(report.counterexample_ttr.is_some());
+        // Every entry's state space, pinned: an encoder that merges two
+        // states (or splits one) moves these counts.
+        let spaces: Vec<_> = report
+            .entries
+            .iter()
+            .map(|e| (e.name.as_str(), e.states, e.transitions, e.group_order))
+            .collect();
+        assert_eq!(
+            spaces,
+            [
+                ("mesh2 prohibit north->west + north->east", 1764, 4397, 2),
+                ("mesh2 prohibit west->south + north->east", 1487, 3927, 2),
+                ("mesh2 prohibit south->east + north->east", 1715, 4083, 2),
+                ("mesh2 prohibit east->south + north->west", 1487, 3927, 2),
+                ("mesh2 prohibit west->south + east->south", 1715, 4083, 2),
+                ("mesh2 prohibit east->south + east->north", 1764, 4397, 2),
+                ("mesh2 prohibit south->west + north->west", 1715, 4083, 2),
+                ("mesh2 prohibit south->west + south->east", 1764, 4397, 2),
+                ("mesh2 prohibit east->north + south->west", 1487, 3927, 2),
+                ("mesh2 prohibit west->south + west->north", 1764, 4397, 2),
+                ("mesh2 prohibit west->north + south->east", 1487, 3927, 2),
+                ("mesh2 prohibit west->north + east->north", 1715, 4083, 2),
+                ("mesh3 prohibit east->north + north->east", 150, 3061, 2),
+                ("mesh3 prohibit east->south + south->east", 159, 3161, 2),
+                ("mesh3 prohibit west->south + south->west", 141, 3029, 2),
+                ("mesh3 prohibit west->north + north->west", 148, 3057, 2),
+                ("ring4 negative-first-torus", 2109, 5280, 1),
+                ("hypercube2 e-cube", 2401, 4939, 1),
+                ("mesh2 double-y adaptive", 7059, 18980, 1),
+                ("mesh2 west-first buffers=2", 3956, 9048, 1),
+                ("mesh2 west-first nonminimal (bound 1)", 3369, 8002, 1),
+            ]
+        );
         // 12 certifications, each exhaustive with zero deadlocks.
         let safe: Vec<_> = report
             .entries
