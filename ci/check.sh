@@ -72,13 +72,19 @@ echo "==> turncheck gate"
 # replays to a stuck state, and seal the first counterexample as a TTRL
 # log that turnstat must replay. Then the self-test: a planted
 # arbitration bug that skips the turn-set filter on one router must be
-# caught as a reachable stuck state.
+# caught as a reachable stuck state. A second run must write the same
+# report byte for byte: exploration may not depend on hash order.
 cargo run --offline --quiet -p turnroute-analysis --bin turncheck -- \
     --quick --out "$lint_tmp/mc.json" \
     --ttr-out "$lint_tmp/mc_counterexample.ttr" > "$lint_tmp/turncheck.log"
 test -s "$lint_tmp/mc.json"
 test -s "$lint_tmp/mc_counterexample.ttr"
 grep -q "configurations verified" "$lint_tmp/turncheck.log"
+cargo run --offline --quiet -p turnroute-analysis --bin turncheck -- \
+    --quick --out "$lint_tmp/mc_b.json" \
+    --ttr-out "$lint_tmp/mc_counterexample_b.ttr" > /dev/null
+cmp "$lint_tmp/mc.json" "$lint_tmp/mc_b.json"
+cmp "$lint_tmp/mc_counterexample.ttr" "$lint_tmp/mc_counterexample_b.ttr"
 cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
     replay "$lint_tmp/mc_counterexample.ttr" --out "$lint_tmp/mc_replay.json" 2> /dev/null
 test -s "$lint_tmp/mc_replay.json"
