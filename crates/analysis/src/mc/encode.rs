@@ -148,12 +148,11 @@ impl StatePerm {
     }
 }
 
-/// The encoding context of one configuration: the front size plus the
-/// symmetry group to canonicalize under (always at least the identity).
-/// Both constructors panic on a configuration that does not fit the
-/// encoding (see [`check_fits`]).
+/// The encoding context of one configuration: the symmetry group to
+/// canonicalize under (always at least the identity). Both constructors
+/// panic on a configuration that does not fit the encoding (see
+/// [`check_fits`]).
 pub(crate) struct EncodeCtx {
-    front_len: usize,
     perms: Vec<StatePerm>,
 }
 
@@ -167,7 +166,6 @@ impl EncodeCtx {
     ) -> EncodeCtx {
         check_fits(num_slots, front, buffer_depth);
         EncodeCtx {
-            front_len: front.len(),
             perms: vec![StatePerm::identity(num_slots, num_nodes, front.len())],
         }
     }
@@ -226,15 +224,12 @@ impl EncodeCtx {
         if perms.is_empty() {
             perms.push(StatePerm::identity(num_slots, num_nodes, front.len()));
         }
-        EncodeCtx {
-            front_len: front.len(),
-            perms,
-        }
+        EncodeCtx { perms }
     }
 
     /// The number of front packets the context was built for.
     pub fn front_len(&self) -> usize {
-        self.front_len
+        self.perms[0].front_to.len()
     }
 
     /// Group order (1 = no reduction).
