@@ -30,14 +30,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps --quiet
 echo "==> turnlint gate"
 # The static-analysis gate: every design-space claim, the algorithm x
 # topology verification matrix, and invariant-sanitized runs of both
-# engines. Then the self-test: injecting a known-bad turn set must make
-# the gate fail (otherwise it is blind and proves nothing).
+# engines. A second run must write the same report byte for byte: the
+# progress walk may not depend on hash order. Then the self-test:
+# injecting a known-bad turn set must make the gate fail (otherwise it is
+# blind and proves nothing).
 lint_tmp="$(mktemp -d)"
 trap 'rm -rf "$lint_tmp"' EXIT
 cargo run --offline --quiet -p turnroute-analysis --bin turnlint -- \
     --quick --min-witness --out "$lint_tmp/turnlint.json" > "$lint_tmp/turnlint.log"
 test -s "$lint_tmp/turnlint.json"
 grep -q "min-witness-girth" "$lint_tmp/turnlint.log"
+cargo run --offline --quiet -p turnroute-analysis --bin turnlint -- \
+    --quick --min-witness --out "$lint_tmp/turnlint_b.json" > /dev/null
+cmp "$lint_tmp/turnlint.json" "$lint_tmp/turnlint_b.json"
 if cargo run --offline --quiet -p turnroute-analysis --bin turnlint -- \
     --quick --inject-bad --min-witness --out "$lint_tmp/turnlint_bad.json" \
     > "$lint_tmp/turnlint_bad.log" 2>&1; then
@@ -235,13 +240,15 @@ cargo test -p turnroute --offline --quiet --test sim_properties -- \
     memo active_set queue_sample sleep injection_takes work_counters
 
 echo "==> verdict group"
-# Deadlock freedom and connectivity have one answer, the checked
-# certificate, runnable in isolation: the unit tests of `analysis::verify`
-# (xy all green, fully adaptive failing only on its witness cycle, x-only
-# failing connectivity, fault-masked relations healthy, cut by one link,
-# partitioned by one node); `check_fuzz`, which feeds the checker that
-# verdict trusts seeded mutations of real certificates (every breaking
-# one rejected, none a panic, the unmutated ones accepted); the lint
+# Deadlock freedom, connectivity and progress have one answer each, the
+# checked certificate and the checked progress claim, runnable in
+# isolation: the unit tests of `analysis::verify` (xy all green, fully
+# adaptive failing only on its witness cycle, x-only failing
+# connectivity, fault-masked relations healthy, cut by one link,
+# partitioned by one node); `check_fuzz`, which feeds the checker those
+# verdicts trust seeded mutations of real certificates and progress
+# claims (every breaking one rejected, none a panic, the unmutated ones
+# accepted) and pins the prover's hop distances; the lint
 # unit tests (the matrix and claims that read the verdict); then the
 # facade's one-call verification of every shipped algorithm, degenerate
 # networks included, and deadlock freedom under random fault patterns.

@@ -15,6 +15,11 @@
 //! ([`crate::check`]) validates a certificate against its spec without
 //! trusting anything the prover computed; only the extraction itself is
 //! in the trusted computing base (see `DESIGN.md` §9).
+//!
+//! A [`Progress`] is the prover's second, separate claim over the same
+//! spec: which routing states a packet can reach, a rank that falls along
+//! every move between them (so no packet moves forever) or a lasso that
+//! shows one can, and the reachable states that offer nothing.
 
 /// One vertex of a channel graph: a unidirectional (virtual) channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +63,24 @@ impl GraphSpec {
     /// The state index for a packet holding channel `c`.
     pub fn channel_state(&self, c: u32) -> usize {
         self.num_nodes as usize + c as usize
+    }
+
+    /// The node a packet in `state` is at: its injection node, or the
+    /// node the channel it holds enters.
+    pub(crate) fn node_of(&self, state: usize) -> usize {
+        match state.checked_sub(self.num_nodes as usize) {
+            None => state,
+            Some(c) => self.channels[c].dst as usize,
+        }
+    }
+
+    /// Render a routing state: `n4 [injected]`, or the label of the
+    /// channel held.
+    pub(crate) fn render_state(&self, state: u32) -> String {
+        match state.checked_sub(self.num_nodes) {
+            None => format!("n{state} [injected]"),
+            Some(c) => self.channels[c as usize].label.clone(),
+        }
     }
 
     /// Render a dependency cycle over this spec's channels as a
@@ -116,6 +139,67 @@ pub struct PathCert {
     /// injection, every later one at the state holding its predecessor,
     /// and the last must enter `dst`.
     pub path: Vec<u32>,
+}
+
+/// The verdict of a [`Progress`] claim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProgressVerdict {
+    /// Every offered move between ranked states strictly lowers the rank,
+    /// so every packet delivers or stops at a dead end within a bounded
+    /// number of hops, misroutes included.
+    Bounded,
+    /// A packet bound for `dest` can move forever.
+    Unbounded {
+        /// The destination the walk never reaches.
+        dest: u32,
+        /// States from an injection state along offered, undelivering
+        /// moves; the last state is one visited earlier.
+        lasso: Vec<u32>,
+    },
+}
+
+/// What the prover claims about the states of one [`GraphSpec`] a packet
+/// can reach under any sequence of offered choices. Kept apart from
+/// [`Certificate`], whose hash the healing driver records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Progress {
+    /// `rank[dest][state]`; `u32::MAX` marks a state the prover claims
+    /// no packet bound for `dest` reaches.
+    pub rank: Vec<Vec<u32>>,
+    /// Whether the rank is a potential function, or the walk that breaks
+    /// one.
+    pub verdict: ProgressVerdict,
+    /// The ranked `(dest, state)` pairs short of `dest` with an empty
+    /// offer, ascending.
+    pub dead_ends: Vec<(u32, u32)>,
+    /// The intrinsic misroute bound: most hops that do not shorten the
+    /// distance to the destination on any walk. Zero when unbounded.
+    /// Reported, not checked.
+    pub max_misroutes: u32,
+}
+
+impl Progress {
+    /// The lasso as a witness line, or `None` under [`ProgressVerdict::Bounded`].
+    pub fn lasso_witness(&self, spec: &GraphSpec) -> Option<String> {
+        let ProgressVerdict::Unbounded { dest, lasso } = &self.verdict else {
+            return None;
+        };
+        let walk: Vec<String> = lasso.iter().map(|&s| spec.render_state(s)).collect();
+        Some(format!(
+            "routing to n{dest} admits an unbounded adversarial walk: {} (revisited)",
+            walk.join(" -> ")
+        ))
+    }
+
+    /// The first dead end as a witness line, or `None` when there is none.
+    pub fn dead_end_witness(&self, spec: &GraphSpec) -> Option<String> {
+        let &(dest, state) = self.dead_ends.first()?;
+        Some(format!(
+            "dead end at {} routing toward n{dest} (first of {} reachable)",
+            spec.render_state(state),
+            self.dead_ends.len()
+        ))
+    }
 }
 
 /// Everything the prover claims about one [`GraphSpec`].

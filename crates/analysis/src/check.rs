@@ -24,8 +24,24 @@
 //!    starts at an injection-legal channel at `src`, chains contiguously
 //!    through route-legal moves, ends in `dst`, and is no longer than the
 //!    channel count (so it cannot smuggle a loop).
+//!
+//! [`progress`] validates the separate [`Progress`] claim over the same
+//! spec, in one scan of every destination's route table:
+//!
+//! 6. **Reachability** — every injection state is ranked, and every
+//!    offered move from a ranked state that does not deliver reaches a
+//!    ranked state. The ranked states therefore include every state a
+//!    packet can reach; extra ones can only add false dead ends.
+//! 7. **Progress** — under `Bounded`, every such move strictly lowers the
+//!    rank, so no walk repeats a state. An `Unbounded` lasso must start
+//!    at an injection state, take only offered, undelivering moves, and
+//!    end on a state it visited before.
+//! 8. **Dead ends** — `dead_ends` is exactly the ranked states short of
+//!    their destination that offer nothing.
+//!
+//! The misroute bound is reported, not checked.
 
-use crate::certificate::{Certificate, GraphSpec, Verdict};
+use crate::certificate::{Certificate, GraphSpec, Progress, ProgressVerdict, Verdict};
 use std::collections::{HashMap, HashSet};
 
 /// Validate `cert` against `spec`.
@@ -43,6 +59,97 @@ pub fn check(spec: &GraphSpec, cert: &Certificate) -> Result<(), String> {
         Verdict::Cyclic { cycle } => check_cycle(spec, &deps, cycle)?,
     }
     check_connectivity(spec, cert)
+}
+
+/// Validate the progress claim `p` against `spec`.
+///
+/// # Errors
+///
+/// Returns a description of the first defect found — in the spec, the
+/// ranks, the lasso or the dead-end list.
+pub fn progress(spec: &GraphSpec, p: &Progress) -> Result<(), String> {
+    check_spec(spec)?;
+    let n = spec.num_nodes as usize;
+    if p.rank.len() != n {
+        return Err(format!(
+            "rank has {} destinations, expected {n}",
+            p.rank.len()
+        ));
+    }
+    let bounded = p.verdict == ProgressVerdict::Bounded;
+    let mut dead_ends = p.dead_ends.iter();
+    for (dest, (table, rank)) in spec.routes.iter().zip(&p.rank).enumerate() {
+        if rank.len() != table.len() {
+            return Err(format!("rank[{dest}] has {} states", rank.len()));
+        }
+        if let Some(src) = (0..n).find(|&s| s != dest && rank[s] == u32::MAX) {
+            return Err(format!("injection at {src} toward {dest} is not ranked"));
+        }
+        for (s, outs) in table
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| rank[s] != u32::MAX)
+        {
+            let undelivered = spec.node_of(s) != dest;
+            if outs.is_empty() && undelivered && dead_ends.next() != Some(&(dest as u32, s as u32))
+            {
+                return Err(format!(
+                    "state {s} toward {dest} offers nothing: dead end not listed"
+                ));
+            }
+            for &c in outs
+                .iter()
+                .filter(|&&c| spec.channels[c as usize].dst as usize != dest)
+            {
+                let t = spec.channel_state(c);
+                if rank[t] == u32::MAX {
+                    return Err(format!(
+                        "state {t} toward {dest}, offered from {s}, is not ranked"
+                    ));
+                }
+                if bounded && rank[t] >= rank[s] {
+                    return Err(format!(
+                        "move {s} -> {t} toward {dest} does not lower the rank ({} >= {})",
+                        rank[t], rank[s]
+                    ));
+                }
+            }
+        }
+    }
+    if let Some((dest, s)) = dead_ends.next() {
+        return Err(format!("claimed dead end {s} toward {dest} is not one"));
+    }
+    match &p.verdict {
+        ProgressVerdict::Bounded => Ok(()),
+        ProgressVerdict::Unbounded { dest, lasso } => check_lasso(spec, *dest, lasso),
+    }
+}
+
+/// A lasso: from an injection state, offered undelivering moves only,
+/// ending on a state visited earlier.
+fn check_lasso(spec: &GraphSpec, dest: u32, lasso: &[u32]) -> Result<(), String> {
+    let (Some(&first), Some((&last, before))) = (lasso.first(), lasso.split_last()) else {
+        return Err("empty lasso".into());
+    };
+    if dest >= spec.num_nodes || first >= spec.num_nodes || first == dest {
+        return Err(format!(
+            "lasso toward {dest} starts at {first}, no injection state"
+        ));
+    }
+    for step in lasso.windows(2) {
+        let c = step[1].wrapping_sub(spec.num_nodes);
+        let offered = spec.routes[dest as usize][step[0] as usize].contains(&c);
+        if step[1] < spec.num_nodes || !offered || spec.channels[c as usize].dst == dest {
+            return Err(format!(
+                "lasso step {} -> {} toward {dest} is no offered move",
+                step[0], step[1]
+            ));
+        }
+    }
+    if !before.contains(&last) {
+        return Err(format!("lasso toward {dest} does not revisit {last}"));
+    }
+    Ok(())
 }
 
 /// Structural sanity of the spec itself.

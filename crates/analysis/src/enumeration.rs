@@ -135,18 +135,17 @@ pub fn two_turn_claims(mesh: &Mesh) -> Vec<Claim> {
     claims.push(claim);
 
     // Every survivor must induce a *usable* routing algorithm: the
-    // maximal coherent minimal function of each safe set is fully
-    // connected with no adversarially reachable dead end.
+    // maximal coherent minimal function of each safe set has no
+    // adversarially reachable dead end, injection included.
     let mut connected = 0usize;
     let mut dead_witness = None;
     for (i, set) in safe.iter().enumerate() {
-        let routing = crate::routing::TurnSetRouting::new(format!("safe-{i}"), set.clone(), mesh);
-        match crate::routing::find_dead_end(mesh, &routing) {
-            None if routing.fully_connected() => connected += 1,
-            None => {
-                dead_witness.get_or_insert_with(|| format!("safe set {i} is not connected"));
-            }
-            Some(w) => {
+        let name = format!("safe-{i}");
+        let routing = crate::routing::TurnSetRouting::new(name.clone(), set.clone(), mesh);
+        let spec = crate::extract::from_routing(name, mesh, &routing);
+        match crate::verify::checked_progress(&spec).map(|p| p.dead_end_witness(&spec)) {
+            Ok(None) => connected += 1,
+            Ok(Some(w)) | Err(w) => {
                 dead_witness.get_or_insert(w);
             }
         }

@@ -12,13 +12,12 @@
 //!   machine-checkable [`Claim`]; every failure carries a witness cycle.
 //! * [`routing`] — [`TurnSetRouting`] turns any turn set into the
 //!   maximally adaptive minimal routing function it permits, so static
-//!   CDG verdicts can be cross-validated against live simulations, and
-//!   [`find_dead_end`] proves the relation never strands a packet.
+//!   CDG verdicts can be cross-validated against live simulations.
 //! * [`verify()`] — the one-call verdict on a routing function: deadlock
-//!   freedom and connectivity read from a checker-validated certificate
-//!   (below), plus the checks a certificate does not make — minimality,
-//!   channel existence, turn-set conformance, bounded-misroute progress
-//!   and [`find_dead_end`]. Under faults, verify the
+//!   freedom, connectivity and bounded-misroute progress read from two
+//!   checker-validated proofs over one lowered spec (below), plus the
+//!   per-move checks a spec cannot answer — minimality, channel
+//!   existence, turn-set conformance. Under faults, verify the
 //!   [`turnroute_model::FaultMasked`] relation.
 //! * [`lint`] — the driver behind the `turnlint` binary: enumeration
 //!   claims, the algorithm × topology verification matrix (including the
@@ -48,7 +47,9 @@
 //!   total channel numbering (or refuted by a minimal witness cycle),
 //!   certified connected path by path, and the whole proof object is
 //!   re-validated by the deliberately tiny independent checker before
-//!   CI believes a word of it.
+//!   CI believes a word of it. A second proof over the same spec, a
+//!   [`Progress`], ranks every reachable routing state (no livelock) and
+//!   lists the ones that offer nothing (dead ends), checked the same way.
 //! * [`synth`] — `turnsynth`, the constructive inverse of `turnprove`:
 //!   every *cyclic* verdict in the matrix is turned into a synthesized
 //!   escape/adaptive virtual-channel assignment (the mechanical
@@ -83,12 +84,14 @@ pub mod routing;
 pub mod synth;
 pub mod verify;
 
-pub use certificate::{Certificate, ChannelVertex, GraphSpec, PathCert, Verdict};
+pub use certificate::{
+    Certificate, ChannelVertex, GraphSpec, PathCert, Progress, ProgressVerdict, Verdict,
+};
 pub use claim::{witness_cycle, Claim};
 pub use heal::{run_healing, run_healing_sim, EpochRecord, HealOptions, HealReport};
 pub use lint::{LintOptions, LintReport};
 pub use mc::{McEntry, McOptions, McReport};
 pub use prove::{ProveOptions, ProveReport};
-pub use routing::{find_dead_end, TurnSetRouting};
+pub use routing::TurnSetRouting;
 pub use synth::{SynthEntry, SynthOptions, SynthReport, SynthResult};
-pub use verify::{verify, VerificationReport};
+pub use verify::{checked_progress, verify, VerificationReport};

@@ -7,8 +7,8 @@
 //!    censuses and the exhaustive subset sweeps, each count asserted
 //!    against the paper's number, failures carrying witness cycles.
 //! 2. **Verification matrix** — every shipped routing algorithm verified
-//!    on its topology through [`crate::verify()`] (deadlock freedom and
-//!    connectivity from the checked certificate; minimality, progress,
+//!    on its topology through [`crate::verify()`] (deadlock freedom,
+//!    connectivity and progress from the checked proofs; minimality,
 //!    channel validity, turn-set consistency), plus the same call over
 //!    fault-masked relations and negative controls proving the analyzer
 //!    actually rejects broken relations (fully adaptive routing, an
@@ -24,9 +24,9 @@
 
 use crate::claim::{witness_cycle, Claim};
 use crate::enumeration;
-use crate::routing::{find_dead_end, TurnSetRouting};
-use crate::verify::verify;
-use turnroute_model::livelock::check_progress;
+use crate::extract;
+use crate::routing::TurnSetRouting;
+use crate::verify::{checked_progress, verify};
 use turnroute_model::verifier::Check;
 use turnroute_model::{Cdg, FaultMasked, RoutingFunction, Turn, TurnSet};
 use turnroute_routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
@@ -341,25 +341,53 @@ fn progress_claims() -> Vec<Claim> {
 }
 
 fn progress_claim(topo: &dyn Topology, alg: &dyn RoutingFunction, wher: &str) -> Claim {
-    let pr = check_progress(topo, alg);
+    let spec = extract::from_routing(alg.name(), topo, alg);
+    let (bound, actual, witness) = match checked_progress(&spec) {
+        Err(why) => (0, "rejected", Some(why)),
+        Ok(p) => match p.lasso_witness(&spec) {
+            None => (p.max_misroutes, "bounded", None),
+            w => (0, "unbounded", w),
+        },
+    };
     let mut c = Claim::check(
-        &format!("progress-{}", pr.algorithm),
+        &format!("progress-{}", alg.name()),
         &format!(
             "bounded-misroute potential function exists on the {wher} \
-             (intrinsic bound: {} unproductive hops)",
-            pr.max_misroutes
+             (intrinsic bound: {bound} unproductive hops)"
         ),
         "bounded",
-        if pr.bounded.is_ok() {
-            "bounded"
-        } else {
-            "unbounded"
-        },
+        actual,
     );
-    if let Check::Failed(msg) = &pr.bounded {
-        c = c.with_witness(msg.clone());
+    if let Some(w) = witness {
+        c = c.with_witness(w);
     }
     c
+}
+
+/// Offers every direction everywhere: the adversary can walk any cycle
+/// of the network forever.
+pub(crate) struct Wanderer;
+
+impl RoutingFunction for Wanderer {
+    fn name(&self) -> &str {
+        "wanderer"
+    }
+
+    fn route(
+        &self,
+        topo: &dyn Topology,
+        current: turnroute_topology::NodeId,
+        _dest: turnroute_topology::NodeId,
+        _arrived: Option<Direction>,
+    ) -> turnroute_topology::DirSet {
+        Direction::all(topo.num_dims())
+            .filter(|&d| topo.neighbor(current, d).is_some())
+            .collect()
+    }
+
+    fn is_minimal(&self) -> bool {
+        false
+    }
 }
 
 /// Negative controls: the analyzer must *reject* the known-broken
@@ -387,58 +415,39 @@ fn negative_control_claims() -> Vec<Claim> {
 
     // A wanderer offering every direction everywhere: must fail progress
     // with a witness walk that revisits a state.
-    struct Wanderer;
-    impl RoutingFunction for Wanderer {
-        fn name(&self) -> &str {
-            "wanderer"
-        }
-        fn route(
-            &self,
-            topo: &dyn Topology,
-            current: turnroute_topology::NodeId,
-            _dest: turnroute_topology::NodeId,
-            _arrived: Option<Direction>,
-        ) -> turnroute_topology::DirSet {
-            Direction::all(topo.num_dims())
-                .filter(|&d| topo.neighbor(current, d).is_some())
-                .collect()
-        }
-        fn is_minimal(&self) -> bool {
-            false
-        }
-    }
-    let pr = check_progress(&Mesh::new_2d(3, 3), &Wanderer);
+    let small = Mesh::new_2d(3, 3);
+    let spec = extract::from_routing("wanderer", &small, &Wanderer);
+    let witness = checked_progress(&spec).map(|p| p.lasso_witness(&spec));
     let mut c = Claim::check(
         "negative-control-wanderer",
         "an unrestricted wanderer must be rejected for livelock",
         "unbounded walk found",
-        match &pr.bounded {
-            Check::Failed(_) => "unbounded walk found",
+        match &witness {
+            Ok(Some(_)) => "unbounded walk found",
             _ => "accepted (BUG: the progress check is blind)",
         },
     );
-    if let Check::Failed(msg) = &pr.bounded {
-        c = c.with_witness(msg.clone());
+    if let Ok(Some(w)) = witness {
+        c = c.with_witness(w);
     }
     claims.push(c);
 
-    // An over-restricted turn set: the dead-end finder must catch it.
-    let small = Mesh::new_2d(3, 3);
-    let dead = find_dead_end(
-        &small,
-        &TurnSetRouting::new("straight-only", TurnSet::no_turns(2), &small),
-    );
+    // An over-restricted turn set: the progress claim must list its dead
+    // ends.
+    let straight = TurnSetRouting::new("straight-only", TurnSet::no_turns(2), &small);
+    let spec = extract::from_routing("straight-only", &small, &straight);
+    let witness = checked_progress(&spec).map(|p| p.dead_end_witness(&spec));
     let mut c = Claim::check(
         "negative-control-dead-end",
         "a straight-only relation must be rejected for unreachable turns",
         "dead end found",
-        match &dead {
-            Some(_) => "dead end found",
-            None => "accepted (BUG: the reachability check is blind)",
+        match &witness {
+            Ok(Some(_)) => "dead end found",
+            _ => "accepted (BUG: the reachability check is blind)",
         },
     );
-    if let Some(msg) = dead {
-        c = c.with_witness(msg);
+    if let Ok(Some(w)) = witness {
+        c = c.with_witness(w);
     }
     claims.push(c);
     claims

@@ -34,12 +34,11 @@ pub use driver::BuggyRouter;
 pub use front::{antipodal_exchange, corner_exchange, witness_front, FrontPacket, Witness};
 pub use scenario::{replay_wormhole, ReplayOutcome, Scenario, ScenarioStep};
 
+use crate::certificate::ProgressVerdict;
 use crate::routing::TurnSetRouting;
 use encode::EncodeCtx;
 use explore::{explore, ExploreOutcome, ExploreParams};
 use turnroute_model::cycle::two_turn_census;
-use turnroute_model::livelock::check_progress;
-use turnroute_model::verifier::Check;
 use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_routing::{hypercube::e_cube, mesh2d, torus::NegativeFirstTorus, RoutingMode};
 use turnroute_sim::{Engine, Lanes, LengthDist, Sim, SimConfig};
@@ -546,9 +545,10 @@ pub fn run(opts: &McOptions) -> McReport {
     {
         let mesh = Mesh::new_2d(2, 2);
         let routing = mesh2d::west_first(RoutingMode::Nonminimal);
-        let progress = check_progress(&mesh, &routing);
-        let bound = progress.max_misroutes as u32;
-        let bounded = matches!(progress.bounded, Check::Passed);
+        let spec = crate::extract::from_routing(routing.name(), &mesh, &routing);
+        let progress = crate::verify::checked_progress(&spec);
+        let bounded = matches!(&progress, Ok(p) if p.verdict == ProgressVerdict::Bounded);
+        let bound = progress.map_or(0, |p| p.max_misroutes);
         let front = corner_exchange(&mesh, 2);
         let pattern = Uniform::new();
         let cfg = mc_config(1, bound + 2);

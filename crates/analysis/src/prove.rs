@@ -8,7 +8,9 @@
 //! legal path per deliverable ordered node pair. Every certificate is
 //! immediately re-validated by the independent checker
 //! ([`crate::check`]) — the driver records the checker's verdict, never
-//! the prover's word for it.
+//! the prover's word for it. [`progress`] walks the same spec's route
+//! tables once more for the separate [`Progress`] claim: reachability,
+//! a rank or a lasso, the dead ends and the misroute bound.
 //!
 //! [`run`] walks the matrix: the named 2D/3D turn sets, all twelve safe
 //! two-turn sets, the hypercube and torus algorithms, the double-y
@@ -17,7 +19,7 @@
 //! of verdicts against live simulator behavior through
 //! [`turnroute_sim::harness`].
 
-use crate::certificate::{Certificate, GraphSpec, PathCert, Verdict};
+use crate::certificate::{Certificate, GraphSpec, PathCert, Progress, ProgressVerdict, Verdict};
 use crate::extract;
 use crate::routing::TurnSetRouting;
 use turnroute_model::{presets, Cdg, DepGraph, Turn, TurnSet};
@@ -347,6 +349,111 @@ pub(crate) fn connectivity(spec: &GraphSpec) -> (Vec<PathCert>, Vec<(u32, u32)>)
     (paths, unreachable)
 }
 
+/// Walk every state a packet can reach from an injection state, per
+/// destination, by depth-first search over `spec.routes` alone. A state's
+/// rank is its finish order, so on an acyclic state graph every move
+/// lowers it; the first move back onto the search stack gives the lasso,
+/// and the walk goes on so that `rank` and `dead_ends` cover every
+/// reachable state either way. The misroute bound is a longest-path
+/// count folded in at each finish, with hop distances from [`hops_to`].
+pub fn progress(spec: &GraphSpec) -> Progress {
+    let n = spec.num_nodes as usize;
+    let mut rank = vec![vec![u32::MAX; spec.num_states()]; n];
+    let mut lasso = None;
+    let mut dead_ends = Vec::new();
+    let mut max_misroutes = 0;
+    // worst[s]: most unproductive hops on a walk from s; on_stack[s]: s is
+    // on the search stack; stack: (state, next offer to follow).
+    let mut worst = vec![0u32; spec.num_states()];
+    let mut on_stack = vec![false; spec.num_states()];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for (dest, (table, rank)) in spec.routes.iter().zip(&mut rank).enumerate() {
+        let hops = hops_to(spec, dest as u32);
+        worst.fill(0);
+        let mut finished = 0;
+        for src in (0..n).filter(|&src| src != dest) {
+            if rank[src] != u32::MAX {
+                continue;
+            }
+            stack.push((src, 0));
+            on_stack[src] = true;
+            while let Some(&mut (s, ref mut next)) = stack.last_mut() {
+                if let Some(&c) = table[s].get(*next) {
+                    *next += 1;
+                    let t = spec.channel_state(c);
+                    if spec.channels[c as usize].dst as usize == dest || rank[t] != u32::MAX {
+                        continue;
+                    }
+                    if on_stack[t] {
+                        lasso.get_or_insert_with(|| {
+                            let walk = stack.iter().map(|&(s, _)| s as u32);
+                            (dest as u32, walk.chain([t as u32]).collect())
+                        });
+                    } else {
+                        on_stack[t] = true;
+                        stack.push((t, 0));
+                    }
+                    continue;
+                }
+                // A delivering move's state is never finished: worst 0.
+                let at = spec.node_of(s);
+                worst[s] = table[s]
+                    .iter()
+                    .map(|&c| {
+                        let to = spec.channels[c as usize].dst as usize;
+                        u32::from(hops[to] >= hops[at]) + worst[spec.channel_state(c)]
+                    })
+                    .max()
+                    .unwrap_or(0);
+                max_misroutes = max_misroutes.max(worst[s]);
+                if table[s].is_empty() {
+                    dead_ends.push((dest as u32, s as u32));
+                }
+                rank[s] = finished;
+                finished += 1;
+                on_stack[s] = false;
+                stack.pop();
+            }
+        }
+    }
+    dead_ends.sort_unstable();
+    let verdict = match lasso {
+        None => ProgressVerdict::Bounded,
+        Some((dest, lasso)) => {
+            max_misroutes = 0;
+            ProgressVerdict::Unbounded { dest, lasso }
+        }
+    };
+    Progress {
+        rank,
+        verdict,
+        dead_ends,
+        max_misroutes,
+    }
+}
+
+/// Hop distance from every node to `dest` over `spec.channels`, by
+/// breadth-first search backwards from `dest`; `u32::MAX` where no
+/// channel path leads.
+pub fn hops_to(spec: &GraphSpec, dest: u32) -> Vec<u32> {
+    let mut hops = vec![u32::MAX; spec.num_nodes as usize];
+    hops[dest as usize] = 0;
+    // Round `d` reaches the nodes one channel short of round `d - 1`'s.
+    for d in 1u32.. {
+        let mut grew = false;
+        for ch in &spec.channels {
+            if hops[ch.dst as usize] == d - 1 && hops[ch.src as usize] == u32::MAX {
+                hops[ch.src as usize] = d;
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
+    hops
+}
+
 /// Prove `spec`, run the independent checker on the result, and fold both
 /// outcomes into a matrix entry.
 fn entry(kind: &str, expect_acyclic: bool, expect_full: bool, spec: &GraphSpec) -> ProveEntry {
@@ -647,6 +754,7 @@ fn cross_validate(quick: bool) -> Vec<CrossCheck> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turnroute_routing::FullyAdaptive;
 
     #[test]
     fn quick_prove_passes_end_to_end() {
@@ -686,6 +794,28 @@ mod tests {
         assert!(bad.checker_ok, "the witness itself must be valid");
         let w = bad.witness.as_deref().expect("witness present");
         assert!(w.contains("channel cycle"), "{w}");
+    }
+
+    #[test]
+    fn minimal_function_has_zero_misroute_bound() {
+        let mesh = Mesh::new_2d(5, 5);
+        let spec = extract::from_routing("minimal", &mesh, &FullyAdaptive::new());
+        let p = progress(&spec);
+        crate::check::progress(&spec, &p).expect("the claim checks");
+        assert_eq!(p.verdict, ProgressVerdict::Bounded);
+        assert_eq!(p.max_misroutes, 0);
+        assert_eq!(p.dead_ends, []);
+    }
+
+    #[test]
+    fn unrestricted_wandering_is_flagged_with_a_witness() {
+        let mesh = Mesh::new_2d(3, 3);
+        let spec = extract::from_routing("wanderer", &mesh, &crate::lint::Wanderer);
+        let p = progress(&spec);
+        crate::check::progress(&spec, &p).expect("the lasso checks");
+        let why = p.lasso_witness(&spec).expect("wanderer must fail progress");
+        assert!(why.contains("revisited"), "{why}");
+        assert!(why.contains("[injected] -> "), "{why}");
     }
 
     #[test]

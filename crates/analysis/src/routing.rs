@@ -1,5 +1,4 @@
-//! Turn sets as executable routing functions, plus the adversarial
-//! reachability check that licenses simulator cross-validation.
+//! Turn sets as executable routing functions.
 //!
 //! The enumeration sweeps classify *turn sets*; the simulator runs
 //! *routing functions*. The bridge is subtler than "offer every
@@ -18,12 +17,9 @@
 //! over distance-to-destination, this mechanically re-derives the phase
 //! ordering (under the west-first set, westward hops come first) and
 //! lets a set's static CDG verdict be cross-validated against live
-//! simulations.
-//!
-//! [`find_dead_end`] is the matching audit: explore every `(node,
-//! arrival)` state reachable under *any* sequence of offered choices and
-//! report one where nothing is offered. `None` here plus an acyclic CDG
-//! is what guarantees a simulation delivers under any arbitration.
+//! simulations. Whether a set's function strands a packet anywhere is
+//! the checked progress claim's `dead_ends`
+//! ([`crate::verify::checked_progress`]).
 
 use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_topology::{DirSet, Direction, NodeId, Topology};
@@ -112,20 +108,6 @@ impl TurnSetRouting {
     pub fn turn_set(&self) -> &TurnSet {
         &self.set
     }
-
-    /// Whether every source can inject toward every destination — the
-    /// cheap necessary half of connectivity (the sufficient half is that
-    /// every offered continuation is completable, which holds by
-    /// construction).
-    pub fn fully_connected(&self) -> bool {
-        let num_arr = 2 * self.num_dims + 1;
-        let num_states = self.num_nodes * num_arr;
-        (0..self.num_nodes).all(|dest| {
-            (0..self.num_nodes)
-                .filter(|&src| src != dest)
-                .all(|src| self.table[dest * num_states + src * num_arr] != 0)
-        })
-    }
 }
 
 impl RoutingFunction for TurnSetRouting {
@@ -162,62 +144,11 @@ impl RoutingFunction for TurnSetRouting {
     }
 }
 
-/// Search the adversarial routing state graph for a reachable dead end:
-/// a `(node, arrival)` state short of the destination where `routing`
-/// offers no direction at all.
-///
-/// Returns a description of the first dead end found, or `None` when
-/// every adversarially reachable state keeps moving. Unlike a certified
-/// path (one legal route per pair), this explores *every* offered
-/// branch, so `None` here plus an acyclic CDG guarantees the simulator
-/// delivers under any arbitration.
-pub fn find_dead_end(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Option<String> {
-    let n = topo.num_nodes();
-    let num_arr = 2 * topo.num_dims() + 1;
-    let state_of =
-        |v: NodeId, arr: Option<Direction>| v.index() * num_arr + arr.map_or(0, |a| 1 + a.index());
-
-    let mut seen = vec![false; n * num_arr];
-    let mut frontier: Vec<(NodeId, Option<Direction>)> = Vec::new();
-    for dest in (0..n).map(|d| NodeId(d as u32)) {
-        seen.iter_mut().for_each(|s| *s = false);
-        frontier.clear();
-        for src in (0..n).map(|s| NodeId(s as u32)) {
-            if src != dest {
-                seen[state_of(src, None)] = true;
-                frontier.push((src, None));
-            }
-        }
-        while let Some((v, arr)) = frontier.pop() {
-            let offered = routing.route(topo, v, dest, arr);
-            if offered.is_empty() {
-                return Some(match arr {
-                    Some(a) => format!("dead end at {v} (arrived {a}) routing toward {dest}"),
-                    None => format!("dead end at {v} (at injection) routing toward {dest}"),
-                });
-            }
-            for dir in offered.iter() {
-                let Some(u) = topo.neighbor(v, dir) else {
-                    continue; // flagged by `check_channels`
-                };
-                if u == dest {
-                    continue;
-                }
-                let s = state_of(u, Some(dir));
-                if !seen[s] {
-                    seen[s] = true;
-                    frontier.push((u, Some(dir)));
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify;
+    use crate::extract;
+    use crate::verify::{checked_progress, verify};
     use turnroute_model::{presets, Cdg};
     use turnroute_topology::Mesh;
 
@@ -231,10 +162,11 @@ mod tests {
             ("xy", presets::xy_turns()),
         ] {
             let routing = TurnSetRouting::new(name, set, &mesh);
-            assert!(routing.fully_connected(), "{name}");
             let report = verify(&mesh, &routing);
             assert!(report.all_ok(), "{report}");
-            assert_eq!(find_dead_end(&mesh, &routing), None, "{name}");
+            let spec = extract::from_routing(name, &mesh, &routing);
+            let progress = checked_progress(&spec).expect("the progress claim checks");
+            assert_eq!(progress.dead_ends, [], "{name}");
             assert!(
                 Cdg::from_routing(&mesh, &routing).is_acyclic(),
                 "{name}: induced CDG must stay inside the acyclic set CDG"
@@ -264,12 +196,15 @@ mod tests {
     fn over_restricted_set_has_a_dead_end() {
         // With every turn prohibited (straight continuation only), a
         // packet needing two legs can never turn: nothing coherent is
-        // offered at injection, which the dead-end finder reports.
+        // offered at injection, which the progress claim lists.
         let mesh = Mesh::new_2d(3, 3);
         let routing = TurnSetRouting::new("straight-only", TurnSet::no_turns(2), &mesh);
-        assert!(!routing.fully_connected());
-        let dead = find_dead_end(&mesh, &routing);
-        assert!(dead.is_some());
-        assert!(dead.unwrap().contains("dead end"), "must describe the stop");
+        let spec = extract::from_routing("straight-only", &mesh, &routing);
+        let progress = checked_progress(&spec).expect("the progress claim checks");
+        // Toward n0, the four sources off its row and column.
+        let toward_n0: Vec<(u32, u32)> = progress.dead_ends.iter().copied().take(4).collect();
+        assert_eq!(toward_n0, [(0, 4), (0, 5), (0, 7), (0, 8)]);
+        let dead = progress.dead_end_witness(&spec).expect("a dead end");
+        assert!(dead.contains("dead end at n4 [injected]"), "{dead}");
     }
 }

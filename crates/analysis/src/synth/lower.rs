@@ -287,7 +287,7 @@ pub fn synthesize(input: &GraphSpec) -> Result<SynthResult, String> {
 /// Adversarial dead-end check of the escape class alone: for every
 /// destination, every escape channel the relation can put a packet in
 /// must either enter the destination or offer a further escape move —
-/// the synthesized analogue of `routing::find_dead_end`, run
+/// the escape-class analogue of the progress claim's dead ends, run
 /// independently of the construction's own reachability pruning.
 pub fn escape_dead_end(result: &SynthResult) -> Option<String> {
     let spec = &result.spec;

@@ -1,20 +1,19 @@
 //! One-call verification of a routing function.
 //!
 //! [`verify`] bundles every check the workspace runs against a
-//! [`RoutingFunction`] into one [`VerificationReport`]. Deadlock freedom
-//! and connectivity are read from one certificate: the relation is
-//! lowered ([`extract::from_routing`]), proven ([`prove::prove`]) and
-//! re-validated by the independent checker ([`check::check`]). The rest
-//! are the checks a certificate does not make: the model crate's per-move
-//! checks (minimality, channel existence, turn-set conformance), the
-//! bounded-misroute progress proof, and [`find_dead_end`], which explores
-//! every adversarial branch. A routing function under a fault pattern is
-//! verified the same way, wrapped in [`turnroute_model::FaultMasked`].
+//! [`RoutingFunction`] into one [`VerificationReport`]. The relation is
+//! lowered once ([`extract::from_routing`]), and four verdicts are read
+//! from two proofs over that one spec, each re-validated by the
+//! independent checker: deadlock freedom and the paths of connectivity
+//! from the certificate ([`prove::prove`], [`check::check`]), progress
+//! and the dead-end half of connectivity from the progress claim
+//! ([`checked_progress`]). The rest are the model crate's per-move checks
+//! (minimality, channel existence, turn-set conformance), which a spec
+//! cannot answer. A routing function under a fault pattern is verified
+//! the same way, wrapped in [`turnroute_model::FaultMasked`].
 
-use crate::certificate::Verdict;
-use crate::routing::find_dead_end;
+use crate::certificate::{GraphSpec, Progress, Verdict};
 use crate::{check, extract, prove};
-use turnroute_model::livelock::check_progress;
 use turnroute_model::verifier::{check_channels, check_minimal, check_turns, Check};
 use turnroute_model::RoutingFunction;
 use turnroute_topology::{NodeId, Topology};
@@ -34,11 +33,11 @@ pub struct VerificationReport {
     /// For minimal functions: every offered move reduces the distance to
     /// the destination.
     pub minimal: Check,
-    /// A bounded-misroute potential function exists: the adversarial
-    /// routing state graph is acyclic for every destination (see
-    /// [`turnroute_model::livelock`]). This is the livelock-freedom check
-    /// that covers nonminimal functions, for which `minimal` is skipped;
-    /// the failure message contains a witness walk.
+    /// A bounded-misroute potential function exists: the checked rank
+    /// falls along every move between reachable states, for every
+    /// destination. This is the livelock-freedom check that covers
+    /// nonminimal functions, for which `minimal` is skipped; the failure
+    /// message is the prover's lasso.
     pub progress: Check,
     /// Every offered direction corresponds to an existing channel.
     pub channels_valid: Check,
@@ -82,31 +81,34 @@ impl std::fmt::Display for VerificationReport {
 
 /// Run every applicable check of `routing` on `topo`.
 ///
-/// Runtime is dominated by the certificate's per-destination walks,
-/// roughly `O(nodes · channels · degree)`; keep topologies modest
-/// (hundreds of nodes).
+/// Runtime is dominated by lowering the relation and the certificate's
+/// per-destination walks, roughly `O(nodes · channels · degree)`; keep
+/// topologies modest (hundreds of nodes).
 pub fn verify(topo: &dyn Topology, routing: &dyn RoutingFunction) -> VerificationReport {
     let spec = extract::from_routing(routing.name(), topo, routing);
     let cert = prove::prove(&spec);
+    let progress = checked_progress(&spec);
+    let rejected =
+        |what: &str, why: &str| Check::Failed(format!("{what} rejected by the checker: {why}"));
     let (deadlock_free, connected) = match check::check(&spec, &cert) {
-        Err(why) => {
-            let rejected = Check::Failed(format!("certificate rejected by the checker: {why}"));
-            (rejected.clone(), rejected)
-        }
+        Err(why) => (rejected("certificate", &why), rejected("certificate", &why)),
         Ok(()) => {
             let deadlock_free = match &cert.verdict {
                 Verdict::Acyclic { .. } => Check::Passed,
                 Verdict::Cyclic { cycle } => Check::Failed(spec.render_cycle(cycle)),
             };
-            let connected = match cert.unreachable.first() {
-                Some(&(src, dst)) => Check::Failed(format!(
+            let connected = match (cert.unreachable.first(), &progress) {
+                (Some(&(src, dst)), _) => Check::Failed(format!(
                     "no legal path {} -> {} ({} of {} ordered pairs unreachable)",
                     NodeId(src),
                     NodeId(dst),
                     cert.unreachable.len(),
                     cert.unreachable.len() + cert.paths.len()
                 )),
-                None => find_dead_end(topo, routing).map_or(Check::Passed, Check::Failed),
+                (None, Err(why)) => rejected("progress proof", why),
+                (None, Ok(p)) => p
+                    .dead_end_witness(&spec)
+                    .map_or(Check::Passed, Check::Failed),
             };
             (deadlock_free, connected)
         }
@@ -116,10 +118,25 @@ pub fn verify(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Verificatio
         deadlock_free,
         connected,
         minimal: check_minimal(topo, routing),
-        progress: check_progress(topo, routing).bounded,
+        progress: match &progress {
+            Err(why) => rejected("progress proof", why),
+            Ok(p) => p.lasso_witness(&spec).map_or(Check::Passed, Check::Failed),
+        },
         channels_valid: check_channels(topo, routing),
         turns_consistent: check_turns(topo, routing),
     }
+}
+
+/// The progress claim over `spec` ([`prove::progress`]), once the
+/// independent checker ([`check::progress`]) has accepted it.
+///
+/// # Errors
+///
+/// Returns the checker's rejection.
+pub fn checked_progress(spec: &GraphSpec) -> Result<Progress, String> {
+    let progress = prove::progress(spec);
+    check::progress(spec, &progress)?;
+    Ok(progress)
 }
 
 #[cfg(test)]

@@ -3,15 +3,16 @@
 //! misrouted packets must still reach their destinations under the
 //! restored relation — no timeouts, no retries, routing alone.
 //!
-//! The behavioral claim is cross-checked statically: [`find_dead_end`]
-//! must clear both the pristine relation the survivors finish under and
-//! the fault-masked relation they were detoured by, so the simulator's
-//! recovery is the dynamic face of a proven dead-end-free graph.
+//! The behavioral claim is cross-checked statically: the checked
+//! progress claim must list no dead end for the pristine relation the
+//! survivors finish under nor for the fault-masked relation they were
+//! detoured by, so the simulator's recovery is the dynamic face of a
+//! proven dead-end-free graph.
 
 use std::collections::HashSet;
 
-use turnroute_analysis::find_dead_end;
-use turnroute_model::FaultMasked;
+use turnroute_analysis::{checked_progress, extract};
+use turnroute_model::{FaultMasked, RoutingFunction};
 use turnroute_routing::{mesh2d, RoutingMode};
 use turnroute_sim::obs::{ChannelLayout, Event};
 use turnroute_sim::{FaultPlan, InvariantObserver, LengthDist, Sim, SimConfig, SimObserver};
@@ -91,10 +92,16 @@ fn wormhole_misrouted_packets_survive_a_transient_fault() {
     // Static cross-check: the restored relation the survivors finish
     // under, and the masked relation that detoured them mid-fault, are
     // both dead-end-free — delivery was guaranteed, not lucky.
-    assert_eq!(find_dead_end(&mesh, &wf), None, "restored relation");
+    let dead_ends = |routing: &dyn RoutingFunction| {
+        let spec = extract::from_routing(routing.name(), &mesh, routing);
+        checked_progress(&spec)
+            .expect("the progress claim checks")
+            .dead_ends
+    };
+    assert_eq!(dead_ends(&wf), [], "restored relation");
     let mid_fault = plan.fault_set_at(600, &mesh);
     let masked = FaultMasked::new(&wf, &mesh, &mid_fault);
-    assert_eq!(find_dead_end(&mesh, &masked), None, "masked relation");
+    assert_eq!(dead_ends(&masked), [], "masked relation");
 }
 
 /// The same transient on the virtual-channel engine: double-y adaptive

@@ -49,7 +49,6 @@ mod cdg;
 pub mod cycle;
 mod degraded;
 pub mod depgraph;
-pub mod livelock;
 pub mod numbering;
 pub mod presets;
 mod route;

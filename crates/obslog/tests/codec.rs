@@ -7,7 +7,7 @@
 use std::process::Command;
 use turnroute_model::Turn;
 use turnroute_obslog::codec::{decode, encode, tag, Reader, KINDS};
-use turnroute_obslog::frame_codec::{decode_frame_payload, encode_frame_payload};
+use turnroute_obslog::frame_codec::{decode_frame_payload, encode_frame_payload, FRAME_VERSION};
 use turnroute_obslog::log::{fnv1a64, write_varint};
 use turnroute_obslog::{
     replay, scenario, summarize, verify_bytes, FrameScope, LogError, LogHeader, LogObserver,
@@ -634,11 +634,59 @@ fn a_varint_past_u64_is_rejected() {
     assert!(r.at_end());
 }
 
+/// A latency bucket listed with a zero count is no histogram's:
+/// `raw_buckets` never writes one, and keeping it would grow the
+/// sketch's bucket vector, so the frame would differ from a decode of its
+/// own re-encoding. The frame codec refuses it, and a log carrying it is
+/// a `BadFrame`.
+#[test]
+fn a_zero_count_latency_bucket_is_a_bad_frame() {
+    let payload = |count: u64| {
+        let mut p = Vec::new();
+        // Version, seq, a 10-cycle window, five counters; sum, min, max
+        // and one bucket pair; no channels.
+        for v in [
+            FRAME_VERSION,
+            0,
+            0,
+            9,
+            0,
+            0,
+            0,
+            0,
+            0,
+            5,
+            5,
+            5,
+            1,
+            3,
+            count,
+            0,
+        ] {
+            write_varint(&mut p, v);
+        }
+        p
+    };
+    let logged = |payload: &[u8]| {
+        let mut body = vec![tag::FRAME];
+        write_varint(&mut body, payload.len() as u64);
+        body.extend_from_slice(payload);
+        verify_bytes(&sealed(&header(), &body, 1)).map(|_| ())
+    };
+    decode_frame_payload(&payload(1)).expect("one sample in bucket 3");
+    assert_eq!(logged(&payload(1)), Ok(()));
+    let why = decode_frame_payload(&payload(0)).unwrap_err();
+    assert!(why.contains("not a histogram's"), "{why}");
+    let got = logged(&payload(0));
+    assert!(matches!(got, Err(LogError::BadFrame { .. })), "{got:?}");
+}
+
 /// ROADMAP aim 1(c) for the frame codec on its own: mangle real frame
 /// payloads, outside any log, ten thousand ways. Every outcome is an
 /// accept or the codec's error; a panic (this is a debug build: overflow
 /// and bounds checks are on) fails the test. An accepted payload's frame
-/// must re-encode to a payload that decodes and re-encodes to itself.
+/// must equal the decode of its own re-encoding, which re-encodes to
+/// itself.
 #[test]
 fn ten_thousand_mutated_frame_payloads_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xf4a3);
@@ -662,6 +710,7 @@ fn ten_thousand_mutated_frame_payloads_never_panic() {
                 accepted += 1;
                 let canonical = encode_frame_payload(&frame);
                 let again = decode_frame_payload(&canonical).expect("a re-encoded frame decodes");
+                assert_eq!(again, frame);
                 assert_eq!(encode_frame_payload(&again), canonical);
             }
             Err(why) => {

@@ -180,8 +180,9 @@ impl StreamingHistogram {
     /// [`StreamingHistogram::max`]/[`StreamingHistogram::raw_buckets`].
     /// The result compares equal to the original. Empty pairs rebuild the
     /// empty histogram regardless of the scalar arguments. `None` when the
-    /// pairs are no histogram's: a bucket index past the one `u64::MAX`
-    /// falls in, or counts that overflow.
+    /// pairs are no histogram's: a zero count (`raw_buckets` lists only
+    /// non-empty buckets), a bucket index past the one `u64::MAX` falls
+    /// in, or counts that overflow.
     pub fn from_raw(
         sum: u64,
         min: u64,
@@ -190,6 +191,9 @@ impl StreamingHistogram {
     ) -> Option<StreamingHistogram> {
         let mut h = StreamingHistogram::new();
         for &(b, c) in pairs {
+            if c == 0 {
+                return None;
+            }
             let b = usize::try_from(b)
                 .ok()
                 .filter(|&b| b <= bucket_of(u64::MAX))?;
@@ -370,6 +374,8 @@ mod tests {
         // Empty round trip: no pairs rebuilds the pristine empty state.
         let empty = StreamingHistogram::from_raw(0, 0, 0, &[]).unwrap();
         assert_eq!(empty, StreamingHistogram::new());
+        // A zero count is no bucket `raw_buckets` lists.
+        assert_eq!(StreamingHistogram::from_raw(5, 5, 5, &[(3, 0)]), None);
     }
 
     #[test]
