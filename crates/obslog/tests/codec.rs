@@ -557,15 +557,9 @@ fn turnstat_rejects_hostile_logs_without_crashing() {
     }
 }
 
-/// ROADMAP aim 3c for the TTRL decoder: mangle a real recording — the
-/// canonical `--quick` scenario through its scheduled fault, one frame
-/// included — ten thousand ways, re-seal each with a correct checksum so
-/// only content-level checks stand between the bytes and the collectors,
-/// and replay it into what `turnstat replay` and `turnstat frames --check`
-/// drive. Every outcome is `Ok` or a typed `LogError`; a panic (this is a
-/// debug build: overflow and bounds checks are on) fails the test.
-#[test]
-fn ten_thousand_resealed_mutations_never_panic() {
+/// The canonical `--quick` scenario recorded through its scheduled fault,
+/// one frame included, sealed.
+fn pristine_recording() -> Vec<u8> {
     let s = scenario::canonical(7, true);
     let cadence = scenario::frame_cadence(true);
     let log =
@@ -574,16 +568,15 @@ fn ten_thousand_resealed_mutations_never_panic() {
     for _ in 0..160 {
         sim.step();
     }
-    let pristine = sim.into_observer().finish();
-    let clean = summarize(&pristine).expect("the recording itself is valid");
-    for kind in ["frame", "fault", "turn", "stall", "deliver", "blame"] {
-        assert!(clean.count(kind) > 0, "the recording carries no {kind}");
-    }
-    let layout = ChannelLayout::new(clean.header.nodes as usize, clean.header.dims as usize);
+    sim.into_observer().finish()
+}
 
+/// Ten thousand mangled copies of `pristine`, each re-sealed with a
+/// correct checksum so only content-level checks stand between the bytes
+/// and the collectors, handed to `each` in a fixed order.
+fn resealed_mutations(pristine: &[u8], mut each: impl FnMut(&[u8])) {
     let mut rng = StdRng::seed_from_u64(0xf022);
     let body_end = pristine.len() - 8;
-    let (mut accepted, mut out_of_range, mut other) = (0u32, 0u32, 0u32);
     for _ in 0..10_000 {
         let mut bytes = pristine[..body_end].to_vec();
         for _ in 0..rng.gen_range(1..=3u32) {
@@ -598,14 +591,34 @@ fn ten_thousand_resealed_mutations_never_panic() {
         }
         let sum = fnv1a64(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
+        each(&bytes);
+    }
+}
 
+/// ROADMAP aim 3c for the TTRL decoder: mangle a real recording ten
+/// thousand ways ([`resealed_mutations`]) and replay each into what
+/// `turnstat replay` and `turnstat frames --check` drive. Every outcome is
+/// `Ok` or a typed `LogError`; a panic (this is a debug build: overflow
+/// and bounds checks are on) fails the test.
+#[test]
+fn ten_thousand_resealed_mutations_never_panic() {
+    let pristine = pristine_recording();
+    let clean = summarize(&pristine).expect("the recording itself is valid");
+    for kind in ["frame", "fault", "turn", "stall", "deliver", "blame"] {
+        assert!(clean.count(kind) > 0, "the recording carries no {kind}");
+    }
+    let layout = ChannelLayout::new(clean.header.nodes as usize, clean.header.dims as usize);
+    let cadence = scenario::frame_cadence(true);
+
+    let (mut accepted, mut out_of_range, mut other) = (0u32, 0u32, 0u32);
+    resealed_mutations(&pristine, |bytes| {
         // Sized for the network that was recorded, whatever the mangled
         // header now claims.
         let mut stack = (
             ReplayableAggregates::new(layout),
             FrameScope::new(&clean.header, cadence),
         );
-        match replay(&bytes, &mut stack) {
+        match replay(bytes, &mut stack) {
             Ok(_) => {
                 accepted += 1;
                 assert!(!stack.0.snapshot_json().is_empty());
@@ -613,11 +626,30 @@ fn ten_thousand_resealed_mutations_never_panic() {
             Err(LogError::OutOfRange { .. }) => out_of_range += 1,
             Err(_) => other += 1,
         }
-    }
+    });
     // The fuzz reached all three outcomes, not just the first check.
     let outcomes = [accepted, out_of_range, other];
     assert!(outcomes.iter().all(|&n| n > 500), "{outcomes:?}");
     assert_eq!(outcomes.iter().sum::<u32>(), 10_000);
+}
+
+/// The exact outcome of every log in the mutation corpus — events and
+/// cycles of an accepted one, the full `LogError` (variant, offset, field,
+/// value, reason) of a rejected one — hashed in corpus order. The
+/// constant was computed before the decoder's error path was rewritten
+/// to hold its `LogError` in the reader, and pins that the rewrite
+/// rejects the same logs, at the same bytes, for the same reasons.
+#[test]
+fn the_mutation_corpus_outcomes_are_pinned() {
+    let mut outcomes = Vec::new();
+    resealed_mutations(&pristine_recording(), |bytes| {
+        let outcome = match verify_bytes(bytes) {
+            Ok(s) => format!("Ok {} {}\n", s.events, s.cycles),
+            Err(e) => format!("{e:?}\n"),
+        };
+        outcomes.extend_from_slice(outcome.as_bytes());
+    });
+    assert_eq!(fnv1a64(&outcomes), 0x6290_1f01_a0db_5884);
 }
 
 /// A tenth varint byte may carry bit 63 and nothing above it: the reader
