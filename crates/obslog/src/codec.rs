@@ -98,6 +98,7 @@ macro_rules! codec {
 
         /// Append `ev` to `buf`. One byte form per event: recording the
         /// same events twice yields the same bytes.
+        #[inline]
         pub fn encode(ev: &Event<'_>, buf: &mut Vec<u8>) {
             match *ev {
                 $($($event)+ => {
@@ -110,15 +111,19 @@ macro_rules! codec {
         /// Read the operands of the event whose tag byte `tag` was just
         /// consumed. Rejects an unknown tag and any operand outside its
         /// range, so nothing decoded here can index out of bounds or size
-        /// an allocation beyond what the header's network admits.
-        pub fn decode<'r>(r: &'r mut Reader<'_>, tag: u8) -> Result<Event<'r>, LogError> {
-            let offset = r.pos.saturating_sub(1);
+        /// an allocation beyond what the header's network admits. The
+        /// walk's hot path: inlined into it, with the error held in `r`.
+        #[inline(always)]
+        pub(crate) fn read_event<'r>(r: &'r mut Reader<'_>, tag: u8) -> Result<Event<'r>, Rejected> {
             Ok(match tag {
                 $(tag::$TAG => {
                     $(let $operand = $ty::get(r)?;)*
                     $($event)+
                 })*
-                _ => return Err(LogError::BadTag { offset, tag }),
+                _ => {
+                    let offset = r.pos.saturating_sub(1);
+                    return Err(r.fail(LogError::BadTag { offset, tag }));
+                }
             })
         }
     };
@@ -185,6 +190,28 @@ codec! {
     ALERT = 21, "alert", [Event::Alert(alert)], alert: alert;
 }
 
+/// Read the operands of the event whose tag byte `tag` was just consumed,
+/// into an [`Event`] or the [`LogError`] saying why they are not one —
+/// the same checks, and the same errors, as the walk behind
+/// [`crate::replay()`].
+pub fn decode<'r>(r: &'r mut Reader<'_>, tag: u8) -> Result<Event<'r>, LogError> {
+    let at = r.pos;
+    if let Some(rejected) = read_event(r, tag).err() {
+        return Err(r.take_error(rejected));
+    }
+    // Read the good event again to return it: a branch that hands out
+    // the first read's borrow of `r` cannot also use `r` on the other.
+    r.pos = at;
+    Ok(read_event(r, tag).expect("the same bytes decode the same"))
+}
+
+/// A rejected read. The reader that made it holds the [`LogError`] saying
+/// why, and gives it back for the token ([`Reader::take_error`]). Being
+/// zero-size, it keeps the hot path's `Result`s as narrow as their values;
+/// only [`Reader::fail`] makes one.
+#[derive(Debug)]
+pub(crate) struct Rejected(());
+
 /// A read position in a log's event stream, the clock it stands at, the
 /// operand ranges the log's header decides, and the payloads a decoded
 /// [`Event`] borrows.
@@ -200,6 +227,8 @@ pub struct Reader<'b> {
     snapshot: Option<DeadlockSnapshot>,
     frame: Option<TelemetryFrame>,
     alert: Option<Alert>,
+    /// Why the last read was rejected, until the caller takes it.
+    error: Option<LogError>,
 }
 
 impl<'b> Reader<'b> {
@@ -229,6 +258,7 @@ impl<'b> Reader<'b> {
             snapshot: None,
             frame: None,
             alert: None,
+            error: None,
         })
     }
 
@@ -249,22 +279,59 @@ impl<'b> Reader<'b> {
 
     /// The next byte.
     pub fn u8(&mut self) -> Result<u8, LogError> {
-        let b = *self.bytes.get(self.pos).ok_or(LogError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+        self.read_u8().map_err(|rejected| self.take_error(rejected))
     }
 
     /// The next LEB128 varint. One whose value does not fit a `u64` is
     /// [`LogError::Truncated`], like one the stream cuts short.
     pub fn varint(&mut self) -> Result<u64, LogError> {
-        let mut out = 0u64;
-        let mut shift = 0u32;
+        self.read_varint()
+            .map_err(|rejected| self.take_error(rejected))
+    }
+
+    /// Hold `error` as the reason for a rejection, and return its token.
+    /// Out of line and cold, so building the error costs the hot path
+    /// nothing but the branch to here.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn fail(&mut self, error: LogError) -> Rejected {
+        self.error = Some(error);
+        Rejected(())
+    }
+
+    /// The error held for `rejected`.
+    pub(crate) fn take_error(&mut self, rejected: Rejected) -> LogError {
+        let Rejected(()) = rejected;
+        self.error.take().expect("a rejection holds its error")
+    }
+
+    /// [`Reader::u8`] on the hot path.
+    #[inline(always)]
+    pub(crate) fn read_u8(&mut self) -> Result<u8, Rejected> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(self.fail(LogError::Truncated)),
+        }
+    }
+
+    /// [`Reader::varint`] on the hot path.
+    #[inline(always)]
+    pub(crate) fn read_varint(&mut self) -> Result<u64, Rejected> {
+        let b = self.read_u8()?;
+        if b & 0x80 == 0 {
+            return Ok(u64::from(b));
+        }
+        let mut out = u64::from(b & 0x7f);
+        let mut shift = 7u32;
         loop {
-            let b = self.u8()?;
+            let b = self.read_u8()?;
             // The tenth byte holds bit 63 alone; anything above it
             // would be silently dropped by the shift.
             if shift >= 64 || (shift == 63 && b & 0x7e != 0) {
-                return Err(LogError::Truncated);
+                return Err(self.fail(LogError::Truncated));
             }
             out |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
@@ -275,21 +342,23 @@ impl<'b> Reader<'b> {
     }
 
     /// The next varint, which must be below `bound`.
-    fn below(&mut self, bound: u64, field: &'static str) -> Result<u64, LogError> {
+    #[inline(always)]
+    fn below(&mut self, bound: u64, field: &'static str) -> Result<u64, Rejected> {
         let offset = self.pos;
-        let value = self.varint()?;
+        let value = self.read_varint()?;
         if value < bound {
             return Ok(value);
         }
-        Err(LogError::OutOfRange {
+        Err(self.fail(LogError::OutOfRange {
             offset,
             field,
             value,
-        })
+        }))
     }
 
     /// Read a `cycle_advance`'s operand and move the clock by it.
-    pub fn advance_clock(&mut self) -> Result<(), LogError> {
+    #[inline(always)]
+    pub(crate) fn advance_clock(&mut self) -> Result<(), Rejected> {
         self.now += self.below(u64::MAX - self.now, "cycle delta")?;
         Ok(())
     }
@@ -306,15 +375,15 @@ macro_rules! operand {
             pub fn put(buf: &mut Vec<u8>, $v: $T) {
                 write_varint(buf, $put);
             }
-            #[inline]
-            pub fn get($r: &mut Reader<'_>) -> Result<$T, LogError> {
+            #[inline(always)]
+            pub fn get($r: &mut Reader<'_>) -> Result<$T, Rejected> {
                 Ok($get)
             }
         }
     };
 }
 
-operand!(n64: u64, |v| v, |r| r.varint()?);
+operand!(n64: u64, |v| v, |r| r.read_varint()?);
 operand!(n32: u32, |v| v.into(), |r| r.below(1 << 32, "n32")? as u32);
 operand!(packet: PacketId, |v| v.0.into(), |r| PacketId(n32::get(r)?));
 operand!(flag: bool, |v| v.into(), |r| r.below(2, "flag")? != 0);
@@ -340,11 +409,13 @@ operand!(
 
 mod turn {
     use super::*;
+    #[inline]
     pub fn put(buf: &mut Vec<u8>, v: Turn) {
         dir::put(buf, v.from_dir());
         dir::put(buf, v.to_dir());
     }
-    pub fn get(r: &mut Reader<'_>) -> Result<Turn, LogError> {
+    #[inline(always)]
+    pub fn get(r: &mut Reader<'_>) -> Result<Turn, Rejected> {
         Ok(Turn::new(dir::get(r)?, dir::get(r)?))
     }
 }
@@ -361,7 +432,7 @@ mod snapshot {
             slot_opt::put(buf, e.waits_for);
         }
     }
-    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r DeadlockSnapshot, LogError> {
+    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r DeadlockSnapshot, Rejected> {
         let n = n64::get(r)?;
         let mut edges = Vec::with_capacity(n.min(4096) as usize);
         for _ in 0..n {
@@ -385,22 +456,27 @@ mod frame {
         n64::put(buf, payload.len() as u64);
         buf.extend_from_slice(&payload);
     }
-    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r TelemetryFrame, LogError> {
+    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r TelemetryFrame, Rejected> {
         let offset = r.pos.saturating_sub(1);
         let len = n64::get(r)?;
         let (rest, slots) = (&r.bytes[r.pos..], r.slots);
         let payload = usize::try_from(len).ok().and_then(|len| rest.get(..len));
-        let payload = payload.ok_or(LogError::Truncated)?;
-        let frame = decode_frame_payload(payload)
-            .and_then(
-                |f| match f.channels.iter().find(|c| c.slot as u64 >= slots) {
-                    Some(c) => Err(format!("channel slot {} is outside the network", c.slot)),
-                    None => Ok(f),
-                },
-            )
-            .map_err(|why| LogError::BadFrame { offset, why })?;
-        r.pos += payload.len();
-        Ok(r.frame.insert(frame))
+        let Some(payload) = payload else {
+            return Err(r.fail(LogError::Truncated));
+        };
+        let frame = decode_frame_payload(payload).and_then(|f| {
+            match f.channels.iter().find(|c| c.slot as u64 >= slots) {
+                Some(c) => Err(format!("channel slot {} is outside the network", c.slot)),
+                None => Ok(f),
+            }
+        });
+        match frame {
+            Ok(frame) => {
+                r.pos += payload.len();
+                Ok(r.frame.insert(frame))
+            }
+            Err(why) => Err(r.fail(LogError::BadFrame { offset, why })),
+        }
     }
 }
 
@@ -414,15 +490,18 @@ mod alert {
         n64::put(buf, v.value);
         n64::put(buf, v.threshold);
     }
-    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r Alert, LogError> {
+    pub fn get<'r>(r: &'r mut Reader<'_>) -> Result<&'r Alert, Rejected> {
         let (offset, value) = (r.pos, n64::get(r)?);
         let field = "alert kind";
-        let alert = Alert {
-            kind: AlertKind::from_code(value).ok_or(LogError::OutOfRange {
+        let Some(kind) = AlertKind::from_code(value) else {
+            return Err(r.fail(LogError::OutOfRange {
                 offset,
                 field,
                 value,
-            })?,
+            }));
+        };
+        let alert = Alert {
+            kind,
             seq: n64::get(r)?,
             cycle: n64::get(r)?,
             slot: slot_opt::get(r)?,

@@ -54,15 +54,23 @@ pub const MAGIC: [u8; 4] = *b"TTRL";
 pub const VERSION: u16 = 1;
 
 /// Append `v` as an LEB128 varint.
+#[inline]
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+    // Most operands are a slot, a packet id or a flag: one or two bytes.
+    if v < 1 << 7 {
+        buf.push(v as u8);
+    } else if v < 1 << 14 {
+        buf.extend_from_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
+    } else {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.push(byte);
+                return;
+            }
+            buf.push(byte | 0x80);
         }
-        buf.push(byte | 0x80);
     }
 }
 
@@ -299,6 +307,7 @@ struct Stream {
 
 impl Stream {
     /// Append `ev` at cycle `now`, moving the clock first if need be.
+    #[inline]
     fn write(&mut self, now: u64, ev: &Event<'_>) {
         if now != self.cycle {
             debug_assert!(now > self.cycle, "simulated time is monotone");

@@ -20,7 +20,7 @@
 //! and determinism; it does not prove the recorder was honest about the
 //! simulation — trust in the log is trust in whoever recorded it.
 
-use crate::codec::{self, tag, Reader, KINDS};
+use crate::codec::{self, tag, Reader, Rejected, KINDS};
 use crate::log::{fnv1a64, LogHeader, MAGIC, VERSION};
 use turnroute_sim::obs::Event;
 use turnroute_sim::{NoopObserver, SimObserver};
@@ -250,37 +250,9 @@ fn walk(
 ) -> Result<LogSummary, LogError> {
     let (header, events_at) = parse_frame(bytes)?;
     let mut r = Reader::new(&bytes[..bytes.len() - 8], events_at, &header)?;
-    let mut total = 0u64;
     let mut counts = [0u64; KINDS.len()];
-    loop {
-        let at = r.pos();
-        let t = r.u8()?;
-        if t == tag::END {
-            let declared = r.varint()?;
-            if declared != total {
-                return Err(LogError::EventCountMismatch {
-                    declared,
-                    actual: total,
-                });
-            }
-            if !r.at_end() {
-                return Err(LogError::TrailingData);
-            }
-            break;
-        }
-        total += 1;
-        if t == tag::CYCLE_ADVANCE {
-            r.advance_clock()?;
-        }
-        let now = r.now();
-        let in_bounds = now >= from && now <= to;
-        if t != tag::CYCLE_ADVANCE {
-            let ev = codec::decode(&mut r, t)?;
-            if in_bounds {
-                visit(at, now, &ev);
-            }
-        }
-        counts[usize::from(t)] += u64::from(in_bounds);
+    if let Err(rejected) = walk_events(&mut r, from, to, &mut counts, &mut visit) {
+        return Err(r.take_error(rejected));
     }
     Ok(LogSummary {
         events: counts.iter().sum(),
@@ -292,6 +264,50 @@ fn walk(
             .collect(),
         header,
     })
+}
+
+/// [`walk`]'s loop over the event stream, up to and including the
+/// trailer's count, adding each event in `[from, to]` to `counts`. A
+/// rejection leaves its [`LogError`] held in `r`.
+#[inline(always)]
+fn walk_events(
+    r: &mut Reader<'_>,
+    from: u64,
+    to: u64,
+    counts: &mut [u64; KINDS.len()],
+    visit: &mut impl FnMut(usize, u64, &Event<'_>),
+) -> Result<(), Rejected> {
+    let mut total = 0u64;
+    loop {
+        let at = r.pos();
+        let t = r.read_u8()?;
+        if t == tag::END {
+            let declared = r.read_varint()?;
+            if declared != total {
+                return Err(r.fail(LogError::EventCountMismatch {
+                    declared,
+                    actual: total,
+                }));
+            }
+            if !r.at_end() {
+                return Err(r.fail(LogError::TrailingData));
+            }
+            return Ok(());
+        }
+        total += 1;
+        if t == tag::CYCLE_ADVANCE {
+            r.advance_clock()?;
+        }
+        let now = r.now();
+        let in_bounds = now >= from && now <= to;
+        if t != tag::CYCLE_ADVANCE {
+            let ev = codec::read_event(r, t)?;
+            if in_bounds {
+                visit(at, now, &ev);
+            }
+        }
+        counts[usize::from(t)] += u64::from(in_bounds);
+    }
 }
 
 /// Walk a log without driving any observer; returns the summary.
