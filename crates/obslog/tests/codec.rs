@@ -557,6 +557,27 @@ fn turnstat_rejects_hostile_logs_without_crashing() {
     }
 }
 
+/// The recorder and the reader are each other's inverse on a real run:
+/// replaying a frame-enabled recording into a plain recorder under the
+/// parsed header re-encodes every event — frames and alerts included —
+/// to the same bytes.
+#[test]
+fn a_replayed_recording_re_encodes_to_the_same_bytes() {
+    let mut s = scenario::canonical(3, true);
+    s.cfg.injection_rate = 0.20;
+    let log = LogObserver::start_with_frames(&s.mesh, &*s.routing, &s.pattern, &s.cfg, "sim", 50);
+    let mut sim = Sim::with_observer(&s.mesh, &*s.routing, &s.pattern, s.cfg, log);
+    sim.run();
+    let bytes = sim.into_observer().finish();
+    let header = summarize(&bytes).expect("the recording is valid").header;
+    let mut again = LogObserver::with_header(&header);
+    let replayed = replay(&bytes, &mut again).expect("the recording is valid");
+    for kind in ["frame", "alert", "fault", "turn", "stall", "blame"] {
+        assert!(replayed.count(kind) > 0, "the recording carries no {kind}");
+    }
+    assert!(again.finish() == bytes, "re-encoding changed the log");
+}
+
 /// The canonical `--quick` scenario recorded through its scheduled fault,
 /// one frame included, sealed.
 fn pristine_recording() -> Vec<u8> {
