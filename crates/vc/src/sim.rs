@@ -83,8 +83,8 @@ impl<'a> Lanes<'a> for VcLanes<'a> {
             .channel_exists(VirtualDirection::of_lane(dir, lane))
     }
 
-    fn turn_dir(&self, _slot: usize) -> Option<Direction> {
-        None
+    fn turn_dir(&self, slot: usize) -> Option<Direction> {
+        Some(self.vdir_of_slot(slot).dir())
     }
 
     // Unusable channels are simply skipped: removing outputs from a VC
@@ -131,6 +131,7 @@ mod tests {
     use super::*;
     use crate::{DoubleYAdaptive, TableVcRouting};
     use turnroute_model::{Cdg, RoutingFunction};
+    use turnroute_obslog::LogObserver;
     use turnroute_routing::{mesh2d, RoutingMode};
     use turnroute_sim::obs::ChannelLayout;
     use turnroute_sim::{
@@ -551,12 +552,33 @@ mod tests {
                         .drain_cycles(500)
                         .seed(seed)
                         .build();
-                    let mut base = Sim::new(&mesh, routing.as_ref(), &pattern, cfg.clone());
-                    let mut vc = VcSim::new(&mesh, &table, &pattern, cfg);
+                    let record = |engine| {
+                        LogObserver::start(&mesh, routing.as_ref(), &pattern, &cfg, engine)
+                    };
+                    let (base_log, vc_log) = (record("sim"), record("vc"));
+                    let header_len = (base_log.byte_len(), vc_log.byte_len());
+                    let mut base = Sim::with_observer(
+                        &mesh,
+                        routing.as_ref(),
+                        &pattern,
+                        cfg.clone(),
+                        base_log,
+                    );
+                    let mut vc = VcSim::with_observer(&mesh, &table, &pattern, cfg, vc_log);
                     let what = format!("{} rate {rate} seed {seed}", routing.name());
                     assert_eq!(base.run(), vc.run(), "{what}");
                     assert_eq!(base.packets(), vc.packets(), "{what}");
                     assert!(base.packets().len() > 20, "{what}: no load");
+                    // The same hook stream, turns included: the TTRL
+                    // bodies agree up to the checksum, which also covers
+                    // the header naming the engine.
+                    let (base_log, vc_log) =
+                        (base.into_observer().finish(), vc.into_observer().finish());
+                    let body = |log: &[u8], at: usize| log[at..log.len() - 8].to_vec();
+                    assert!(
+                        body(&base_log, header_len.0) == body(&vc_log, header_len.1),
+                        "{what}: the recorded event streams differ"
+                    );
                 }
             }
         }
