@@ -169,11 +169,28 @@ pub trait Topology {
     }
 }
 
-/// Shared helper: productive directions on a pure mesh (no wraparound).
-pub(crate) fn mesh_productive_dirs(from: &Coord, to: &Coord) -> DirSet {
+/// Shared helper: the coordinates of `a` and `b`, dimension by dimension,
+/// in the mixed-radix numbering of the grid topologies (dimension 0 varies
+/// fastest) — what `coord_of` gives, without building a [`Coord`].
+pub(crate) fn coord_pairs(
+    radices: impl Iterator<Item = u16>,
+    a: NodeId,
+    b: NodeId,
+) -> impl Iterator<Item = (u16, u16)> {
+    let (mut a, mut b) = (a.0, b.0);
+    radices.map(move |k| {
+        let k = u32::from(k);
+        let pair = ((a % k) as u16, (b % k) as u16);
+        (a, b) = (a / k, b / k);
+        pair
+    })
+}
+
+/// Shared helper: productive directions on a pure mesh (no wraparound),
+/// from the `(from, to)` coordinate pair of every dimension.
+pub(crate) fn mesh_productive_dirs(pairs: impl Iterator<Item = (u16, u16)>) -> DirSet {
     let mut set = DirSet::empty();
-    for dim in 0..from.num_dims() {
-        let (f, t) = (from.get(dim), to.get(dim));
+    for (dim, (f, t)) in pairs.enumerate() {
         if t > f {
             set.insert(Direction::new(dim, Sign::Plus));
         } else if t < f {
@@ -210,7 +227,7 @@ mod tests {
 
     #[test]
     fn mesh_productive_dirs_empty_for_same_node() {
-        let a = Coord::new(vec![1, 1]);
-        assert!(mesh_productive_dirs(&a, &a).is_empty());
+        let a = [1, 1];
+        assert!(mesh_productive_dirs(a.into_iter().zip(a)).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! *n*-dimensional mesh topology.
 
-use crate::{mesh_productive_dirs, Coord, DirSet, Direction, NodeId, Sign, Topology};
+use crate::{coord_pairs, mesh_productive_dirs, Coord, DirSet, Direction, NodeId, Sign, Topology};
 
 /// An *n*-dimensional mesh with `k_0 × k_1 × … × k_{n-1}` nodes and no
 /// wraparound channels.
@@ -81,6 +81,14 @@ impl Mesh {
     pub fn radices(&self) -> &[u16] {
         &self.radices
     }
+
+    /// The coordinates of `a` and `b`, dimension by dimension.
+    fn coord_pairs(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (u16, u16)> + '_ {
+        for node in [a, b] {
+            assert!(node.index() < self.num_nodes, "node {node} out of range");
+        }
+        coord_pairs(self.radices.iter().copied(), a, b)
+    }
 }
 
 impl Topology for Mesh {
@@ -150,11 +158,13 @@ impl Topology for Mesh {
     }
 
     fn min_hops(&self, a: NodeId, b: NodeId) -> usize {
-        self.coord_of(a).manhattan(&self.coord_of(b))
+        self.coord_pairs(a, b)
+            .map(|(x, y)| usize::from(x.abs_diff(y)))
+            .sum()
     }
 
     fn productive_dirs(&self, from: NodeId, to: NodeId) -> DirSet {
-        mesh_productive_dirs(&self.coord_of(from), &self.coord_of(to))
+        mesh_productive_dirs(self.coord_pairs(from, to))
     }
 }
 

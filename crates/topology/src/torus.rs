@@ -1,6 +1,6 @@
 //! *k*-ary *n*-cube (torus) topology.
 
-use crate::{Coord, DirSet, Direction, NodeId, Sign, Topology};
+use crate::{coord_pairs, Coord, DirSet, Direction, NodeId, Sign, Topology};
 
 /// A *k*-ary *n*-cube: `k^n` nodes with modular (wraparound) neighbor
 /// arithmetic in every dimension, giving the topology edge symmetry.
@@ -60,6 +60,14 @@ impl Torus {
     /// The radix `k` shared by every dimension.
     pub fn k(&self) -> usize {
         usize::from(self.k)
+    }
+
+    /// The coordinates of `a` and `b`, dimension by dimension.
+    fn coord_pairs(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (u16, u16)> {
+        for node in [a, b] {
+            assert!(node.index() < self.num_nodes, "node {node} out of range");
+        }
+        coord_pairs(std::iter::repeat_n(self.k, self.n), a, b)
     }
 }
 
@@ -138,23 +146,20 @@ impl Topology for Torus {
     }
 
     fn min_hops(&self, a: NodeId, b: NodeId) -> usize {
-        let (ca, cb) = (self.coord_of(a), self.coord_of(b));
         let k = usize::from(self.k);
-        (0..self.n)
-            .map(|d| {
-                let delta = usize::from(ca.get(d).abs_diff(cb.get(d)));
+        self.coord_pairs(a, b)
+            .map(|(x, y)| {
+                let delta = usize::from(x.abs_diff(y));
                 delta.min(k - delta)
             })
             .sum()
     }
 
     fn productive_dirs(&self, from: NodeId, to: NodeId) -> DirSet {
-        let (cf, ct) = (self.coord_of(from), self.coord_of(to));
         let k = usize::from(self.k);
         let mut set = DirSet::empty();
-        for dim in 0..self.n {
-            let f = usize::from(cf.get(dim));
-            let t = usize::from(ct.get(dim));
+        for (dim, (f, t)) in self.coord_pairs(from, to).enumerate() {
+            let (f, t) = (usize::from(f), usize::from(t));
             if f == t {
                 continue;
             }

@@ -1,7 +1,9 @@
 //! Randomized tests for topology invariants (seeded, deterministic).
 
 use turnroute_rng::{Rng, SeedableRng, StdRng};
-use turnroute_topology::{Coord, Direction, HexMesh, Hypercube, Mesh, NodeId, Topology, Torus};
+use turnroute_topology::{
+    Coord, Direction, HexMesh, Hypercube, Mesh, NodeId, Sign, Topology, Torus,
+};
 
 const CASES: usize = 128;
 
@@ -196,5 +198,53 @@ fn coord_manhattan_symmetric() {
         let ca = Coord::new(a);
         let cb = Coord::new(b);
         assert_eq!(ca.manhattan(&cb), cb.manhattan(&ca));
+    }
+}
+
+/// Distances and productive directions are those of the nodes'
+/// coordinates: per dimension, the coordinate difference on a mesh and the
+/// shorter way round on a torus (both ways on a tie).
+#[test]
+fn distances_are_those_of_the_coordinates() {
+    let mut rng = StdRng::seed_from_u64(0x708);
+    for _ in 0..CASES {
+        let (mesh, torus) = (random_mesh(&mut rng), random_torus(&mut rng));
+        let topos: [&dyn Topology; 2] = [&mesh, &torus];
+        for topo in topos {
+            let (a, b) = (random_node(&mut rng, topo), random_node(&mut rng, topo));
+            let (ca, cb) = (topo.coord_of(a), topo.coord_of(b));
+            let (mut hops, mut dirs) = (0, Vec::new());
+            for dim in 0..topo.num_dims() {
+                let (f, t, k) = (
+                    usize::from(ca.get(dim)),
+                    usize::from(cb.get(dim)),
+                    topo.radix(dim),
+                );
+                let (plus, minus) = if topo.has_wraparound(dim) {
+                    ((t + k - f) % k, (f + k - t) % k)
+                } else {
+                    (t.saturating_sub(f), f.saturating_sub(t))
+                };
+                let shorter = if topo.has_wraparound(dim) {
+                    plus.min(minus)
+                } else {
+                    plus + minus
+                };
+                hops += shorter;
+                for (way, dir) in [
+                    (plus, Direction::new(dim, Sign::Plus)),
+                    (minus, Direction::new(dim, Sign::Minus)),
+                ] {
+                    if way > 0 && way == shorter {
+                        dirs.push(dir);
+                    }
+                }
+            }
+            assert_eq!(topo.min_hops(a, b), hops, "{a} -> {b}");
+            let mut got: Vec<_> = topo.productive_dirs(a, b).iter().collect();
+            got.sort_by_key(|d| d.index());
+            dirs.sort_by_key(|d| d.index());
+            assert_eq!(got, dirs, "{a} -> {b}");
+        }
     }
 }
