@@ -151,6 +151,12 @@ if cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
 fi
 grep -q "rejected" "$lint_tmp/turnstat_bad.log"
 grep -q "self-test ok" "$lint_tmp/turnstat_bad.log"
+# The committed logs were sealed by an earlier build of the encoder: the
+# reader must still accept them.
+for committed in results/chaos_heal.ttr results/mc_counterexample.ttr; do
+    cargo run --offline --quiet -p turnroute-obslog --bin turnstat -- \
+        summarize "$committed" > /dev/null
+done
 
 echo "==> turnheal gate"
 # The online-reconfiguration gate: a short seeded chaos storm must soak
