@@ -320,12 +320,8 @@ impl<'b> Reader<'b> {
     /// [`Reader::varint`] on the hot path.
     #[inline(always)]
     pub(crate) fn read_varint(&mut self) -> Result<u64, Rejected> {
-        let b = self.read_u8()?;
-        if b & 0x80 == 0 {
-            return Ok(u64::from(b));
-        }
-        let mut out = u64::from(b & 0x7f);
-        let mut shift = 7u32;
+        let mut out = 0u64;
+        let mut shift = 0u32;
         loop {
             let b = self.read_u8()?;
             // The tenth byte holds bit 63 alone; anything above it
