@@ -56,21 +56,14 @@ pub const VERSION: u16 = 1;
 /// Append `v` as an LEB128 varint.
 #[inline]
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    // Most operands are a slot, a packet id or a flag: one or two bytes.
-    if v < 1 << 7 {
-        buf.push(v as u8);
-    } else if v < 1 << 14 {
-        buf.extend_from_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
-    } else {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(byte);
-                return;
-            }
-            buf.push(byte | 0x80);
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf.push(byte);
+            return;
         }
+        buf.push(byte | 0x80);
     }
 }
 
