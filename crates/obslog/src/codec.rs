@@ -194,6 +194,9 @@ codec! {
 /// into an [`Event`] or the [`LogError`] saying why they are not one —
 /// the same checks, and the same errors, as the walk behind
 /// [`crate::replay()`].
+///
+/// This reads a good event twice, so it is for callers that decode a
+/// single event; the walk does not use it, and a hot loop should not.
 pub fn decode<'r>(r: &'r mut Reader<'_>, tag: u8) -> Result<Event<'r>, LogError> {
     let at = r.pos;
     if let Some(rejected) = read_event(r, tag).err() {
@@ -277,13 +280,15 @@ impl<'b> Reader<'b> {
         self.pos == self.bytes.len()
     }
 
-    /// The next byte.
+    /// The next byte. The walk reads bytes without building a
+    /// [`LogError`] per call; this is for single reads.
     pub fn u8(&mut self) -> Result<u8, LogError> {
         self.read_u8().map_err(|rejected| self.take_error(rejected))
     }
 
     /// The next LEB128 varint. One whose value does not fit a `u64` is
-    /// [`LogError::Truncated`], like one the stream cuts short.
+    /// [`LogError::Truncated`], like one the stream cuts short. Like
+    /// [`Reader::u8`], this is for single reads, not the walk.
     pub fn varint(&mut self) -> Result<u64, LogError> {
         self.read_varint()
             .map_err(|rejected| self.take_error(rejected))

@@ -3,7 +3,8 @@
 //!
 //! The reader validates the framing before dispatching a single event —
 //! magic, version, header shape, the trailing FNV-1a-64 checksum — and,
-//! while walking, every tag and every operand ([`crate::codec::decode`]).
+//! while walking, every tag and every operand against the ranges the
+//! header decides (the checks [`crate::codec`] states per kind).
 //! A log that fails any check is rejected with a [`LogError`]: truncation
 //! and bit flips cannot silently produce plausible-but-wrong aggregates,
 //! and a well-checksummed log of hostile operands cannot crash a
