@@ -169,20 +169,22 @@ pub trait Topology {
     }
 }
 
-/// Shared helper: the coordinates of `a` and `b`, dimension by dimension,
-/// in the mixed-radix numbering of the grid topologies (dimension 0 varies
-/// fastest) — what `coord_of` gives, without building a [`Coord`].
-pub(crate) fn coord_pairs(
+/// Shared helper: the coordinates of `node`, dimension by dimension, in
+/// the mixed-radix numbering of the grid topologies (dimension 0 varies
+/// fastest), without building a [`Coord`]. Panics if `node` is not below
+/// `num_nodes`.
+pub(crate) fn digits(
     radices: impl Iterator<Item = u16>,
-    a: NodeId,
-    b: NodeId,
-) -> impl Iterator<Item = (u16, u16)> {
-    let (mut a, mut b) = (a.0, b.0);
+    num_nodes: usize,
+    node: NodeId,
+) -> impl Iterator<Item = u16> {
+    assert!(node.index() < num_nodes, "node {node} out of range");
+    let mut rem = node.0;
     radices.map(move |k| {
         let k = u32::from(k);
-        let pair = ((a % k) as u16, (b % k) as u16);
-        (a, b) = (a / k, b / k);
-        pair
+        let digit = (rem % k) as u16;
+        rem /= k;
+        digit
     })
 }
 

@@ -1,6 +1,6 @@
 //! *n*-dimensional mesh topology.
 
-use crate::{coord_pairs, mesh_productive_dirs, Coord, DirSet, Direction, NodeId, Sign, Topology};
+use crate::{digits, mesh_productive_dirs, Coord, DirSet, Direction, NodeId, Sign, Topology};
 
 /// An *n*-dimensional mesh with `k_0 × k_1 × … × k_{n-1}` nodes and no
 /// wraparound channels.
@@ -82,12 +82,9 @@ impl Mesh {
         &self.radices
     }
 
-    /// The coordinates of `a` and `b`, dimension by dimension.
-    fn coord_pairs(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (u16, u16)> + '_ {
-        for node in [a, b] {
-            assert!(node.index() < self.num_nodes, "node {node} out of range");
-        }
-        coord_pairs(self.radices.iter().copied(), a, b)
+    /// The coordinates of `node`, dimension by dimension.
+    fn digits(&self, node: NodeId) -> impl Iterator<Item = u16> + '_ {
+        digits(self.radices.iter().copied(), self.num_nodes, node)
     }
 }
 
@@ -110,18 +107,7 @@ impl Topology for Mesh {
     }
 
     fn coord_of(&self, node: NodeId) -> Coord {
-        assert!(node.index() < self.num_nodes, "node {node} out of range");
-        let mut rem = node.index();
-        let comps = self
-            .radices
-            .iter()
-            .map(|&k| {
-                let c = (rem % usize::from(k)) as u16;
-                rem /= usize::from(k);
-                c
-            })
-            .collect();
-        Coord::new(comps)
+        Coord::new(self.digits(node).collect())
     }
 
     fn node_at(&self, coord: &Coord) -> NodeId {
@@ -158,13 +144,14 @@ impl Topology for Mesh {
     }
 
     fn min_hops(&self, a: NodeId, b: NodeId) -> usize {
-        self.coord_pairs(a, b)
+        self.digits(a)
+            .zip(self.digits(b))
             .map(|(x, y)| usize::from(x.abs_diff(y)))
             .sum()
     }
 
     fn productive_dirs(&self, from: NodeId, to: NodeId) -> DirSet {
-        mesh_productive_dirs(self.coord_pairs(from, to))
+        mesh_productive_dirs(self.digits(from).zip(self.digits(to)))
     }
 }
 

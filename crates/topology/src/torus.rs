@@ -1,6 +1,6 @@
 //! *k*-ary *n*-cube (torus) topology.
 
-use crate::{coord_pairs, Coord, DirSet, Direction, NodeId, Sign, Topology};
+use crate::{digits, Coord, DirSet, Direction, NodeId, Sign, Topology};
 
 /// A *k*-ary *n*-cube: `k^n` nodes with modular (wraparound) neighbor
 /// arithmetic in every dimension, giving the topology edge symmetry.
@@ -62,12 +62,9 @@ impl Torus {
         usize::from(self.k)
     }
 
-    /// The coordinates of `a` and `b`, dimension by dimension.
-    fn coord_pairs(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (u16, u16)> {
-        for node in [a, b] {
-            assert!(node.index() < self.num_nodes, "node {node} out of range");
-        }
-        coord_pairs(std::iter::repeat_n(self.k, self.n), a, b)
+    /// The coordinates of `node`, dimension by dimension.
+    fn digits(&self, node: NodeId) -> impl Iterator<Item = u16> {
+        digits(std::iter::repeat_n(self.k, self.n), self.num_nodes, node)
     }
 }
 
@@ -91,17 +88,7 @@ impl Topology for Torus {
     }
 
     fn coord_of(&self, node: NodeId) -> Coord {
-        assert!(node.index() < self.num_nodes, "node {node} out of range");
-        let k = usize::from(self.k);
-        let mut rem = node.index();
-        let comps = (0..self.n)
-            .map(|_| {
-                let c = (rem % k) as u16;
-                rem /= k;
-                c
-            })
-            .collect();
-        Coord::new(comps)
+        Coord::new(self.digits(node).collect())
     }
 
     fn node_at(&self, coord: &Coord) -> NodeId {
@@ -147,7 +134,8 @@ impl Topology for Torus {
 
     fn min_hops(&self, a: NodeId, b: NodeId) -> usize {
         let k = usize::from(self.k);
-        self.coord_pairs(a, b)
+        self.digits(a)
+            .zip(self.digits(b))
             .map(|(x, y)| {
                 let delta = usize::from(x.abs_diff(y));
                 delta.min(k - delta)
@@ -158,7 +146,7 @@ impl Topology for Torus {
     fn productive_dirs(&self, from: NodeId, to: NodeId) -> DirSet {
         let k = usize::from(self.k);
         let mut set = DirSet::empty();
-        for (dim, (f, t)) in self.coord_pairs(from, to).enumerate() {
+        for (dim, (f, t)) in self.digits(from).zip(self.digits(to)).enumerate() {
             let (f, t) = (usize::from(f), usize::from(t));
             if f == t {
                 continue;
