@@ -953,4 +953,17 @@ mod tests {
         }
         assert_ne!(certificate_hash(&cert), certificate_hash(&other));
     }
+
+    #[test]
+    fn certificate_hash_is_pinned() {
+        // Epoch hashes are recorded in `results/chaos_heal.ttr`: the digest
+        // of an acyclic and of a cyclic certificate must not move.
+        let mesh = Mesh::new_2d(4, 4);
+        let hash = |alg: &dyn RoutingFunction| {
+            certificate_hash(&prove::prove(&extract::from_routing("", &mesh, alg)))
+        };
+        let wf = mesh2d::west_first(RoutingMode::Minimal);
+        assert_eq!(hash(&wf), 0x11cd_1c6d_38b6_f0e4);
+        assert_eq!(hash(&FullyAdaptive::new()), 0x005f_95cc_5f49_5931);
+    }
 }
