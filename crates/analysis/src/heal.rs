@@ -41,6 +41,7 @@ use crate::certificate::{Certificate, GraphSpec, Verdict};
 use crate::{check, extract, prove};
 use std::collections::HashSet;
 use turnroute_model::RoutingFunction;
+use turnroute_obslog::log::fnv1a64;
 use turnroute_sim::obs::Event;
 use turnroute_sim::{
     FaultEvent, FaultTarget, HealEvent, NoopObserver, Sim, SimConfig, SimObserver, SimReport,
@@ -166,44 +167,28 @@ impl HealReport {
 /// every unreachable claim — all fields the checker validates, none of
 /// the free-form labels.
 pub fn certificate_hash(cert: &Certificate) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    fn mix(h: &mut u64, x: u64) {
-        for b in x.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
+    let mut words = Vec::new();
     match &cert.verdict {
         Verdict::Acyclic { numbering } => {
-            mix(&mut h, 1);
-            mix(&mut h, numbering.len() as u64);
-            for &x in numbering {
-                mix(&mut h, x);
-            }
+            words.extend([1, numbering.len() as u64]);
+            words.extend(numbering);
         }
         Verdict::Cyclic { cycle } => {
-            mix(&mut h, 2);
-            mix(&mut h, cycle.len() as u64);
-            for &c in cycle {
-                mix(&mut h, c.into());
-            }
+            words.extend([2, cycle.len() as u64]);
+            words.extend(cycle.iter().map(|&c| u64::from(c)));
         }
     }
-    mix(&mut h, cert.paths.len() as u64);
+    words.push(cert.paths.len() as u64);
     for p in &cert.paths {
-        mix(&mut h, p.src.into());
-        mix(&mut h, p.dst.into());
-        mix(&mut h, p.path.len() as u64);
-        for &c in &p.path {
-            mix(&mut h, c.into());
-        }
+        words.extend([p.src.into(), p.dst.into(), p.path.len() as u64]);
+        words.extend(p.path.iter().map(|&c| u64::from(c)));
     }
-    mix(&mut h, cert.unreachable.len() as u64);
+    words.push(cert.unreachable.len() as u64);
     for &(s, d) in &cert.unreachable {
-        mix(&mut h, s.into());
-        mix(&mut h, d.into());
+        words.extend([u64::from(s), u64::from(d)]);
     }
-    h
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
 }
 
 /// The previous epoch's proof state carried into the next incremental
