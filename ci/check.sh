@@ -251,10 +251,12 @@ echo "==> verdict group"
 # isolation: the unit tests of `analysis::verify` (xy all green, fully
 # adaptive failing only on its witness cycle, x-only failing
 # connectivity, fault-masked relations healthy, cut by one link,
-# partitioned by one node); `check_fuzz`, which feeds the checker those
+# partitioned by one node, and the unproductive or unbuilt move each
+# per-move check names); `check_fuzz`, which feeds the checker those
 # verdicts trust seeded mutations of real certificates and progress
 # claims (every breaking one rejected, none a panic, the unmutated ones
-# accepted) and pins the prover's hop distances; the lint
+# accepted), the paper's Theorem 2 and 5 numberings as certificates, and
+# pins the prover's hop distances; the lint
 # unit tests (the matrix and claims that read the verdict); then the
 # facade's one-call verification of every shipped algorithm, degenerate
 # networks included, and deadlock freedom under random fault patterns.
@@ -303,7 +305,8 @@ if [[ $full -eq 1 ]]; then
     # budget and `routing_delay`, the two paths the route memo sits
     # next to. `exp vc-ablation` and `exp synth` (about 20 s) fingerprint
     # the virtual-channel adapter over double-y and over tabulated
-    # relations.
+    # relations. `exp numbering` (under a second) is the paper's Theorem 2
+    # and 5 numberings, each validated by the certificate checker.
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnprove -- \
         --out "$tmp/turnprove.json" > /dev/null
     cargo run --release --offline --quiet -p turnroute-analysis --bin turnsynth -- \
@@ -324,9 +327,12 @@ if [[ $full -eq 1 ]]; then
         vc-ablation --out "$tmp/full" > /dev/null 2>&1
     cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
         synth --out "$tmp/full" > /dev/null 2>&1
+    cargo run --release --offline --quiet -p turnroute-experiments --bin exp -- \
+        numbering --out "$tmp/full" > /dev/null 2>&1
     for artifact in turnprove.json turnsynth.json turnlint.json mc.json mc_counterexample.ttr \
         full/chaos.md full/chaos_heal.ttr full/faults.md full/faults.csv full/faults.json \
-        full/nonminimal.md full/node_delay.md full/vc_ablation.md full/synth.md; do
+        full/nonminimal.md full/node_delay.md full/vc_ablation.md full/synth.md \
+        full/numbering.md; do
         cmp "$tmp/$artifact" "results/$(basename "$artifact")"
     done
 

@@ -51,14 +51,25 @@ use std::collections::{HashMap, HashSet};
 /// Returns a description of the first defect found — in the spec, the
 /// proof object, or the connectivity coverage.
 pub fn check(spec: &GraphSpec, cert: &Certificate) -> Result<(), String> {
+    check_verdict(spec, &cert.verdict)?;
+    check_connectivity(spec, cert)
+}
+
+/// Validate the deadlock half of a certificate, `verdict`, against `spec`
+/// (checks 1–4): what a channel numbering of the paper's proofs needs.
+///
+/// # Errors
+///
+/// Returns a description of the first defect found — in the spec or the
+/// proof object.
+pub fn check_verdict(spec: &GraphSpec, verdict: &Verdict) -> Result<(), String> {
     check_spec(spec)?;
     let deps: HashSet<(u32, u32)> = spec.deps.iter().copied().collect();
     check_routes_covered_by_deps(spec, &deps)?;
-    match &cert.verdict {
-        Verdict::Acyclic { numbering } => check_numbering(spec, numbering)?,
-        Verdict::Cyclic { cycle } => check_cycle(spec, &deps, cycle)?,
+    match verdict {
+        Verdict::Acyclic { numbering } => check_numbering(spec, numbering),
+        Verdict::Cyclic { cycle } => check_cycle(spec, &deps, cycle),
     }
-    check_connectivity(spec, cert)
 }
 
 /// Validate the progress claim `p` against `spec`.
@@ -191,7 +202,7 @@ fn check_spec(spec: &GraphSpec) -> Result<(), String> {
 
 /// Every routing move from a channel state must be a dependency edge —
 /// otherwise the deadlock verdict would not cover real traffic.
-fn check_routes_covered_by_deps(
+pub(crate) fn check_routes_covered_by_deps(
     spec: &GraphSpec,
     deps: &HashSet<(u32, u32)>,
 ) -> Result<(), String> {

@@ -43,9 +43,14 @@ pub fn from_routing(
     topo: &dyn Topology,
     routing: &dyn RoutingFunction,
 ) -> GraphSpec {
-    let lowered = Cdg::lower(topo, routing, true);
+    routing_spec(name.into(), topo, Cdg::lower(topo, routing, true))
+}
+
+/// A routing function's [`Cdg::lower`]ing, with routes, as the prover's
+/// question.
+pub(crate) fn routing_spec(name: String, topo: &dyn Topology, lowered: Lowering) -> GraphSpec {
     let channels = topo.channels();
-    spec_of(name.into(), topo, lowered, |id, _| channels[id].to_string())
+    spec_of(name, topo, lowered, |id, _| channels[id].to_string())
 }
 
 /// Lower a routing function under a fault pattern, through

@@ -15,9 +15,9 @@
 //!   CDG verdicts can be cross-validated against live simulations.
 //! * [`verify()`] — the one-call verdict on a routing function: deadlock
 //!   freedom, connectivity and bounded-misroute progress read from two
-//!   checker-validated proofs over one lowered spec (below), plus the
-//!   per-move checks a spec cannot answer — minimality, channel
-//!   existence, turn-set conformance. Under faults, verify the
+//!   checker-validated proofs over one lowered spec (below), and
+//!   minimality, channel existence and turn-set conformance read off the
+//!   same lowering. Under faults, verify the
 //!   [`turnroute_model::FaultMasked`] relation.
 //! * [`lint`] — the driver behind the `turnlint` binary: enumeration
 //!   claims, the algorithm × topology verification matrix (including the
@@ -94,4 +94,4 @@ pub use mc::{McEntry, McOptions, McReport};
 pub use prove::{ProveOptions, ProveReport};
 pub use routing::TurnSetRouting;
 pub use synth::{SynthEntry, SynthOptions, SynthReport, SynthResult};
-pub use verify::{checked_progress, verify, VerificationReport};
+pub use verify::{checked_progress, verify, Check, VerificationReport};

@@ -26,8 +26,7 @@ use crate::claim::{witness_cycle, Claim};
 use crate::enumeration;
 use crate::extract;
 use crate::routing::TurnSetRouting;
-use crate::verify::{checked_progress, verify};
-use turnroute_model::verifier::Check;
+use crate::verify::{checked_progress, verify, Check};
 use turnroute_model::{Cdg, FaultMasked, RoutingFunction, Turn, TurnSet};
 use turnroute_routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute_routing::{hypercube, mesh2d, ndmesh, FullyAdaptive, RoutingMode};

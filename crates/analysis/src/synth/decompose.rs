@@ -6,7 +6,7 @@
 //! cut edge marks a routing move the adaptive class must surrender to
 //! the escape class.
 
-use turnroute_model::numbering::numbering_from_edges;
+use turnroute_model::DepGraph;
 
 /// Indices into `deps` of an inclusion-minimal feedback edge set: the
 /// remaining edges are acyclic, and re-adding any single cut edge
@@ -69,13 +69,18 @@ pub fn feedback_edges(num_channels: usize, deps: &[(u32, u32)]) -> Vec<usize> {
         .filter(|&(i, _)| !is_candidate[i])
         .map(|(_, &e)| e)
         .collect();
-    debug_assert!(numbering_from_edges(num_channels, &kept).is_some());
+    debug_assert!(DepGraph::from_edges(num_channels, &kept)
+        .numbering()
+        .is_some());
     let mut feedback = Vec::new();
     candidates.sort_unstable();
     candidates.dedup();
     for c in candidates {
         kept.push(deps[c]);
-        if numbering_from_edges(num_channels, &kept).is_none() {
+        if DepGraph::from_edges(num_channels, &kept)
+            .numbering()
+            .is_none()
+        {
             kept.pop();
             feedback.push(c);
         }
@@ -105,7 +110,7 @@ mod tests {
             .filter(|&(i, _)| !f.contains(&i))
             .map(|(_, &e)| e)
             .collect();
-        assert!(numbering_from_edges(3, &kept).is_some());
+        assert!(DepGraph::from_edges(3, &kept).numbering().is_some());
     }
 
     #[test]
@@ -120,10 +125,12 @@ mod tests {
                 .map(|(_, &e)| e)
                 .collect()
         };
-        assert!(numbering_from_edges(4, &kept(None)).is_some());
+        assert!(DepGraph::from_edges(4, &kept(None)).numbering().is_some());
         for &i in &f {
             assert!(
-                numbering_from_edges(4, &kept(Some(i))).is_none(),
+                DepGraph::from_edges(4, &kept(Some(i)))
+                    .numbering()
+                    .is_none(),
                 "edge {i} could be re-added: the cut is not minimal"
             );
         }

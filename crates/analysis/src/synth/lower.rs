@@ -24,7 +24,7 @@
 
 use crate::certificate::{ChannelVertex, GraphSpec};
 use std::collections::VecDeque;
-use turnroute_model::numbering::numbering_from_edges;
+use turnroute_model::DepGraph;
 
 use super::decompose::feedback_edges;
 
@@ -79,7 +79,7 @@ impl SynthResult {
 pub fn synthesize(input: &GraphSpec) -> Result<SynthResult, String> {
     let n = input.num_nodes as usize;
     let k = input.channels.len();
-    if numbering_from_edges(k, &input.deps).is_some() {
+    if DepGraph::from_edges(k, &input.deps).numbering().is_some() {
         return Err(format!(
             "{}: input dependency graph is already acyclic; nothing to synthesize",
             input.name

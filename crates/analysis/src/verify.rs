@@ -2,21 +2,43 @@
 //!
 //! [`verify`] bundles every check the workspace runs against a
 //! [`RoutingFunction`] into one [`VerificationReport`]. The relation is
-//! lowered once ([`extract::from_routing`]), and four verdicts are read
-//! from two proofs over that one spec, each re-validated by the
-//! independent checker: deadlock freedom and the paths of connectivity
-//! from the certificate ([`prove::prove`], [`check::check`]), progress
-//! and the dead-end half of connectivity from the progress claim
-//! ([`checked_progress`]). The rest are the model crate's per-move checks
-//! (minimality, channel existence, turn-set conformance), which a spec
-//! cannot answer. A routing function under a fault pattern is verified
-//! the same way, wrapped in [`turnroute_model::FaultMasked`].
+//! lowered once ([`Cdg::lower`], the one walk of a routing relation), and
+//! every verdict is read from that walk or from the spec it yields:
+//! deadlock freedom and the paths of connectivity from the certificate
+//! ([`prove::prove`], [`check::check`]), progress and the dead-end half
+//! of connectivity from the progress claim ([`checked_progress`]), both
+//! re-validated by the independent checker; minimality and channel
+//! existence from the offers the walk records (`Lowering::unproductive`,
+//! `Lowering::unbuilt`); and turn-set conformance from the checker's
+//! route-coverage scan against the declared turn set's potential
+//! dependencies ([`Cdg::from_turn_set`]). A routing function under a
+//! fault pattern is verified the same way, wrapped in
+//! [`turnroute_model::FaultMasked`].
 
 use crate::certificate::{GraphSpec, Progress, Verdict};
 use crate::{check, extract, prove};
-use turnroute_model::verifier::{check_channels, check_minimal, check_turns, Check};
-use turnroute_model::RoutingFunction;
+use turnroute_model::depgraph::Move;
+use turnroute_model::{Cdg, RoutingFunction};
 use turnroute_topology::{NodeId, Topology};
+
+/// The outcome of one verification check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Check {
+    /// The check ran and passed.
+    Passed,
+    /// The check ran and failed, with an explanation.
+    Failed(String),
+    /// The check does not apply (e.g. minimality of a nonminimal
+    /// function).
+    Skipped,
+}
+
+impl Check {
+    /// Whether this check is not a failure.
+    pub fn is_ok(&self) -> bool {
+        !matches!(self, Check::Failed(_))
+    }
+}
 
 /// A full verification report for a routing function on a topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,9 +105,13 @@ impl std::fmt::Display for VerificationReport {
 ///
 /// Runtime is dominated by lowering the relation and the certificate's
 /// per-destination walks, roughly `O(nodes · channels · degree)`; keep
-/// topologies modest (hundreds of nodes).
+/// topologies modest (hundreds of nodes). Minimality and channel
+/// existence cover every state the lowering asks the relation about:
+/// every injection state, and every held state a packet can reach.
 pub fn verify(topo: &dyn Topology, routing: &dyn RoutingFunction) -> VerificationReport {
-    let spec = extract::from_routing(routing.name(), topo, routing);
+    let lowered = Cdg::lower(topo, routing, true);
+    let (unbuilt, unproductive) = (lowered.unbuilt, lowered.unproductive);
+    let spec = extract::routing_spec(routing.name().to_string(), topo, lowered);
     let cert = prove::prove(&spec);
     let progress = checked_progress(&spec);
     let rejected =
@@ -113,17 +139,42 @@ pub fn verify(topo: &dyn Topology, routing: &dyn RoutingFunction) -> Verificatio
             (deadlock_free, connected)
         }
     };
+    let offered = |what: &str, m: Option<Move>| {
+        m.map_or(Check::Passed, |m| {
+            let state = m.held.map_or("at injection".to_string(), |c| {
+                format!("holding {}", spec.channels[c as usize].label)
+            });
+            Check::Failed(format!(
+                "{what} {} offered at {} toward {} ({state})",
+                m.offer.0, m.at, m.dest
+            ))
+        })
+    };
+    let turns_consistent = match routing.turn_set(topo.num_dims()) {
+        None => Check::Skipped,
+        Some(set) => {
+            let allowed = Cdg::from_turn_set(topo, &set).graph().edges().collect();
+            check::check_routes_covered_by_deps(&spec, &allowed).map_or_else(
+                |why| Check::Failed(format!("outside the declared turn set: {why}")),
+                |()| Check::Passed,
+            )
+        }
+    };
     VerificationReport {
         algorithm: routing.name().to_string(),
         deadlock_free,
         connected,
-        minimal: check_minimal(topo, routing),
+        minimal: if routing.is_minimal() {
+            offered("unproductive move", unproductive)
+        } else {
+            Check::Skipped
+        },
         progress: match &progress {
             Err(why) => rejected("progress proof", why),
             Ok(p) => p.lasso_witness(&spec).map_or(Check::Passed, Check::Failed),
         },
-        channels_valid: check_channels(topo, routing),
-        turns_consistent: check_turns(topo, routing),
+        channels_valid: offered("nonexistent channel", unbuilt),
+        turns_consistent,
     }
 }
 
@@ -174,6 +225,129 @@ mod tests {
         fn is_minimal(&self) -> bool {
             true
         }
+    }
+
+    /// Offers every existing direction: nonminimal, no turn set.
+    struct Wanderer;
+
+    impl RoutingFunction for Wanderer {
+        fn name(&self) -> &str {
+            "wanderer"
+        }
+
+        fn route(
+            &self,
+            topo: &dyn Topology,
+            current: NodeId,
+            _dest: NodeId,
+            _arrived: Option<Direction>,
+        ) -> DirSet {
+            Direction::all(topo.num_dims())
+                .filter(|&d| topo.neighbor(current, d).is_some())
+                .collect()
+        }
+
+        fn is_minimal(&self) -> bool {
+            false
+        }
+    }
+
+    /// Claims minimality and the west-first turn set, but always offers
+    /// east, off the mesh edge and away from western destinations.
+    struct AlwaysEast;
+
+    impl RoutingFunction for AlwaysEast {
+        fn name(&self) -> &str {
+            "always-east"
+        }
+
+        fn route(
+            &self,
+            _topo: &dyn Topology,
+            _current: NodeId,
+            _dest: NodeId,
+            _arrived: Option<Direction>,
+        ) -> DirSet {
+            DirSet::single(Direction::EAST)
+        }
+
+        fn is_minimal(&self) -> bool {
+            true
+        }
+
+        fn turn_set(&self, num_dims: usize) -> Option<turnroute_model::TurnSet> {
+            (num_dims == 2).then(turnroute_model::presets::west_first_turns)
+        }
+    }
+
+    /// Claims minimality and offers only productive moves at injection,
+    /// but adds north at every held state.
+    struct NorthOnceMoving;
+
+    impl RoutingFunction for NorthOnceMoving {
+        fn name(&self) -> &str {
+            "north-once-moving"
+        }
+
+        fn route(
+            &self,
+            topo: &dyn Topology,
+            current: NodeId,
+            dest: NodeId,
+            arrived: Option<Direction>,
+        ) -> DirSet {
+            let mut dirs = topo.productive_dirs(current, dest);
+            if arrived.is_some() {
+                dirs.insert(Direction::NORTH);
+            }
+            dirs
+        }
+
+        fn is_minimal(&self) -> bool {
+            true
+        }
+    }
+
+    fn failed(check: &Check) -> &str {
+        match check {
+            Check::Failed(why) => why,
+            other => panic!("expected a failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_nonminimal_function_without_a_turn_set_skips_two_checks() {
+        let report = verify(&Mesh::new_2d(3, 3), &Wanderer);
+        assert_eq!(report.minimal, Check::Skipped);
+        assert_eq!(report.turns_consistent, Check::Skipped);
+        assert_eq!(report.channels_valid, Check::Passed);
+    }
+
+    #[test]
+    fn each_per_move_check_names_the_move_it_rejects() {
+        let report = verify(&Mesh::new_2d(3, 3), &AlwaysEast);
+        assert_eq!(
+            failed(&report.minimal),
+            "unproductive move east offered at n1 toward n0 (at injection)"
+        );
+        assert_eq!(
+            failed(&report.channels_valid),
+            "nonexistent channel east offered at n2 toward n0 (at injection)"
+        );
+        // Arriving westbound and reversing east is no legal turn.
+        assert!(
+            failed(&report.turns_consistent).starts_with("outside the declared turn set"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn an_unproductive_move_from_a_held_channel_is_not_minimal() {
+        let report = verify(&Mesh::new_2d(4, 4), &NorthOnceMoving);
+        assert_eq!(
+            failed(&report.minimal),
+            "unproductive move north offered at n1 toward n0 (holding c5 n2 -> n1 (west))"
+        );
     }
 
     #[test]

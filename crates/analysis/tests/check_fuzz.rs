@@ -10,7 +10,10 @@
 //! across an offered move, a reachable state unranked, a dead end dropped
 //! or invented, a lasso step not offered, a lasso that never closes or
 //! does not start at injection) is rejected; and no mutation of any field makes the checker
-//! panic. The prover's hop distances are pinned against `min_hops`.
+//! panic. The paper's own numberings (Theorems 2 and 5) stand in for the
+//! prover's: accepted as they are, rejected with one entry perturbed
+//! across a dependency edge or handed to the wrong algorithm. The
+//! prover's hop distances are pinned against `min_hops`.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,9 +21,10 @@ use turnroute_analysis::{
     check, extract, prove, Certificate, GraphSpec, Progress, ProgressVerdict, TurnSetRouting,
     Verdict,
 };
+use turnroute_model::numbering::{negative_first_numbering, west_first_numbering};
 use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_rng::{Rng, SeedableRng, StdRng};
-use turnroute_routing::{mesh2d, FullyAdaptive, RoutingMode};
+use turnroute_routing::{mesh2d, ndmesh, FullyAdaptive, RoutingMode};
 use turnroute_topology::{
     DirSet, Direction, FaultSet, HexMesh, Hypercube, Mesh, NodeId, Topology, Torus,
 };
@@ -358,6 +362,91 @@ fn breaking_progress_mutations_are_rejected() {
             }
         }
     }
+}
+
+/// Theorem 2's numbering, which decreases along a west-first route, as
+/// the increasing numbering a certificate states.
+fn negated_west_first(mesh: &Mesh) -> Vec<u64> {
+    let numbers = west_first_numbering(mesh);
+    let top = *numbers.iter().max().expect("channels");
+    numbers.iter().map(|&x| (top - x) as u64).collect()
+}
+
+/// `routing` lowered on `topo`, certified by the prover but for the
+/// numbering, which is `numbering`.
+fn with_numbering(
+    name: &str,
+    topo: &dyn Topology,
+    routing: &dyn RoutingFunction,
+    numbering: Vec<u64>,
+) -> (GraphSpec, Certificate) {
+    let spec = extract::from_routing(name, topo, routing);
+    let mut cert = prove::prove(&spec);
+    cert.verdict = Verdict::Acyclic { numbering };
+    (spec, cert)
+}
+
+/// Theorem 2 for west-first on a 4×4 mesh, Theorem 5 for negative-first
+/// on a 3×3×3 mesh.
+fn paper_certificates() -> [(GraphSpec, Certificate); 2] {
+    let (mesh4, mesh3) = (Mesh::new_2d(4, 4), Mesh::new(vec![3, 3, 3]));
+    let theorem_5 = negative_first_numbering(&mesh3).into_iter();
+    [
+        with_numbering(
+            "west-first 4x4, Theorem 2",
+            &mesh4,
+            &mesh2d::west_first(RoutingMode::Minimal),
+            negated_west_first(&mesh4),
+        ),
+        with_numbering(
+            "negative-first 3x3x3, Theorem 5",
+            &mesh3,
+            &ndmesh::negative_first(3, RoutingMode::Minimal),
+            theorem_5
+                .map(|x| u64::try_from(x).expect("K-n-X >= 0"))
+                .collect(),
+        ),
+    ]
+}
+
+#[test]
+fn the_papers_numberings_are_accepted() {
+    for (spec, cert) in paper_certificates() {
+        check::check(&spec, &cert).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    }
+}
+
+#[test]
+fn a_paper_numbering_perturbed_across_a_dependency_edge_is_rejected() {
+    for (spec, cert) in paper_certificates() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = pick(&mut rng, &spec.deps);
+            let mut c = cert.clone();
+            let Verdict::Acyclic { numbering } = &mut c.verdict else {
+                unreachable!("a numbering was put in");
+            };
+            numbering[b as usize] = numbering[a as usize];
+            assert!(
+                check::check(&spec, &c).is_err(),
+                "{}: edge ({a}, {b}) left unordered was accepted",
+                spec.name
+            );
+        }
+    }
+}
+
+#[test]
+fn the_west_first_numbering_does_not_prove_negative_first() {
+    // Negative-first takes turns west-first prohibits.
+    let mesh = Mesh::new_2d(4, 4);
+    let (spec, cert) = with_numbering(
+        "negative-first 4x4, Theorem 2",
+        &mesh,
+        &mesh2d::negative_first(RoutingMode::Minimal),
+        negated_west_first(&mesh),
+    );
+    assert!(check::check(&spec, &cert).is_err());
 }
 
 #[test]

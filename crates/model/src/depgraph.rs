@@ -203,6 +203,20 @@ pub struct LaneChannel {
 /// An output a routing relation offers: a lane of the link in a direction.
 pub type Offer = (Direction, usize);
 
+/// An offer [`lower`] was given: to a packet at `at` bound for `dest`,
+/// holding channel `held` (`None` at injection).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Move {
+    /// Router the packet is at.
+    pub at: NodeId,
+    /// Destination of the packet.
+    pub dest: NodeId,
+    /// Channel id the packet holds, `None` at injection.
+    pub held: Option<u32>,
+    /// What the relation offered.
+    pub offer: Offer,
+}
+
 /// A routing relation lowered onto channels by [`lower`].
 #[derive(Debug, Clone)]
 pub struct Lowering {
@@ -220,6 +234,11 @@ pub struct Lowering {
     /// unless requested. Every held-state entry is, by construction, a set
     /// of `graph` successors.
     pub routes: Vec<Vec<Vec<u32>>>,
+    /// The first offer, in walk order, whose direction leaves the network.
+    pub unbuilt: Option<Move>,
+    /// For a `minimal` relation, the first offer, in walk order, that does
+    /// not bring the packet closer to its destination.
+    pub unproductive: Option<Move>,
 }
 
 /// Lower a routing relation: walk every reachable `(destination, state)`
@@ -233,7 +252,11 @@ pub struct Lowering {
 /// are walked only `with_routes`.
 ///
 /// An offer whose direction leaves the network is skipped (mesh
-/// boundaries; a relation may offer them and let the network drop them).
+/// boundaries; a relation may offer them and let the network drop them)
+/// and the first is kept as [`Lowering::unbuilt`]. The first offer of a
+/// `minimal` relation that does not lower the hop count is kept as
+/// [`Lowering::unproductive`]: the walk skipped the states such a move
+/// reaches, so the skipping is sound only while it is `None`.
 ///
 /// # Panics
 ///
@@ -269,38 +292,52 @@ pub fn lower(
         }
     }
 
+    let (mut unbuilt, mut unproductive) = (None, None);
     let mut offers = Vec::new();
-    let mut resolve = |at: NodeId, dest: NodeId, held: Option<Offer>, ids: &mut Vec<u32>| {
-        offers.clear();
-        ids.clear();
-        route(at, dest, held, &mut offers);
-        for &(dir, lane) in &offers {
-            if topo.neighbor(at, dir).is_some() {
+    let mut resolve =
+        |at: NodeId, dest: NodeId, held: Option<u32>, hops: &[usize], ids: &mut Vec<u32>| {
+            offers.clear();
+            ids.clear();
+            let held_lane = held.map(|c| (channels[c as usize].dir, channels[c as usize].lane));
+            route(at, dest, held_lane, &mut offers);
+            for &offer @ (dir, lane) in &offers {
+                let this = Move {
+                    at,
+                    dest,
+                    held,
+                    offer,
+                };
+                let Some(next) = topo.neighbor(at, dir) else {
+                    unbuilt.get_or_insert(this);
+                    continue;
+                };
+                if minimal && hops[next.index()] >= hops[at.index()] {
+                    unproductive.get_or_insert(this);
+                }
                 let id = slot_to_id[topo.channel_slot(at, dir) * lanes + lane];
                 assert_ne!(id, u32::MAX, "routing offered a nonexistent channel");
                 ids.push(id);
             }
-        }
-    };
+        };
 
     let mut adj = vec![Vec::new(); channels.len()];
     let mut routes = Vec::new();
     let mut outs = Vec::new();
     for dest in nodes() {
+        let hops: Vec<usize> = nodes().map(|v| topo.min_hops(v, dest)).collect();
         let mut table = Vec::new();
         if with_routes {
             table = vec![Vec::new(); num_nodes + channels.len()];
             for at in nodes().filter(|&at| at != dest) {
-                resolve(at, dest, None, &mut outs);
+                resolve(at, dest, None, &hops, &mut outs);
                 table[at.index()] = outs.clone();
             }
         }
-        let hops: Vec<usize> = nodes().map(|v| topo.min_hops(v, dest)).collect();
         for (c, ch) in channels.iter().enumerate() {
             if ch.dst == dest || (minimal && hops[ch.dst.index()] >= hops[ch.src.index()]) {
                 continue;
             }
-            resolve(ch.dst, dest, Some((ch.dir, ch.lane)), &mut outs);
+            resolve(ch.dst, dest, Some(c as u32), &hops, &mut outs);
             for &id in &outs {
                 if !adj[c].contains(&id) {
                     adj[c].push(id);
@@ -318,6 +355,8 @@ pub fn lower(
         channels,
         graph: DepGraph { adj },
         routes,
+        unbuilt,
+        unproductive,
     }
 }
 
@@ -454,8 +493,16 @@ mod tests {
                 assert_eq!(lowered.channels[next as usize].src, ch.dst);
             }
         }
-        // A corner offers its two built lane-0 channels, nothing else.
+        // A corner offers its two built lane-0 channels, nothing else, and
+        // the first offer off the mesh is kept: south at node 1, injecting
+        // toward node 0.
         assert_eq!(lowered.routes[8][0].len(), 2);
+        let first = lowered.unbuilt.expect("offers leave the mesh");
+        assert_eq!(
+            (first.at, first.held, first.offer.0),
+            (NodeId(1), None, Direction::SOUTH)
+        );
+        assert_eq!(lowered.unproductive, None, "not claimed minimal");
         // Held-state routes are dependency edges by construction.
         let n = 9;
         for table in &lowered.routes {

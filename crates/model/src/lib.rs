@@ -19,15 +19,15 @@
 //!   one walk over a routing relation's reachable states);
 //! * [`degraded_route`] and [`FaultMasked`] — the one rule for routing
 //!   around failures inside the turn set;
-//! * [`numbering`] — the channel-numbering witnesses from the paper's
-//!   proofs (Figures 6–8, Theorem 5);
+//! * [`numbering`] — the channel numberings of the paper's proofs, in
+//!   closed form (Figures 6–8, Theorems 2 and 5);
 //! * [`adaptiveness`] — the closed-form path counts of Sections 3.4 and 5
 //!   plus exhaustive path enumeration to validate them;
-//! * [`RoutingFunction`] — the interface concrete algorithms implement;
-//! * [`verifier`] — the per-move checks of a routing function (minimal,
-//!   over existing channels, inside its turn set); deadlock freedom and
-//!   connectivity come from the checked certificate behind
-//!   `turnroute_analysis::verify`.
+//! * [`RoutingFunction`] — the interface concrete algorithms implement.
+//!
+//! Whether a routing function is deadlock free, connected, minimal and
+//! inside its turn set is answered by `turnroute_analysis::verify`, from
+//! one lowering of the relation and the independent certificate checker.
 //!
 //! # Example: verifying west-first is deadlock free
 //!
@@ -55,7 +55,6 @@ mod route;
 pub mod symmetry;
 mod turn;
 mod turnset;
-pub mod verifier;
 
 pub use cdg::Cdg;
 pub use degraded::{degraded_route, FaultMasked};

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use turnroute::model::{numbering, Cdg, RoutingFunction};
+use turnroute::model::{Cdg, RoutingFunction};
 use turnroute::routing::{mesh2d, RoutingMode};
 use turnroute::sim::{Sim, SimConfig};
 use turnroute::topology::{Mesh, Topology};
@@ -26,7 +26,7 @@ fn main() {
     let wf = mesh2d::west_first(RoutingMode::Minimal);
     let cdg = Cdg::from_routing(&mesh, &wf);
     assert!(cdg.is_acyclic());
-    let numbers = numbering::numbering_from_cdg(&cdg).expect("acyclic CDG");
+    let numbers = cdg.graph().numbering().expect("acyclic CDG");
     println!(
         "west-first: CDG acyclic ({} dependencies), numbering witness over {} channels",
         cdg.num_edges(),

@@ -2,13 +2,12 @@
 //! free on its target topologies, and the turn-model bookkeeping is
 //! consistent end to end.
 
-use turnroute::model::numbering::{
-    negative_first_numbering, numbering_from_cdg, verify_monotonic, west_first_numbering, Monotonic,
-};
+use turnroute::analysis::{check, extract, prove, verify, Check, Verdict};
+use turnroute::model::numbering::{negative_first_numbering, west_first_numbering};
 use turnroute::model::{Cdg, RoutingFunction};
 use turnroute::routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute::routing::{hypercube, mesh2d, ndmesh, DimensionOrder, RoutingMode};
-use turnroute::topology::{Direction, Hypercube, Mesh, NodeId, Topology, Torus};
+use turnroute::topology::{Hypercube, Mesh, Topology, Torus};
 
 fn mesh_algorithms() -> Vec<Box<dyn RoutingFunction>> {
     vec![
@@ -112,52 +111,47 @@ fn torus_adaptations_have_acyclic_cdgs() {
 fn every_route_move_is_within_the_declared_turn_set() {
     let mesh = Mesh::new_2d(6, 6);
     for alg in mesh_algorithms() {
-        let Some(set) = alg.turn_set(2) else {
-            continue;
-        };
-        for cur in 0..mesh.num_nodes() {
-            let cur = NodeId(cur as u32);
-            for dst in 0..mesh.num_nodes() {
-                let dst = NodeId(dst as u32);
-                for arrived in Direction::all(2) {
-                    for out in alg.route(&mesh, cur, dst, Some(arrived)).iter() {
-                        assert!(
-                            set.is_allowed(arrived, out),
-                            "{}: move {arrived}->{out} outside turn set",
-                            alg.name()
-                        );
-                    }
-                }
-            }
-        }
+        let report = verify(&mesh, &alg);
+        assert_eq!(report.turns_consistent, Check::Passed, "{}", alg.name());
     }
+}
+
+/// Whether the independent checker accepts `numbering` in place of the
+/// prover's own as the certificate of `routing` on `topo`.
+fn accepts(
+    topo: &dyn Topology,
+    routing: &dyn RoutingFunction,
+    numbering: Vec<u64>,
+) -> Result<(), String> {
+    let spec = extract::from_routing(routing.name(), topo, routing);
+    let mut cert = prove::prove(&spec);
+    check::check(&spec, &cert).expect("the prover's own certificate");
+    cert.verdict = Verdict::Acyclic { numbering };
+    check::check(&spec, &cert)
 }
 
 #[test]
 fn paper_numbering_witnesses_agree_with_cdg_witnesses() {
     // Theorem 2 and Theorem 5 witness the same algorithms the CDG clears.
-    let mesh = Mesh::new_2d(6, 5);
-    let wf = mesh2d::west_first(RoutingMode::Minimal);
-    verify_monotonic(
-        &mesh,
-        &wf,
-        &west_first_numbering(&mesh),
-        Monotonic::Decreasing,
-    )
-    .expect("Theorem 2 numbering");
-    let cdg = Cdg::from_routing(&mesh, &wf);
-    let generic = numbering_from_cdg(&cdg).expect("acyclic");
-    verify_monotonic(&mesh, &wf, &generic, Monotonic::Increasing).expect("generic numbering");
-
-    let mesh3 = Mesh::new(vec![3, 4, 2]);
-    let nf = ndmesh::negative_first(3, RoutingMode::Minimal);
-    verify_monotonic(
-        &mesh3,
-        &nf,
-        &negative_first_numbering(&mesh3),
-        Monotonic::Increasing,
-    )
-    .expect("Theorem 5 numbering");
+    // Theorem 2's numbers decrease along a route, so the certificate
+    // states them subtracted from the largest.
+    for (m, n) in [(6u16, 5u16), (3, 7), (7, 3)] {
+        let mesh = Mesh::new_2d(m, n);
+        let numbers = west_first_numbering(&mesh);
+        let top = *numbers.iter().max().expect("channels");
+        let negated = numbers.iter().map(|&x| (top - x) as u64).collect();
+        let wf = mesh2d::west_first(RoutingMode::Minimal);
+        accepts(&mesh, &wf, negated).expect("Theorem 2 numbering");
+    }
+    for dims in [vec![3u16, 4, 2], vec![5, 2, 3]] {
+        let mesh = Mesh::new(dims);
+        let numbers = negative_first_numbering(&mesh);
+        let nf = ndmesh::negative_first(mesh.num_dims(), RoutingMode::Minimal);
+        let numbering = numbers
+            .iter()
+            .map(|&x| u64::try_from(x).expect("K-n-X >= 0"));
+        accepts(&mesh, &nf, numbering.collect()).expect("Theorem 5 numbering");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! algorithm and rejects the known-broken ones.
 
 use turnroute::analysis::verify;
-use turnroute::model::verifier::Check;
+use turnroute::analysis::Check;
 use turnroute::model::RoutingFunction;
 use turnroute::routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute::routing::{hypercube, mesh2d, ndmesh, FullyAdaptive, RoutingMode};
