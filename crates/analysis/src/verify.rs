@@ -227,31 +227,6 @@ mod tests {
         }
     }
 
-    /// Offers every existing direction: nonminimal, no turn set.
-    struct Wanderer;
-
-    impl RoutingFunction for Wanderer {
-        fn name(&self) -> &str {
-            "wanderer"
-        }
-
-        fn route(
-            &self,
-            topo: &dyn Topology,
-            current: NodeId,
-            _dest: NodeId,
-            _arrived: Option<Direction>,
-        ) -> DirSet {
-            Direction::all(topo.num_dims())
-                .filter(|&d| topo.neighbor(current, d).is_some())
-                .collect()
-        }
-
-        fn is_minimal(&self) -> bool {
-            false
-        }
-    }
-
     /// Claims minimality and the west-first turn set, but always offers
     /// east, off the mesh edge and away from western destinations.
     struct AlwaysEast;
@@ -317,7 +292,7 @@ mod tests {
 
     #[test]
     fn a_nonminimal_function_without_a_turn_set_skips_two_checks() {
-        let report = verify(&Mesh::new_2d(3, 3), &Wanderer);
+        let report = verify(&Mesh::new_2d(3, 3), &crate::lint::Wanderer);
         assert_eq!(report.minimal, Check::Skipped);
         assert_eq!(report.turns_consistent, Check::Skipped);
         assert_eq!(report.channels_valid, Check::Passed);
