@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, build, and the test suite.
 #
-#   ./ci/check.sh          # fmt + clippy + build + quick tests
+#   ./ci/check.sh          # fmt + line ruler + clippy + build + quick tests
 #   ./ci/check.sh --full   # also the release build and full test suite
 #
 # Everything runs with --offline; the workspace has no external
@@ -14,6 +14,20 @@ full=0
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> line ruler"
+# LINES.json counts every source file's non-test lines. It is a report,
+# not a cap: a change that moves a count commits the regenerated file, so
+# the diff shows its line delta.
+lines_now="$(mktemp)"
+./ci/lines.sh "$lines_now"
+if ! cmp -s LINES.json "$lines_now"; then
+    diff LINES.json "$lines_now" >&2 || true
+    rm -f "$lines_now"
+    echo "LINES.json is stale: run ci/lines.sh and commit the result" >&2
+    exit 1
+fi
+rm -f "$lines_now"
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
