@@ -22,7 +22,9 @@
 use crate::certificate::{Certificate, GraphSpec, PathCert, Progress, ProgressVerdict, Verdict};
 use crate::extract;
 use crate::routing::TurnSetRouting;
-use turnroute_model::{presets, Cdg, DepGraph, Turn, TurnSet};
+use crate::synth::report::{butterfly3_links, netlist6_links};
+use turnroute_model::cycle::two_turn_prohibitions;
+use turnroute_model::{presets, DepGraph, TurnSet};
 use turnroute_routing::torus::{NegativeFirstTorus, WrapOnFirstHop};
 use turnroute_routing::{hex, hypercube, mesh2d, RoutingFunction, RoutingMode};
 use turnroute_sim::obs::json;
@@ -42,13 +44,12 @@ pub struct ProveOptions {
     pub inject_bad: bool,
 }
 
-/// The failure-fraction grid of the experiments crate's fault sweep,
-/// mirrored here so every fault plan the degradation curves run is also
-/// proven. `turnroute-experiments` asserts the two grids stay equal.
+/// The failure-fraction grid of the fault sweep: `exp faults` runs it and
+/// this matrix proves every plan on it.
 pub const SWEEP_FRACTIONS: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
 
-/// The default seed of the `exp` binary, whose sweep plans this matrix
-/// reproves (`fault_seed = seed + round(fraction * 10_000)`).
+/// The default seed of the `exp` binary, whose sweep plans
+/// ([`FaultPlan::sweep_point`]) this matrix reproves.
 pub const SWEEP_SEED: u64 = 1;
 
 /// One proven configuration.
@@ -497,27 +498,17 @@ pub fn run(opts: &ProveOptions) -> ProveReport {
         entries.push(entry("turn-set", true, true, &spec));
     }
 
-    // Every safe two-turn set: sweep all 28 unordered pairs of prohibited
-    // 90-degree turns; exactly the paper's 12 survive the cycle test, and
-    // each survivor gets a full certificate.
+    // Every safe two-turn set: of the 28 ways to prohibit two 90-degree
+    // turns, the matrix keeps the ones whose certificate is acyclic —
+    // exactly the paper's 12. turnsynth takes the other 16.
     let mesh4 = Mesh::new_2d(4, 4);
-    let turns = Turn::all_ninety(2);
     let mut two_turn_safe = 0usize;
-    for i in 0..turns.len() {
-        for j in (i + 1)..turns.len() {
-            let mut set = TurnSet::all_ninety(2);
-            set.prohibit(turns[i]);
-            set.prohibit(turns[j]);
-            if !Cdg::from_turn_set(&mesh4, &set).is_acyclic() {
-                continue;
-            }
+    for ([a, b], set) in two_turn_prohibitions() {
+        let spec = extract::from_turn_set(format!("mesh4x4/two-turn {{{a}, {b}}}"), &mesh4, &set);
+        let e = entry("turn-set", true, true, &spec);
+        if e.acyclic {
             two_turn_safe += 1;
-            let spec = extract::from_turn_set(
-                format!("mesh4x4/two-turn {{{}, {}}}", turns[i], turns[j]),
-                &mesh4,
-                &set,
-            );
-            entries.push(entry("turn-set", true, true, &spec));
+            entries.push(e);
         }
     }
 
@@ -561,20 +552,7 @@ pub fn run(opts: &ProveOptions) -> ProveReport {
     // over a 6-node graph of two bridged triangles, extracted directly
     // from its link list. Exercises the spec format's claim that the
     // prover/checker pair is topology-agnostic.
-    let spec = extract::from_netlist(
-        "netlist6/up-down (irregular)",
-        6,
-        &[
-            (0, 1),
-            (0, 2),
-            (1, 2),
-            (1, 3),
-            (2, 4),
-            (3, 4),
-            (3, 5),
-            (4, 5),
-        ],
-    );
+    let spec = extract::from_netlist("netlist6/up-down (irregular)", 6, &netlist6_links());
     entries.push(entry("netlist", true, true, &spec));
 
     // The 3-stage butterfly, unrestricted: without the up*/down*
@@ -583,7 +561,7 @@ pub fn run(opts: &ProveOptions) -> ProveReport {
     let spec = extract::from_netlist_unrestricted(
         "butterfly3/unrestricted (multistage)",
         12,
-        &crate::synth::report::butterfly3_links(),
+        &butterfly3_links(),
     );
     entries.push(entry("netlist", false, true, &spec));
 
@@ -635,8 +613,7 @@ pub fn run(opts: &ProveOptions) -> ProveReport {
     let sweep_algs: [&dyn RoutingFunction; 4] = [&xy, &wf, &nl, &nf];
     for alg in sweep_algs {
         for &fraction in &SWEEP_FRACTIONS {
-            let fault_seed = SWEEP_SEED.wrapping_add((fraction * 10_000.0).round() as u64);
-            let plan = FaultPlan::random_links(&sweep_mesh, fraction, 0, fault_seed);
+            let plan = FaultPlan::sweep_point(&sweep_mesh, fraction, SWEEP_SEED);
             let faults = plan.fault_set_at(0, &sweep_mesh);
             let name = format!(
                 "mesh{radix}x{radix}/{}+faults f={fraction:.2} ({} links down)",
@@ -727,8 +704,7 @@ fn cross_validate(quick: bool) -> Vec<CrossCheck> {
     // A degraded relation: xy under the sweep's 5% fault plan, with the
     // timeout machinery on so partition shows up as drops, not deadlock.
     let sweep_mesh = Mesh::new_2d(8, 8);
-    let fault_seed = SWEEP_SEED.wrapping_add((0.05f64 * 10_000.0).round() as u64);
-    let plan = FaultPlan::random_links(&sweep_mesh, 0.05, 0, fault_seed);
+    let plan = FaultPlan::sweep_point(&sweep_mesh, 0.05, SWEEP_SEED);
     let xy = mesh2d::xy();
     let cfg = SimConfig::builder()
         .injection_rate(0.1)

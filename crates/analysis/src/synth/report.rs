@@ -12,7 +12,8 @@ use crate::certificate::{GraphSpec, Verdict};
 use crate::extract;
 use crate::prove::prove;
 use crate::synth::lower::{escape_dead_end, synthesize, SynthResult};
-use turnroute_model::{Cdg, Turn, TurnSet};
+use turnroute_model::cycle::two_turn_prohibitions;
+use turnroute_model::TurnSet;
 use turnroute_rng::{Rng, SeedableRng, StdRng};
 use turnroute_sim::obs::json;
 use turnroute_sim::SimConfig;
@@ -480,23 +481,13 @@ pub fn run(opts: &SynthOptions) -> SynthReport {
     let mut cross_checks = Vec::new();
     let mesh4 = Mesh::new_2d(4, 4);
 
-    // The 4 paper-unsafe two-turn sets: same 28-pair sweep as turnprove,
-    // keeping the survivors' complement.
-    let turns = Turn::all_ninety(2);
-    for i in 0..turns.len() {
-        for j in (i + 1)..turns.len() {
-            let mut set = TurnSet::all_ninety(2);
-            set.prohibit(turns[i]);
-            set.prohibit(turns[j]);
-            if Cdg::from_turn_set(&mesh4, &set).is_acyclic() {
-                continue;
-            }
-            let spec = extract::from_turn_set(
-                format!("mesh4x4/two-turn {{{}, {}}} (unsafe)", turns[i], turns[j]),
-                &mesh4,
-                &set,
-            );
-            let (e, _) = entry("turn-set", &spec);
+    // The 16 two-turn sets the prover refutes: the 4 census-unsafe ones,
+    // and the 12 that prohibit two turns of one abstract cycle and so
+    // break none of the other. turnprove keeps the other 12 of the 28.
+    for ([a, b], set) in two_turn_prohibitions() {
+        let name = format!("mesh4x4/two-turn {{{a}, {b}}} (unsafe)");
+        let (e, _) = entry("turn-set", &extract::from_turn_set(name, &mesh4, &set));
+        if e.witness_len > 0 {
             entries.push(e);
         }
     }
@@ -531,102 +522,68 @@ pub fn run(opts: &SynthOptions) -> SynthReport {
         cross_checks.push(confront(config, "vcsim", seeds, probe));
     }
 
-    // Both torus radices unrestricted: the wraparound rings alone are
-    // cyclic, so every turn set needs the split.
-    for (name, torus) in [
-        ("4-ary 2-cube/unrestricted", Torus::new(4, 2)),
-        ("3-ary 2-cube/unrestricted", Torus::new(3, 2)),
-    ] {
-        let spec = extract::from_turn_set(name, &torus, &TurnSet::all_ninety(2));
-        let (e, result) = entry("turn-set", &spec);
-        entries.push(e);
-        if name.starts_with("4-ary") {
-            if let Some(result) = &result {
-                cross_checks.push(spec_pair(
-                    name,
-                    &spec,
-                    &result.spec,
-                    0x5EED_0002,
-                    8,
-                    opts.quick,
-                ));
-            }
-        }
-    }
-
-    // The hexagonal mesh unrestricted over its six directions.
+    // The other cyclic inputs, each with the seed and packets per node of
+    // its spec-level probe: both torus radices unrestricted (the
+    // wraparound rings alone are cyclic, so every turn set needs the
+    // split), the hexagonal mesh over its six directions, the irregular
+    // netlist (acyclic as up*/down* in turnprove) and the 3-stage
+    // butterfly without their discipline, and the planted cyclic VC
+    // assignment, whose split stacks a second split on top.
+    let (all_2d, all_hex) = (TurnSet::all_ninety(2), TurnSet::all_ninety(3));
     let hexm = HexMesh::new(4, 4);
-    let spec = extract::from_turn_set("hex4x4/unrestricted", &hexm, &TurnSet::all_ninety(3));
-    let (e, result) = entry("turn-set", &spec);
-    entries.push(e);
-    if let Some(result) = &result {
-        cross_checks.push(spec_pair(
-            "hex4x4/unrestricted",
-            &spec,
-            &result.spec,
-            0x5EED_0003,
-            64,
-            opts.quick,
-        ));
-    }
-
-    // The irregular 6-node netlist, unrestricted (its up*/down* form in
-    // turnprove is acyclic; dropping the discipline makes it cyclic).
-    let spec = extract::from_netlist_unrestricted(
-        "netlist6/unrestricted (irregular)",
-        6,
-        &netlist6_links(),
-    );
-    let (e, result) = entry("netlist", &spec);
-    entries.push(e);
-    if let Some(result) = &result {
-        cross_checks.push(spec_pair(
-            "netlist6/unrestricted",
-            &spec,
-            &result.spec,
-            0x5EED_0004,
-            8,
-            opts.quick,
-        ));
-    }
-
-    // The 3-stage butterfly, unrestricted.
-    let spec = extract::from_netlist_unrestricted(
-        "butterfly3/unrestricted (multistage)",
-        12,
-        &butterfly3_links(),
-    );
-    let (e, result) = entry("netlist", &spec);
-    entries.push(e);
-    if let Some(result) = &result {
-        cross_checks.push(spec_pair(
-            "butterfly3/unrestricted",
-            &spec,
-            &result.spec,
-            0x5EED_0005,
-            8,
-            opts.quick,
-        ));
-    }
-
-    // The planted cyclic VC assignment: a *virtual*-channel input whose
-    // synthesized split stacks a second split on top.
-    let spec = extract::from_vc_routing(
-        "mesh4x4/planted-cyclic-vc",
-        &mesh4,
-        &extract::PlantedCyclicVc,
-    );
-    let (e, result) = entry("vc", &spec);
-    entries.push(e);
-    if let Some(result) = &result {
-        cross_checks.push(spec_pair(
-            "mesh4x4/planted-cyclic-vc",
-            &spec,
-            &result.spec,
-            0x5EED_0006,
-            16,
-            opts.quick,
-        ));
+    let inputs = [
+        (
+            "turn-set",
+            extract::from_turn_set("4-ary 2-cube/unrestricted", &Torus::new(4, 2), &all_2d),
+            Some((0x5EED_0002, 8)),
+        ),
+        (
+            "turn-set",
+            extract::from_turn_set("3-ary 2-cube/unrestricted", &Torus::new(3, 2), &all_2d),
+            None,
+        ),
+        (
+            "turn-set",
+            extract::from_turn_set("hex4x4/unrestricted", &hexm, &all_hex),
+            Some((0x5EED_0003, 64)),
+        ),
+        (
+            "netlist",
+            extract::from_netlist_unrestricted(
+                "netlist6/unrestricted (irregular)",
+                6,
+                &netlist6_links(),
+            ),
+            Some((0x5EED_0004, 8)),
+        ),
+        (
+            "netlist",
+            extract::from_netlist_unrestricted(
+                "butterfly3/unrestricted (multistage)",
+                12,
+                &butterfly3_links(),
+            ),
+            Some((0x5EED_0005, 8)),
+        ),
+        (
+            "vc",
+            extract::from_vc_routing(
+                "mesh4x4/planted-cyclic-vc",
+                &mesh4,
+                &extract::PlantedCyclicVc,
+            ),
+            Some((0x5EED_0006, 16)),
+        ),
+    ];
+    for (kind, spec, probe) in inputs {
+        let (e, result) = entry(kind, &spec);
+        entries.push(e);
+        if let (Some(result), Some((seed, per_node))) = (result, probe) {
+            // The probe is named after the input, without its kind.
+            let family = spec.name.split(" (").next().unwrap_or_default();
+            let synth = &result.spec;
+            cross_checks.push(spec_pair(family, &spec, synth, seed, per_node, opts.quick));
+        }
     }
 
     if opts.inject_bad {

@@ -304,7 +304,7 @@ fn fault_outputs(scale: Scale, seed: u64) -> [String; 3] {
     };
     let mesh = turnroute_topology::Mesh::new_2d(m, m);
     let uniform = turnroute_traffic::Uniform::new();
-    let fractions = faults::default_fractions();
+    let fractions = turnroute_analysis::prove::SWEEP_FRACTIONS;
     let algorithms: Vec<Box<dyn RoutingFunction + Sync>> = vec![
         Box::new(mesh2d::xy()),
         Box::new(mesh2d::west_first(RoutingMode::Minimal)),

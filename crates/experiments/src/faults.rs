@@ -38,11 +38,6 @@ pub struct FaultCurve {
     pub points: Vec<FaultPoint>,
 }
 
-/// The default failure-fraction grid.
-pub fn default_fractions() -> Vec<f64> {
-    vec![0.0, 0.02, 0.05, 0.10, 0.15, 0.20]
-}
-
 /// The moderate offered load the degradation runs use, far below
 /// saturation so delivered-fraction loss is attributable to faults, not
 /// congestion.
@@ -57,10 +52,11 @@ fn packet_timeout(scale: Scale) -> u64 {
     }
 }
 
-/// Run one algorithm over the failure-fraction grid. Points are
-/// independent simulations on parallel threads. The fault pattern at a
-/// given fraction depends only on `(seed, fraction)`, so every algorithm
-/// faces identical failures.
+/// Run one algorithm over the failure fractions `fractions` (`exp faults`
+/// passes `turnprove`'s grid, [`turnroute_analysis::prove::SWEEP_FRACTIONS`]).
+/// Points are independent simulations on parallel threads. A point's
+/// faults are [`FaultPlan::sweep_point`] of `(seed, fraction)`, so every
+/// algorithm faces identical failures.
 pub fn fault_sweep<T, R, P>(
     topo: &T,
     routing: &R,
@@ -80,8 +76,7 @@ where
             .iter()
             .map(|&fraction| {
                 scope.spawn(move || {
-                    let fault_seed = seed.wrapping_add((fraction * 10_000.0).round() as u64);
-                    let plan = FaultPlan::random_links(topo, fraction, 0, fault_seed);
+                    let plan = FaultPlan::sweep_point(topo, fraction, seed);
                     let failed_links = plan.len();
                     let cfg = SimConfig::builder()
                         .injection_rate(FAULT_SWEEP_RATE)
@@ -270,16 +265,6 @@ mod tests {
         let json = to_json(&[curve], "Fault tolerance");
         assert!(turnroute_sim::obs::json::validate(&json), "{json}");
         assert!(json.contains("\"delivered_fraction\""));
-    }
-
-    #[test]
-    fn sweep_grid_matches_the_turnprove_matrix() {
-        // turnprove reproves exactly the fault plans these degradation
-        // curves run; the two fraction grids must never drift apart.
-        assert_eq!(
-            default_fractions(),
-            turnroute_analysis::prove::SWEEP_FRACTIONS.to_vec()
-        );
     }
 
     #[test]

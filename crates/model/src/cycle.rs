@@ -203,6 +203,25 @@ pub fn breaks_all_hex_cycles(set: &TurnSet) -> bool {
     hex_abstract_cycles().iter().all(|c| c.is_broken_by(set))
 }
 
+/// Every way of prohibiting two of a 2D mesh's eight 90-degree turns: the
+/// 28 unordered pairs in [`Turn::all_ninety`] order (`i < j`), each with
+/// the turn set that prohibits exactly that pair. Sixteen take one turn
+/// from each abstract cycle (the [`two_turn_census`] candidates); the
+/// other twelve take both from one cycle and leave the other intact.
+pub fn two_turn_prohibitions() -> Vec<([Turn; 2], TurnSet)> {
+    let turns = Turn::all_ninety(2);
+    let mut out = Vec::with_capacity(28);
+    for (i, &a) in turns.iter().enumerate() {
+        for &b in &turns[i + 1..] {
+            let mut set = TurnSet::all_ninety(2);
+            set.prohibit(a);
+            set.prohibit(b);
+            out.push(([a, b], set));
+        }
+    }
+    out
+}
+
 /// The outcome of the Section 3 census over all two-turn prohibitions in a
 /// 2D mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -165,6 +165,16 @@ impl FaultPlan {
         plan
     }
 
+    /// The plan of one fault-sweep point: [`FaultPlan::random_links`] from
+    /// cycle 0, drawn with the seed `seed + round(fraction * 10_000)`. At
+    /// one `(seed, fraction)` every swept algorithm meets the same
+    /// failures, and `turnprove` reproves exactly the plans `exp faults`
+    /// runs.
+    pub fn sweep_point(topo: &dyn Topology, fraction: f64, seed: u64) -> FaultPlan {
+        let pattern_seed = seed.wrapping_add((fraction * 10_000.0).round() as u64);
+        FaultPlan::random_links(topo, fraction, 0, pattern_seed)
+    }
+
     /// The scheduled faults, in insertion order.
     pub fn faults(&self) -> &[Fault] {
         &self.faults
