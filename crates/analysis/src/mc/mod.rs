@@ -41,6 +41,7 @@ use explore::{explore, ExploreOutcome, ExploreParams};
 use turnroute_model::cycle::two_turn_census;
 use turnroute_model::{RoutingFunction, TurnSet};
 use turnroute_routing::{hypercube::e_cube, mesh2d, torus::NegativeFirstTorus, RoutingMode};
+use turnroute_sim::obs::json;
 use turnroute_sim::{Engine, Lanes, LengthDist, Sim, SimConfig};
 use turnroute_topology::{Hypercube, Mesh, NodeId, Topology, Torus};
 use turnroute_traffic::Uniform;
@@ -194,13 +195,13 @@ impl McReport {
             .iter()
             .map(|e| {
                 format!(
-                    "{{\"name\":{:?},\"engine\":{:?},\"expect_deadlock_free\":{},\
+                    "{{\"name\":{},\"engine\":{},\"expect_deadlock_free\":{},\
                      \"states\":{},\"transitions\":{},\"complete\":{},\"group_order\":{},\
                      \"deadlock\":{},\"refinement_ok\":{},\"witness_match\":{},\
                      \"replay_stuck\":{},\"max_misroutes\":{},\"misroute_bound\":{},\
                      \"scenario\":{},\"ok\":{}}}",
-                    e.name,
-                    e.engine,
+                    json::string(&e.name),
+                    json::string(e.engine),
                     e.expect_deadlock_free,
                     e.states,
                     e.transitions,
@@ -266,8 +267,7 @@ fn set_label(set: &TurnSet) -> String {
 /// Exhaustively certify one census-safe turn set deadlock free on the
 /// `side`×`side` mesh: corner-exchange front, full injection-subset
 /// nondeterminism, every arbitration resolution, symmetry-reduced.
-/// Public so the `mc_small_mesh` benchmark can time a single entry.
-pub fn certify_set(side: u16, set: &TurnSet) -> McEntry {
+fn certify_set(side: u16, set: &TurnSet) -> McEntry {
     let mesh = Mesh::new_2d(side, side);
     let routing = TurnSetRouting::new(set_label(set), set.clone(), &mesh);
     let front = corner_exchange(&mesh, 2);
@@ -421,6 +421,22 @@ fn certify_plain<'a, L: Lanes<'a>>(
     e
 }
 
+/// [`certify_plain`] on the wormhole engine: `routing` on `topo` under
+/// `cfg`, from `front`, with misroute bound `bound`.
+fn certify_sim(
+    name: &str,
+    topo: &dyn Topology,
+    routing: &dyn RoutingFunction,
+    front: &[FrontPacket],
+    cfg: SimConfig,
+    bound: u32,
+) -> McEntry {
+    let pattern = Uniform::new();
+    let (nodes, depth) = (topo.num_nodes(), cfg.buffer_depth);
+    let mut sim = Sim::new(topo, routing, &pattern, cfg);
+    certify_plain(name.into(), "sim", &mut sim, front, nodes, depth, bound)
+}
+
 /// Run the full `turncheck` matrix.
 pub fn run(opts: &McOptions) -> McReport {
     let mut entries = Vec::new();
@@ -459,48 +475,22 @@ pub fn run(opts: &McOptions) -> McReport {
     }
 
     // Ring (1D torus): negative-first with the wraparound classification.
-    {
-        let ring = Torus::new(4, 1);
-        let routing = NegativeFirstTorus::new(1);
-        let front = antipodal_exchange(&ring, 2);
-        let pattern = Uniform::new();
-        let cfg = mc_config(1, 0);
-        let mut sim = Sim::new(&ring, &routing, &pattern, cfg.clone());
-        entries.push(certify_plain(
-            "ring4 negative-first-torus".to_string(),
-            "sim",
-            &mut sim,
-            &front,
-            4,
-            cfg.buffer_depth,
-            0,
-        ));
-    }
+    let ring = Torus::new(4, 1);
+    let (routing, front) = (NegativeFirstTorus::new(1), antipodal_exchange(&ring, 2));
+    let (name, cfg) = ("ring4 negative-first-torus", mc_config(1, 0));
+    entries.push(certify_sim(name, &ring, &routing, &front, cfg, 0));
 
     // Hypercube-2: dimension-ordered e-cube.
-    {
-        let cube = Hypercube::new(2);
-        let routing = e_cube(2);
-        let front = antipodal_exchange(&cube, 2);
-        let pattern = Uniform::new();
-        let cfg = mc_config(1, 0);
-        let mut sim = Sim::new(&cube, &routing, &pattern, cfg.clone());
-        entries.push(certify_plain(
-            "hypercube2 e-cube".to_string(),
-            "sim",
-            &mut sim,
-            &front,
-            4,
-            cfg.buffer_depth,
-            0,
-        ));
-    }
+    let cube = Hypercube::new(2);
+    let (routing, front) = (e_cube(2), antipodal_exchange(&cube, 2));
+    let (name, cfg) = ("hypercube2 e-cube", mc_config(1, 0));
+    entries.push(certify_sim(name, &cube, &routing, &front, cfg, 0));
 
     // The virtual-channel engine: double-y adaptive on the 2×2 mesh.
+    let mesh = Mesh::new_2d(2, 2);
+    let front = corner_exchange(&mesh, 2);
     {
-        let mesh = Mesh::new_2d(2, 2);
         let routing = DoubleYAdaptive::new();
-        let front = corner_exchange(&mesh, 2);
         let pattern = Uniform::new();
         let cfg = mc_config(1, 0);
         let mut sim = VcSim::new(&mesh, &routing, &pattern, cfg.clone());
@@ -517,55 +507,28 @@ pub fn run(opts: &McOptions) -> McReport {
 
     // Deeper buffers: west-first with 2-flit buffers (toward virtual
     // cut-through; the snapshot seam must hold regardless of depth).
-    {
-        let mesh = Mesh::new_2d(2, 2);
-        let set = mesh2d::west_first(RoutingMode::Minimal)
-            .turn_set(2)
-            .expect("west-first has a turn set");
-        let routing = TurnSetRouting::new("west-first".to_string(), set, &mesh);
-        let front = corner_exchange(&mesh, 2);
-        let pattern = Uniform::new();
-        let cfg = mc_config(2, 0);
-        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
-        entries.push(certify_plain(
-            "mesh2 west-first buffers=2".to_string(),
-            "sim",
-            &mut sim,
-            &front,
-            4,
-            cfg.buffer_depth,
-            0,
-        ));
-    }
+    let set = mesh2d::west_first(RoutingMode::Minimal)
+        .turn_set(2)
+        .expect("west-first has a turn set");
+    let routing = TurnSetRouting::new("west-first".to_string(), set, &mesh);
+    let (name, cfg) = ("mesh2 west-first buffers=2", mc_config(2, 0));
+    entries.push(certify_sim(name, &mesh, &routing, &front, cfg, 0));
 
     // Progress under fairness: nonminimal west-first must keep every
     // reachable misroute counter within the intrinsic bound the static
     // progress proof computes — with budget above the bound, so the
     // engine is not doing the limiting.
-    {
-        let mesh = Mesh::new_2d(2, 2);
-        let routing = mesh2d::west_first(RoutingMode::Nonminimal);
-        let spec = crate::extract::from_routing(routing.name(), &mesh, &routing);
-        let progress = crate::verify::checked_progress(&spec);
-        let bounded = matches!(&progress, Ok(p) if p.verdict == ProgressVerdict::Bounded);
-        let bound = progress.map_or(0, |p| p.max_misroutes);
-        let front = corner_exchange(&mesh, 2);
-        let pattern = Uniform::new();
-        let cfg = mc_config(1, bound + 2);
-        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg.clone());
-        let mut e = certify_plain(
-            format!("mesh2 west-first nonminimal (bound {bound})"),
-            "sim",
-            &mut sim,
-            &front,
-            4,
-            cfg.buffer_depth,
-            bound,
-        );
-        // A failed progress proof would make the bound meaningless.
-        e.complete = e.complete && bounded;
-        entries.push(e);
-    }
+    let routing = mesh2d::west_first(RoutingMode::Nonminimal);
+    let spec = crate::extract::from_routing(routing.name(), &mesh, &routing);
+    let progress = crate::verify::checked_progress(&spec);
+    let bounded = matches!(&progress, Ok(p) if p.verdict == ProgressVerdict::Bounded);
+    let bound = progress.map_or(0, |p| p.max_misroutes);
+    let name = format!("mesh2 west-first nonminimal (bound {bound})");
+    let cfg = mc_config(1, bound + 2);
+    let mut e = certify_sim(&name, &mesh, &routing, &front, cfg, bound);
+    // A failed progress proof would make the bound meaningless.
+    e.complete = e.complete && bounded;
+    entries.push(e);
 
     McReport {
         entries,
@@ -708,5 +671,17 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"tool\":\"turncheck\""));
         assert!(json.contains("\"passed\":false"));
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_names() {
+        let mut report = run(&McOptions {
+            quick: true,
+            inject_bad: true,
+        });
+        report.entries[0].name = "tab\tbell\u{7}".into();
+        let json = report.to_json();
+        assert!(json::validate(&json), "{json}");
+        assert!(json.contains(r#""name":"tab\tbell\u0007""#), "{json}");
     }
 }
