@@ -22,63 +22,43 @@
 //! deadlock that refines the CDG proof cycle and replays to a stuck
 //! state on a fresh engine.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
-use turnroute_analysis::mc::{run, McOptions};
+use turnroute_analysis::cli;
+use turnroute_analysis::mc::{run, McOptions, McReport};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: turncheck [--quick] [--out FILE] [--ttr-out FILE] [--inject-bad]");
-    ExitCode::FAILURE
+/// Write the first counterexample's replay log to `--ttr-out`.
+fn write_ttr(args: &cli::Args, report: &McReport) -> Result<(), String> {
+    let Some(ttr) = &report.counterexample_ttr else {
+        return Ok(());
+    };
+    let path = Path::new(
+        args.value("--ttr-out")
+            .unwrap_or("results/mc_counterexample.ttr"),
+    );
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, ttr).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!(
+        "turncheck: counterexample log written to {} ({} bytes)",
+        path.display(),
+        ttr.len()
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let mut opts = McOptions::default();
-    let mut out = PathBuf::from("results/mc.json");
-    let mut ttr_out = PathBuf::from("results/mc_counterexample.ttr");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--inject-bad" => opts.inject_bad = true,
-            "--out" => match args.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => return usage(),
-            },
-            "--ttr-out" => match args.next() {
-                Some(path) => ttr_out = PathBuf::from(path),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let report = run(&opts);
-    print!("{}", report.render());
-
-    if let Err(e) = turnroute_obslog::artifact::write_artifact(&out, &report.to_json()) {
-        eprintln!("turncheck: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("turncheck: report written to {}", out.display());
-
-    if let Some(ttr) = &report.counterexample_ttr {
-        if let Some(dir) = ttr_out.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&ttr_out, ttr) {
-            eprintln!("turncheck: cannot write {}: {e}", ttr_out.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "turncheck: counterexample log written to {} ({} bytes)",
-            ttr_out.display(),
-            ttr.len()
-        );
-    }
-
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let usage = "turncheck [--quick] [--out FILE] [--ttr-out FILE] [--inject-bad]";
+    cli::main(
+        usage,
+        "results/mc.json",
+        |args| {
+            run(&McOptions {
+                quick: args.has("--quick"),
+                inject_bad: args.has("--inject-bad"),
+            })
+        },
+        write_ttr,
+    )
 }

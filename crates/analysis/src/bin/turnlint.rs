@@ -17,44 +17,22 @@
 //! Exit status is zero exactly when every claim, matrix row, and
 //! sanitized simulation passed.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
+use turnroute_analysis::cli;
 use turnroute_analysis::lint::{run, LintOptions};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: turnlint [--quick] [--out FILE] [--inject-bad] [--min-witness]");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let mut opts = LintOptions::default();
-    let mut out = PathBuf::from("results/turnlint.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--inject-bad" => opts.inject_bad = true,
-            "--min-witness" => opts.min_witness = true,
-            "--out" => match args.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let report = run(&opts);
-    print!("{}", report.render());
-
-    if let Err(e) = turnroute_obslog::artifact::write_artifact(&out, &report.to_json()) {
-        eprintln!("turnlint: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("turnlint: report written to {}", out.display());
-
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let usage = "turnlint [--quick] [--out FILE] [--inject-bad] [--min-witness]";
+    cli::main(
+        usage,
+        "results/turnlint.json",
+        |args| {
+            run(&LintOptions {
+                quick: args.has("--quick"),
+                inject_bad: args.has("--inject-bad"),
+                min_witness: args.has("--min-witness"),
+            })
+        },
+        |_, _| Ok(()),
+    )
 }

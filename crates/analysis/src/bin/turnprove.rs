@@ -17,43 +17,21 @@
 //! independent checker, every verdict matched its expectation, and every
 //! simulator cross-validation agreed.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
+use turnroute_analysis::cli;
 use turnroute_analysis::prove::{run, ProveOptions};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: turnprove [--quick] [--out FILE] [--inject-bad]");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let mut opts = ProveOptions::default();
-    let mut out = PathBuf::from("results/turnprove.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--inject-bad" => opts.inject_bad = true,
-            "--out" => match args.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let report = run(&opts);
-    print!("{}", report.render());
-
-    if let Err(e) = turnroute_obslog::artifact::write_artifact(&out, &report.to_json()) {
-        eprintln!("turnprove: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("turnprove: report written to {}", out.display());
-
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let usage = "turnprove [--quick] [--out FILE] [--inject-bad]";
+    cli::main(
+        usage,
+        "results/turnprove.json",
+        |args| {
+            run(&ProveOptions {
+                quick: args.has("--quick"),
+                inject_bad: args.has("--inject-bad"),
+            })
+        },
+        |_, _| Ok(()),
+    )
 }

@@ -20,43 +20,21 @@
 //! accepted, with full connectivity, no escape dead ends, and agreeing
 //! simulator cross-validations.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
+use turnroute_analysis::cli;
 use turnroute_analysis::synth::{run, SynthOptions};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: turnsynth [--quick] [--out FILE] [--inject-bad]");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let mut opts = SynthOptions::default();
-    let mut out = PathBuf::from("results/turnsynth.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--inject-bad" => opts.inject_bad = true,
-            "--out" => match args.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let report = run(&opts);
-    print!("{}", report.render());
-
-    if let Err(e) = turnroute_obslog::artifact::write_artifact(&out, &report.to_json()) {
-        eprintln!("turnsynth: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("turnsynth: report written to {}", out.display());
-
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let usage = "turnsynth [--quick] [--out FILE] [--inject-bad]";
+    cli::main(
+        usage,
+        "results/turnsynth.json",
+        |args| {
+            run(&SynthOptions {
+                quick: args.has("--quick"),
+                inject_bad: args.has("--inject-bad"),
+            })
+        },
+        |_, _| Ok(()),
+    )
 }

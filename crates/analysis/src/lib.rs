@@ -74,6 +74,7 @@
 pub mod certificate;
 pub mod check;
 pub mod claim;
+pub mod cli;
 pub mod enumeration;
 pub mod extract;
 pub mod heal;
