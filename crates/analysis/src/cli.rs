@@ -31,7 +31,7 @@ macro_rules! report {
 report!(LintReport, McReport, ProveReport, SynthReport);
 
 /// The flags a command line gave, each with its value if it takes one.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Args(Vec<(String, Option<String>)>);
 
 impl Args {
